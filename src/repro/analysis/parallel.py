@@ -551,6 +551,7 @@ class ParallelPointsToSolver(PointsToSolver):
                 workers=self.workers,
                 nodes=len(self._pts),
                 reachable=len(self._reachable),
+                compiled_methods=len(self._bodies),
                 call_edges=len(self._call_graph),
             )
         with tracer.span("solver.snapshot"):

@@ -76,9 +76,10 @@ Resource limits: ``max_tuples`` bounds the total number of derived tuples and
 
 from __future__ import annotations
 
-from collections import deque
+from collections import ChainMap, deque
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Deque,
     Dict,
     FrozenSet,
@@ -93,7 +94,7 @@ from typing import (
 
 from ..contexts.abstractions import ContextTable
 from ..contexts.policies import ContextPolicy
-from ..facts.encoder import FactBase, encode_program
+from ..facts.encoder import FactBase, FactIndex, encode_program
 from ..ir.program import Program
 from ..utils import Interner, Stopwatch
 
@@ -171,6 +172,13 @@ class _MethodBody:
     formals: Tuple[int, ...]
     returns: Tuple[int, ...]
     this: int  # _NONE for static methods
+
+
+#: The instruction lists of a :class:`_MethodBody`, in field order.
+_INSTR_FIELDS = (
+    "allocs", "moves", "casts", "loads", "stores", "vcalls", "specialcalls",
+    "scalls", "staticloads", "staticstores", "throws", "catches",
+)
 
 
 @dataclass
@@ -349,127 +357,136 @@ class PointsToSolver:
         self._stopwatch = Stopwatch()
 
         self._heap_type: Dict[int, int] = {}
+        # Construction compiles only the rows it is given, grouped by
+        # method; a method's body is built on first reach (_body).  So a
+        # solver over a slice costs O(slice), not O(program).  Whole-
+        # program lookups come from the fact base's shared index, and
+        # the methods of variables added by edits from _edit_var_meth.
+        self._index = self.facts.index()
+        self._edit_var_meth: Dict[str, str] = {}
         self._bodies: Dict[int, _MethodBody] = {}
         if tracer is None:
             self._compile_facts()
         else:
             with tracer.span("solver.init", analysis=policy.name):
                 self._compile_facts()
-                tracer.annotate(methods=len(self._bodies))
 
     # ------------------------------------------------------------------
-    # Fact compilation: strings -> interned method bodies
+    # Fact compilation: rows -> interned instruction lists -> method bodies
     # ------------------------------------------------------------------
     def _compile_facts(self) -> None:
+        """Compile the supplied instruction rows — O(rows), not O(program)."""
         f = self.facts
-        per_method: Dict[str, _MethodBody] = {}
+        self._rows = self._compile_rows(
+            lambda relation: getattr(f, relation),
+            self._index.var_meth.__getitem__,
+            self._index.ret_of_invo,
+        )
 
-        def body(meth: str) -> _MethodBody:
-            mb = per_method.get(meth)
-            if mb is None:
-                mb = _MethodBody(
-                    [], [], [], [], [], [], [], [], [], [], [], [],
-                    formals=(), returns=(), this=_NONE,
-                )
-                per_method[meth] = mb
-            return mb
+    def _compile_rows(
+        self,
+        rows_of: Callable[[str], Iterable[tuple]],
+        var_meth: Callable[[str], str],
+        ret_of: Mapping[str, str],
+    ) -> Dict[str, List[list]]:
+        """Intern instruction rows, grouped by method: one list per
+        :data:`_INSTR_FIELDS` entry, later the method's body's own.
 
-        for meth in (m.id for m in self.program.methods()):
-            body(meth)
+        ``rows_of`` names a relation's rows, ``var_meth`` a variable's
+        method, ``ret_of`` a call's result variable; actual arguments
+        come from the current fact base.
+        """
+        grouped: Dict[str, List[list]] = {}
 
-        for var, heap, meth in f.alloc:
-            body(meth).allocs.append((self.vars.intern(var), self.heaps.intern(heap)))
-        var_meth = {v: m for v, m in f.varinmeth}
-        for to, frm in f.move:
-            body(var_meth[to]).moves.append(
-                (self.vars.intern(frm), self.vars.intern(to))
-            )
-        for to, typ, frm, meth in f.cast:
-            body(meth).casts.append(
-                (self.vars.intern(frm), self.vars.intern(to), self.types.intern(typ))
-            )
-        for to, base, fld in f.load:
-            body(var_meth[to]).loads.append(
-                (self.vars.intern(to), self.vars.intern(base), self.flds.intern(fld))
-            )
-        for base, fld, frm in f.store:
-            body(var_meth[base]).stores.append(
-                (self.vars.intern(base), self.flds.intern(fld), self.vars.intern(frm))
-            )
-        for to, cls, fld in f.staticload:
-            body(var_meth[to]).staticloads.append(
-                (self.vars.intern(to), self.static_flds.intern((cls, fld)))
-            )
-        for cls, fld, frm in f.staticstore:
-            body(var_meth[frm]).staticstores.append(
-                (self.static_flds.intern((cls, fld)), self.vars.intern(frm))
-            )
-        for var, meth in f.throwinstr:
-            body(meth).throws.append(self.vars.intern(var))
-        for meth, typ, var in f.catchclause:
-            body(meth).catches.append(
-                (self.types.intern(typ), self.vars.intern(var))
-            )
+        def lists(meth: str) -> List[list]:
+            raw = grouped.get(meth)
+            if raw is None:
+                raw = grouped[meth] = [[], [], [], [], [], [], [], [], [], [], [], []]
+            return raw
 
-        args_of: Dict[str, List[str]] = f.args_of_invo
-        ret_of: Dict[str, str] = {invo: var for invo, var in f.actualreturn}
+        vi = self.vars.intern
+        ti = self.types.intern
+        fi = self.flds.intern
+        si = self.static_flds.intern
+        ii = self.invos.intern
+        mi = self.meths.intern
+        heap = self._heap
+        args_of = self.facts.args_of_invo
 
         def call_parts(invo: str) -> Tuple[int, Tuple[int, ...]]:
             lhs = ret_of.get(invo)
-            lhs_i = self.vars.intern(lhs) if lhs is not None else _NONE
-            arg_is = tuple(self.vars.intern(a) for a in args_of.get(invo, ()))
-            return lhs_i, arg_is
+            lhs_i = vi(lhs) if lhs is not None else _NONE
+            return lhs_i, tuple(map(vi, args_of.get(invo, ())))
 
-        for base, sig, invo, meth in f.vcall:
-            lhs_i, arg_is = call_parts(invo)
-            body(meth).vcalls.append(
-                (
-                    self.vars.intern(base),
-                    self.sigs.intern(sig),
-                    self.invos.intern(invo),
-                    lhs_i,
-                    arg_is,
-                )
+        for var, h, meth in rows_of("alloc"):
+            lists(meth)[0].append((vi(var), heap(h)))
+        for to, frm in rows_of("move"):
+            lists(var_meth(to))[1].append((vi(frm), vi(to)))
+        for to, typ, frm, meth in rows_of("cast"):
+            lists(meth)[2].append((vi(frm), vi(to), ti(typ)))
+        for to, base, fld in rows_of("load"):
+            lists(var_meth(to))[3].append((vi(to), vi(base), fi(fld)))
+        for base, fld, frm in rows_of("store"):
+            lists(var_meth(base))[4].append((vi(base), fi(fld), vi(frm)))
+        for to, cls, fld in rows_of("staticload"):
+            lists(var_meth(to))[8].append((vi(to), si((cls, fld))))
+        for cls, fld, frm in rows_of("staticstore"):
+            lists(var_meth(frm))[9].append((si((cls, fld)), vi(frm)))
+        for var, meth in rows_of("throwinstr"):
+            lists(meth)[10].append(vi(var))
+        for meth, typ, var in rows_of("catchclause"):
+            lists(meth)[11].append((ti(typ), vi(var)))
+        for base, sig, invo, meth in rows_of("vcall"):
+            lists(meth)[5].append(
+                (vi(base), self.sigs.intern(sig), ii(invo), *call_parts(invo))
             )
-        for base, callee, invo, meth in f.specialcall:
-            lhs_i, arg_is = call_parts(invo)
-            body(meth).specialcalls.append(
-                (
-                    self.vars.intern(base),
-                    self.meths.intern(callee),
-                    self.invos.intern(invo),
-                    lhs_i,
-                    arg_is,
-                )
+        for base, callee, invo, meth in rows_of("specialcall"):
+            lists(meth)[6].append(
+                (vi(base), mi(callee), ii(invo), *call_parts(invo))
             )
-        for callee, invo, meth in f.scall:
-            lhs_i, arg_is = call_parts(invo)
-            body(meth).scalls.append(
-                (self.meths.intern(callee), self.invos.intern(invo), lhs_i, arg_is)
-            )
+        for callee, invo, meth in rows_of("scall"):
+            lists(meth)[7].append((mi(callee), ii(invo), *call_parts(invo)))
+        return grouped
 
-        formals: Dict[str, Dict[int, str]] = {}
-        for meth, i, arg in f.formalarg:
-            formals.setdefault(meth, {})[i] = arg
-        returns: Dict[str, List[str]] = {}
-        for meth, ret in f.formalreturn:
-            returns.setdefault(meth, []).append(ret)
-        this_of = {meth: this for meth, this in f.thisvar}
+    def _body(self, meth: int) -> _MethodBody:
+        """A method's compiled body, built the first time it is needed (an
+        empty one for a method without instructions).
 
-        for meth, mb in per_method.items():
-            fm = formals.get(meth, {})
-            mb.formals = tuple(self.vars.intern(fm[i]) for i in sorted(fm))
-            mb.returns = tuple(self.vars.intern(r) for r in returns.get(meth, ()))
-            this = this_of.get(meth)
-            mb.this = self.vars.intern(this) if this is not None else _NONE
-            self._bodies[self.meths.intern(meth)] = mb
-
-        for heap, typ in f.heaptype:
-            # intern (not get): a heap may appear in a heaptype fact without
-            # any alloc fact (e.g. a hand-built or file-loaded fact base).
-            self._register_heap_type(
-                self.heaps.intern(heap), self.types.intern(typ)
+        Reaching a method goes through here, so the hot call-linking
+        paths read ``_bodies`` directly for methods already reachable.
+        """
+        mb = self._bodies.get(meth)
+        if mb is None:
+            name = self.meths.value(meth)
+            mb = self._bodies[meth] = self._new_body(
+                name, self._rows.pop(name, None), self._index
             )
+        return mb
+
+    def _new_body(
+        self, meth: str, raw: Optional[List[list]], index: FactIndex
+    ) -> _MethodBody:
+        """Wrap compiled instruction lists (empty/``None``: none) in a body,
+        with formals, returns and ``this`` from ``index`` — the shared
+        index, or an edit's delta."""
+        vi = self.vars.intern
+        this = index.this_of.get(meth)
+        return _MethodBody(
+            *(raw or ([], [], [], [], [], [], [], [], [], [], [], [])),
+            formals=tuple(map(vi, index.formals.get(meth, ()))),
+            returns=tuple(map(vi, index.returns.get(meth, ()))),
+            this=vi(this) if this is not None else _NONE,
+        )
+
+    def _heap(self, heap: str) -> int:
+        """Intern an allocated heap, registering its type on first sight —
+        before any pair of it can be minted."""
+        heap_i = self.heaps.intern(heap)
+        if heap_i not in self._heap_type:
+            typ = self._index.heap_type.get(heap)
+            if typ is not None:
+                self._register_heap_type(heap_i, self.types.intern(typ))
+        return heap_i
 
     # ------------------------------------------------------------------
     # Packed pair ids and the heap-type / cast-filter index
@@ -825,10 +842,7 @@ class PointsToSolver:
             return
         self._reachable.add(key)
         self._charge(1)
-        mb = self._bodies.get(meth)
-        if mb is None:
-            return
-        self._play_body(mb, meth, ctx)
+        self._play_body(self._body(meth), meth, ctx)
 
     def _play_body(self, mb: _MethodBody, meth: int, ctx: int) -> None:
         """Compile one body's instructions into nodes/edges/consumers.
@@ -898,7 +912,7 @@ class PointsToSolver:
         self._charge(1)
         if callee << 32 | callee_ctx not in self._reachable:
             self._make_reachable(callee, callee_ctx)
-        mb = self._bodies[callee]
+        mb = self._bodies[callee]  # reachable, hence compiled
         if args or (lhs != _NONE and mb.returns):
             # Parameter/return binding: resolve caller- and callee-side
             # var maps once, then look vars up with bare int keys.
@@ -934,13 +948,11 @@ class PointsToSolver:
     def _raise_in(self, meth: int, ctx: int, pid: int) -> None:
         """An exception object is raised in (meth, ctx): bind it to every
         type-matching catch clause, or let it escape via the throw node."""
-        mb = self._bodies.get(meth)
         caught = False
-        if mb is not None:
-            for catch_type, catch_var in mb.catches:
-                if self._allowed_pairs(catch_type) >> pid & 1:
-                    self._add_pts1(self._vnode(catch_var, ctx), pid)
-                    caught = True
+        for catch_type, catch_var in self._body(meth).catches:
+            if self._allowed_pairs(catch_type) >> pid & 1:
+                self._add_pts1(self._vnode(catch_var, ctx), pid)
+                caught = True
         if not caught:
             self._add_pts1(self._tnode(meth, ctx), pid)
 
@@ -1001,7 +1013,7 @@ class PointsToSolver:
         self._link_call(
             invo, caller_ctx, caller_meth, callee, callee_ctx, lhs, args
         )
-        mb = self._bodies[callee]
+        mb = self._bodies[callee]  # linked above, hence compiled
         if mb.this != _NONE:
             self._add_pts1(self._vnode(mb.this, callee_ctx), pid)
 
@@ -1034,6 +1046,7 @@ class PointsToSolver:
                 edges=len(self._edge_seen),
                 filtered_edges=len(self._filtered_edge_seen),
                 reachable=len(self._reachable),
+                compiled_methods=len(self._bodies),
                 call_edges=len(self._call_graph),
                 vcall_targets=sum(
                     len(v) for v in self._vcall_targets.values()
@@ -1082,10 +1095,18 @@ class PointsToSolver:
         for name in ("CATCHCLAUSE", "SUBTYPE"):
             if added.get(name):
                 raise ValueError(f"cannot extend monotonically: {name} rows")
-        known_meths = {self.meths.value(i) for i in self._bodies}
+        base = self._index
+
+        def known(meth: str) -> bool:
+            # Pre-edit methods: the indexed program's, plus every body
+            # compiled since (edits compile their new methods below).
+            return meth in base.method_ids or (
+                meth in self.meths and self.meths.get(meth) in self._bodies
+            )
+
         for rel in ("FORMALARG", "FORMALRETURN", "THISVAR"):
             for row in added.get(rel, ()):
-                if row[0] in known_meths:
+                if known(row[0]):
                     raise ValueError(
                         f"{rel} addition on pre-existing method {row[0]}"
                     )
@@ -1134,132 +1155,45 @@ class PointsToSolver:
                     del self._dispatch_cache[key]
                     retry.add(key)
 
-        # Compile only the added rows, into per-method delta bodies —
-        # the same shape _compile_facts builds, sourced from the delta.
-        per_method: Dict[str, _MethodBody] = {}
+        # Group the added rows with the same row compiler; lookups are the
+        # delta's own, then the base index, then earlier edits' variables
+        # — all O(delta), never a rebuild of a whole-program index.
+        delta = FactIndex.from_rows(
+            added.get("VARINMETH", ()),
+            added.get("ACTUALRETURN", ()),
+            added.get("FORMALARG", ()),
+            added.get("FORMALRETURN", ()),
+            added.get("THISVAR", ()),
+        )
+        edit_var_meth = self._edit_var_meth
+        edit_var_meth.update(delta.var_meth)
 
-        def dbody(meth: str) -> _MethodBody:
-            mb = per_method.get(meth)
-            if mb is None:
-                mb = _MethodBody(
-                    [], [], [], [], [], [], [], [], [], [], [], [],
-                    formals=(), returns=(), this=_NONE,
-                )
-                per_method[meth] = mb
-            return mb
+        def var_meth(var: str) -> str:
+            meth = base.var_meth.get(var)
+            return meth if meth is not None else edit_var_meth[var]
 
-        # Seed every brand-new program method, even instruction-less ones:
-        # _link_call dereferences self._bodies[callee] unguarded.
-        for m in self.program.methods():
-            if m.id not in known_meths:
-                dbody(m.id)
+        grouped = self._compile_rows(
+            lambda relation: added.get(relation.upper(), ()),
+            var_meth,
+            ChainMap(delta.ret_of_invo, base.ret_of_invo),
+        )
+        for meth in (*delta.formals, *delta.returns, *delta.this_of):
+            grouped.setdefault(meth, [])  # structure, no instructions
 
-        var_meth = {v: m for v, m in facts.varinmeth}
-        for var, heap, meth in added.get("ALLOC", ()):
-            dbody(meth).allocs.append(
-                (self.vars.intern(var), self.heaps.intern(heap))
-            )
-        for to, frm in added.get("MOVE", ()):
-            dbody(var_meth[to]).moves.append(
-                (self.vars.intern(frm), self.vars.intern(to))
-            )
-        for to, typ, frm, meth in added.get("CAST", ()):
-            dbody(meth).casts.append(
-                (self.vars.intern(frm), self.vars.intern(to), self.types.intern(typ))
-            )
-        for to, base, fld in added.get("LOAD", ()):
-            dbody(var_meth[to]).loads.append(
-                (self.vars.intern(to), self.vars.intern(base), self.flds.intern(fld))
-            )
-        for base, fld, frm in added.get("STORE", ()):
-            dbody(var_meth[base]).stores.append(
-                (self.vars.intern(base), self.flds.intern(fld), self.vars.intern(frm))
-            )
-        for to, cls, fld in added.get("STATICLOAD", ()):
-            dbody(var_meth[to]).staticloads.append(
-                (self.vars.intern(to), self.static_flds.intern((cls, fld)))
-            )
-        for cls, fld, frm in added.get("STATICSTORE", ()):
-            dbody(var_meth[frm]).staticstores.append(
-                (self.static_flds.intern((cls, fld)), self.vars.intern(frm))
-            )
-        for var, meth in added.get("THROWINSTR", ()):
-            dbody(meth).throws.append(self.vars.intern(var))
-
-        args_of = facts.args_of_invo
-        ret_of = {invo: var for invo, var in facts.actualreturn}
-
-        def call_parts(invo: str) -> Tuple[int, Tuple[int, ...]]:
-            lhs = ret_of.get(invo)
-            lhs_i = self.vars.intern(lhs) if lhs is not None else _NONE
-            arg_is = tuple(self.vars.intern(a) for a in args_of.get(invo, ()))
-            return lhs_i, arg_is
-
-        for base, sig, invo, meth in added.get("VCALL", ()):
-            lhs_i, arg_is = call_parts(invo)
-            dbody(meth).vcalls.append(
-                (
-                    self.vars.intern(base),
-                    self.sigs.intern(sig),
-                    self.invos.intern(invo),
-                    lhs_i,
-                    arg_is,
-                )
-            )
-        for base, callee, invo, meth in added.get("SPECIALCALL", ()):
-            lhs_i, arg_is = call_parts(invo)
-            dbody(meth).specialcalls.append(
-                (
-                    self.vars.intern(base),
-                    self.meths.intern(callee),
-                    self.invos.intern(invo),
-                    lhs_i,
-                    arg_is,
-                )
-            )
-        for callee, invo, meth in added.get("SCALL", ()):
-            lhs_i, arg_is = call_parts(invo)
-            dbody(meth).scalls.append(
-                (self.meths.intern(callee), self.invos.intern(invo), lhs_i, arg_is)
-            )
-
-        formals: Dict[str, Dict[int, str]] = {}
-        for meth, i, arg in added.get("FORMALARG", ()):
-            formals.setdefault(meth, {})[i] = arg
-        returns: Dict[str, List[str]] = {}
-        for meth, ret in added.get("FORMALRETURN", ()):
-            returns.setdefault(meth, []).append(ret)
-        this_of = {meth: this for meth, this in added.get("THISVAR", ())}
-
-        # Merge delta bodies: new methods install whole; existing methods
-        # grow their instruction lists and queue a replay of exactly the
-        # delta into every context where they are already reachable.
+        # New methods install whole.  Known ones grow their body (built
+        # now if they were never reached) and queue a replay of exactly
+        # the delta into every context already reaching them.
         replays: List[Tuple[int, _MethodBody]] = []
-        for meth, dmb in per_method.items():
-            if meth in known_meths:
-                meth_i = self.meths.get(meth)
-                mb = self._bodies[meth_i]
-                mb.allocs.extend(dmb.allocs)
-                mb.moves.extend(dmb.moves)
-                mb.casts.extend(dmb.casts)
-                mb.loads.extend(dmb.loads)
-                mb.stores.extend(dmb.stores)
-                mb.vcalls.extend(dmb.vcalls)
-                mb.specialcalls.extend(dmb.specialcalls)
-                mb.scalls.extend(dmb.scalls)
-                mb.staticloads.extend(dmb.staticloads)
-                mb.staticstores.extend(dmb.staticstores)
-                mb.throws.extend(dmb.throws)
+        for meth, raw in grouped.items():
+            meth_i = self.meths.intern(meth)
+            if known(meth):
+                mb = self._body(meth_i)
+                dmb = self._new_body(meth, raw, delta)
+                for name in _INSTR_FIELDS:
+                    getattr(mb, name).extend(getattr(dmb, name))
                 replays.append((meth_i, dmb))
             else:
-                fm = formals.get(meth, {})
-                dmb.formals = tuple(self.vars.intern(fm[i]) for i in sorted(fm))
-                dmb.returns = tuple(
-                    self.vars.intern(r) for r in returns.get(meth, ())
-                )
-                this = this_of.get(meth)
-                dmb.this = self.vars.intern(this) if this is not None else _NONE
-                self._bodies[self.meths.intern(meth)] = dmb
+                self._bodies[meth_i] = self._new_body(meth, raw, delta)
 
         if replays:
             ctxs_of_meth: Dict[int, List[int]] = {}

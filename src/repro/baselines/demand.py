@@ -105,16 +105,25 @@ class DemandPointsTo:
         self.loads_into: Dict[str, List[Tuple[str, str]]] = {}
         for to, base, fld in f.load:
             self.loads_into.setdefault(to, []).append((base, fld))
+        # Stores are the only edges that leave their method without a
+        # call-graph edge, so they alone must skip unreachable methods
+        # (an unreachable static store would otherwise leak its heaps).
+        reachable = set(self.program.entry_points)
+        for targets in self.call_graph.values():
+            reachable |= targets
+        var_meth = f.index().var_meth
         self.stores_by_field: Dict[str, List[Tuple[str, str]]] = {}
         for base, fld, frm in f.store:
-            self.stores_by_field.setdefault(fld, []).append((base, frm))
+            if var_meth[base] in reachable:
+                self.stores_by_field.setdefault(fld, []).append((base, frm))
 
         self.staticloads_into: Dict[str, List[Tuple[str, str]]] = {}
         for to, cls, fld in f.staticload:
             self.staticloads_into.setdefault(to, []).append((cls, fld))
         self.staticstores: Dict[Tuple[str, str], List[str]] = {}
         for cls, fld, frm in f.staticstore:
-            self.staticstores.setdefault((cls, fld), []).append(frm)
+            if var_meth[frm] in reachable:
+                self.staticstores.setdefault((cls, fld), []).append(frm)
 
         self.formal_of: Dict[str, Tuple[str, int]] = {}
         for meth, i, arg in f.formalarg:

@@ -16,9 +16,10 @@ method ids, signature tokens, type and field names).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..ir.instructions import (
     Alloc,
@@ -39,7 +40,73 @@ from ..ir.instructions import (
 from ..ir.program import Method, Program
 from ..ir.types import JAVA_STRING
 
-__all__ = ["FactBase", "encode_program"]
+__all__ = ["FactBase", "FactIndex", "INSTRUCTION_RELATIONS", "encode_program"]
+
+#: The per-method instruction relations.  A fact base derived with
+#: :meth:`FactBase.with_instructions` may replace only these, which is what
+#: lets it share the original's :class:`FactIndex`.
+INSTRUCTION_RELATIONS = (
+    "alloc",
+    "move",
+    "cast",
+    "load",
+    "store",
+    "staticload",
+    "staticstore",
+    "vcall",
+    "scall",
+    "specialcall",
+    "throwinstr",
+    "catchclause",
+)
+
+
+@dataclass(frozen=True)
+class FactIndex:
+    """Whole-program name-and-type lookups over one fact base.
+
+    Built once per :class:`FactBase` (:meth:`FactBase.index`) and shared by
+    reference with every fact base derived from it, so a solver over a
+    slice never re-walks the program to find a method's formals or a
+    variable's method.  ``heap_type`` is the fact base's own map, not a
+    copy.
+    """
+
+    var_meth: Dict[str, str]  # variable -> declaring method
+    ret_of_invo: Dict[str, str]  # invocation site -> result variable
+    formals: Dict[str, Tuple[str, ...]]  # method -> formals, by position
+    returns: Dict[str, Tuple[str, ...]]  # method -> returned variables
+    this_of: Dict[str, str]  # instance method -> its ``this``
+    heap_type: Dict[str, str]  # heap -> allocated type
+    method_ids: FrozenSet[str]
+
+    @classmethod
+    def from_rows(
+        cls,
+        varinmeth: Iterable[Tuple[str, str]],
+        actualreturn: Iterable[Tuple[str, str]],
+        formalarg: Iterable[Tuple[str, int, str]],
+        formalreturn: Iterable[Tuple[str, str]],
+        thisvar: Iterable[Tuple[str, str]],
+        heap_type: Optional[Dict[str, str]] = None,
+        method_ids: FrozenSet[str] = frozenset(),
+    ) -> "FactIndex":
+        """Index raw relation rows (a whole fact base or an edit's delta)."""
+        by_pos: Dict[str, Dict[int, str]] = {}
+        for meth, i, arg in formalarg:
+            by_pos.setdefault(meth, {})[i] = arg
+        returns: Dict[str, List[str]] = {}
+        for meth, ret in formalreturn:
+            returns.setdefault(meth, []).append(ret)
+        return cls(
+            var_meth=dict(varinmeth),
+            ret_of_invo=dict(actualreturn),
+            formals={m: tuple(p[i] for i in sorted(p)) for m, p in by_pos.items()},
+            returns={m: tuple(rs) for m, rs in returns.items()},
+            this_of=dict(thisvar),
+            heap_type=heap_type if heap_type is not None else {},
+            method_ids=method_ids,
+        )
 
 
 @dataclass
@@ -85,6 +152,78 @@ class FactBase:
     vcall_invos: Set[str] = field(default_factory=set)
     all_heaps: Set[str] = field(default_factory=set)
     string_const_heaps: Set[str] = field(default_factory=set)
+
+    _index: Optional[FactIndex] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def from_relations(
+        cls, program: Program, relations: Mapping[str, Iterable[tuple]]
+    ) -> "FactBase":
+        """Rebuild a fact base from schema-named relation rows.
+
+        The inverse of :meth:`as_relation_dict` (e.g. over
+        :func:`repro.facts.io.load_facts`): the relation lists are taken
+        as given and the encoder's indexes are re-derived from them.
+        """
+        facts = cls(program)
+        unknown = set(relations) - set(facts.as_relation_dict())
+        if unknown:
+            raise ValueError(f"not fact-base relations: {sorted(unknown)}")
+        for name, rows in relations.items():
+            setattr(facts, name.lower(), list(rows))
+        facts.heap_type = dict(facts.heaptype)
+        facts.alloc_class = dict(facts.allocclass)
+        facts.all_heaps = set(facts.heap_type)
+        facts.string_const_heaps = {
+            heap
+            for heap, typ in facts.heap_type.items()
+            if typ == JAVA_STRING and facts.alloc_class.get(heap) == JAVA_STRING
+        }
+        facts.vars_of_method = {m.id: [] for m in program.methods()}
+        for var, meth in facts.varinmeth:
+            facts.vars_of_method.setdefault(meth, []).append(var)
+        for local_vars in facts.vars_of_method.values():
+            local_vars.sort()
+        facts.method_of_invo = dict(facts.invoinmeth)
+        facts.args_of_invo = {invo: [] for invo in facts.method_of_invo}
+        for invo, i, arg in sorted(facts.actualarg, key=lambda r: (r[0], r[1])):
+            facts.args_of_invo.setdefault(invo, []).append(arg)
+        facts.vcall_invos = {invo for _b, _s, invo, _m in facts.vcall}
+        return facts
+
+    def index(self) -> FactIndex:
+        """The shared :class:`FactIndex`, built on first use.
+
+        The fact base must not be mutated afterwards (nothing in the
+        analysis does: a changed program is re-encoded).
+        """
+        if self._index is None:
+            self._index = FactIndex.from_rows(
+                self.varinmeth,
+                self.actualreturn,
+                self.formalarg,
+                self.formalreturn,
+                self.thisvar,
+                heap_type=self.heap_type,
+                method_ids=frozenset(m.id for m in self.program.methods()),
+            )
+        return self._index
+
+    def with_instructions(
+        self, program: Program, rows: Mapping[str, List[tuple]]
+    ) -> "FactBase":
+        """A fact base over ``program`` with some instruction relations
+        replaced (a slice).  Every other relation, every encoder index and
+        the :class:`FactIndex` are shared by reference, so this costs
+        O(len(rows)) however large the program is."""
+        unknown = set(rows) - set(INSTRUCTION_RELATIONS)
+        if unknown:
+            raise ValueError(f"not instruction relations: {sorted(unknown)}")
+        derived = dataclasses.replace(self, program=program, **rows)
+        derived._index = self.index()
+        return derived
 
     def as_relation_dict(self) -> Dict[str, List[tuple]]:
         """Tuples keyed by schema relation name (Datalog EDB loading)."""

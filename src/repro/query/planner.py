@@ -37,8 +37,10 @@ including the introspective two-pass policies — is asserted by the
 tier-1 tests and the ``demand-equivalence`` fuzz oracle.
 
 Name-and-type relations (``formalarg``, ``varinmeth``, ``heaptype``,
-``subtype``, …) are carried over whole: they are cheap, and the packed
-solver indexes them positionally (``var_meth`` lookups must never miss).
+``subtype``, …) are shared whole, by reference, together with the fact
+base's :class:`~repro.facts.encoder.FactIndex`: the solver looks methods
+and variables up there (``var_meth`` lookups must never miss), and it is
+built once per fact base, not once per slice.
 """
 
 from __future__ import annotations
@@ -47,27 +49,14 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from ..facts.encoder import FactBase
+from ..facts.encoder import INSTRUCTION_RELATIONS, FactBase
 from ..ir.program import Program
 
 __all__ = ["SlicePlan", "QueryPlanner", "SLICED_RELATIONS"]
 
 #: The instruction relations a plan actually slices; everything else in
-#: the :class:`FactBase` is copied whole (see module docstring).
-SLICED_RELATIONS = (
-    "alloc",
-    "move",
-    "cast",
-    "load",
-    "store",
-    "staticload",
-    "staticstore",
-    "vcall",
-    "scall",
-    "specialcall",
-    "throwinstr",
-    "catchclause",
-)
+#: the :class:`FactBase` is shared whole (see module docstring).
+SLICED_RELATIONS = INSTRUCTION_RELATIONS
 
 
 @dataclass
@@ -129,34 +118,17 @@ class SlicePlan:
     def sliced_facts(self, program: Program, facts: FactBase) -> FactBase:
         """A :class:`FactBase` holding only this plan's instruction facts.
 
-        The auxiliary relations and indexes are shared with the original
-        (they are read-only in the solver), so building a sliced fact
-        base is O(slice), not O(program).
+        O(slice) end to end: the name-and-type relations, the encoder's
+        indexes and the fact base's shared
+        :class:`~repro.facts.encoder.FactIndex` are shared by reference
+        (they are read-only in the solver), and a solver built over the
+        result groups only the sliced rows, compiling a method body the
+        first time the sliced solve reaches it.
         """
-        sliced = FactBase(program)
-        for name in SLICED_RELATIONS:
-            setattr(sliced, name, sorted(self.kept.get(name, ())))
-        sliced.formalarg = facts.formalarg
-        sliced.actualarg = facts.actualarg
-        sliced.formalreturn = facts.formalreturn
-        sliced.actualreturn = facts.actualreturn
-        sliced.thisvar = facts.thisvar
-        sliced.heaptype = facts.heaptype
-        sliced.lookup = facts.lookup
-        sliced.subtype = facts.subtype
-        sliced.allocclass = facts.allocclass
-        sliced.varinmeth = facts.varinmeth
-        sliced.invoinmeth = facts.invoinmeth
-        sliced.reachableroot = facts.reachableroot
-        sliced.heap_type = facts.heap_type
-        sliced.alloc_class = facts.alloc_class
-        sliced.vars_of_method = facts.vars_of_method
-        sliced.args_of_invo = facts.args_of_invo
-        sliced.method_of_invo = facts.method_of_invo
-        sliced.vcall_invos = facts.vcall_invos
-        sliced.all_heaps = facts.all_heaps
-        sliced.string_const_heaps = facts.string_const_heaps
-        return sliced
+        return facts.with_instructions(
+            program,
+            {name: sorted(self.kept.get(name, ())) for name in SLICED_RELATIONS},
+        )
 
 
 class _InvoInfo:
@@ -200,7 +172,8 @@ class QueryPlanner:
     def _build_indexes(self) -> None:
         f = self.facts
 
-        self.var_meth: Dict[str, str] = {v: m for v, m in f.varinmeth}
+        shared = f.index()
+        self.var_meth: Dict[str, str] = shared.var_meth
 
         self.allocs_into: Dict[str, List[tuple]] = {}
         for row in f.alloc:
@@ -227,9 +200,7 @@ class QueryPlanner:
         self.formal_of: Dict[str, Tuple[str, int]] = {}
         for meth, i, arg in f.formalarg:
             self.formal_of[arg] = (meth, i)
-        self.rets_of_meth: Dict[str, List[str]] = {}
-        for meth, ret in f.formalreturn:
-            self.rets_of_meth.setdefault(meth, []).append(ret)
+        self.rets_of_meth: Dict[str, Tuple[str, ...]] = shared.returns
         self.meth_of_this: Dict[str, str] = {v: m for m, v in f.thisvar}
         self.ret_invos_of: Dict[str, List[str]] = {}
         for invo, var in f.actualreturn:

@@ -5,6 +5,7 @@ import pytest
 from repro import analyze, encode_program
 from repro.analysis.datalog_model import DatalogPointsToAnalysis
 from repro.contexts import InsensitivePolicy
+from repro.facts.encoder import FactBase
 from repro.facts.io import load_facts, save_facts, save_solution
 from repro.facts.schema import INPUT_RELATIONS
 
@@ -53,6 +54,25 @@ class TestFactsRoundTrip:
         engine.run()
         assert engine.query("VARPOINTSTO") == set(fresh_result.var_points_to)
         assert engine.query("REACHABLE") == set(fresh_result.reachable)
+
+    def test_fact_base_rebuilt_from_files(self, tiny_program, tmp_path):
+        """``FactBase.from_relations`` over reloaded files re-derives the
+        encoder's indexes exactly."""
+        facts = encode_program(tiny_program)
+        save_facts(facts, tmp_path)
+        rebuilt = FactBase.from_relations(tiny_program, load_facts(tmp_path))
+        assert rebuilt.digest() == facts.digest()
+        for attr in (
+            "heap_type",
+            "alloc_class",
+            "vars_of_method",
+            "args_of_invo",
+            "method_of_invo",
+            "vcall_invos",
+            "all_heaps",
+            "string_const_heaps",
+        ):
+            assert getattr(rebuilt, attr) == getattr(facts, attr), attr
 
     def test_unknown_relation_file_rejected(self, tmp_path):
         (tmp_path / "BOGUS.facts").write_text("a\tb\n")

@@ -1,19 +1,26 @@
 """Tests for the packed points-to representation and budget exactness.
 
-Covers the PR-2 solver internals: dense (heap, hctx) pair ids, the
+Covers the solver internals: dense (heap, hctx) pair ids, the
 incremental cast-filter index (including the staleness case where a heap
 is minted *after* the filter was first computed), exact tuple-budget
-semantics, the periodic clock check of the time budget, and the
-:class:`BudgetExceeded` payload fields.
+semantics, the periodic clock check of the time budget, the
+:class:`BudgetExceeded` payload fields, and first-reach body compilation
+(a solver over a slice compiles only what the slice reaches).
 """
 
 import pytest
 
 from repro import BudgetExceeded, ProgramBuilder, analyze
+from repro.analysis.reference_solver import reference_solve
 from repro.analysis.solver import _CLOCK_CHECK_PERIOD, PointsToSolver, solve
 from repro.benchgen import BenchmarkSpec, HubSpec, generate
+from repro.benchgen.dacapo import build_benchmark
 from repro.contexts.policies import policy_by_name
-from repro.facts.encoder import encode_program
+from repro.facts.encoder import FactBase, encode_program
+from repro.facts.io import load_facts, save_facts
+from repro.fuzz.oracles import reference_relations, solver_relations
+from repro.query import QueryPlanner
+from tests.conftest import build_kitchen_sink_program
 
 
 def raw_solve(program, analysis, **kwargs):
@@ -186,6 +193,58 @@ class TestHeapTypeFacts:
             program, policy_by_name("insens"), facts=facts
         ).solve()
         assert raw.tuple_count > 0
+
+    @pytest.mark.parametrize("analysis", ["insens", "2objH"])
+    def test_reloaded_fact_base_matches_reference(self, analysis, tmp_path):
+        """A fact base saved with ``facts.io`` and rebuilt from the files
+        solves to the reference solver's string-level relations: nothing
+        the packed solver reads is lost in the round trip."""
+        program = build_kitchen_sink_program()
+        save_facts(encode_program(program), tmp_path)
+        facts = FactBase.from_relations(program, load_facts(tmp_path))
+        policy = policy_by_name(analysis, alloc_class_of=facts.alloc_class_of)
+        packed = solver_relations(solve(program, policy, facts=facts))
+        reference = reference_relations(
+            reference_solve(program, policy, facts=facts)
+        )
+        assert packed == reference
+        assert packed[0], "no VARPOINTSTO derived"
+
+
+class TestSlicedConstruction:
+    """A solver over a demand slice costs O(slice), not O(program): it
+    groups only the sliced rows and compiles a method body (interning its
+    heaps) only when the sliced solve reaches the method."""
+
+    VAR = "BoxDriver0.drive/0/item2"
+
+    @pytest.fixture(scope="class")
+    def sliced(self):
+        program = build_benchmark("antlr")
+        facts = encode_program(program)
+        insens = analyze(program, "insens", facts=facts)
+        plan = QueryPlanner(program, facts, insens.call_graph).plan([self.VAR])
+        return program, facts, plan, plan.sliced_facts(program, facts)
+
+    def test_compiles_only_slice_methods(self, sliced):
+        program, facts, plan, sliced_facts = sliced
+        assert len(plan.methods) * 10 < len(list(program.methods()))
+        solver = PointsToSolver(
+            program,
+            policy_by_name("2objH", alloc_class_of=facts.alloc_class_of),
+            facts=sliced_facts,
+        )
+        assert not solver._bodies, "construction compiled a body"
+        raw = solver.solve()
+        assert raw.var_nodes, "the sliced solve derived nothing"
+        assert 0 < len(solver._bodies) <= len(plan.methods)
+        allocated = {heap for _var, heap, _meth in sliced_facts.alloc}
+        assert set(solver.heaps.values()) <= allocated
+
+    def test_slice_shares_the_fact_index(self, sliced):
+        _program, facts, _plan, sliced_facts = sliced
+        assert sliced_facts.index() is facts.index()
+        assert sliced_facts.index().heap_type is facts.heap_type
 
 
 class TestVcallDispatchKeying:

@@ -131,6 +131,28 @@ def test_exception_slop_attributes_the_catch_over_approximation():
     assert answer.exception_slop == len(answer.points_to - whole)
 
 
+def test_stores_in_unreachable_methods_do_not_leak():
+    """Regression (found by the property test below): a static or field
+    store in a method the call graph never reaches must not feed loads
+    in reachable code."""
+    b = ProgramBuilder()
+    b.klass("A", fields=["f"])
+    b.klass("Util", static_fields=["sf"])
+    with b.method("Util", "dead", [], static=True) as m:
+        m.alloc("v", "A")
+        m.static_store("Util", "sf", "v")
+        m.store("v", "f", "v")
+    with b.method("Main", "main", [], static=True) as m:
+        m.alloc("v", "A")
+        m.static_load("v", "Util", "sf")
+        m.load("w", "v", "f")
+    program = b.build(entry="Main.main/0")
+    _facts, insens, engine = make_engine(program)
+    for var in ("Main.main/0/v", "Main.main/0/w"):
+        whole = frozenset(insens.var_points_to.get(var, ()))
+        assert engine.query(var).points_to == whole, var
+
+
 def test_exception_slop_is_zero_without_catch_edges():
     for builder in (build_tiny_program, build_box_program):
         program = builder()
