@@ -7,7 +7,6 @@ directly from a checkout::
     python benchmarks/bench_solver.py --suite medium --repeat 3
     python benchmarks/bench_solver.py --quick     # CI smoke: small suite x1
     python benchmarks/bench_solver.py --datalog   # Datalog engines instead
-    python benchmarks/bench_solver.py --parallel --workers 1,2,4
 
 By default runs the packed solver (:mod:`repro.analysis.solver`) against
 the frozen pre-optimization baseline
@@ -17,11 +16,7 @@ documented in ``docs/performance.md``.  With ``--datalog``, runs the
 compiled-join-plan Datalog engine (:mod:`repro.datalog.engine`) against
 the frozen interpreter (:mod:`repro.datalog.reference_engine`) on the
 full Figure 3 model and writes ``BENCH_datalog.json``
-(``repro-bench-datalog/1``).  With ``--parallel``, runs the worker-count
-scaling suite of the SCC-parallel solver
-(:mod:`repro.analysis.parallel`) against the sequential bitset path and
-the reference engine and writes ``BENCH_parallel.json``
-(``repro-bench-parallel/1``).
+(``repro-bench-datalog/1``).
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.harness.bench import (  # noqa: E402
     datalog_suite_names,
     run_datalog_suite,
-    run_parallel_suite,
     run_suite,
     run_trace_cell,
     suite_names,
@@ -80,18 +74,6 @@ def main(argv=None) -> int:
         help="benchmark the Datalog evaluators instead of the solvers",
     )
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the worker-count scaling suite of the SCC-parallel "
-        "solver instead (writes BENCH_parallel.json)",
-    )
-    parser.add_argument(
-        "--workers",
-        default="1,2,4",
-        metavar="N,N,...",
-        help="comma-separated worker counts for --parallel (default 1,2,4)",
-    )
-    parser.add_argument(
         "--trace",
         nargs="?",
         const="",
@@ -113,30 +95,11 @@ def main(argv=None) -> int:
     if args.quick:
         suite, repeat = "small", 1
     flavors = [f.strip() for f in args.flavors.split(",") if f.strip()]
-    if args.datalog and args.parallel:
-        parser.error("--datalog and --parallel are mutually exclusive")
     output = args.output
     if output is None:
-        if args.datalog:
-            output = "BENCH_datalog.json"
-        elif args.parallel:
-            output = "BENCH_parallel.json"
-        else:
-            output = "BENCH_solver.json"
-    if args.parallel:
-        worker_counts = [int(w) for w in args.workers.split(",") if w.strip()]
-        report = run_parallel_suite(
-            suite=suite,
-            flavors=flavors,
-            repeat=repeat,
-            worker_counts=worker_counts,
-            progress=print,
-        )
-    else:
-        runner = run_datalog_suite if args.datalog else run_suite
-        report = runner(
-            suite=suite, flavors=flavors, repeat=repeat, progress=print
-        )
+        output = "BENCH_datalog.json" if args.datalog else "BENCH_solver.json"
+    runner = run_datalog_suite if args.datalog else run_suite
+    report = runner(suite=suite, flavors=flavors, repeat=repeat, progress=print)
     if args.trace is not None and not args.datalog:
         import json
 

@@ -290,18 +290,13 @@ class PointsToSolver:
         # node): int keys hash as themselves, avoiding a tuple allocation
         # and hash-combine on every lookup in the hot construction path.
         self._pts: List[int] = []  # node -> pair-id bitmask
-        # Insertion log, armed while :meth:`extend` runs (and by the
-        # parallel solve mode to mirror admissions to workers): every
+        # Insertion log, armed while :meth:`extend` runs: every
         # (node, new-pids-mask) batch the mutation choke points admit is
         # appended, so the incremental result delta falls out exactly
         # instead of re-scanning the O(result) points-to state.  Masks
         # are immutable ints, so logged batches are exact snapshots;
         # consumers still union per node (a node can be logged twice).
         self._added_log: Optional[List[Tuple[int, int]]] = None
-        # Edge log, armed only by the parallel solve mode: every new
-        # subset edge (src, dst, filter_type-or-_NONE) is appended so the
-        # controller can ship graph growth to workers between rounds.
-        self._edge_log: Optional[List[Tuple[int, int, int]]] = None
         self._out_plain: Dict[int, List[int]] = {}  # src -> unfiltered dsts
         self._out_filtered: Dict[int, List[Tuple[int, int]]] = {}
         self._edge_seen: Set[int] = set()  # src << 32 | dst (plain edges)
@@ -713,8 +708,6 @@ class PointsToSolver:
                 self._out_plain[src] = [dst]
             else:
                 out.append(dst)
-            if self._edge_log is not None:
-                self._edge_log.append((src, dst, _NONE))
             current = self._pts[src]
             if current:
                 self._add_pts(dst, current)
@@ -728,8 +721,6 @@ class PointsToSolver:
                 self._out_filtered[src] = [(dst, filter_type)]
             else:
                 out.append((dst, filter_type))
-            if self._edge_log is not None:
-                self._edge_log.append((src, dst, filter_type))
             current = self._pts[src]
             if current:
                 filtered = current & self._allowed_pairs(filter_type)
@@ -1447,77 +1438,6 @@ class PointsToSolver:
                 for meth, ctx in cons:
                     for pid in iter_bits(delta):
                         self._raise_in(meth, ctx, pid)
-
-    def _fire_consumers(self, node: int, delta: int) -> None:
-        """Run just the consumer reactions for one node's delta mask.
-
-        The non-edge half of one :meth:`_propagate` iteration — loads,
-        stores, virtual/special call resolution and throws, but *not*
-        the plain/filtered edge walk.  The parallel solve mode calls
-        this from its sequential consumer phase; workers own the edge
-        walk.  Everything here is idempotent, matching ``_propagate``.
-        """
-        pts_list = self._pts
-        fld_nodes = self._fld_nodes
-        add_edge = self._add_edge
-        edge_seen = self._edge_seen
-        cons = self._load_cons.get(node)
-        if cons:
-            for fld, to_node in cons:
-                fmap = fld_nodes.get(fld)
-                if fmap is None:
-                    fmap = fld_nodes[fld] = {}
-                for pid in iter_bits(delta):
-                    fn = fmap.get(pid)
-                    if fn is None:
-                        fn = fmap[pid] = len(pts_list)
-                        pts_list.append(0)
-                        add_edge(fn, to_node)
-                    elif fn << 32 | to_node not in edge_seen:
-                        add_edge(fn, to_node)
-        cons = self._store_cons.get(node)
-        if cons:
-            for fld, from_node in cons:
-                fmap = fld_nodes.get(fld)
-                if fmap is None:
-                    fmap = fld_nodes[fld] = {}
-                for pid in iter_bits(delta):
-                    fn = fmap.get(pid)
-                    if fn is None:
-                        fn = fmap[pid] = len(pts_list)
-                        pts_list.append(0)
-                        add_edge(from_node, fn)
-                    elif from_node << 32 | fn not in edge_seen:
-                        add_edge(from_node, fn)
-        cons = self._vcall_cons.get(node)
-        if cons:
-            pair_heap_type = self._pair_heap_type
-            dispatch_cache_get = self._dispatch_cache.get
-            for sig, invo, ctx, in_meth, lhs, args in cons:
-                for pid in iter_bits(delta):
-                    ht = pair_heap_type[pid]
-                    if ht is None:
-                        continue
-                    callee = dispatch_cache_get(ht << 32 | sig)
-                    if callee is None:
-                        callee = self._dispatch(ht, sig)
-                    if callee == _NONE:
-                        continue
-                    self._resolve_receiver_call(
-                        pid, invo, ctx, in_meth, callee, lhs, args
-                    )
-        cons = self._special_cons.get(node)
-        if cons:
-            for callee, invo, ctx, in_meth, lhs, args in cons:
-                for pid in iter_bits(delta):
-                    self._resolve_receiver_call(
-                        pid, invo, ctx, in_meth, callee, lhs, args
-                    )
-        cons = self._throw_cons.get(node)
-        if cons:
-            for meth, ctx in cons:
-                for pid in iter_bits(delta):
-                    self._raise_in(meth, ctx, pid)
 
     def _snapshot(self) -> RawSolution:
         ph, pc = self._pair_heap, self._pair_hctx

@@ -13,9 +13,7 @@ Subcommands:
   Datalog engine against the frozen interpreter and write
   ``BENCH_datalog.json``; with ``--incremental``, benchmark warm edit
   sessions against from-scratch re-analysis and write
-  ``BENCH_incremental.json``; with ``--parallel``, run the worker-count
-  scaling suite of the SCC-parallel solver and write
-  ``BENCH_parallel.json`` (see ``docs/performance.md`` and
+  ``BENCH_incremental.json`` (see ``docs/performance.md`` and
   ``docs/incremental.md``); with ``--demand``, benchmark per-query
   demand slices against full solves and write ``BENCH_demand.json``
   (see ``docs/queries.md``);
@@ -43,7 +41,6 @@ Examples::
     repro bench --suite medium --repeat 3 --output BENCH_solver.json
     repro bench --datalog --suite medium --repeat 3
     repro bench --incremental --suite medium --repeat 3
-    repro bench --parallel --suite medium --workers 1,2,4
     repro bench --demand --suite medium --repeat 3
     repro bench --quick --receipt-dir benchmarks/receipts
     repro query 'Main.main/0/result' --benchmark hsqldb --flavor 2objH
@@ -297,7 +294,6 @@ def _cmd_bench_suite(args: argparse.Namespace) -> int:
         run_datalog_suite,
         run_demand_suite,
         run_incremental_suite,
-        run_parallel_suite,
         run_suite,
         write_report,
     )
@@ -307,7 +303,6 @@ def _cmd_bench_suite(args: argparse.Namespace) -> int:
         for name, on in (
             ("--datalog", args.datalog),
             ("--incremental", args.incremental),
-            ("--parallel", args.parallel),
             ("--demand", args.demand),
         )
         if on
@@ -337,29 +332,12 @@ def _cmd_bench_suite(args: argparse.Namespace) -> int:
             output = "BENCH_datalog.json"
         elif args.incremental:
             output = "BENCH_incremental.json"
-        elif args.parallel:
-            output = "BENCH_parallel.json"
         elif args.demand:
             output = "BENCH_demand.json"
         else:
             output = "BENCH_solver.json"
     try:
-        if args.parallel:
-            try:
-                worker_counts = [
-                    int(w) for w in args.workers.split(",") if w.strip()
-                ]
-            except ValueError:
-                print(f"bad --workers list: {args.workers!r}")
-                return 2
-            report = run_parallel_suite(
-                suite=suite,
-                flavors=flavors,
-                repeat=repeat,
-                worker_counts=worker_counts,
-                progress=print,
-            )
-        elif args.demand:
+        if args.demand:
             report = run_demand_suite(
                 suite=suite,
                 flavors=flavors,
@@ -559,8 +537,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             heartbeat_timeout=args.heartbeat_timeout,
             max_retries=args.max_retries,
             max_queue_depth=args.max_queue_depth,
-            rate_limit=args.rate_limit,
-            rate_burst=args.rate_burst,
         )
     return serve(
         host=args.host,
@@ -746,19 +722,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "from-scratch re-analysis (writes BENCH_incremental.json)",
     )
     p_bench.add_argument(
-        "--parallel",
-        action="store_true",
-        help="scaling benchmark: the SCC-parallel solver per --workers "
-        "count vs the sequential bitset path and the reference engine "
-        "(writes BENCH_parallel.json)",
-    )
-    p_bench.add_argument(
-        "--workers",
-        default="1,2,4",
-        metavar="N,N,...",
-        help="comma-separated worker counts for --parallel (default 1,2,4)",
-    )
-    p_bench.add_argument(
         "--demand",
         action="store_true",
         help="benchmark demand queries (slice solves via the query "
@@ -857,21 +820,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="N",
         help="reject POST /jobs with 429 once N jobs are queued "
         "(cluster mode only; default unbounded)",
-    )
-    p_serve.add_argument(
-        "--rate-limit",
-        type=float,
-        default=None,
-        metavar="PER_SECOND",
-        help="per-client token-bucket submission rate "
-        "(cluster mode only; default unlimited)",
-    )
-    p_serve.add_argument(
-        "--rate-burst",
-        type=int,
-        default=10,
-        metavar="N",
-        help="token-bucket burst capacity (default 10)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -12,8 +12,8 @@ The cluster layer takes the single-process analysis service multi-node
   bounded retry count before dead-lettering;
 * the **result cache sharded** across all nodes by consistent hashing
   on ``FactBase.digest()``, with local fallback on peer failure;
-* **backpressure**: a bounded queue depth and a per-client token bucket,
-  both answered with ``429`` + ``Retry-After`` on ``POST /jobs``.
+* **backpressure**: a bounded queue depth, answered with ``429`` +
+  ``Retry-After`` on ``POST /jobs``.
 
 With no workers joined the coordinator behaves exactly like the plain
 single-process ``repro serve``.
@@ -26,7 +26,6 @@ from .journal import (
     pending_jobs,
     read_journal,
 )
-from .ratelimit import TokenBucketLimiter
 from .ring import HashRing
 from .shard import ShardedResultCache
 from .worker import WorkerNode, run_worker
@@ -39,7 +38,6 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "JobJournal",
     "ShardedResultCache",
-    "TokenBucketLimiter",
     "WorkerNode",
     "pending_jobs",
     "read_journal",

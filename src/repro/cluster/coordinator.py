@@ -16,9 +16,9 @@ changing its behavior when no workers ever join:
 * **Cache sharding** — the result cache is sharded across the
   coordinator and all live workers by consistent hashing on
   ``FactBase.digest()`` (see :mod:`repro.cluster.shard`).
-* **Backpressure** — a bounded queue depth and a per-client token
-  bucket; both reject with :class:`Backpressure` which the HTTP layer
-  turns into ``429`` + ``Retry-After``.
+* **Backpressure** — a bounded queue depth; submissions past it are
+  rejected with :class:`Backpressure`, which the HTTP layer turns into
+  ``429`` + ``Retry-After``.
 
 The local dispatcher keeps running: with zero live workers the
 coordinator executes jobs exactly as the plain service does (the
@@ -36,7 +36,6 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from ..service.jobs import Job, JobSpec, JobState
 from .journal import JobJournal
-from .ratelimit import TokenBucketLimiter
 from .shard import ShardedResultCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,10 +68,6 @@ class ClusterConfig:
     max_retries: int = 3
     #: ``POST /jobs`` returns 429 once this many jobs are queued.
     max_queue_depth: Optional[int] = None
-    #: Per-client token-bucket refill rate (submissions/second); None
-    #: disables rate limiting.
-    rate_limit: Optional[float] = None
-    rate_burst: int = 10
     #: Reaper cadence; defaults to a quarter of the heartbeat window.
     reaper_interval: Optional[float] = None
 
@@ -160,11 +155,6 @@ class ClusterCoordinator:
         self.shard = ShardedResultCache(
             service.cache, node_id=self.node_id, ops=self._m_shard_ops
         )
-        self.limiter: Optional[TokenBucketLimiter] = None
-        if config.rate_limit is not None:
-            self.limiter = TokenBucketLimiter(
-                config.rate_limit, config.rate_burst
-            )
 
         self._lock = threading.RLock()
         self._workers: Dict[str, WorkerInfo] = {}
@@ -217,17 +207,12 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # Intake: backpressure + durable accept
     # ------------------------------------------------------------------
-    def submit(self, spec: JobSpec, client: Optional[str] = None) -> Job:
+    def submit(self, spec: JobSpec) -> Job:
         """Admission control, durable journaling, then enqueue."""
         depth_cap = self.config.max_queue_depth
         if depth_cap is not None and self.service.queue.depth() >= depth_cap:
             self._m_rejected.inc(reason="queue_full")
             raise Backpressure("queue_full", retry_after=1.0)
-        if self.limiter is not None and client:
-            allowed, retry_after = self.limiter.allow(client)
-            if not allowed:
-                self._m_rejected.inc(reason="rate_limited")
-                raise Backpressure("rate_limited", retry_after=retry_after)
         job = Job(spec=spec)
         # Durability before acknowledgement: the accepted record must be
         # fsynced before the job becomes observable (202, queue).
@@ -513,7 +498,5 @@ class ClusterCoordinator:
                 "heartbeat_timeout": self.config.heartbeat_timeout,
                 "max_retries": self.config.max_retries,
                 "max_queue_depth": self.config.max_queue_depth,
-                "rate_limit": self.config.rate_limit,
-                "rate_burst": self.config.rate_burst,
             },
         }

@@ -28,10 +28,6 @@ shrink and persist the counterexample.
                           :class:`~repro.incremental.IncrementalSession`
                           edit by edit derives exactly the from-scratch
                           relations after every step
-``bitset-equivalence``    the SCC-parallel bitset solve (every round
-                          forced through the worker machinery) derives
-                          exactly the sequential-bitset and reference
-                          relations
 ``demand-equivalence``    a demand query answered over the variable's
                           slice equals the whole-program projection for
                           the same flavor, and the slice footprint never
@@ -45,7 +41,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from ..analysis.parallel import parallel_solve
 from ..analysis.reference_solver import ReferenceRawSolution
 from ..analysis.results import AnalysisResult
 from ..analysis.solver import BudgetExceeded, RawSolution, solve
@@ -60,7 +55,6 @@ from ..obs import Tracer
 __all__ = [
     "ORACLES",
     "Violation",
-    "check_bitset_equivalence",
     "check_demand_equivalence",
     "check_digest_invariance",
     "check_engine_equivalence",
@@ -99,10 +93,6 @@ ORACLES: Dict[str, str] = {
     "incremental-equivalence": (
         "a warm incremental session equals the from-scratch result "
         "after every edit"
-    ),
-    "bitset-equivalence": (
-        "the SCC-parallel bitset solve equals the sequential and "
-        "reference relations"
     ),
     "demand-equivalence": (
         "a sliced demand query equals the whole-program projection "
@@ -507,58 +497,6 @@ def check_trace_transparency(
             flavor=flavor,
             detail=f"tracer saw no solver spans (got {sorted(names)})",
         )
-    return None
-
-
-def check_bitset_equivalence(
-    program: Program,
-    policy: ContextPolicy,
-    facts: FactBase,
-    packed: Relations,
-    reference: Optional[Relations] = None,
-    flavor: Optional[str] = None,
-    max_tuples: Optional[int] = None,
-    workers: int = 2,
-    expected_tuples: Optional[int] = None,
-) -> Optional[Violation]:
-    """The SCC-parallel bitset solve is a pure scheduling change: run with
-    ``min_round_nodes=0`` (every round through the worker machinery) it
-    must derive exactly the sequential-bitset relations — and, when
-    supplied, the frozen reference relations and the identical
-    context-level tuple count.
-
-    Budget overruns propagate (the campaign counts them as skips).
-    """
-    par_raw = parallel_solve(
-        program,
-        policy,
-        facts=facts,
-        max_tuples=max_tuples,
-        workers=workers,
-        min_round_nodes=0,
-    )
-    if expected_tuples is not None and par_raw.tuple_count != expected_tuples:
-        return Violation(
-            oracle="bitset-equivalence",
-            flavor=flavor,
-            engines=("parallel", "sequential"),
-            detail=(
-                f"tuple count diverged: parallel={par_raw.tuple_count} "
-                f"sequential={expected_tuples}"
-            ),
-        )
-    par = solver_relations(par_raw)
-    for other_name, other in (("sequential", packed), ("reference", reference)):
-        if other is None:
-            continue
-        for rel_name, a, b in zip(_RELATION_NAMES, par, other):
-            if a != b:
-                return Violation(
-                    oracle="bitset-equivalence",
-                    flavor=flavor,
-                    engines=("parallel", other_name),
-                    detail=_diff_detail(rel_name, "parallel", a, other_name, b),
-                )
     return None
 
 

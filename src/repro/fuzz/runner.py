@@ -15,7 +15,7 @@ One campaign iteration:
    that throughput-first schedule.);
 4. check every applicable oracle from :mod:`repro.fuzz.oracles`; the
    heavier oracles (introspective-bracketing, tuple-budget-exactness,
-   trace-transparency, incremental-equivalence, bitset-equivalence) run
+   trace-transparency, incremental-equivalence, demand-equivalence) run
    on configurable cadences (``intro_every`` / ``budget_every`` / ...),
    each at a distinct phase offset so no two ever pile onto the same
    iteration;
@@ -54,7 +54,6 @@ from .mutators import mutate
 from .oracles import (
     Relations,
     Violation,
-    check_bitset_equivalence,
     check_demand_equivalence,
     check_digest_invariance,
     check_engine_equivalence,
@@ -169,7 +168,6 @@ class FuzzConfig:
     budget_every: int = 8
     trace_every: int = 8
     incremental_every: int = 8
-    bitset_every: int = 8
     demand_every: int = 8
     #: Run the Datalog model on one rotating flavor per iteration instead
     #: of all of them — the pre-compiled-engine schedule, kept as an
@@ -275,7 +273,6 @@ def _check_program(
     results: Dict[str, AnalysisResult] = {}
     tuple_counts: Dict[str, int] = {}
     packed_rels: Dict[str, Relations] = {}
-    ref_rels: Dict[str, Relations] = {}
     for flavor in flavors:
         run_datalog = (
             flavor == datalog_flavor if config.datalog_rotate else True
@@ -286,7 +283,6 @@ def _check_program(
         results[flavor] = result
         tuple_counts[flavor] = tuples
         packed_rels[flavor] = packed_rel
-        ref_rels[flavor] = ref_rel
         stats.count("engine-equivalence")
         v = check_engine_equivalence(flavor, packed_rel, ref_rel, dl_rel)
         if v is not None:
@@ -296,24 +292,6 @@ def _check_program(
     for flavor in config.flavors:
         stats.count("insensitive-containment")
         v = check_insensitive_containment(flavor, results[flavor], insens)
-        if v is not None:
-            return v
-
-    if config.bitset_every and iteration % config.bitset_every == 2:
-        flavor = flavors[iteration % len(flavors)]
-        policy = policy_by_name(flavor, alloc_class_of=facts.alloc_class_of)
-        stats.engine_runs += 1
-        stats.count("bitset-equivalence")
-        v = check_bitset_equivalence(
-            program,
-            policy,
-            facts,
-            packed_rels[flavor],
-            ref_rels[flavor],
-            flavor=flavor,
-            max_tuples=_MUTANT_TUPLE_CAP,
-            expected_tuples=tuple_counts[flavor],
-        )
         if v is not None:
             return v
 
@@ -489,24 +467,6 @@ def run_single_check(
             results,
             random.Random(seed),
             max_tuples=_MUTANT_TUPLE_CAP,
-        )
-
-    if oracle == "bitset-equivalence":
-        target = flavor or "insens"
-        policy = policy_by_name(target, alloc_class_of=facts.alloc_class_of)
-        packed_rel, ref_rel, _dl, tuples, _res = _flavor_relations(
-            program, facts, target, False, stats
-        )
-        stats.engine_runs += 1
-        return check_bitset_equivalence(
-            program,
-            policy,
-            facts,
-            packed_rel,
-            ref_rel,
-            flavor=target,
-            max_tuples=_MUTANT_TUPLE_CAP,
-            expected_tuples=tuples,
         )
 
     if oracle == "trace-transparency":

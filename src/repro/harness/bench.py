@@ -61,7 +61,6 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     resource = None  # type: ignore[assignment]
 
 from ..analysis.datalog_model import DatalogPointsToAnalysis
-from ..analysis.parallel import ParallelPointsToSolver
 from ..analysis.reference_solver import reference_solve
 from ..analysis.solver import solve as packed_solve
 from ..benchgen.generator import generate
@@ -83,18 +82,15 @@ __all__ = [
     "DATALOG_ENGINES",
     "DEFAULT_DEMAND_FLAVORS",
     "DEFAULT_FLAVORS",
-    "DEFAULT_WORKER_COUNTS",
     "DEMAND_BENCH_SCHEMA",
     "ENGINES",
     "INCREMENTAL_BENCH_SCHEMA",
     "INCREMENTAL_EDIT_KINDS",
-    "PARALLEL_BENCH_SCHEMA",
     "datalog_suite_names",
     "datalog_suite_specs",
     "run_datalog_suite",
     "run_demand_suite",
     "run_incremental_suite",
-    "run_parallel_suite",
     "run_trace_cell",
     "suite_names",
     "suite_specs",
@@ -105,16 +101,12 @@ __all__ = [
 BENCH_SCHEMA = "repro-bench-solver/1"
 DATALOG_BENCH_SCHEMA = "repro-bench-datalog/1"
 INCREMENTAL_BENCH_SCHEMA = "repro-bench-incremental/1"
-PARALLEL_BENCH_SCHEMA = "repro-bench-parallel/1"
 DEMAND_BENCH_SCHEMA = "repro-bench-demand/1"
 
 #: Flavors the demand bench sweeps — the context-sensitive ones a query
 #: would otherwise pay a full solve for, including an introspective
 #: variant (the engine's two-pass refinement decision).
 DEFAULT_DEMAND_FLAVORS: Tuple[str, ...] = ("2objH", "2typeH", "introspective-A")
-
-#: Worker counts the parallel scaling suite sweeps by default.
-DEFAULT_WORKER_COUNTS: Tuple[int, ...] = (1, 2, 4)
 
 #: The monotonic edit vocabulary the incremental bench measures — one
 #: cell per kind, all absorbed by the warm solver's fast path.
@@ -348,8 +340,7 @@ def _provenance() -> Dict[str, object]:
     """Host/interpreter provenance recorded in every BENCH_*.json.
 
     A speedup number is only interpretable against the machine that
-    produced it — ``cpu_count`` in particular bounds what any parallel
-    scaling column can show — so every report carries the Python
+    produced it, so every report carries the Python
     version, platform, visible CPU count, and whether the cyclic GC was
     enabled in the harness process (the timed sections always pause it;
     this records the ambient state around them).
@@ -477,176 +468,6 @@ def run_suite(
         "entries": entries,
         "speedups": speedups,
         "geomean_speedup": round(geomean, 3),
-    }
-
-
-def run_parallel_suite(
-    suite: str = "medium",
-    flavors: Sequence[str] = DEFAULT_FLAVORS,
-    repeat: int = 3,
-    worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
-    min_round_nodes: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, object]:
-    """Scaling benchmark: workers x suite, vs sequential and reference.
-
-    Every (benchmark, flavor) cell is solved by three engines, best of
-    ``repeat`` each, interleaved per repeat like :func:`run_suite`:
-
-    * ``reference`` — the frozen pre-bitset solver;
-    * ``sequential`` — the packed bitset solver's sequential path;
-    * ``parallel`` — :class:`ParallelPointsToSolver`, once per entry of
-      ``worker_counts``.
-
-    Speedups here are computed from **wall-clock** time, not CPU time: a
-    parallel solve spends its cycles in worker processes, which the
-    master's ``time.process_time`` never sees, and wall-clock is the
-    quantity a scaling claim is about.  Master CPU time is still recorded
-    per entry.  Interpret the parallel columns against ``cpu_count`` in
-    the provenance block — a host with fewer cores than workers cannot
-    show wall-clock speedup from parallelism, only the machinery's
-    overhead.
-
-    ``min_round_nodes=0`` (the default) forces every round through the
-    worker machinery so even small smoke suites measure barrier and sync
-    cost; raise it to benchmark the hybrid production configuration.
-
-    Every cell *asserts* tuple equality of every engine and worker count
-    against the reference solver — a run that diverges raises
-    ``RuntimeError`` rather than reporting meaningless timings.
-    """
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    if not worker_counts or any(w < 1 for w in worker_counts):
-        raise ValueError("worker_counts must be a non-empty list of >= 1")
-    specs = suite_specs(suite)
-
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    entries: List[Dict[str, object]] = []
-    speedups: Dict[str, float] = {}
-    speedups_vs_sequential: Dict[str, float] = {}
-    parallel_keys = [f"workers={w}" for w in worker_counts]
-    geo_samples: Dict[str, List[float]] = {
-        key: [] for key in ["sequential"] + parallel_keys
-    }
-    for spec in specs:
-        program = generate(spec)
-        facts = encode_program(program)
-        say(f"{spec.name}: {program.summary()}")
-        for flavor in flavors:
-            policy = policy_by_name(
-                flavor, alloc_class_of=facts.alloc_class_of
-            )
-            modes: List[Tuple[str, Optional[int]]] = [
-                ("reference", None),
-                ("sequential", None),
-            ] + [("parallel", w) for w in worker_counts]
-            best_wall: Dict[Tuple[str, Optional[int]], float] = {}
-            best_cpu: Dict[Tuple[str, Optional[int]], float] = {}
-            tuples: Dict[Tuple[str, Optional[int]], int] = {}
-            rounds: Dict[Tuple[str, Optional[int]], int] = {}
-            for _ in range(repeat):
-                for mode in modes:
-                    engine, w = mode
-                    gc.collect()
-                    gc.disable()
-                    try:
-                        w0 = time.perf_counter()
-                        c0 = time.process_time()
-                        if engine == "reference":
-                            raw = reference_solve(program, policy, facts=facts)
-                        elif engine == "sequential":
-                            raw = packed_solve(program, policy, facts=facts)
-                        else:
-                            solver = ParallelPointsToSolver(
-                                program,
-                                policy,
-                                facts=facts,
-                                workers=w,
-                                min_round_nodes=min_round_nodes,
-                            )
-                            raw = solver.solve()
-                            rounds[mode] = solver.rounds
-                        cpu = time.process_time() - c0
-                        wall = time.perf_counter() - w0
-                    finally:
-                        gc.enable()
-                    if wall < best_wall.get(mode, math.inf):
-                        best_wall[mode] = wall
-                    if cpu < best_cpu.get(mode, math.inf):
-                        best_cpu[mode] = cpu
-                    tuples[mode] = raw.tuple_count
-                    raw = None
-            ref_tuples = tuples[("reference", None)]
-            for mode in modes:
-                if tuples[mode] != ref_tuples:
-                    engine, w = mode
-                    raise RuntimeError(
-                        f"engine disagreement on {spec.name}/{flavor}: "
-                        f"{engine}"
-                        + (f"[workers={w}]" if w is not None else "")
-                        + f"={tuples[mode]} reference={ref_tuples} tuples"
-                    )
-            for mode in modes:
-                engine, w = mode
-                entry: Dict[str, object] = {
-                    "benchmark": spec.name,
-                    "flavor": flavor,
-                    "engine": engine,
-                    "workers": w,
-                    "rounds": rounds.get(mode),
-                    "seconds": round(best_wall[mode], 6),
-                    "cpu_seconds": round(best_cpu[mode], 6),
-                    "tuples": tuples[mode],
-                    "peak_rss_kb": _peak_rss_kb(),
-                }
-                entries.append(entry)
-            cell = f"{spec.name}/{flavor}"
-            ref_wall = best_wall[("reference", None)]
-            seq_wall = best_wall[("sequential", None)]
-            speedups[f"{cell}/sequential"] = round(ref_wall / seq_wall, 3)
-            geo_samples["sequential"].append(ref_wall / seq_wall)
-            line = (
-                f"  {flavor:7s} tuples={ref_tuples:>9d} "
-                f"ref={ref_wall:.3f}s seq={seq_wall:.3f}s"
-            )
-            for w in worker_counts:
-                par_wall = best_wall[("parallel", w)]
-                speedups[f"{cell}/workers={w}"] = round(
-                    ref_wall / par_wall, 3
-                )
-                speedups_vs_sequential[f"{cell}/workers={w}"] = round(
-                    seq_wall / par_wall, 3
-                )
-                geo_samples[f"workers={w}"].append(ref_wall / par_wall)
-                line += f" w{w}={par_wall:.3f}s"
-            say(line)
-    geomean_speedups = {
-        key: round(
-            math.exp(sum(math.log(s) for s in samples) / len(samples)), 3
-        )
-        for key, samples in geo_samples.items()
-    }
-    say(
-        "geomean vs reference: "
-        + " ".join(f"{k}={v}x" for k, v in geomean_speedups.items())
-    )
-    return {
-        "schema": PARALLEL_BENCH_SCHEMA,
-        "suite": suite,
-        "flavors": list(flavors),
-        "repeat": repeat,
-        "worker_counts": list(worker_counts),
-        "min_round_nodes": min_round_nodes,
-        **_provenance(),
-        "engines": ["reference", "sequential", "parallel"],
-        "entries": entries,
-        "speedups": speedups,
-        "speedups_vs_sequential": speedups_vs_sequential,
-        "geomean_speedups": geomean_speedups,
     }
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import logging
 import re
 import threading
 import time
@@ -143,6 +144,10 @@ class AnalysisService:
             "repro_service_query_slice_vars",
             "Planned slice size per answered demand query (variables).",
         )
+        self._m_receipt_errors = t.counter(
+            "repro_service_receipt_errors_total",
+            "Receipt writes that failed (the job still completes).",
+        )
 
         self.queue = JobQueue()
         self.pool = WorkerPool(workers)
@@ -184,13 +189,13 @@ class AnalysisService:
     # ------------------------------------------------------------------
     # Public API (used by the HTTP layer and directly by tests/harness)
     # ------------------------------------------------------------------
-    def submit(self, spec: JobSpec, client: Optional[str] = None) -> Job:
+    def submit(self, spec: JobSpec) -> Job:
         """Accept a job.  In cluster mode this runs admission control
         (may raise :class:`~repro.cluster.coordinator.Backpressure`) and
         journals the acceptance durably before the job becomes visible.
         """
         if self.cluster is not None:
-            return self.cluster.submit(spec, client=client)
+            return self.cluster.submit(spec)
         return self.enqueue(Job(spec=spec))
 
     def enqueue(self, job: Job) -> Job:
@@ -404,8 +409,11 @@ class AnalysisService:
                     receipt_from_service_job(snapshot, payload),
                     self.receipt_dir,
                 )
-            except Exception:  # noqa: BLE001 - receipts are advisory
-                pass
+            except Exception as exc:  # noqa: BLE001 - receipts are advisory
+                self._m_receipt_errors.inc()
+                logging.getLogger("repro.service").warning(
+                    "receipt write failed for job %s: %r", job.id, exc
+                )
         if self.cluster is not None:
             # Journal the terminal transition before the state flip: a
             # replay after a crash must never resurrect a job whose
@@ -595,12 +603,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", "0")
         self.end_headers()
 
-    def _client_key(self) -> str:
-        """Rate-limit identity: an explicit header, else the peer IP."""
-        return (
-            self.headers.get("X-Repro-Client") or self.client_address[0]
-        )
-
     def _send_text(self, status: int, text: str) -> None:
         body = text.encode()
         self.send_response(status)
@@ -625,7 +627,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(400, {"error": str(exc)})
                 return
             try:
-                job = self.service.submit(spec, client=self._client_key())
+                job = self.service.submit(spec)
             except Exception as exc:  # Backpressure (cluster mode only)
                 from ..cluster.coordinator import Backpressure
 

@@ -7,11 +7,11 @@ trajectory a queryable, gateable artifact instead:
 * :mod:`repro.warehouse.receipt` — the schema-versioned,
   content-addressed receipt (``repro-receipt/1``) every producer
   appends: bench suites, fuzz campaigns, completed service jobs;
-* :mod:`repro.warehouse.adapters` — schema adapters lifting the four
+* :mod:`repro.warehouse.adapters` — schema adapters lifting the
   committed legacy ``BENCH_*.json`` artifacts (and fresh producer
   output) into receipts;
-* :mod:`repro.warehouse.scoring` — binning into (suite, flavor, engine,
-  workers) cells, geomean speedups, regression deltas vs a baseline;
+* :mod:`repro.warehouse.scoring` — binning into (suite, flavor, engine)
+  cells, geomean speedups, regression deltas vs a baseline;
 * :mod:`repro.warehouse.reporting` — the ``repro report`` table and the
   ``repro-report/1`` trajectory JSON.
 

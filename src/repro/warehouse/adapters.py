@@ -4,11 +4,10 @@ The warehouse ingests two generations of evidence:
 
 * native receipts (``repro-receipt/1``) written by the producers since
   the warehouse existed, and
-* the four committed legacy artifacts — ``BENCH_solver.json``
+* the three committed legacy artifacts — ``BENCH_solver.json``
   (``repro-bench-solver/1``), ``BENCH_datalog.json``
-  (``repro-bench-datalog/1``), ``BENCH_incremental.json``
-  (``repro-bench-incremental/1``), and ``BENCH_parallel.json``
-  (``repro-bench-parallel/1``) — which predate it.  ``BENCH_demand.json``
+  (``repro-bench-datalog/1``) and ``BENCH_incremental.json``
+  (``repro-bench-incremental/1``) — which predate it.  ``BENCH_demand.json``
   (``repro-bench-demand/1``) adapts through the same path.
 
 :func:`adapt` dispatches on the ``schema`` field and wraps a legacy
@@ -54,7 +53,6 @@ BENCH_SCHEMA_KINDS: Dict[str, str] = {
     "repro-bench-solver/1": "bench-solver",
     "repro-bench-datalog/1": "bench-datalog",
     "repro-bench-incremental/1": "bench-incremental",
-    "repro-bench-parallel/1": "bench-parallel",
     "repro-bench-demand/1": "bench-demand",
 }
 
@@ -68,11 +66,8 @@ def _bench_identity(report: Dict[str, Any]) -> Dict[str, Any]:
         "suite": report.get("suite"),
         "flavors": report.get("flavors"),
         "engines": report.get("engines"),
+        "workers": report.get("workers", 1),
     }
-    if "worker_counts" in report:
-        identity["worker_counts"] = report["worker_counts"]
-    else:
-        identity["workers"] = report.get("workers", 1)
     if "edit_kinds" in report:
         identity["edit_kinds"] = report["edit_kinds"]
     return identity

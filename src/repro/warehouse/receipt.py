@@ -61,7 +61,6 @@ KINDS = (
     "bench-solver",
     "bench-datalog",
     "bench-incremental",
-    "bench-parallel",
     "bench-demand",
     "fuzz-campaign",
     "service-job",

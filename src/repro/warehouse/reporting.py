@@ -62,7 +62,6 @@ def trajectory(
                 "benchmark": cell.benchmark,
                 "flavor": cell.flavor,
                 "variant": cell.variant,
-                "workers": cell.workers,
                 "unit": cell.unit,
                 "samples": [_sample_json(s) for s in cell.samples],
                 "baseline": _sample_json(cell.baseline),

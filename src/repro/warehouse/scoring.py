@@ -9,9 +9,6 @@ variant)``:
   ``compiled``), plus a ``traced`` cell when the report carries the
   trace-overhead twin (value = untraced/traced CPU ratio, so the old
   "<5% overhead" gate becomes an ordinary regression cell);
-* ``bench-parallel`` cells carry the worker count in the variant
-  (``sequential``, ``workers=N``), which is how the warehouse bins by
-  (suite, flavor, engine, workers);
 * ``bench-incremental`` cells use the edit kind as the variant;
 * ``bench-demand`` cells carry per-query-vs-full-solve speedups with the
   query mode as the variant (``query`` answers one variable at a time,
@@ -63,7 +60,6 @@ class Sample:
 
     value: float
     unit: str  # "speedup" (dimensionless ratio) or "per_second"
-    workers: int
     digest: str  # full receipt digest
     path: str
     created_at: Optional[float]
@@ -87,7 +83,6 @@ class Cell:
     flavor: str
     variant: str
     unit: str
-    workers: int
     samples: List[Sample] = field(default_factory=list)
     baseline: Optional[Sample] = None
     current: Optional[Sample] = None
@@ -111,12 +106,6 @@ class Cell:
         return max(0.0, -self.delta_percent)
 
 
-def _parallel_workers(variant: str) -> int:
-    if variant.startswith("workers="):
-        return int(variant[len("workers="):])
-    return 1
-
-
 def cells_of(receipt: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Raw cell samples of one receipt: dicts of key fields + value/unit."""
     kind = receipt["kind"]
@@ -131,7 +120,6 @@ def cells_of(receipt: Dict[str, Any]) -> List[Dict[str, Any]]:
         variant: str,
         value: float,
         unit: str = "speedup",
-        workers: int = 1,
     ) -> None:
         out.append(
             {
@@ -141,23 +129,16 @@ def cells_of(receipt: Dict[str, Any]) -> List[Dict[str, Any]]:
                 "variant": variant,
                 "value": float(value),
                 "unit": unit,
-                "workers": workers,
             }
         )
 
-    if kind in ("bench-solver", "bench-datalog", "bench-parallel"):
+    if kind in ("bench-solver", "bench-datalog"):
         suite = str(identity.get("suite"))
         engines = payload.get("engines") or []
         live = str(engines[-1]) if engines else "live"
         for name, value in (payload.get("speedups") or {}).items():
             parts = name.split("/")
-            if kind == "bench-parallel" and len(parts) == 3:
-                bench, flavor, variant = parts
-                cell(
-                    suite, bench, flavor, variant, value,
-                    workers=_parallel_workers(variant),
-                )
-            elif len(parts) == 2:
+            if len(parts) == 2:
                 bench, flavor = parts
                 cell(suite, bench, flavor, live, value)
         trace = payload.get("trace")
@@ -249,13 +230,11 @@ def score(
                     flavor=raw["flavor"],
                     variant=raw["variant"],
                     unit=raw["unit"],
-                    workers=raw["workers"],
                 )
             cell.samples.append(
                 Sample(
                     value=raw["value"],
                     unit=raw["unit"],
-                    workers=raw["workers"],
                     digest=digest,
                     path=path,
                     created_at=created,
@@ -285,9 +264,7 @@ def geomeans(cells: List[Cell]) -> Dict[str, float]:
 
     Only dimensionless ``speedup`` cells participate — averaging
     host-relative throughputs across hosts would manufacture a number
-    with no referent.  Parallel groups keep their worker count in the
-    variant, so each scaling column gets its own geomean (mirroring the
-    ``geomean_speedups`` table in ``BENCH_parallel.json``).
+    with no referent.
     """
     groups: Dict[str, List[float]] = {}
     for cell in cells:

@@ -241,19 +241,6 @@ class TestBackpressure:
         finally:
             service.stop()
 
-    def test_per_client_rate_limit(self, tmp_path):
-        service = make_service(tmp_path, rate_limit=0.001, rate_burst=2)
-        try:
-            service.submit(make_spec(), client="alice")
-            service.submit(make_spec(priority=1), client="alice")
-            with pytest.raises(Backpressure) as exc:
-                service.submit(make_spec(priority=2), client="alice")
-            assert exc.value.reason == "rate_limited"
-            # Other clients are unaffected.
-            service.submit(make_spec(priority=3), client="bob")
-        finally:
-            service.stop()
-
 
 class TestTopology:
     def test_snapshot_shape(self, tmp_path):

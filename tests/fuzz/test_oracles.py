@@ -13,7 +13,6 @@ from repro.analysis.solver import solve
 from repro.fuzz.oracles import (
     ORACLES,
     Violation,
-    check_bitset_equivalence,
     check_digest_invariance,
     check_engine_equivalence,
     check_insensitive_containment,
@@ -182,61 +181,9 @@ def test_catalogue_is_complete_and_described():
         "tuple-budget-exactness",
         "trace-transparency",
         "incremental-equivalence",
-        "bitset-equivalence",
         "demand-equivalence",
     }
     assert all(ORACLES[name] for name in ORACLES)
-
-
-@pytest.mark.parametrize("flavor", ["insens", "2objH"])
-def test_bitset_equivalence_holds(box, flavor):
-    program, facts = box
-    raw = solve(program, policy_for(flavor, facts), facts=facts)
-    ref = reference_relations(
-        reference_solve(program, policy_for(flavor, facts), facts=facts)
-    )
-    v = check_bitset_equivalence(
-        program,
-        policy_for(flavor, facts),
-        facts,
-        solver_relations(raw),
-        ref,
-        flavor=flavor,
-        expected_tuples=raw.tuple_count,
-    )
-    assert v is None
-
-
-def test_bitset_equivalence_detects_any_relation_diff(box):
-    program, facts = box
-    raw = solve(program, policy_for("insens", facts), facts=facts)
-    packed = solver_relations(raw)
-    for i in range(5):
-        tampered = list(packed)
-        tampered[i] = tampered[i] | {("bogus", "tuple")}
-        v = check_bitset_equivalence(
-            program,
-            policy_for("insens", facts),
-            facts,
-            tuple(tampered),
-            flavor="insens",
-        )
-        assert v is not None and v.oracle == "bitset-equivalence"
-        assert v.engines == ("parallel", "sequential")
-
-
-def test_bitset_equivalence_detects_tuple_count_drift(box):
-    program, facts = box
-    raw = solve(program, policy_for("insens", facts), facts=facts)
-    v = check_bitset_equivalence(
-        program,
-        policy_for("insens", facts),
-        facts,
-        solver_relations(raw),
-        flavor="insens",
-        expected_tuples=raw.tuple_count + 1,
-    )
-    assert v is not None and "tuple count diverged" in v.detail
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)

@@ -17,18 +17,16 @@ from repro.harness.bench import (
     DATALOG_ENGINES,
     DEFAULT_FLAVORS,
     ENGINES,
-    PARALLEL_BENCH_SCHEMA,
     datalog_suite_names,
     datalog_suite_specs,
     run_datalog_suite,
-    run_parallel_suite,
     run_suite,
     suite_names,
     suite_specs,
     write_report,
 )
 
-#: Every BENCH_*.json carries this provenance block so scaling numbers
+#: Every BENCH_*.json carries this provenance block so speedup numbers
 #: stay interpretable across machines (docs/performance.md).
 PROVENANCE_KEYS = {"python", "platform", "cpu_count", "gc_enabled"}
 
@@ -136,72 +134,11 @@ class TestProvenance:
     def test_every_report_kind_records_host_provenance(self):
         solver = run_suite("tiny", flavors=("2objH",), repeat=1)
         datalog = run_datalog_suite("tiny", flavors=("2objH",), repeat=1)
-        parallel = run_parallel_suite(
-            "tiny", flavors=("2objH",), repeat=1, worker_counts=(1,)
-        )
-        for report in (solver, datalog, parallel):
+        for report in (solver, datalog):
             assert PROVENANCE_KEYS <= set(report)
             assert report["cpu_count"] >= 1
             assert isinstance(report["gc_enabled"], bool)
-        # The sequential suites pin workers=1; the parallel report
-        # carries the swept counts instead.
-        assert solver["workers"] == 1
-        assert datalog["workers"] == 1
-        assert parallel["worker_counts"] == [1]
-
-
-class TestParallelSuite:
-    def test_repeat_and_worker_counts_validated(self):
-        with pytest.raises(ValueError, match="repeat"):
-            run_parallel_suite("tiny", repeat=0)
-        with pytest.raises(ValueError, match="worker_counts"):
-            run_parallel_suite("tiny", worker_counts=())
-        with pytest.raises(ValueError, match="worker_counts"):
-            run_parallel_suite("tiny", worker_counts=(0,))
-
-    def test_tiny_suite_report_shape(self):
-        messages = []
-        worker_counts = (1, 2)
-        report = run_parallel_suite(
-            "tiny",
-            flavors=("2objH",),
-            repeat=1,
-            worker_counts=worker_counts,
-            progress=messages.append,
-        )
-        assert report["schema"] == PARALLEL_BENCH_SCHEMA
-        assert report["engines"] == ["reference", "sequential", "parallel"]
-        assert report["worker_counts"] == list(worker_counts)
-        assert report["min_round_nodes"] == 0
-        specs = suite_specs("tiny")
-        # reference + sequential + one parallel entry per worker count.
-        expected = len(specs) * (2 + len(worker_counts))
-        assert len(report["entries"]) == expected
-        tuples = set()
-        for entry in report["entries"]:
-            assert entry["engine"] in ("reference", "sequential", "parallel")
-            assert entry["seconds"] >= 0
-            tuples.add(entry["tuples"])
-            if entry["engine"] == "parallel":
-                assert entry["workers"] in worker_counts
-                assert entry["rounds"] >= 1
-            else:
-                assert entry["workers"] is None
-        # Tuple equality across every engine and worker count is the
-        # harness's own assertion; re-check it from the report.
-        assert len(tuples) == 1
-        # One speedup cell per (benchmark, flavor) per mode.
-        cells = len(specs)
-        assert len(report["speedups"]) == cells * (1 + len(worker_counts))
-        assert len(report["speedups_vs_sequential"]) == cells * len(
-            worker_counts
-        )
-        assert set(report["geomean_speedups"]) == {
-            "sequential",
-            "workers=1",
-            "workers=2",
-        }
-        assert any("geomean" in m for m in messages)
+            assert report["workers"] == 1
 
 
 class TestEngineEquivalence:

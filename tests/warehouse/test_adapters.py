@@ -34,15 +34,13 @@ BENCH_PATHS = [
         "BENCH_solver.json",
         "BENCH_datalog.json",
         "BENCH_incremental.json",
-        "BENCH_parallel.json",
     )
 ]
 
 #: Pinned shape of each committed artifact once binned into cells:
 #: (file, kind, cell count, {geomean group: value}).  The geomean values
 #: are the ones the artifacts themselves record — 3 benchmarks x 3
-#: flavors per suite, x 4 scaling columns (parallel) or 4 edit kinds
-#: (incremental).
+#: flavors per suite, x 4 edit kinds (incremental).
 COMMITTED = [
     (
         "BENCH_solver.json",
@@ -65,17 +63,6 @@ COMMITTED = [
             "bench-incremental/medium/move": 16.995,
             "bench-incremental/medium/new-call": 16.5,
             "bench-incremental/medium/new-entry": 16.445,
-        },
-    ),
-    (
-        "BENCH_parallel.json",
-        "bench-parallel",
-        36,
-        {
-            "bench-parallel/medium/sequential": 4.121,
-            "bench-parallel/medium/workers=1": 1.948,
-            "bench-parallel/medium/workers=2": 1.569,
-            "bench-parallel/medium/workers=4": 1.168,
         },
     ),
 ]
@@ -132,7 +119,7 @@ class TestAdaptCommittedArtifacts:
 
 
 class TestIngestAll:
-    def test_whole_committed_set_scores_to_90_single_sample_cells(self):
+    def test_whole_committed_set_scores_to_54_single_sample_cells(self):
         receipts, skipped = ingest(BENCH_PATHS)
         assert skipped == []
         assert [r["kind"] for _, r in receipts] == [row[1] for row in COMMITTED]

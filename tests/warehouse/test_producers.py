@@ -177,17 +177,30 @@ class TestServiceJobReceipts:
         finally:
             service.stop()
 
-    def test_receipt_failure_does_not_fail_the_job(self, tmp_path):
+    def test_receipt_failure_does_not_fail_the_job(self, tmp_path, caplog):
         # Receipts are advisory: a store path that cannot be created
-        # (a file stands in its way) must not turn DONE into ERROR.
+        # (a file stands in its way) must not turn DONE into ERROR — but
+        # the failure is logged and counted, not swallowed.
         blocked = tmp_path / "not-a-dir"
         blocked.write_text("occupied")
         service = AnalysisService(workers=0, receipt_dir=str(blocked))
         try:
-            job = _run_job(service, JobSpec(benchmark="antlr", analysis="insens"))
+            with caplog.at_level("WARNING", logger="repro.service"):
+                job = _run_job(
+                    service, JobSpec(benchmark="antlr", analysis="insens")
+                )
             assert job.state == JobState.DONE
         finally:
             service.stop()
+        assert "repro_service_receipt_errors_total 1" in (
+            service.telemetry.render().splitlines()
+        )
+        warnings = [
+            r for r in caplog.records
+            if r.name == "repro.service" and r.levelname == "WARNING"
+        ]
+        assert len(warnings) == 1
+        assert job.id in warnings[0].getMessage()
 
     def test_source_job_identity_uses_facts_digest(self):
         snapshot = {
