@@ -8,7 +8,7 @@ rescan the heap-type table, and consumers dispatch on string tags.
 It exists for two reasons:
 
 * ``repro bench`` measures the packed solver *against* this baseline and
-  records the speedup trajectory in ``BENCH_solver.json``;
+  records the speedup trajectory as ``bench-solver`` receipts;
 * the differential tests cross-validate the packed solver's relations
   against this one (in addition to the Datalog model), guaranteeing the
   representation change introduced no precision drift.

@@ -7,16 +7,13 @@ Subcommands:
   requested points-to sets;
 * ``repro bench NAME`` — run an analysis on a built-in DaCapo-analog
   benchmark;
-* ``repro bench`` (no name) — benchmark the packed solver against the
-  frozen reference engine over a generated suite and write
-  ``BENCH_solver.json``; with ``--datalog``, benchmark the compiled-plan
-  Datalog engine against the frozen interpreter and write
-  ``BENCH_datalog.json``; with ``--incremental``, benchmark warm edit
-  sessions against from-scratch re-analysis and write
-  ``BENCH_incremental.json`` (see ``docs/performance.md`` and
-  ``docs/incremental.md``); with ``--demand``, benchmark per-query
-  demand slices against full solves and write ``BENCH_demand.json``
-  (see ``docs/queries.md``);
+* ``repro bench`` (no name) — benchmark a live engine against its
+  baseline over a generated suite and write a ``repro-receipt/1`` to
+  ``--receipt-dir``: ``--kind solver`` (default; packed vs frozen
+  reference solver), ``datalog`` (compiled-plan vs frozen Datalog
+  interpreter), ``incremental`` (warm edit sessions vs from-scratch
+  re-analysis) or ``demand`` (per-query demand slices vs full solves);
+  see ``docs/performance.md``;
 * ``repro benchmarks`` — list the built-in benchmarks;
 * ``repro query VAR ...`` — answer demand ``pts(v)`` queries over a
   benchmark or source file under any context flavor, solving only each
@@ -26,10 +23,9 @@ Subcommands:
   ``--journal`` it becomes a cluster coordinator (``docs/cluster.md``);
 * ``repro worker`` — run a cluster worker node that registers with a
   coordinator, heartbeats, and pulls jobs (``docs/cluster.md``);
-* ``repro report`` — the results warehouse: ingest receipts and legacy
-  ``BENCH_*.json`` artifacts, bin and score the perf trajectory, render
-  a table + JSON, and (``--gate``) fail on regressions
-  (see ``docs/warehouse.md``);
+* ``repro report`` — the results warehouse: ingest receipts, bin and
+  score the perf trajectory, render a table + JSON, and (``--gate``)
+  fail on regressions (see ``docs/warehouse.md``);
 * ``repro experiments ...`` — the figure reproductions (also available as
   ``repro-experiments``).
 
@@ -38,16 +34,14 @@ Examples::
     repro analyze app.mj --analysis 2objH --show Main.main/0/result
     repro analyze app.mj --analysis 2objH --introspective B --budget 100000
     repro bench hsqldb --analysis 2objH --introspective A
-    repro bench --suite medium --repeat 3 --output BENCH_solver.json
-    repro bench --datalog --suite medium --repeat 3
-    repro bench --incremental --suite medium --repeat 3
-    repro bench --demand --suite medium --repeat 3
-    repro bench --quick --receipt-dir benchmarks/receipts
+    repro bench --suite medium --repeat 3 --receipt-dir benchmarks/receipts
+    repro bench --kind datalog --suite medium --repeat 3
+    repro bench --kind demand --quick --receipt-dir smoke-receipts
     repro query 'Main.main/0/result' --benchmark hsqldb --flavor 2objH
     repro serve --port 8080 --workers 4 --cache-dir /tmp/repro-cache
     repro serve --port 8080 --journal /tmp/repro-journal.jsonl
     repro worker --coordinator http://127.0.0.1:8080
-    repro report BENCH_solver.json benchmarks/receipts --json TRAJECTORY.json
+    repro report benchmarks/receipts --json TRAJECTORY.json
     repro report benchmarks/receipts --gate --max-regression 10
 """
 
@@ -55,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -64,6 +59,7 @@ from .clients import analyze_exceptions, check_casts, devirtualize, measure_prec
 from .contexts.policies import ANALYSIS_NAMES
 from .facts.encoder import FactBase, encode_program
 from .frontend import parse_source
+from .harness.bench import BENCH_KINDS, run_bench
 from .harness.experiments import main as experiments_main
 from .introspection import heuristic_from_spec, run_introspective
 from .ir.printer import dump_program
@@ -71,11 +67,6 @@ from .ir.program import Program
 from .obs import Tracer
 
 __all__ = ["main"]
-
-#: The bench parser's --flavors default (shared so --demand can detect
-#: "user did not override" and substitute its own sweep).
-_DEFAULT_BENCH_FLAVORS = "2objH,2typeH,2callH"
-
 
 def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -143,9 +134,9 @@ def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         help="record a structured trace of the run and write it as Chrome "
         "trace_event JSON (open in Perfetto / chrome://tracing); FILE "
-        "defaults to TRACE.json, or BENCH_trace.json for the engine "
-        "benchmark, where --trace times one traced cell against its "
-        "untraced twin and reports the overhead",
+        "defaults to TRACE.json; for the engine benchmark, --trace also "
+        "times one traced cell against its untraced twin and records the "
+        "overhead in the receipt",
     )
 
 
@@ -285,96 +276,31 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_suite(args: argparse.Namespace) -> int:
-    """Engine benchmark (``repro bench`` without a benchmark name):
-    packed-vs-reference solver by default, the Datalog-evaluator
-    comparison with ``--datalog``, warm edit-sessions vs from-scratch
-    re-analysis with ``--incremental``.  Writes the JSON report."""
-    from .harness.bench import (
-        DEFAULT_DEMAND_FLAVORS,
-        run_datalog_suite,
-        run_demand_suite,
-        run_incremental_suite,
-        run_suite,
-        write_report,
-    )
+    """Engine benchmark (``repro bench`` without a benchmark name): run
+    one ``--kind`` and append its receipt to ``--receipt-dir``."""
+    from .warehouse import write_receipt
 
-    modes = [
-        name
-        for name, on in (
-            ("--datalog", args.datalog),
-            ("--incremental", args.incremental),
-            ("--demand", args.demand),
-        )
-        if on
-    ]
-    if len(modes) > 1:
-        print(f"{' and '.join(modes)} are mutually exclusive")
-        return 2
-    suite = args.suite
-    repeat = args.repeat
-    if args.quick:
-        suite = "small"
-        repeat = 1
-    flavors = [f.strip() for f in args.flavors.split(",") if f.strip()]
-    if args.demand and args.flavors == _DEFAULT_BENCH_FLAVORS:
-        # The demand bench's natural sweep includes an introspective
-        # flavor; an explicit --flavors list still wins.
-        flavors = list(DEFAULT_DEMAND_FLAVORS)
-    if args.datalog:
-        runner = run_datalog_suite
-    elif args.incremental:
-        runner = run_incremental_suite
-    else:
-        runner = run_suite
-    output = args.output
-    if output is None:
-        if args.datalog:
-            output = "BENCH_datalog.json"
-        elif args.incremental:
-            output = "BENCH_incremental.json"
-        elif args.demand:
-            output = "BENCH_demand.json"
-        else:
-            output = "BENCH_solver.json"
+    suite, repeat = ("small", 1) if args.quick else (args.suite, args.repeat)
+    flavors = None
+    if args.flavors is not None:
+        flavors = [f.strip() for f in args.flavors.split(",") if f.strip()]
+    on_trace = None
+    if args.trace is not None:
+        on_trace = partial(_export_trace, path=args.trace or "TRACE.json")
     try:
-        if args.demand:
-            report = run_demand_suite(
-                suite=suite,
-                flavors=flavors,
-                repeat=repeat,
-                queries=args.queries,
-                progress=print,
-            )
-        else:
-            report = runner(
-                suite=suite, flavors=flavors, repeat=repeat, progress=print
-            )
+        receipt = run_bench(
+            args.kind,
+            suite=suite,
+            flavors=flavors,
+            repeat=repeat,
+            queries=args.queries,
+            progress=print,
+            on_trace=on_trace,
+        )
     except ValueError as exc:
         print(str(exc))
         return 2
-    if args.trace is not None:
-        from .harness.bench import run_trace_cell
-
-        cell, tracer = run_trace_cell(
-            suite=suite,
-            flavor=flavors[0] if flavors else "2objH",
-            repeat=repeat,
-            progress=print,
-        )
-        # The "trace" key exists only when tracing was requested, so the
-        # default report schema (docs/performance.md) is unchanged.
-        report["trace"] = cell
-        trace_path = args.trace or "BENCH_trace.json"
-        _export_trace(tracer, trace_path)
-    write_report(report, output)
-    print(f"wrote {output}")
-    if args.receipt_dir:
-        from .warehouse import receipt_from_bench_report, write_receipt
-
-        path = write_receipt(
-            receipt_from_bench_report(report), args.receipt_dir
-        )
-        print(f"receipt appended: {path}")
+    print(f"receipt appended: {write_receipt(receipt, args.receipt_dir)}")
     return 0
 
 
@@ -382,7 +308,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .warehouse import (
         gate_failures,
         ingest,
-        load_any,
+        load_receipt,
         receipt_digest,
         render_table,
         score,
@@ -400,7 +326,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     baseline = args.baseline
     if baseline is not None:
         try:
-            baseline = receipt_digest(load_any(baseline))
+            baseline = receipt_digest(load_receipt(baseline))
         except (OSError, ValueError):
             # Not a file: treat it as a digest (prefix) directly.
             pass
@@ -671,14 +597,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_bench = sub.add_parser(
         "bench",
         help="analyze a built-in benchmark, or (without a name) "
-        "benchmark the solver engines",
+        "benchmark an engine against its baseline",
     )
     p_bench.add_argument(
         "name",
         nargs="?",
         default=None,
         help="benchmark name (see `repro benchmarks`); omit to run the "
-        "packed-vs-reference solver benchmark",
+        "engine benchmark selected by --kind",
     )
     _add_analysis_options(p_bench)
     p_bench.add_argument(
@@ -694,15 +620,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     p_bench.add_argument(
         "--flavors",
-        default=_DEFAULT_BENCH_FLAVORS,
-        help="comma-separated context flavors to benchmark",
-    )
-    p_bench.add_argument(
-        "--output",
         default=None,
-        metavar="FILE",
-        help="where to write the JSON report (default BENCH_solver.json, "
-        "or BENCH_datalog.json with --datalog)",
+        help="comma-separated context flavors to benchmark (default: the "
+        "kind's own sweep)",
     )
     p_bench.add_argument(
         "--quick",
@@ -710,37 +630,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="CI smoke mode: small suite, single repeat",
     )
     p_bench.add_argument(
-        "--datalog",
-        action="store_true",
-        help="benchmark the Datalog evaluators (compiled join plans vs "
-        "the frozen interpreter) instead of the solver engines",
-    )
-    p_bench.add_argument(
-        "--incremental",
-        action="store_true",
-        help="benchmark warm incremental edit-sessions against "
-        "from-scratch re-analysis (writes BENCH_incremental.json)",
-    )
-    p_bench.add_argument(
-        "--demand",
-        action="store_true",
-        help="benchmark demand queries (slice solves via the query "
-        "engine) against full packed solves (writes BENCH_demand.json)",
+        "--kind",
+        choices=BENCH_KINDS,
+        default="solver",
+        help="what to benchmark: the packed vs reference solver (default), "
+        "the compiled vs reference Datalog evaluator, warm incremental "
+        "edit sessions vs from-scratch re-analysis, or demand queries vs "
+        "full solves",
     )
     p_bench.add_argument(
         "--queries",
         type=int,
         default=6,
         metavar="N",
-        help="seeded query variables per benchmark for --demand "
+        help="seeded query variables per benchmark for --kind demand "
         "(default 6)",
     )
     p_bench.add_argument(
         "--receipt-dir",
-        default=None,
+        default=".",
         metavar="DIR",
-        help="append a content-addressed repro-receipt/1 of this run to "
-        "the results warehouse under DIR (docs/warehouse.md)",
+        help="where to append the content-addressed repro-receipt/1 of "
+        "this run (default: the current directory; docs/warehouse.md)",
     )
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -988,7 +899,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "inputs",
         nargs="+",
         metavar="PATH",
-        help="receipt files/directories and/or legacy BENCH_*.json reports",
+        help="receipt files and/or warehouse directories",
     )
     p_report.add_argument(
         "--baseline",

@@ -8,8 +8,9 @@ and a linear ``_matches`` scan over semi-naive delta rows.
 It exists for two reasons (the same pattern as
 :mod:`repro.analysis.reference_solver`):
 
-* ``repro bench --datalog`` measures the compiled engine *against* this
-  baseline and records the speedup trajectory in ``BENCH_datalog.json``;
+* ``repro bench --kind datalog`` measures the compiled engine *against*
+  this baseline and records the speedup trajectory as ``bench-datalog``
+  receipts;
 * the differential tests and fuzz oracles cross-check the compiled
   engine's relations against this one, so the plan compiler cannot
   silently change the semantics it was built to accelerate.

@@ -1,12 +1,5 @@
 """Experiment harness: budgeted runs and per-figure reproduction drivers."""
 
-from .bench import (
-    BENCH_SCHEMA,
-    DEFAULT_FLAVORS,
-    run_suite,
-    suite_names,
-    write_report,
-)
 from .experiments import (
     Figure1Result,
     Figure4Result,
@@ -35,8 +28,6 @@ from .runner import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "DEFAULT_FLAVORS",
     "EXPERIMENT_BUDGET",
     "EXPERIMENT_TIME_LIMIT",
     "Figure1Result",
@@ -56,10 +47,7 @@ __all__ = [
     "run_analysis",
     "run_introspective_analysis",
     "run_matrix_via_service",
-    "run_suite",
     "run_via_service",
     "scaled_heuristic_a",
     "scaled_heuristic_b",
-    "suite_names",
-    "write_report",
 ]

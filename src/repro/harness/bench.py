@@ -1,59 +1,53 @@
-"""Engine benchmark harness: live engines vs their frozen baselines.
+"""Engine benchmark harness: live engines vs their baselines, as receipts.
 
-This is the measurement side of the repository's two engine rewrites.
+One loop (:func:`run_bench`) measures every bench kind and returns a
+validated ``repro-receipt/1`` (:mod:`repro.warehouse.receipt`).  A kind
+supplies only its workload — a stream of (benchmark, flavor) cells — and,
+per cell, its variants, a measure function and an equality check:
 
-**Solver benchmark** (``run_suite``, ``BENCH_solver.json``): runs a suite
-of generated benchmark programs (:mod:`repro.benchgen`) across the three
-main context flavors under two engines:
+* ``solver`` — the frozen :mod:`repro.analysis.reference_solver` vs the
+  packed :mod:`repro.analysis.solver`, equal tuple counts asserted.  With
+  tracing on, the first cell also times a ``traced`` packed variant; its
+  overhead against the untraced packed solve lands in the ``trace`` block;
+* ``datalog`` — the paper's Figure 3 model
+  (:class:`~repro.analysis.datalog_model.DatalogPointsToAnalysis`) under
+  the frozen :mod:`repro.datalog.reference_engine` vs the compiled
+  :mod:`repro.datalog.engine`, equal database row counts asserted;
+* ``incremental`` — one warm
+  :class:`~repro.incremental.session.IncrementalSession` per cell absorbing
+  seeded single edits of each kind in :data:`INCREMENTAL_EDIT_KINDS` vs
+  rebuilding, encoding, solving and materializing the result relations
+  from scratch; the warm relations must equal the scratch ones;
+* ``demand`` — cold single-variable queries (``query``) and one shared
+  union-solve (``batch``) through a warm :class:`~repro.query.QueryEngine`
+  vs a full packed solve; every answer must equal the full projection.
 
-* ``reference`` — :mod:`repro.analysis.reference_solver`, a frozen
-  snapshot of the pre-optimization solver (tuple-pair points-to sets,
-  scan-based cast filters, string-tag consumer dispatch);
-* ``packed`` — the current :mod:`repro.analysis.solver` (dense pair ids,
-  incremental cast-filter index, per-kind consumers).
+Measurement hygiene lives in :func:`best_of`: variants are interleaved
+within each repeat so machine drift hits all of them alike, the previous
+run's garbage is collected and the cyclic GC paused while the clock runs,
+and the best wall (``seconds``) and process CPU time (``cpu_seconds``) of
+``repeat`` runs are kept.  Speedups divide the baseline's CPU time by the
+variant's CPU time per answered query: the engines are single-threaded
+pure compute, and CPU time is robust against other processes sharing the
+machine, where wall clock can swing by tens of percent.  A cell whose
+variants disagree raises ``RuntimeError`` — a divergence is a correctness
+bug, not a benchmark result.
 
-**Datalog benchmark** (``run_datalog_suite``, ``BENCH_datalog.json``):
-runs the paper's full Figure 3 model
-(:class:`~repro.analysis.datalog_model.DatalogPointsToAnalysis`) over its
-own generated suites under two Datalog evaluators:
-
-* ``reference`` — :mod:`repro.datalog.reference_engine`, the frozen
-  dict-environment interpreter;
-* ``compiled`` — the current :mod:`repro.datalog.engine` (compiled join
-  plans, slot registers, indexed deltas).
-
-Both comparisons share the same measurement hygiene and report shape; the
-Datalog cells assert equal database row counts instead of solver tuple
-counts.
-
-Each (benchmark, flavor) cell is solved ``repeat`` times per engine,
-interleaved so slow machine drift hits both engines alike, and the best
-time is kept.  Both wall-clock (``seconds``) and process CPU time
-(``cpu_seconds``) are recorded; the ``speedups`` table is computed from
-CPU time because the solver is single-threaded pure compute, and CPU
-time is robust against other processes sharing the machine (CI runners,
-laptops), where wall-clock can swing by tens of percent.  The harness
-*asserts* that both engines derive exactly the same number of tuples —
-a run that diverges is a correctness bug, not a benchmark result.
-
-The report is written as ``BENCH_solver.json`` with the schema documented
-in ``docs/performance.md`` (``repro-bench-solver/1``).  ``peak_rss_kb``
-is ``ru_maxrss`` after the cell ran; being a process-lifetime high-water
-mark it only ever grows, so treat it as "memory needed to get this far",
-not a per-cell delta.
+``peak_rss_kb`` is ``ru_maxrss`` after the cell ran; being a
+process-lifetime high-water mark it only ever grows, so treat it as
+"memory needed to get this far", not a per-cell delta.  The payload of
+each kind is documented in ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import math
-import os
-import platform
 import random
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 try:  # POSIX only; peak RSS is reported as None elsewhere.
     import resource
@@ -74,57 +68,45 @@ from ..fuzz.sketch import ProgramSketch
 from ..incremental.edits import random_edit_script
 from ..incremental.session import RESULT_RELATIONS, IncrementalSession
 from ..obs import Tracer
-from ..utils import atomic_write_text
+from ..warehouse.receipt import make_receipt
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "DATALOG_BENCH_SCHEMA",
-    "DATALOG_ENGINES",
+    "BENCH_KINDS",
     "DEFAULT_DEMAND_FLAVORS",
     "DEFAULT_FLAVORS",
-    "DEMAND_BENCH_SCHEMA",
-    "ENGINES",
-    "INCREMENTAL_BENCH_SCHEMA",
     "INCREMENTAL_EDIT_KINDS",
-    "datalog_suite_names",
-    "datalog_suite_specs",
-    "run_datalog_suite",
-    "run_demand_suite",
-    "run_incremental_suite",
-    "run_trace_cell",
+    "Timing",
+    "best_of",
+    "run_bench",
     "suite_names",
     "suite_specs",
-    "run_suite",
-    "write_report",
 ]
 
-BENCH_SCHEMA = "repro-bench-solver/1"
-DATALOG_BENCH_SCHEMA = "repro-bench-datalog/1"
-INCREMENTAL_BENCH_SCHEMA = "repro-bench-incremental/1"
-DEMAND_BENCH_SCHEMA = "repro-bench-demand/1"
+#: The context flavors the solver, Datalog and incremental kinds sweep.
+DEFAULT_FLAVORS: Tuple[str, ...] = ("2objH", "2typeH", "2callH")
 
-#: Flavors the demand bench sweeps — the context-sensitive ones a query
+#: Flavors the demand kind sweeps — the context-sensitive ones a query
 #: would otherwise pay a full solve for, including an introspective
 #: variant (the engine's two-pass refinement decision).
 DEFAULT_DEMAND_FLAVORS: Tuple[str, ...] = ("2objH", "2typeH", "introspective-A")
 
-#: The monotonic edit vocabulary the incremental bench measures — one
-#: cell per kind, all absorbed by the warm solver's fast path.
+#: The monotonic edit vocabulary the incremental kind measures — one
+#: variant per kind, all absorbed by the warm solver's fast path.
 INCREMENTAL_EDIT_KINDS: Tuple[str, ...] = (
     "alloc",
     "move",
     "new-call",
     "new-entry",
 )
-DEFAULT_FLAVORS: Tuple[str, ...] = ("2objH", "2typeH", "2callH")
-ENGINES: Tuple[str, ...] = ("reference", "packed")
-DATALOG_ENGINES: Tuple[str, ...] = ("reference", "compiled")
+
+#: Seed of the demand kind's query-variable sample.
+DEMAND_SEED = 2014
 
 #: Benchmark suites.  All programs are pathology-hub workloads — the
 #: paper's explosion structure and the solver's dominant cost — sized so
 #: every flavor terminates without a budget.  ``tiny`` is for unit tests,
 #: ``small`` for CI smoke runs (`repro bench --quick`), ``medium`` for
-#: the committed BENCH_solver.json trajectory.
+#: the committed receipts under ``benchmarks/receipts``.
 _SUITES: Dict[str, Tuple[BenchmarkSpec, ...]] = {
     "tiny": (
         BenchmarkSpec(
@@ -223,14 +205,10 @@ _SUITES: Dict[str, Tuple[BenchmarkSpec, ...]] = {
     ),
 }
 
-_ENGINE_SOLVERS = {"reference": reference_solve, "packed": packed_solve}
-
-#: Datalog-model benchmark suites.  Deliberately much smaller than the
-#: solver suites: every cell runs the full Figure 3 rule model through a
+#: Datalog-kind suites.  Deliberately much smaller than the solver
+#: suites: every cell runs the full Figure 3 rule model through a
 #: pure-Python Datalog evaluator, and the frozen reference interpreter is
-#: orders of magnitude slower than the worklist solver.  ``tiny`` is for
-#: unit tests, ``small`` for CI smoke runs (``--quick``), ``medium`` for
-#: the committed BENCH_datalog.json trajectory.
+#: orders of magnitude slower than the worklist solver.
 _DATALOG_SUITES: Dict[str, Tuple[BenchmarkSpec, ...]] = {
     "tiny": (
         BenchmarkSpec(
@@ -309,48 +287,329 @@ _DATALOG_ENGINE_FACTORIES = {
 }
 
 
+@dataclass(frozen=True)
+class Timing:
+    """Best wall clock and best process CPU time of ``repeat`` runs."""
+
+    seconds: float
+    cpu_seconds: float
+
+
+def best_of(
+    repeat: int,
+    variants: Sequence[str],
+    measure: Callable[[str], Callable[[], Any]],
+) -> Tuple[Dict[str, Timing], Dict[str, Any]]:
+    """Time every variant ``repeat`` times, interleaved; keep the best.
+
+    ``measure(variant)`` does one run's untimed setup and returns the
+    thunk to time.  Before each timed run the variant's previous output
+    is dropped and the garbage collected, and the cyclic GC stays paused
+    while the clock runs, so no variant is billed for another's
+    leftovers.  Returns the best timings and each variant's last output.
+    """
+    wall = dict.fromkeys(variants, math.inf)
+    cpu = dict.fromkeys(variants, math.inf)
+    last: Dict[str, Any] = {}
+    for _ in range(repeat):
+        for variant in variants:
+            run = measure(variant)
+            last.pop(variant, None)
+            gc.collect()
+            gc.disable()
+            try:
+                w0 = time.perf_counter()
+                c0 = time.process_time()
+                last[variant] = run()
+                cpu_seconds = time.process_time() - c0
+                wall_seconds = time.perf_counter() - w0
+            finally:
+                gc.enable()
+            wall[variant] = min(wall[variant], wall_seconds)
+            cpu[variant] = min(cpu[variant], cpu_seconds)
+    return {v: Timing(wall[v], cpu[v]) for v in variants}, last
+
+
+@dataclass
+class _Cell:
+    """One (benchmark, flavor) measurement of a kind.
+
+    ``check`` receives every variant's last output, raises
+    ``RuntimeError`` if they disagree, and returns the per-variant detail
+    fields of the payload entries.  ``queries`` is how many answers one
+    timed run of a live variant produces (speedups are per answer).
+    """
+
+    benchmark: str
+    flavor: str
+    variants: Tuple[str, ...]
+    measure: Callable[[str], Callable[[], Any]]
+    check: Callable[[Dict[str, Any]], Dict[str, Dict[str, Any]]]
+    queries: int = 1
+
+
+def _agree(cell: str, counts: Dict[str, int], unit: str) -> None:
+    if len(set(counts.values())) > 1:
+        found = " ".join(f"{v}={n}" for v, n in counts.items())
+        raise RuntimeError(f"engine disagreement on {cell}: {found} {unit}")
+
+
+def _programs(
+    specs: Sequence[BenchmarkSpec], progress: Callable[[str], None]
+) -> Iterator[Tuple[str, Any, Any]]:
+    for spec in specs:
+        program = generate(spec)
+        progress(f"{spec.name}: {program.summary()}")
+        yield spec.name, program, encode_program(program)
+
+
+def _solver_cells(specs, flavors, progress, on_trace=None, **_) -> Iterator[_Cell]:
+    traced = on_trace is not None
+    for name, program, facts in _programs(specs, progress):
+        for flavor in flavors:
+            yield _solver_cell(name, program, facts, flavor, traced, on_trace)
+            traced = False
+
+
+def _solver_cell(name, program, facts, flavor, traced, on_trace) -> _Cell:
+    policy = policy_by_name(flavor, alloc_class_of=facts.alloc_class_of)
+    tracers: List[Tracer] = []
+
+    def measure(variant: str) -> Callable[[], int]:
+        if variant == "reference":
+            return lambda: reference_solve(program, policy, facts=facts).tuple_count
+        # Each traced run gets a fresh tracer so the exported spans
+        # describe one solve.
+        tracer = None
+        if variant == "traced":
+            tracer = Tracer()
+            tracers[:] = [tracer]
+        return lambda: packed_solve(
+            program, policy, facts=facts, tracer=tracer
+        ).tuple_count
+
+    def check(tuples: Dict[str, int]) -> Dict[str, Dict[str, Any]]:
+        _agree(f"{name}/{flavor}", tuples, "tuples")
+        details: Dict[str, Dict[str, Any]] = {
+            v: {"tuples": n} for v, n in tuples.items()
+        }
+        if tracers:
+            (tracer,) = tracers
+            details["traced"].update(
+                span_names=tracer.span_names(),
+                events=len(tracer.chrome_trace()["traceEvents"]),
+            )
+            on_trace(tracer)
+        return details
+
+    variants = ("reference", "packed") + (("traced",) if traced else ())
+    return _Cell(name, flavor, variants, measure, check)
+
+
+def _datalog_cells(specs, flavors, progress, **_) -> Iterator[_Cell]:
+    for name, program, facts in _programs(specs, progress):
+        for flavor in flavors:
+            yield _datalog_cell(name, program, facts, flavor)
+
+
+def _datalog_cell(name, program, facts, flavor) -> _Cell:
+    def measure(variant: str) -> Callable[[], int]:
+        # A fresh policy per run: policies memoize context tuples, and a
+        # warm cache must not favor whichever engine runs second.
+        policy = policy_by_name(flavor, alloc_class_of=facts.alloc_class_of)
+        factory = _DATALOG_ENGINE_FACTORIES[variant]
+
+        def run() -> int:
+            analysis = DatalogPointsToAnalysis(
+                program, policy, facts=facts, engine_factory=factory
+            )
+            analysis.run()
+            return analysis.engine.db.total_rows()
+
+        return run
+
+    def check(rows: Dict[str, int]) -> Dict[str, Dict[str, Any]]:
+        _agree(f"{name}/{flavor}", rows, "rows")
+        return {v: {"rows": n} for v, n in rows.items()}
+
+    return _Cell(name, flavor, ("reference", "compiled"), measure, check)
+
+
+def _incremental_cells(specs, flavors, progress, **_) -> Iterator[_Cell]:
+    for spec in specs:
+        sketch = ProgramSketch.from_program(generate(spec))
+        for flavor in flavors:
+            session = IncrementalSession(sketch, analysis=flavor, engine="solver")
+            progress(
+                f"{spec.name}/{flavor}: warm solve "
+                f"{session.initial_solve_seconds:.3f}s "
+                f"({session.program.summary()})"
+            )
+            yield _incremental_cell(spec.name, session, flavor)
+
+
+def _scratch_relations(sketch: ProgramSketch, flavor: str) -> Dict[str, Any]:
+    """What a session-less server redoes to answer the same queries."""
+    program = sketch.build()
+    facts = encode_program(program)
+    policy = policy_by_name(flavor, alloc_class_of=facts.alloc_class_of)
+    raw = packed_solve(program, policy, facts=facts)
+    return dict(zip(RESULT_RELATIONS, solver_relations(raw)))
+
+
+def _incremental_cell(name, session, flavor) -> _Cell:
+    # Seeded by cell name so runs are reproducible across processes
+    # (str seeds hash deterministically in random).
+    rng = random.Random(f"{name}/{flavor}")
+    tiers: Dict[str, List[str]] = {kind: [] for kind in INCREMENTAL_EDIT_KINDS}
+
+    def measure(variant: str) -> Callable[[], Any]:
+        if variant == "scratch":
+            sketch = session.sketch
+            return lambda: _scratch_relations(sketch, flavor)
+        script = random_edit_script(
+            session.sketch, rng, edits=1, allow_removals=False, kinds=(variant,)
+        )
+
+        def apply() -> int:
+            outcome = session.apply(script)
+            tiers[variant].append(outcome.tier)
+            return outcome.result_rows_added
+
+        return apply
+
+    def check(out: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+        # Scratch runs last in every round, so its final output is the
+        # final edited program — the one the warm relations describe.
+        warm = session.relations()
+        bad = [n for n in RESULT_RELATIONS if warm[n] != out["scratch"][n]]
+        if bad:
+            raise RuntimeError(
+                f"warm session diverged from scratch on "
+                f"{name}/{flavor}: {', '.join(bad)}"
+            )
+        details: Dict[str, Dict[str, Any]] = {
+            kind: {"tiers": tiers[kind], "result_rows_added": out[kind]}
+            for kind in INCREMENTAL_EDIT_KINDS
+        }
+        details["scratch"] = {"relations_checked": list(RESULT_RELATIONS)}
+        return details
+
+    variants = INCREMENTAL_EDIT_KINDS + ("scratch",)
+    return _Cell(name, flavor, variants, measure, check)
+
+
+def _demand_cells(specs, flavors, progress, queries=6, **_) -> Iterator[_Cell]:
+    from ..query import QueryEngine
+
+    rng = random.Random(DEMAND_SEED)
+    for name, program, facts in _programs(specs, progress):
+        all_vars = sorted({var for var, _m in facts.varinmeth})
+        picked = rng.sample(all_vars, min(queries, len(all_vars)))
+        w0 = time.perf_counter()
+        engine = QueryEngine(program, facts=facts)
+        warmup = time.perf_counter() - w0
+        for flavor in flavors:
+            yield _demand_cell(name, program, facts, engine, warmup, picked, flavor)
+
+
+def _demand_cell(name, program, facts, engine, warmup, picked, flavor) -> _Cell:
+    from ..analysis import analyze
+
+    policy = engine.policy(flavor)
+
+    def measure(variant: str) -> Callable[[], Any]:
+        engine.clear_memos()
+        if variant == "full":
+            return lambda: analyze(program, policy, facts=facts)
+        if variant == "batch":
+            return lambda: [o.answer for o in engine.query_batch(picked, flavor)]
+
+        def one_at_a_time() -> List[Any]:
+            # Memos cleared before every query: each is a cold plan +
+            # sliced solve (the planner and insensitive pass stay warm,
+            # the steady state of a long-lived engine).
+            answers = []
+            for var in picked:
+                engine.clear_memos()
+                answers.append(engine.query(var, flavor))
+            return answers
+
+        return one_at_a_time
+
+    def check(out: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+        full = out["full"].var_points_to
+        for mode in ("query", "batch"):
+            for var, answer in zip(picked, out[mode]):
+                expected = frozenset(full.get(var, ()))
+                if answer is None or answer.points_to != expected:
+                    raise RuntimeError(
+                        f"{mode}/full disagreement on {name}/{flavor}/{var}"
+                    )
+        footprints = sorted(a.footprint for a in out["query"])
+        detail = {
+            "queries": len(picked),
+            "median_footprint": round(footprints[len(footprints) // 2], 6),
+            "warmup_seconds": round(warmup, 6),
+        }
+        return {v: detail for v in out}
+
+    return _Cell(
+        name, flavor, ("full", "query", "batch"), measure, check, len(picked)
+    )
+
+
+@dataclass(frozen=True)
+class _Kind:
+    suites: Dict[str, Tuple[BenchmarkSpec, ...]]
+    flavors: Tuple[str, ...]
+    #: Baseline first, then the variants that get a speedup cell.
+    engines: Tuple[str, ...]
+    cells: Callable[..., Iterator[_Cell]]
+
+
+_KINDS: Dict[str, _Kind] = {
+    "solver": _Kind(
+        _SUITES, DEFAULT_FLAVORS, ("reference", "packed"), _solver_cells
+    ),
+    "datalog": _Kind(
+        _DATALOG_SUITES, DEFAULT_FLAVORS, ("reference", "compiled"), _datalog_cells
+    ),
+    "incremental": _Kind(
+        _SUITES,
+        DEFAULT_FLAVORS,
+        ("scratch",) + INCREMENTAL_EDIT_KINDS,
+        _incremental_cells,
+    ),
+    "demand": _Kind(
+        _SUITES, DEFAULT_DEMAND_FLAVORS, ("full", "query", "batch"), _demand_cells
+    ),
+}
+
+#: Every bench kind, in ``repro bench --kind`` order.
+BENCH_KINDS: Tuple[str, ...] = tuple(_KINDS)
+
+
+def _kind(kind: str) -> _Kind:
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown bench kind {kind!r}; try one of: {', '.join(BENCH_KINDS)}"
+        ) from None
+
+
 def suite_names() -> List[str]:
     return sorted(_SUITES)
 
 
-def suite_specs(suite: str) -> Tuple[BenchmarkSpec, ...]:
+def suite_specs(suite: str, kind: str = "solver") -> Tuple[BenchmarkSpec, ...]:
     try:
-        return _SUITES[suite]
+        return _kind(kind).suites[suite]
     except KeyError:
         raise ValueError(
             f"unknown suite {suite!r}; try one of: {', '.join(suite_names())}"
         ) from None
-
-
-def datalog_suite_names() -> List[str]:
-    return sorted(_DATALOG_SUITES)
-
-
-def datalog_suite_specs(suite: str) -> Tuple[BenchmarkSpec, ...]:
-    try:
-        return _DATALOG_SUITES[suite]
-    except KeyError:
-        raise ValueError(
-            f"unknown datalog suite {suite!r}; try one of: "
-            f"{', '.join(datalog_suite_names())}"
-        ) from None
-
-
-def _provenance() -> Dict[str, object]:
-    """Host/interpreter provenance recorded in every BENCH_*.json.
-
-    A speedup number is only interpretable against the machine that
-    produced it, so every report carries the Python
-    version, platform, visible CPU count, and whether the cyclic GC was
-    enabled in the harness process (the timed sections always pause it;
-    this records the ambient state around them).
-    """
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "gc_enabled": gc.isenabled(),
-    }
 
 
 def _peak_rss_kb() -> Optional[int]:
@@ -364,666 +623,100 @@ def _peak_rss_kb() -> Optional[int]:
     return int(peak)
 
 
-def run_suite(
+def run_bench(
+    kind: str = "solver",
     suite: str = "medium",
-    flavors: Sequence[str] = DEFAULT_FLAVORS,
-    repeat: int = 3,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, object]:
-    """Benchmark both engines over a suite; return the report dict.
-
-    Raises ``RuntimeError`` if the engines disagree on any cell's derived
-    tuple count (they implement the same analysis; disagreement means a
-    bug, and the timing numbers would be meaningless).
-    """
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    specs = suite_specs(suite)
-
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    entries: List[Dict[str, object]] = []
-    speedups: Dict[str, float] = {}
-    for spec in specs:
-        program = generate(spec)
-        facts = encode_program(program)
-        say(f"{spec.name}: {program.summary()}")
-        for flavor in flavors:
-            policy = policy_by_name(
-                flavor, alloc_class_of=facts.alloc_class_of
-            )
-            best_wall: Dict[str, float] = {}
-            best_cpu: Dict[str, float] = {}
-            tuples: Dict[str, int] = {}
-            for _ in range(repeat):
-                # Interleave engines so machine drift hits both equally;
-                # collect the previous run's garbage and pause the cyclic
-                # GC during each timed solve so neither engine is billed
-                # for the other's leftovers.
-                for engine in ENGINES:
-                    solve = _ENGINE_SOLVERS[engine]
-                    gc.collect()
-                    gc.disable()
-                    try:
-                        w0 = time.perf_counter()
-                        c0 = time.process_time()
-                        raw = solve(program, policy, facts=facts)
-                        cpu = time.process_time() - c0
-                        wall = time.perf_counter() - w0
-                    finally:
-                        gc.enable()
-                    if wall < best_wall.get(engine, math.inf):
-                        best_wall[engine] = wall
-                    if cpu < best_cpu.get(engine, math.inf):
-                        best_cpu[engine] = cpu
-                    tuples[engine] = raw.tuple_count
-                    raw = None
-            if tuples["packed"] != tuples["reference"]:
-                raise RuntimeError(
-                    f"engine disagreement on {spec.name}/{flavor}: "
-                    f"packed={tuples['packed']} "
-                    f"reference={tuples['reference']} tuples"
-                )
-            for engine in ENGINES:
-                seconds = best_wall[engine]
-                cpu_seconds = best_cpu[engine]
-                entries.append(
-                    {
-                        "benchmark": spec.name,
-                        "flavor": flavor,
-                        "engine": engine,
-                        "seconds": round(seconds, 6),
-                        "cpu_seconds": round(cpu_seconds, 6),
-                        "tuples": tuples[engine],
-                        "tuples_per_second": round(
-                            tuples[engine] / cpu_seconds
-                        )
-                        if cpu_seconds > 0
-                        else None,
-                        "peak_rss_kb": _peak_rss_kb(),
-                    }
-                )
-            cell = f"{spec.name}/{flavor}"
-            speedup = best_cpu["reference"] / best_cpu["packed"]
-            speedups[cell] = round(speedup, 3)
-            say(
-                f"  {flavor:7s} tuples={tuples['packed']:>9d} "
-                f"reference={best_cpu['reference']:.3f}s "
-                f"packed={best_cpu['packed']:.3f}s  {speedup:.2f}x"
-            )
-    geomean = math.exp(
-        sum(math.log(s) for s in speedups.values()) / len(speedups)
-    )
-    say(f"geomean speedup: {geomean:.2f}x")
-    return {
-        "schema": BENCH_SCHEMA,
-        "suite": suite,
-        "flavors": list(flavors),
-        "repeat": repeat,
-        "workers": 1,
-        **_provenance(),
-        "engines": list(ENGINES),
-        "entries": entries,
-        "speedups": speedups,
-        "geomean_speedup": round(geomean, 3),
-    }
-
-
-def run_datalog_suite(
-    suite: str = "medium",
-    flavors: Sequence[str] = DEFAULT_FLAVORS,
-    repeat: int = 3,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, object]:
-    """Benchmark both Datalog evaluators over a suite; return the report.
-
-    Each timed run builds a fresh :class:`DatalogPointsToAnalysis` —
-    construction loads the EDB through the same ``Database.add_fact`` path
-    for both engines, so the cells compare end-to-end model evaluation.
-    The policy is also rebuilt per run: policies memoize context tuples,
-    and a warm cache must not favor whichever engine runs second.
-
-    Raises ``RuntimeError`` if the engines disagree on any cell's total
-    database row count (same rules, same facts — disagreement is a bug).
-    """
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    specs = datalog_suite_specs(suite)
-
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    entries: List[Dict[str, object]] = []
-    speedups: Dict[str, float] = {}
-    for spec in specs:
-        program = generate(spec)
-        facts = encode_program(program)
-        say(f"{spec.name}: {program.summary()}")
-        for flavor in flavors:
-            best_wall: Dict[str, float] = {}
-            best_cpu: Dict[str, float] = {}
-            rows: Dict[str, int] = {}
-            for _ in range(repeat):
-                # Same hygiene as the solver cells: interleave engines,
-                # sweep the previous run's garbage, pause the cyclic GC
-                # while the clock runs.
-                for engine in DATALOG_ENGINES:
-                    factory = _DATALOG_ENGINE_FACTORIES[engine]
-                    policy = policy_by_name(
-                        flavor, alloc_class_of=facts.alloc_class_of
-                    )
-                    gc.collect()
-                    gc.disable()
-                    try:
-                        w0 = time.perf_counter()
-                        c0 = time.process_time()
-                        analysis = DatalogPointsToAnalysis(
-                            program,
-                            policy,
-                            facts=facts,
-                            engine_factory=factory,
-                        )
-                        analysis.run()
-                        cpu = time.process_time() - c0
-                        wall = time.perf_counter() - w0
-                    finally:
-                        gc.enable()
-                    if wall < best_wall.get(engine, math.inf):
-                        best_wall[engine] = wall
-                    if cpu < best_cpu.get(engine, math.inf):
-                        best_cpu[engine] = cpu
-                    rows[engine] = analysis.engine.db.total_rows()
-                    analysis = None
-            if rows["compiled"] != rows["reference"]:
-                raise RuntimeError(
-                    f"engine disagreement on {spec.name}/{flavor}: "
-                    f"compiled={rows['compiled']} "
-                    f"reference={rows['reference']} rows"
-                )
-            for engine in DATALOG_ENGINES:
-                seconds = best_wall[engine]
-                cpu_seconds = best_cpu[engine]
-                entries.append(
-                    {
-                        "benchmark": spec.name,
-                        "flavor": flavor,
-                        "engine": engine,
-                        "seconds": round(seconds, 6),
-                        "cpu_seconds": round(cpu_seconds, 6),
-                        "rows": rows[engine],
-                        "rows_per_second": round(rows[engine] / cpu_seconds)
-                        if cpu_seconds > 0
-                        else None,
-                        "peak_rss_kb": _peak_rss_kb(),
-                    }
-                )
-            cell = f"{spec.name}/{flavor}"
-            speedup = best_cpu["reference"] / best_cpu["compiled"]
-            speedups[cell] = round(speedup, 3)
-            say(
-                f"  {flavor:7s} rows={rows['compiled']:>9d} "
-                f"reference={best_cpu['reference']:.3f}s "
-                f"compiled={best_cpu['compiled']:.3f}s  {speedup:.2f}x"
-            )
-    geomean = math.exp(
-        sum(math.log(s) for s in speedups.values()) / len(speedups)
-    )
-    say(f"geomean speedup: {geomean:.2f}x")
-    return {
-        "schema": DATALOG_BENCH_SCHEMA,
-        "suite": suite,
-        "flavors": list(flavors),
-        "repeat": repeat,
-        "workers": 1,
-        **_provenance(),
-        "engines": list(DATALOG_ENGINES),
-        "entries": entries,
-        "speedups": speedups,
-        "geomean_speedup": round(geomean, 3),
-    }
-
-
-def run_incremental_suite(
-    suite: str = "medium",
-    flavors: Sequence[str] = DEFAULT_FLAVORS,
-    repeat: int = 3,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, object]:
-    """Benchmark warm edit-sessions against from-scratch re-analysis.
-
-    For every (benchmark, flavor) cell a single
-    :class:`~repro.incremental.session.IncrementalSession` is warmed up
-    once (unmeasured) over the packed solver, then fed ``repeat`` seeded
-    single edits of each kind in :data:`INCREMENTAL_EDIT_KINDS`.  Each
-    edit is timed end-to-end — sketch mutation, program rebuild, fact
-    diff, tier classification, and the warm solve — because that is what
-    an editing service pays per keystroke.  The best CPU time per kind is
-    compared against the best of ``repeat`` from-scratch runs — build +
-    encode + policy + solve + result-relation materialization of the
-    final edited program, the exact work a session-less server redoes
-    to answer the same queries (``session.apply`` leaves
-    ``session.relations()`` current; scratch must materialize them from
-    the raw solution); ``speedups`` is keyed ``benchmark/flavor/kind``.
-
-    Correctness is asserted, not sampled: after each cell's edits the
-    warm relations are compared tuple-for-tuple against the from-scratch
-    result over all of :data:`RESULT_RELATIONS`; any difference raises
-    ``RuntimeError`` (the timing numbers would be meaningless).  Each
-    entry also records which tiers the session actually took — a fall
-    back to ``full`` shows up in the data rather than silently inflating
-    the baseline's advantage.
-    """
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    specs = suite_specs(suite)
-
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    entries: List[Dict[str, object]] = []
-    speedups: Dict[str, float] = {}
-    for spec in specs:
-        sketch = ProgramSketch.from_program(generate(spec))
-        for flavor in flavors:
-            session = IncrementalSession(
-                sketch, analysis=flavor, engine="solver"
-            )
-            say(
-                f"{spec.name}/{flavor}: warm solve "
-                f"{session.initial_solve_seconds:.3f}s "
-                f"({session.program.summary()})"
-            )
-            # Seeded by cell name so runs are reproducible across
-            # processes (str seeds hash deterministically in random).
-            rng = random.Random(f"{spec.name}/{flavor}")
-            kind_cpu: Dict[str, float] = {}
-            kind_wall: Dict[str, float] = {}
-            kind_tiers: Dict[str, List[str]] = {}
-            kind_rows: Dict[str, int] = {}
-            for kind in INCREMENTAL_EDIT_KINDS:
-                tiers: List[str] = []
-                for _ in range(repeat):
-                    script = random_edit_script(
-                        session.sketch,
-                        rng,
-                        edits=1,
-                        allow_removals=False,
-                        kinds=(kind,),
-                    )
-                    gc.collect()
-                    gc.disable()
-                    try:
-                        w0 = time.perf_counter()
-                        c0 = time.process_time()
-                        outcome = session.apply(script)
-                        cpu = time.process_time() - c0
-                        wall = time.perf_counter() - w0
-                    finally:
-                        gc.enable()
-                    if cpu < kind_cpu.get(kind, math.inf):
-                        kind_cpu[kind] = cpu
-                        kind_wall[kind] = wall
-                    tiers.append(outcome.tier)
-                    kind_rows[kind] = outcome.result_rows_added
-                kind_tiers[kind] = tiers
-            # One from-scratch baseline per cell: the final program is
-            # one tiny edit away from every measured state, so its
-            # scratch cost stands in for each edit's non-warm cost.
-            # Timed end-to-end to the same artifact the warm path keeps
-            # current: rebuild the program from the sketch, encode,
-            # solve, and materialize the result relations.
-            scratch_cpu = math.inf
-            scratch_wall = math.inf
-            scratch: Dict[str, object] = {}
-            for _ in range(repeat):
-                gc.collect()
-                gc.disable()
-                try:
-                    w0 = time.perf_counter()
-                    c0 = time.process_time()
-                    program = session.sketch.build()
-                    facts = encode_program(program)
-                    policy = policy_by_name(
-                        flavor, alloc_class_of=facts.alloc_class_of
-                    )
-                    raw = packed_solve(program, policy, facts=facts)
-                    relations = solver_relations(raw)
-                    cpu = time.process_time() - c0
-                    wall = time.perf_counter() - w0
-                finally:
-                    gc.enable()
-                scratch_cpu = min(scratch_cpu, cpu)
-                scratch_wall = min(scratch_wall, wall)
-                scratch = dict(zip(RESULT_RELATIONS, relations))
-                raw = relations = None
-            warm = session.relations()
-            bad = [
-                name
-                for name in RESULT_RELATIONS
-                if warm[name] != scratch[name]
-            ]
-            if bad:
-                raise RuntimeError(
-                    f"warm session diverged from scratch on "
-                    f"{spec.name}/{flavor}: {', '.join(bad)}"
-                )
-            for kind in INCREMENTAL_EDIT_KINDS:
-                cell = f"{spec.name}/{flavor}/{kind}"
-                speedup = scratch_cpu / kind_cpu[kind]
-                speedups[cell] = round(speedup, 3)
-                entries.append(
-                    {
-                        "benchmark": spec.name,
-                        "flavor": flavor,
-                        "edit": kind,
-                        "tiers": kind_tiers[kind],
-                        "seconds": round(kind_wall[kind], 6),
-                        "cpu_seconds": round(kind_cpu[kind], 6),
-                        "scratch_seconds": round(scratch_wall, 6),
-                        "scratch_cpu_seconds": round(scratch_cpu, 6),
-                        "result_rows_added": kind_rows[kind],
-                        "relations_checked": list(RESULT_RELATIONS),
-                        "peak_rss_kb": _peak_rss_kb(),
-                    }
-                )
-                say(
-                    f"  {flavor:7s} {kind:9s} "
-                    f"warm={kind_cpu[kind] * 1000:7.1f}ms "
-                    f"scratch={scratch_cpu:.3f}s  {speedup:.2f}x "
-                    f"[{'/'.join(sorted(set(kind_tiers[kind])))}]"
-                )
-    geomean = math.exp(
-        sum(math.log(s) for s in speedups.values()) / len(speedups)
-    )
-    say(f"geomean speedup: {geomean:.2f}x")
-    return {
-        "schema": INCREMENTAL_BENCH_SCHEMA,
-        "suite": suite,
-        "flavors": list(flavors),
-        "repeat": repeat,
-        "edit_kinds": list(INCREMENTAL_EDIT_KINDS),
-        "workers": 1,
-        **_provenance(),
-        "engines": ["warm", "scratch"],
-        "entries": entries,
-        "speedups": speedups,
-        "geomean_speedup": round(geomean, 3),
-    }
-
-
-def run_demand_suite(
-    suite: str = "medium",
-    flavors: Sequence[str] = DEFAULT_DEMAND_FLAVORS,
+    flavors: Optional[Sequence[str]] = None,
     repeat: int = 3,
     queries: int = 6,
-    seed: int = 2014,
     progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, object]:
-    """Benchmark demand queries against full solves; return the report.
+    on_trace: Optional[Callable[[Tracer], None]] = None,
+) -> Dict[str, Any]:
+    """Benchmark one kind over a suite; return its ``bench-<kind>`` receipt.
 
-    Per (benchmark, flavor) cell: one full packed solve (best of
-    ``repeat``, the same GC hygiene as :func:`run_suite`) is the
-    baseline; ``queries`` variables drawn by a seeded RNG are then
-    answered two ways through one warm :class:`~repro.query.QueryEngine`:
-
-    * ``query`` — each variable alone, memos cleared before every timing
-      so the latency is a cold plan + sliced solve (the planner and the
-      insensitive pass stay warm — the steady state of a long-lived
-      engine, whose one-time warm-up is reported separately);
-    * ``batch`` — all variables in one ``query_batch`` sharing a single
-      union-solve; its per-query cost is the batch wall clock divided by
-      the number of variables.
-
-    Speedup cells (``bench/flavor/query`` and ``bench/flavor/batch``)
-    divide the full-solve wall clock by the per-query wall clock, so
-    they read "a query costs 1/Nth of solving the program".  Every
-    answer is asserted equal to the full solve's projection for that
-    variable — a disagreement means the slice closure is broken and the
-    timings would be meaningless.
+    ``flavors`` defaults to the kind's own sweep; ``queries`` is the
+    demand kind's sample size per benchmark.  ``on_trace`` (solver kind
+    only) adds the ``traced`` variant to the first cell and receives the
+    tracer of its last run.  Raises ``ValueError`` for bad arguments and
+    ``RuntimeError`` when a cell's variants disagree.
     """
+    bench = _kind(kind)
+    specs = suite_specs(suite, kind)
+    flavors = list(flavors if flavors is not None else bench.flavors)
+    if not flavors:
+        raise ValueError("no flavors to benchmark")
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
     if queries < 1:
         raise ValueError("queries must be >= 1")
-    from ..analysis import analyze
-    from ..query import QueryEngine
+    if on_trace is not None and kind != "solver":
+        raise ValueError("tracing times the solver kind's packed engine only")
+    say = progress if progress is not None else (lambda _msg: None)
+    baseline, live = bench.engines[0], bench.engines[1:]
 
-    specs = suite_specs(suite)
-    rng = random.Random(seed)
-
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    entries: List[Dict[str, object]] = []
+    entries: List[Dict[str, Any]] = []
     speedups: Dict[str, float] = {}
-    footprints: List[float] = []
-    warmup_seconds: Dict[str, float] = {}
-    for spec in specs:
-        program = generate(spec)
-        facts = encode_program(program)
-        say(f"{spec.name}: {program.summary()}")
-        all_vars = sorted({var for var, _m in facts.varinmeth})
-        picked = rng.sample(all_vars, min(queries, len(all_vars)))
-        w0 = time.perf_counter()
-        engine = QueryEngine(program, facts=facts)
-        warmup_seconds[spec.name] = round(time.perf_counter() - w0, 6)
-        for flavor in flavors:
-            policy = engine.policy(flavor)
-            full_wall = math.inf
-            full = None
-            for _ in range(repeat):
-                gc.collect()
-                gc.disable()
-                try:
-                    t0 = time.perf_counter()
-                    raw = analyze(program, policy, facts=facts)
-                    wall = time.perf_counter() - t0
-                finally:
-                    gc.enable()
-                if wall < full_wall:
-                    full_wall = wall
-                    full = raw
-                raw = None
-            cell_speedups: List[float] = []
-            for var in picked:
-                best = math.inf
-                answer = None
-                for _ in range(repeat):
-                    engine.clear_memos()
-                    gc.collect()
-                    gc.disable()
-                    try:
-                        answer = engine.query(var, flavor)
-                    finally:
-                        gc.enable()
-                    best = min(best, answer.seconds)
-                expected = frozenset(full.var_points_to.get(var, ()))
-                if answer.points_to != expected:
-                    raise RuntimeError(
-                        f"demand/full disagreement on "
-                        f"{spec.name}/{flavor}/{var}: "
-                        f"query={len(answer.points_to)} "
-                        f"full={len(expected)} heaps"
-                    )
-                speedup = full_wall / best if best > 0 else math.inf
-                cell_speedups.append(speedup)
-                footprints.append(answer.footprint)
-                entries.append(
-                    {
-                        "benchmark": spec.name,
-                        "flavor": flavor,
-                        "var": var,
-                        "query_seconds": round(best, 6),
-                        "full_seconds": round(full_wall, 6),
-                        "speedup": round(speedup, 3),
-                        "points_to": len(answer.points_to),
-                        "slice_variables": answer.slice_variables,
-                        "slice_methods": answer.slice_methods,
-                        "slice_tuples": answer.slice_tuples,
-                        "footprint": round(answer.footprint, 6),
-                        "peak_rss_kb": _peak_rss_kb(),
-                    }
-                )
-            batch_wall = math.inf
-            for _ in range(repeat):
-                engine.clear_memos()
-                gc.collect()
-                gc.disable()
-                try:
-                    t0 = time.perf_counter()
-                    outcomes = engine.query_batch(picked, flavor)
-                    wall = time.perf_counter() - t0
-                finally:
-                    gc.enable()
-                batch_wall = min(batch_wall, wall)
-            for outcome in outcomes:
-                expected = frozenset(
-                    full.var_points_to.get(outcome.var, ())
-                )
-                if (
-                    outcome.answer is None
-                    or outcome.answer.points_to != expected
-                ):
-                    raise RuntimeError(
-                        f"batch/full disagreement on "
-                        f"{spec.name}/{flavor}/{outcome.var}"
-                    )
-            per_query = batch_wall / len(picked)
-            cell = f"{spec.name}/{flavor}"
-            query_speedup = math.exp(
-                sum(math.log(s) for s in cell_speedups)
-                / len(cell_speedups)
+    trace: Optional[Dict[str, Any]] = None
+    cells = bench.cells(specs, flavors, say, queries=queries, on_trace=on_trace)
+    for cell in cells:
+        timings, outputs = best_of(repeat, cell.variants, cell.measure)
+        details = cell.check(outputs)
+        name = f"{cell.benchmark}/{cell.flavor}"
+        if "traced" in timings:
+            untraced = timings["packed"].cpu_seconds
+            traced = timings.pop("traced").cpu_seconds
+            overhead = (traced / max(untraced, 1e-9) - 1.0) * 100.0
+            trace = {
+                "benchmark": cell.benchmark,
+                "flavor": cell.flavor,
+                "untraced_cpu_seconds": round(untraced, 6),
+                "traced_cpu_seconds": round(traced, 6),
+                "overhead_percent": round(overhead, 2),
+                **details["traced"],
+            }
+            say(f"  trace: {name} overhead={overhead:+.2f}%")
+        for variant, timing in timings.items():
+            entries.append(
+                {
+                    "benchmark": cell.benchmark,
+                    "flavor": cell.flavor,
+                    "engine": variant,
+                    "seconds": round(timing.seconds, 6),
+                    "cpu_seconds": round(timing.cpu_seconds, 6),
+                    **details[variant],
+                    "peak_rss_kb": _peak_rss_kb(),
+                }
             )
-            batch_speedup = full_wall / per_query if per_query > 0 else math.inf
-            speedups[f"{cell}/query"] = round(query_speedup, 3)
-            speedups[f"{cell}/batch"] = round(batch_speedup, 3)
-            say(
-                f"  {flavor:15s} full={full_wall:.3f}s "
-                f"query={query_speedup:.1f}x batch={batch_speedup:.1f}x"
-            )
-            full = None
+        base = timings[baseline].cpu_seconds
+        ratios = []
+        for variant in live:
+            key = name if len(live) == 1 else f"{name}/{variant}"
+            per_answer = timings[variant].cpu_seconds / cell.queries
+            speedups[key] = round(base / max(per_answer, 1e-9), 3)
+            ratios.append(f"{variant}={speedups[key]:.2f}x")
+        say(f"  {name}: {baseline}={base:.3f}s {' '.join(ratios)}")
     geomean = math.exp(
         sum(math.log(s) for s in speedups.values()) / len(speedups)
     )
-    ordered = sorted(footprints)
-    median_footprint = ordered[len(ordered) // 2]
-    say(
-        f"geomean speedup: {geomean:.2f}x  "
-        f"median footprint: {median_footprint:.4f}"
-    )
-    return {
-        "schema": DEMAND_BENCH_SCHEMA,
+    say(f"geomean speedup: {geomean:.2f}x")
+    payload: Dict[str, Any] = {
         "suite": suite,
-        "flavors": list(flavors),
+        "flavors": flavors,
         "repeat": repeat,
-        "queries": queries,
-        "seed": seed,
-        "workers": 1,
-        **_provenance(),
-        "engines": ["packed-full", "packed-slice"],
-        "warmup_seconds": warmup_seconds,
+        "engines": list(bench.engines),
         "entries": entries,
         "speedups": speedups,
-        "median_footprint": round(median_footprint, 6),
         "geomean_speedup": round(geomean, 3),
     }
-
-
-def run_trace_cell(
-    suite: str = "medium",
-    flavor: str = "2objH",
-    repeat: int = 3,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Tuple[Dict[str, object], Tracer]:
-    """Measure tracing overhead on one cell; return (cell report, tracer).
-
-    Runs the first benchmark of ``suite`` under the packed solver twice
-    per repeat — once with a :class:`~repro.obs.Tracer` attached, once
-    without, interleaved with the same GC hygiene as :func:`run_suite` —
-    and keeps the best CPU time of each mode.  ``overhead_percent`` is how
-    much slower the best traced solve was than the best untraced one; the
-    tracer's design target is <5% (``docs/observability.md``).  The two
-    modes must derive the same tuple count — tracing that changed the
-    result would be a bug, and :mod:`repro.fuzz` has an oracle for it.
-
-    The returned tracer holds the spans of the *last* traced solve (each
-    repeat uses a fresh tracer so span counts describe one run).
-    """
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    spec = suite_specs(suite)[0]
-    program = generate(spec)
-    facts = encode_program(program)
-    policy = policy_by_name(flavor, alloc_class_of=facts.alloc_class_of)
-
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    say(f"trace cell: {spec.name}/{flavor} ({program.summary()})")
-    best_cpu = {"traced": math.inf, "untraced": math.inf}
-    tuples: Dict[str, int] = {}
-    tracer = Tracer()
-    for _ in range(repeat):
-        for mode in ("untraced", "traced"):
-            cell_tracer = Tracer() if mode == "traced" else None
-            gc.collect()
-            gc.disable()
-            try:
-                c0 = time.process_time()
-                raw = packed_solve(
-                    program, policy, facts=facts, tracer=cell_tracer
-                )
-                cpu = time.process_time() - c0
-            finally:
-                gc.enable()
-            best_cpu[mode] = min(best_cpu[mode], cpu)
-            tuples[mode] = raw.tuple_count
-            if cell_tracer is not None:
-                tracer = cell_tracer
-            raw = None
-    if tuples["traced"] != tuples["untraced"]:
-        raise RuntimeError(
-            f"tracing changed the result on {spec.name}/{flavor}: "
-            f"traced={tuples['traced']} untraced={tuples['untraced']} tuples"
-        )
-    overhead = (
-        (best_cpu["traced"] / best_cpu["untraced"] - 1.0) * 100.0
-        if best_cpu["untraced"] > 0
-        else 0.0
-    )
-    say(
-        f"  untraced={best_cpu['untraced']:.3f}s "
-        f"traced={best_cpu['traced']:.3f}s  overhead={overhead:+.2f}%"
-    )
-    cell: Dict[str, object] = {
-        "benchmark": spec.name,
-        "flavor": flavor,
-        "repeat": repeat,
-        "tuples": tuples["traced"],
-        "untraced_cpu_seconds": round(best_cpu["untraced"], 6),
-        "traced_cpu_seconds": round(best_cpu["traced"], 6),
-        "overhead_percent": round(overhead, 2),
-        "span_names": tracer.span_names(),
-        "events": len(tracer.chrome_trace()["traceEvents"]),
-    }
-    return cell, tracer
-
-
-def write_report(report: Dict[str, object], path: str) -> None:
-    """Write a ``BENCH_*.json`` report atomically.
-
-    An interrupted bench run (ctrl-C, OOM kill, power loss) must never
-    leave a truncated report behind — downstream, the results warehouse
-    ingests these files as evidence, and a half-written artifact would
-    poison the trajectory.  ``atomic_write_text`` serializes fully
-    first, then lands the bytes via temp file + ``os.replace``.
-    """
-    atomic_write_text(
-        path, json.dumps(report, indent=2, sort_keys=False) + "\n"
+    if trace is not None:
+        payload["trace"] = trace
+    return make_receipt(
+        f"bench-{kind}",
+        identity={
+            "suite": suite,
+            "flavors": flavors,
+            "engines": list(bench.engines),
+        },
+        payload=payload,
+        created_at=time.time(),
     )

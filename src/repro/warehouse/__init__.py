@@ -1,15 +1,13 @@
 """The results warehouse: receipts in, scored trajectories out.
 
-Every performance claim in this repository used to live in point-in-time
-``BENCH_*.json`` artifacts, read by hand.  The warehouse makes the
-trajectory a queryable, gateable artifact instead:
+Every performance claim in this repository is a receipt; the warehouse
+makes their trajectory a queryable, gateable artifact:
 
 * :mod:`repro.warehouse.receipt` — the schema-versioned,
   content-addressed receipt (``repro-receipt/1``) every producer
   appends: bench suites, fuzz campaigns, completed service jobs;
-* :mod:`repro.warehouse.adapters` — schema adapters lifting the
-  committed legacy ``BENCH_*.json`` artifacts (and fresh producer
-  output) into receipts;
+* :mod:`repro.warehouse.adapters` — the fuzz and service receipt
+  builders, and the file/directory loader behind ``repro report``;
 * :mod:`repro.warehouse.scoring` — binning into (suite, flavor, engine)
   cells, geomean speedups, regression deltas vs a baseline;
 * :mod:`repro.warehouse.reporting` — the ``repro report`` table and the
@@ -21,10 +19,7 @@ against its baseline receipt.  See ``docs/warehouse.md``.
 """
 
 from .adapters import (
-    adapt,
     ingest,
-    load_any,
-    receipt_from_bench_report,
     receipt_from_fuzz_campaign,
     receipt_from_service_job,
 )
@@ -52,7 +47,6 @@ __all__ = [
     "RECEIPT_SCHEMA",
     "REPORT_SCHEMA",
     "Sample",
-    "adapt",
     "canonical_bytes",
     "cells_of",
     "dump_receipt",
@@ -62,12 +56,10 @@ __all__ = [
     "host_provenance",
     "ingest",
     "iter_receipts",
-    "load_any",
     "load_receipt",
     "make_receipt",
     "receipt_digest",
     "receipt_filename",
-    "receipt_from_bench_report",
     "receipt_from_fuzz_campaign",
     "receipt_from_service_job",
     "render_table",

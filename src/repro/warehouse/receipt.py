@@ -6,15 +6,17 @@ with everything needed to interpret the numbers later:
 
 * ``kind`` — which producer wrote it (one of :data:`KINDS`);
 * ``created_at`` — unix seconds when the run finished (``null`` for
-  receipts adapted from legacy ``BENCH_*.json`` artifacts, which carry
-  no timestamp; the scorer orders them before any stamped receipt);
-* ``provenance`` — the host block every ``BENCH_*.json`` already carries
+  the committed receipts converted from pre-warehouse bench reports,
+  which carry no timestamp; the scorer orders them before any stamped
+  receipt);
+* ``provenance`` — the host block
   (``python``/``platform``/``cpu_count``/``gc_enabled``) plus
   ``git_rev``, the commit the producing tree was at (``null`` when the
   run happened outside a git checkout);
 * ``identity`` — the suite/flavor/engine coordinates of the run, enough
   to bin its cells without parsing the payload;
-* ``payload`` — the producer's full report, verbatim.
+* ``payload`` — the producer's full report (for bench kinds, the
+  per-kind payload documented in ``docs/performance.md``).
 
 Receipts are content-addressed exactly like the fuzz corpus
 (:mod:`repro.fuzz.corpus`): the file name is
@@ -66,8 +68,7 @@ KINDS = (
     "service-job",
 )
 
-#: Host keys required in every provenance block (mirrors the block
-#: ``harness.bench._provenance`` stamps into every ``BENCH_*.json``).
+#: Host keys required in every provenance block.
 PROVENANCE_KEYS = ("python", "platform", "cpu_count", "gc_enabled", "git_rev")
 
 
@@ -155,7 +156,7 @@ def make_receipt(
     """Assemble (and validate) one receipt dict.
 
     ``provenance=None`` stamps the current host; pass an explicit block
-    when adapting a legacy report whose run happened elsewhere.
+    for results measured elsewhere.
     """
     receipt: Dict[str, Any] = {
         "schema": RECEIPT_SCHEMA,

@@ -170,11 +170,17 @@ class TestSaveFlags:
         assert ".facts files" in out and "relation files" in out
 
 
+def _only_receipt(store):
+    from repro.warehouse import iter_receipts, load_receipt
+
+    (path,) = iter_receipts(str(store))
+    return load_receipt(path)
+
+
 class TestBenchSuite:
     """``repro bench`` with no benchmark name runs the engine comparison."""
 
     def test_tiny_suite_writes_report(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_solver.json"
         rc = main(
             [
                 "bench",
@@ -182,21 +188,19 @@ class TestBenchSuite:
                 "tiny",
                 "--repeat",
                 "1",
-                "--output",
-                str(out_path),
+                "--receipt-dir",
+                str(tmp_path),
             ]
         )
         assert rc == 0
-        assert "geomean" in capsys.readouterr().out
-        import json
-
-        report = json.loads(out_path.read_text())
-        assert report["schema"] == "repro-bench-solver/1"
-        assert report["suite"] == "tiny"
-        assert report["entries"]
+        out = capsys.readouterr().out
+        assert "geomean" in out and "receipt appended:" in out
+        receipt = _only_receipt(tmp_path)
+        assert receipt["kind"] == "bench-solver"
+        assert receipt["payload"]["suite"] == "tiny"
+        assert receipt["payload"]["entries"]
 
     def test_flavor_subset(self, tmp_path, capsys):
-        out_path = tmp_path / "b.json"
         rc = main(
             [
                 "bench",
@@ -206,21 +210,29 @@ class TestBenchSuite:
                 "1",
                 "--flavors",
                 "2objH",
-                "--output",
-                str(out_path),
+                "--receipt-dir",
+                str(tmp_path),
             ]
         )
         assert rc == 0
-        import json
+        assert _only_receipt(tmp_path)["payload"]["flavors"] == ["2objH"]
 
-        assert json.loads(out_path.read_text())["flavors"] == ["2objH"]
+    def test_receipt_dir_defaults_to_the_working_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["bench", "--kind", "datalog", "--suite", "tiny",
+                   "--repeat", "1", "--flavors", "2objH"])
+        assert rc == 0
+        assert _only_receipt(tmp_path)["kind"] == "bench-datalog"
 
     def test_unknown_suite_is_an_error(self, tmp_path, capsys):
         rc = main(
-            ["bench", "--suite", "nope", "--output", str(tmp_path / "x.json")]
+            ["bench", "--suite", "nope", "--receipt-dir", str(tmp_path)]
         )
         assert rc == 2
         assert "unknown suite" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBench:
@@ -311,36 +323,30 @@ class TestTrace:
     def test_bench_suite_trace_cell(self, tmp_path, capsys):
         import json
 
-        out_path = tmp_path / "BENCH_solver.json"
         trace_path = tmp_path / "trace.json"
         rc = main(
             ["bench", "--suite", "tiny", "--repeat", "1",
-             "--flavors", "2objH", "--output", str(out_path),
+             "--flavors", "2objH", "--receipt-dir", str(tmp_path / "wh"),
              "--trace", str(trace_path)]
         )
         assert rc == 0
-        report = json.loads(out_path.read_text())
-        cell = report["trace"]
+        cell = _only_receipt(tmp_path / "wh")["payload"]["trace"]
         assert cell["benchmark"] == "micro"
         assert cell["flavor"] == "2objH"
         assert cell["untraced_cpu_seconds"] > 0
         assert cell["traced_cpu_seconds"] > 0
         assert isinstance(cell["overhead_percent"], float)
         assert "solver.propagate" in cell["span_names"]
-        assert cell["events"] > 0
         trace = json.loads(trace_path.read_text())
-        assert trace["traceEvents"]
+        assert len(trace["traceEvents"]) == cell["events"] > 0
 
     def test_bench_suite_without_trace_keeps_schema(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "b.json"
         rc = main(
             ["bench", "--suite", "tiny", "--repeat", "1",
-             "--flavors", "2objH", "--output", str(out_path)]
+             "--flavors", "2objH", "--receipt-dir", str(tmp_path)]
         )
         assert rc == 0
-        assert "trace" not in json.loads(out_path.read_text())
+        assert "trace" not in _only_receipt(tmp_path)["payload"]
 
 
 class TestQuery:
@@ -420,35 +426,42 @@ class TestQuery:
 
 class TestBenchDemand:
     def test_tiny_demand_suite_writes_report(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "BENCH_demand.json"
         rc = main(
-            ["bench", "--demand", "--suite", "tiny", "--repeat", "1",
+            ["bench", "--kind", "demand", "--suite", "tiny", "--repeat", "1",
              "--queries", "2", "--flavors", "2objH",
-             "--output", str(out_path)]
+             "--receipt-dir", str(tmp_path)]
         )
         assert rc == 0
-        report = json.loads(out_path.read_text())
-        assert report["schema"] == "repro-bench-demand/1"
-        assert report["suite"] == "tiny"
-        assert report["queries"] == 2
-        assert report["entries"]
-        assert report["geomean_speedup"] > 0
-        assert 0.0 < report["median_footprint"] <= 1.0
-        for key in report["speedups"]:
+        receipt = _only_receipt(tmp_path)
+        assert receipt["kind"] == "bench-demand"
+        payload = receipt["payload"]
+        assert payload["suite"] == "tiny"
+        assert {e["queries"] for e in payload["entries"]} == {2}
+        assert payload["geomean_speedup"] > 0
+        for key in payload["speedups"]:
             assert key.rsplit("/", 1)[1] in ("query", "batch")
 
     def test_demand_default_flavors_include_introspective(self, tmp_path):
         """With no --flavors, the demand suite covers an introspective
         variant (the paper's pairing: demand queries x introspection)."""
-        import json
-
-        out_path = tmp_path / "d.json"
         rc = main(
-            ["bench", "--demand", "--suite", "tiny", "--repeat", "1",
-             "--queries", "1", "--output", str(out_path)]
+            ["bench", "--kind", "demand", "--suite", "tiny", "--repeat", "1",
+             "--queries", "1", "--receipt-dir", str(tmp_path)]
         )
         assert rc == 0
-        flavors = json.loads(out_path.read_text())["flavors"]
-        assert "introspective-A" in flavors
+        assert "introspective-A" in _only_receipt(tmp_path)["payload"]["flavors"]
+
+    def test_explicit_flavors_are_recorded_exactly(self, tmp_path):
+        """An explicit --flavors list is never swapped for the kind's
+        default sweep, even when it equals another kind's default."""
+        rc = main(
+            ["bench", "--kind", "demand", "--suite", "tiny", "--repeat", "1",
+             "--queries", "1", "--flavors", "2objH,2typeH,2callH",
+             "--receipt-dir", str(tmp_path)]
+        )
+        assert rc == 0
+        receipt = _only_receipt(tmp_path)
+        assert receipt["identity"]["flavors"] == ["2objH", "2typeH", "2callH"]
+        assert {e["flavor"] for e in receipt["payload"]["entries"]} == {
+            "2objH", "2typeH", "2callH"
+        }

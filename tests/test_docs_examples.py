@@ -19,11 +19,12 @@ def extract_block(path: Path, language: str, index: int = 0) -> str:
     return blocks[index]
 
 
-def schema_block(path: Path, schema: str) -> dict:
-    """The one ``json`` block in ``path`` whose ``"schema"`` is ``schema``.
+def payload_block(path: Path, engines: list) -> dict:
+    """The one ``json`` block in ``path`` documenting the bench payload
+    whose ``"engines"`` is ``engines`` (each kind has its own list).
 
     Selected by value, not position, so adding or deleting another
-    section of a doc cannot silently re-point a schema test.
+    section of a doc cannot silently re-point a payload test.
     """
     import json
 
@@ -33,12 +34,32 @@ def schema_block(path: Path, schema: str) -> dict:
             data = json.loads(block)
         except json.JSONDecodeError:
             continue
-        if isinstance(data, dict) and data.get("schema") == schema:
+        if isinstance(data, dict) and data.get("engines") == engines:
             found.append(data)
     assert len(found) == 1, (
-        f"{len(found)} json blocks with schema {schema!r} in {path.name}"
+        f"{len(found)} json blocks with engines {engines!r} in {path.name}"
     )
     return found[0]
+
+
+def assert_payload_documented(doc: str, kind: str, **options) -> dict:
+    """The doc's payload example for ``kind`` has exactly the keys of a
+    real tiny-suite receipt's payload, of its entry for the same engine,
+    and of its trace block."""
+    from repro.harness.bench import run_bench
+
+    real = run_bench(kind, "tiny", flavors=("2objH",), repeat=1, **options)
+    payload = real["payload"]
+    example = payload_block(DOCS / doc, payload["engines"])
+    assert set(example) == set(payload)
+    (documented,) = example["entries"]
+    entry = next(
+        e for e in payload["entries"] if e["engine"] == documented["engine"]
+    )
+    assert set(documented) == set(entry)
+    if "trace" in payload:
+        assert set(example["trace"]) == set(payload["trace"])
+    return payload
 
 
 class TestSurfaceLanguageDoc:
@@ -120,40 +141,18 @@ class TestFuzzingDoc:
 
 
 class TestPerformanceDoc:
-    def test_schema_example_matches_real_report(self):
-        """The BENCH_solver.json example in performance.md must have
-        exactly the keys a real harness report has."""
-        from repro.harness.bench import BENCH_SCHEMA, run_suite
+    """Each documented bench payload has exactly a real receipt's keys."""
 
-        example = schema_block(DOCS / "performance.md", BENCH_SCHEMA)
-        report = run_suite("tiny", flavors=("2objH",), repeat=1)
-        assert set(example) == set(report)
-        assert set(example["entries"][0]) == set(report["entries"][0])
+    def test_schema_example_matches_real_report(self):
+        assert_payload_documented(
+            "performance.md", "solver", on_trace=lambda _tracer: None
+        )
 
     def test_datalog_schema_example_matches_real_report(self):
-        """The BENCH_datalog.json example must have exactly the keys a
-        real Datalog-suite report has."""
-        from repro.harness.bench import DATALOG_BENCH_SCHEMA, run_datalog_suite
-
-        example = schema_block(DOCS / "performance.md", DATALOG_BENCH_SCHEMA)
-        report = run_datalog_suite("tiny", flavors=("2objH",), repeat=1)
-        assert set(example) == set(report)
-        assert set(example["entries"][0]) == set(report["entries"][0])
+        assert_payload_documented("performance.md", "datalog")
 
     def test_incremental_schema_example_matches_real_report(self):
-        """The BENCH_incremental.json example must have exactly the keys
-        a real incremental-suite report has."""
-        from repro.harness.bench import (
-            INCREMENTAL_BENCH_SCHEMA,
-            run_incremental_suite,
-        )
-
-        example = schema_block(
-            DOCS / "performance.md", INCREMENTAL_BENCH_SCHEMA
-        )
-        report = run_incremental_suite("tiny", flavors=("2objH",), repeat=1)
-        assert set(example) == set(report)
-        assert set(example["entries"][0]) == set(report["entries"][0])
+        assert_payload_documented("performance.md", "incremental")
 
 
 class TestObservabilityDoc:
@@ -229,22 +228,17 @@ class TestWarehouseDoc:
         validation and carry exactly the keys real receipts carry."""
         import json
 
-        from repro.warehouse import (
-            cells_of,
-            receipt_from_bench_report,
-            validate_receipt,
-        )
+        from repro.harness.bench import run_bench
+        from repro.warehouse import cells_of, validate_receipt
 
         example = json.loads(extract_block(DOCS / "warehouse.md", "json"))
         validate_receipt(example)
 
         # Same shape as a receipt the producers actually write.
-        report = json.loads(
-            (DOCS.parent / "BENCH_solver.json").read_text()
-        )
-        real = receipt_from_bench_report(report)
+        real = run_bench("solver", "tiny", flavors=("2objH",), repeat=1)
         assert set(example) == set(real)
-        assert set(example["provenance"]) == set(real["provenance"])
+        for block in ("provenance", "identity", "payload"):
+            assert set(example[block]) == set(real[block]), block
 
         # And it bins like one: a speedup cell per speedups entry.
         (cell,) = cells_of(example)
@@ -320,18 +314,12 @@ class TestQueriesDoc:
         assert namespace["answer"].points_to  # non-empty under 2objH
 
     def test_bench_schema_example_matches_real_report(self):
-        """The BENCH_demand.json example must have exactly the keys a
-        real demand-suite report has."""
-        from repro.harness.bench import DEMAND_BENCH_SCHEMA, run_demand_suite
-
-        example = schema_block(DOCS / "queries.md", DEMAND_BENCH_SCHEMA)
-        report = run_demand_suite(
-            "tiny", flavors=("2objH",), repeat=1, queries=2
+        """The demand payload example has exactly a real receipt's keys,
+        and every cell appears twice: once per query mode."""
+        payload = assert_payload_documented(
+            "queries.md", "demand", queries=2
         )
-        assert set(example) == set(report)
-        assert set(example["entries"][0]) == set(report["entries"][0])
-        # Every cell appears twice: once per query mode.
-        for key in report["speedups"]:
+        for key in payload["speedups"]:
             assert key.rsplit("/", 1)[1] in ("query", "batch")
 
     def test_http_payload_examples_match_service(self):

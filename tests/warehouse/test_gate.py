@@ -14,31 +14,39 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.warehouse import adapt, gate_failures, score, trajectory
+from repro.warehouse import gate_failures, make_receipt, score, trajectory
 
 FLAVOR = "2objH"
 CELL = f"bench-solver:small:minihub/{FLAVOR}/packed"
 
 
-def _report(speedup: float) -> dict:
-    """Minimal ``repro-bench-solver/1`` report with one speedup cell."""
-    return {
-        "schema": "repro-bench-solver/1",
-        "suite": "small",
-        "flavors": [FLAVOR],
-        "engines": ["reference", "packed"],
-        "speedups": {f"minihub/{FLAVOR}": speedup},
-        "python": "3.11.0",
-        "platform": "linux",
-        "cpu_count": 4,
-        "gc_enabled": True,
-    }
+def _receipt(speedup: float) -> dict:
+    """Minimal ``bench-solver`` receipt with one speedup cell.
+
+    Unstamped (``created_at`` null), so ingestion order is the trajectory.
+    """
+    return make_receipt(
+        "bench-solver",
+        identity={"suite": "small", "flavors": [FLAVOR]},
+        payload={
+            "suite": "small",
+            "engines": ["reference", "packed"],
+            "speedups": {f"minihub/{FLAVOR}": speedup},
+        },
+        provenance={
+            "python": "3.11.0",
+            "platform": "linux",
+            "cpu_count": 4,
+            "gc_enabled": True,
+            "git_rev": None,
+        },
+    )
 
 
 def _score(*speedups: float):
     """Score a trajectory of single-cell receipts in ingestion order."""
     receipts = [
-        (f"r{i}.json", adapt(_report(s))) for i, s in enumerate(speedups)
+        (f"r{i}.json", _receipt(s)) for i, s in enumerate(speedups)
     ]
     return receipts, score(receipts)
 
@@ -89,7 +97,7 @@ class TestThresholdBoundary:
 class TestGateCli:
     def _write(self, tmp_path, name: str, speedup: float) -> str:
         path = tmp_path / name
-        path.write_text(json.dumps(_report(speedup)) + "\n")
+        path.write_text(json.dumps(_receipt(speedup)) + "\n")
         return str(path)
 
     def test_regression_exits_two_and_names_the_cell(self, tmp_path, capsys):
