@@ -1,4 +1,4 @@
-"""Demand-driven baseline: query footprint vs whole-program analysis.
+"""Demand-driven queries: query footprint vs whole-program analysis.
 
 The demand-driven literature's selling point is footprint: answering one
 ``pts(v)`` query explores only ``v``'s backward flow slice.  On the jython
@@ -7,12 +7,14 @@ contents, strategy results) each visit a small fraction of the program's
 variables while returning exactly the whole-program insensitive answer —
 whereas an all-points client would issue thousands of such queries, which
 is the regime where the paper's introspective analysis (one two-pass run)
-is the right tool.
+is the right tool.  The queries run on :class:`repro.query.QueryEngine`,
+the same sliced solver the service's ``POST /queries`` uses; a query's
+footprint is its planned slice.
 """
 
 import pytest
 
-from repro.baselines import DemandPointsTo
+from repro.query import QueryEngine
 
 
 QUERIES = [
@@ -26,8 +28,8 @@ QUERIES = [
 def run_queries(cache):
     program, facts = cache.program("jython")
     insens = cache.insens("jython")
-    engine = DemandPointsTo.from_insensitive_result(program, facts, insens)
-    answers = {var: engine.query(var) for var in QUERIES}
+    engine = QueryEngine(program, facts=facts, insens=insens)
+    answers = {var: engine.query(var, "insens") for var in QUERIES}
     return facts, insens, answers
 
 
@@ -38,10 +40,10 @@ def test_demand_footprint(benchmark, cache):
     total_vars = len(facts.varinmeth)
     print()
     for var, answer in answers.items():
-        fraction = answer.visited_variables / total_vars
+        fraction = answer.slice_variables / total_vars
         print(
             f"{var:35s} {len(answer.points_to)} heaps, "
-            f"{answer.visited_variables}/{total_vars} vars "
+            f"{answer.slice_variables}/{total_vars} vars "
             f"({100 * fraction:.1f}%)"
         )
         # exactness against the whole-program insensitive result
@@ -51,5 +53,5 @@ def test_demand_footprint(benchmark, cache):
         assert fraction < 0.25, var
 
     # client-style queries together still cover a minority of the program
-    union = max(a.visited_variables for a in answers.values())
+    union = max(a.slice_variables for a in answers.values())
     assert union < total_vars / 2

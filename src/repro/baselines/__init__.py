@@ -1,6 +1,9 @@
-"""Baseline techniques the paper compares against (Section 5)."""
+"""Baseline techniques the paper compares against (Section 5).
 
-from .demand import DemandAnswer, DemandPointsTo
+Demand-driven ``pts(v)`` queries, the other Section 5 comparison, are
+answered by :class:`repro.query.QueryEngine`.
+"""
+
 from .pruning import (
     PruningOutcome,
     build_pruned_program,
@@ -10,8 +13,6 @@ from .pruning import (
 )
 
 __all__ = [
-    "DemandAnswer",
-    "DemandPointsTo",
     "PruningOutcome",
     "build_pruned_program",
     "keep_set",

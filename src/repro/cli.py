@@ -481,13 +481,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from .cluster import run_worker
 
     return run_worker(
-        args.coordinator,
-        host=args.host,
-        port=args.port,
-        poll_interval=args.poll_interval,
-        cache_capacity=args.cache_size,
-        cache_dir=args.cache_dir,
-        name=args.name,
+        args.coordinator, poll_interval=args.poll_interval, name=args.name
     )
 
 
@@ -746,34 +740,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="coordinator base URL, e.g. http://127.0.0.1:8080",
     )
     p_worker.add_argument(
-        "--host", default="127.0.0.1", help="bind address for the cache shard"
-    )
-    p_worker.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="cache-shard bind port (default 0 = ephemeral)",
-    )
-    p_worker.add_argument(
         "--poll-interval",
         type=float,
         default=0.2,
         metavar="SECONDS",
         help="sleep between lease polls when the queue is empty "
         "(default 0.2)",
-    )
-    p_worker.add_argument(
-        "--cache-size",
-        type=int,
-        default=128,
-        metavar="N",
-        help="in-memory shard-cache capacity (entries); default 128",
-    )
-    p_worker.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="enable the on-disk shard-cache tier under DIR",
     )
     p_worker.add_argument(
         "--name", default=None, help="human-readable worker name"

@@ -5,13 +5,13 @@ The cluster layer takes the single-process analysis service multi-node
 
 * a **coordinator** (``repro serve --journal FILE``) that journals every
   accepted job to an fsynced append-only log and replays it on restart,
-  so a coordinator crash loses no accepted work;
+  so a coordinator crash loses no accepted work; it keeps the one result
+  cache, answering hits before a job is leased and filling it from
+  worker completions;
 * **workers** (``repro worker --coordinator URL``) that register,
   heartbeat, and pull jobs over stdlib HTTP — a worker that misses its
   heartbeat window has its leases expired and jobs requeued, with a
   bounded retry count before dead-lettering;
-* the **result cache sharded** across all nodes by consistent hashing
-  on ``FactBase.digest()``, with local fallback on peer failure;
 * **backpressure**: a bounded queue depth, answered with ``429`` +
   ``Retry-After`` on ``POST /jobs``.
 
@@ -26,18 +26,14 @@ from .journal import (
     pending_jobs,
     read_journal,
 )
-from .ring import HashRing
-from .shard import ShardedResultCache
 from .worker import WorkerNode, run_worker
 
 __all__ = [
     "Backpressure",
     "ClusterConfig",
     "ClusterCoordinator",
-    "HashRing",
     "JOURNAL_SCHEMA",
     "JobJournal",
-    "ShardedResultCache",
     "WorkerNode",
     "pending_jobs",
     "read_journal",

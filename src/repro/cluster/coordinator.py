@@ -2,7 +2,7 @@
 
 :class:`ClusterCoordinator` is an extension object attached to an
 :class:`~repro.service.api.AnalysisService` (``service.cluster``).  It
-adds four responsibilities on top of the single-process service, without
+adds three responsibilities on top of the single-process service, without
 changing its behavior when no workers ever join:
 
 * **Durable intake** — every job accepted on ``POST /jobs`` is appended
@@ -13,9 +13,6 @@ changing its behavior when no workers ever join:
   jobs.  A granted lease ties a running job to one worker; a worker that
   misses its heartbeat window has its leases expired and the jobs
   requeued, up to ``max_retries`` requeues before dead-lettering.
-* **Cache sharding** — the result cache is sharded across the
-  coordinator and all live workers by consistent hashing on
-  ``FactBase.digest()`` (see :mod:`repro.cluster.shard`).
 * **Backpressure** — a bounded queue depth; submissions past it are
   rejected with :class:`Backpressure`, which the HTTP layer turns into
   ``429`` + ``Retry-After``.
@@ -23,7 +20,9 @@ changing its behavior when no workers ever join:
 The local dispatcher keeps running: with zero live workers the
 coordinator executes jobs exactly as the plain service does (the
 single-process fallback); once a worker is live, the local dispatcher
-defers and the pull path takes over.
+defers and the pull path takes over.  Both paths read and fill the one
+result cache, ``service.cache``: workers execute and report, but hold
+no cache of their own.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from ..service.jobs import Job, JobSpec, JobState
 from .journal import JobJournal
-from .shard import ShardedResultCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..service.api import AnalysisService
@@ -77,7 +75,6 @@ class WorkerInfo:
     """One registered worker node."""
 
     id: str
-    url: str
     name: Optional[str] = None
     registered_at: float = field(default_factory=time.time)
     last_seen: float = field(default_factory=time.monotonic)
@@ -86,7 +83,6 @@ class WorkerInfo:
     def snapshot(self, now: float, timeout: float) -> Dict[str, Any]:
         return {
             "id": self.id,
-            "url": self.url,
             "name": self.name,
             "registered_at": self.registered_at,
             "seconds_since_seen": round(max(0.0, now - self.last_seen), 3),
@@ -102,7 +98,7 @@ class Lease:
     job: Job
     worker_id: str
     key: str  # result-cache content key
-    digest: str  # facts digest (the shard routing key)
+    digest: str  # facts digest
     granted_mono: float = field(default_factory=time.monotonic)
 
 
@@ -146,14 +142,6 @@ class ClusterCoordinator:
         self._m_completions = t.counter(
             "repro_cluster_completions_total",
             "Worker completion reports, by outcome.",
-        )
-        self._m_shard_ops = t.counter(
-            "repro_cluster_shard_ops_total",
-            "Sharded-cache operations, by op and routing outcome.",
-        )
-
-        self.shard = ShardedResultCache(
-            service.cache, node_id=self.node_id, ops=self._m_shard_ops
         )
 
         self._lock = threading.RLock()
@@ -224,14 +212,11 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # Worker registry
     # ------------------------------------------------------------------
-    def register_worker(
-        self, url: str, name: Optional[str] = None
-    ) -> Dict[str, Any]:
-        worker = WorkerInfo(id=uuid.uuid4().hex[:12], url=url, name=name)
+    def register_worker(self, name: Optional[str] = None) -> Dict[str, Any]:
+        worker = WorkerInfo(id=uuid.uuid4().hex[:12], name=name)
         with self._lock:
             self._workers[worker.id] = worker
             self._m_workers.set(len(self._workers))
-        self.shard.add_peer(worker.id, url)
         return {
             "id": worker.id,
             "node_id": self.node_id,
@@ -311,7 +296,7 @@ class ClusterCoordinator:
                 )
                 continue
             key = cache_key(digest, job.spec)
-            cached = self.shard.get(key, digest)
+            cached = self.service.cache.get(key)
             if cached is not None:
                 cached = dict(cached)
                 cached["cached"] = True
@@ -353,10 +338,9 @@ class ClusterCoordinator:
             worker = self._workers.get(worker_id)
             if worker is not None:
                 worker.jobs_completed += 1
-                provenance = {"id": worker_id, "url": worker.url,
-                              "name": worker.name}
+                provenance = {"id": worker_id, "name": worker.name}
             else:  # pragma: no cover - completed right after detach
-                provenance = {"id": worker_id, "url": None, "name": None}
+                provenance = {"id": worker_id, "name": None}
         if not isinstance(payload, dict) or "state" not in payload:
             payload = {
                 "state": JobState.ERROR,
@@ -366,7 +350,7 @@ class ClusterCoordinator:
         payload.setdefault("worker", provenance)
         state = payload.get("state")
         if state in (JobState.DONE, JobState.TIMEOUT):
-            self.shard.put(lease.key, lease.digest, payload)
+            self.service.cache.put(lease.key, payload)
         self._m_completions.inc(outcome="accepted")
         self.service._m_running.dec()
         self.service._finalize(
@@ -376,7 +360,7 @@ class ClusterCoordinator:
 
     def local_worker_provenance(self) -> Dict[str, Any]:
         """Provenance stamp for jobs the coordinator executed itself."""
-        return {"id": self.node_id, "url": None, "name": "local"}
+        return {"id": self.node_id, "name": "local"}
 
     # ------------------------------------------------------------------
     # Liveness reaper
@@ -385,7 +369,6 @@ class ClusterCoordinator:
         """Drop a worker and requeue its leases (caller holds the lock)."""
         self._workers.pop(worker_id, None)
         self._m_workers.set(len(self._workers))
-        self.shard.remove_peer(worker_id)
         doomed = [
             lease
             for lease in self._leases.values()
@@ -487,7 +470,6 @@ class ClusterCoordinator:
             "workers": workers,
             "leases": leases,
             "dead_letters": dead,
-            "ring_nodes": list(self.shard.ring.nodes()),
             "journal": {
                 "path": self.journal.path,
                 "records": len(self.journal.records),

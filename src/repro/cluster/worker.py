@@ -1,10 +1,9 @@
-"""Worker node: register, heartbeat, pull jobs, serve a cache shard.
+"""Worker node: register, heartbeat, pull jobs, report results.
 
-``repro worker --coordinator URL`` runs one :class:`WorkerNode`:
+``repro worker --coordinator URL`` runs one :class:`WorkerNode`.  It is
+an HTTP client only — it binds no port and holds no result cache (the
+coordinator answers cache hits before granting a lease):
 
-* it binds a small HTTP server exposing its shard of the result cache
-  (``GET``/``PUT /cluster/cache/{key}`` — see :mod:`repro.cluster.shard`)
-  plus ``/healthz``;
 * registers with the coordinator (retrying with backoff while the
   coordinator is unreachable) and heartbeats on the interval the
   coordinator prescribes;
@@ -22,22 +21,15 @@ re-registers under a fresh id.
 from __future__ import annotations
 
 import json
-import re
 import signal
 import threading
-import time
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
-from ..service.cache import ResultCache
 from ..service.workers import execute_job
-from .shard import serve_cache_route
 
 __all__ = ["WorkerNode", "run_worker"]
-
-_CACHE_PATH = re.compile(r"^/cluster/cache/([0-9a-f]+)$")
 
 #: Ceiling for the reconnect backoff while the coordinator is down.
 _MAX_BACKOFF_SECONDS = 5.0
@@ -74,95 +66,22 @@ def _http_json(
         return exc.code, payload
 
 
-class _ShardHandler(BaseHTTPRequestHandler):
-    """The worker's cache-shard server (plus a /healthz)."""
-
-    server_version = "repro-worker/1.0"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, fmt: str, *args: Any) -> None:  # pragma: no cover
-        pass
-
-    @property
-    def node(self) -> "WorkerNode":
-        return self.server.node  # type: ignore[attr-defined]
-
-    def _send(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        return json.loads(raw) if raw else None
-
-    def _cache(self, method: str) -> None:
-        m = _CACHE_PATH.match(self.path)
-        if not m:
-            self._send(404, {"error": f"no such route: {method} {self.path}"})
-            return
-        try:
-            status, payload = serve_cache_route(
-                self.node.cache, method, m.group(1), self._read_json
-            )
-        except ValueError as exc:
-            status, payload = 400, {"error": str(exc)}
-        self._send(status, payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/healthz":
-            self._send(200, self.node.health())
-            return
-        self._cache("GET")
-
-    def do_PUT(self) -> None:  # noqa: N802 - http.server API
-        self._cache("PUT")
-
-
 class WorkerNode:
     """One pull-based worker process/thread."""
 
     def __init__(
         self,
         coordinator_url: str,
-        host: str = "127.0.0.1",
-        port: int = 0,
         poll_interval: float = 0.2,
-        cache_capacity: int = 128,
-        cache_dir: Optional[str] = None,
         name: Optional[str] = None,
-        advertise_host: Optional[str] = None,
     ) -> None:
         self.coordinator_url = coordinator_url.rstrip("/")
         self.poll_interval = poll_interval
         self.name = name
-        self.cache = ResultCache(capacity=cache_capacity, cache_dir=cache_dir)
         self.worker_id: Optional[str] = None
         self.heartbeat_seconds = 3.0
-        self.jobs_executed = 0
-        self.started_at = time.time()
         self._stop = threading.Event()
         self._threads: list = []
-        self._server = ThreadingHTTPServer((host, port), _ShardHandler)
-        self._server.node = self  # type: ignore[attr-defined]
-        self._server.daemon_threads = True
-        bound_host, bound_port = self._server.server_address[:2]
-        self.url = f"http://{advertise_host or bound_host}:{bound_port}"
-
-    # ------------------------------------------------------------------
-    def health(self) -> Dict[str, Any]:
-        return {
-            "status": "ok",
-            "worker_id": self.worker_id,
-            "coordinator": self.coordinator_url,
-            "jobs_executed": self.jobs_executed,
-            "cache_entries": len(self.cache),
-            "uptime_seconds": round(time.time() - self.started_at, 3),
-        }
 
     # ------------------------------------------------------------------
     def _register(self) -> bool:
@@ -170,7 +89,7 @@ class WorkerNode:
         try:
             status, payload = _http_json(
                 f"{self.coordinator_url}/cluster/workers",
-                {"url": self.url, "name": self.name},
+                {"name": self.name},
             )
         except (urllib.error.URLError, OSError):
             return False
@@ -235,7 +154,6 @@ class WorkerNode:
                 self._stop.wait(self.poll_interval)
                 continue
             payload = execute_job(leased["spec"])
-            self.jobs_executed += 1
             try:
                 _http_json(
                     f"{self.coordinator_url}/cluster/complete",
@@ -253,13 +171,6 @@ class WorkerNode:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Non-blocking start (used by tests and by ``run``)."""
-        server_thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-worker-shard",
-            daemon=True,
-        )
-        server_thread.start()
-        self._threads.append(server_thread)
         if not self._register_until_stopped():
             return
         for target, label in (
@@ -282,8 +193,6 @@ class WorkerNode:
                 )
             except (urllib.error.URLError, OSError):
                 pass
-        self._server.shutdown()
-        self._server.server_close()
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=5.0)
@@ -294,8 +203,7 @@ class WorkerNode:
         self.start()
         print(
             f"repro worker {self.worker_id or '(unregistered)'} "
-            f"serving shard on {self.url}, "
-            f"coordinator {self.coordinator_url}"
+            f"pulling from coordinator {self.coordinator_url}"
         )
         try:
             while not self._stop.wait(0.5):
@@ -309,23 +217,11 @@ class WorkerNode:
 
 def run_worker(
     coordinator_url: str,
-    host: str = "127.0.0.1",
-    port: int = 0,
     poll_interval: float = 0.2,
-    cache_capacity: int = 128,
-    cache_dir: Optional[str] = None,
     name: Optional[str] = None,
 ) -> int:
     """CLI shim: build a node, wire SIGTERM, run until stopped."""
-    node = WorkerNode(
-        coordinator_url,
-        host=host,
-        port=port,
-        poll_interval=poll_interval,
-        cache_capacity=cache_capacity,
-        cache_dir=cache_dir,
-        name=name,
-    )
+    node = WorkerNode(coordinator_url, poll_interval=poll_interval, name=name)
 
     def _terminate(_signum: int, _frame: Any) -> None:
         node._stop.set()

@@ -393,8 +393,9 @@ def run_single_check(
 ) -> Optional[Violation]:
     """Re-run exactly one oracle on a sketch (shrink predicate + replay).
 
-    Budget-capped like the campaign; a sketch that blows the caps is
-    reported as clean (the shrinker then rejects that reduction).
+    Budget-capped like the campaign; a sketch that blows the caps raises
+    :class:`BudgetExceeded` / :class:`EvaluationBudgetExceeded` (the
+    shrink predicate rejects that reduction).
     """
     program = sketch.build()
     facts = encode_program(program)
@@ -493,13 +494,16 @@ def _shrink_violation(
     progress: Optional[Callable[[str], None]],
 ) -> ProgramSketch:
     def predicate(candidate: ProgramSketch) -> bool:
-        v = run_single_check(
-            candidate,
-            violation.oracle,
-            violation.flavor,
-            config.seed,
-            config.flavors,
-        )
+        try:
+            v = run_single_check(
+                candidate,
+                violation.oracle,
+                violation.flavor,
+                config.seed,
+                config.flavors,
+            )
+        except (BudgetExceeded, EvaluationBudgetExceeded):
+            return False  # a reduction that blows the caps is rejected
         return v is not None and v.oracle == violation.oracle
 
     return shrink_sketch(sketch, predicate, progress=progress)

@@ -3,7 +3,11 @@
 ``shrink_sketch`` greedily minimizes a :class:`~repro.fuzz.sketch.
 ProgramSketch` while a caller-supplied predicate keeps holding (the
 predicate re-runs the violated oracle; a sketch that no longer builds, or
-no longer violates, is rejected).  Three reduction passes repeat until a
+no longer violates, is rejected).  "No longer builds" means the candidate
+raised :class:`~repro.ir.validate.ValidationError` or
+:class:`~repro.ir.types.TypeError_`; any other exception from the
+predicate is a bug in the predicate or the code it runs, and propagates
+out of :func:`shrink_sketch` rather than passing as a successful shrink.  Three reduction passes repeat until a
 full round removes nothing:
 
 1. **methods** — drop whole non-entry methods;
@@ -22,6 +26,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ..ir.types import TypeError_
+from ..ir.validate import ValidationError
 from .sketch import ProgramSketch
 
 __all__ = ["shrink_sketch"]
@@ -30,10 +36,10 @@ Predicate = Callable[[ProgramSketch], bool]
 
 
 def _holds(predicate: Predicate, candidate: ProgramSketch) -> bool:
-    """Predicate wrapper: any failure to build/run counts as 'gone'."""
+    """Predicate wrapper: a candidate that no longer builds counts as 'gone'."""
     try:
         return bool(predicate(candidate))
-    except Exception:
+    except (ValidationError, TypeError_):
         return False
 
 

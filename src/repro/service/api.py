@@ -311,10 +311,7 @@ class AnalysisService:
             )
             return
         key = cache_key(digest, job.spec)
-        if self.cluster is not None:
-            cached = self.cluster.shard.get(key, digest)
-        else:
-            cached = self.cache.get(key)
+        cached = self.cache.get(key)
         if cached is not None:
             cached = dict(cached)
             cached["cached"] = True
@@ -374,11 +371,7 @@ class AnalysisService:
         if payload.get("pass1_reused"):
             self._m_pass1.inc()
         if store_key is not None and state in (JobState.DONE, JobState.TIMEOUT):
-            digest = payload.get("facts_digest")
-            if self.cluster is not None and digest:
-                self.cluster.shard.put(store_key, digest, payload)
-            else:
-                self.cache.put(store_key, payload)
+            self.cache.put(store_key, payload)
         if (
             self.cluster is not None
             and not job.cached
@@ -567,7 +560,6 @@ _CLUSTER_HEARTBEAT_PATH = re.compile(
     r"^/cluster/workers/([0-9a-f]+)/heartbeat$"
 )
 _CLUSTER_WORKER_PATH = re.compile(r"^/cluster/workers/([0-9a-f]+)$")
-_CLUSTER_CACHE_PATH = re.compile(r"^/cluster/cache/([0-9a-f]+)$")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -626,13 +618,11 @@ class _Handler(BaseHTTPRequestHandler):
             except ValueError as exc:
                 self._send_json(400, {"error": str(exc)})
                 return
+            from ..cluster.coordinator import Backpressure
+
             try:
                 job = self.service.submit(spec)
-            except Exception as exc:  # Backpressure (cluster mode only)
-                from ..cluster.coordinator import Backpressure
-
-                if not isinstance(exc, Backpressure):
-                    raise
+            except Backpressure as exc:  # cluster mode only
                 self._send_json(
                     429,
                     {"error": str(exc), "reason": exc.reason,
@@ -707,13 +697,13 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/cluster/workers":
             try:
                 payload = self._read_json()
-                url = payload["url"]
-                if not isinstance(url, str) or not url.startswith("http"):
-                    raise ValueError("'url' must be an http(s) URL")
-            except (ValueError, KeyError, TypeError) as exc:
+                name = payload.get("name")
+                if name is not None and not isinstance(name, str):
+                    raise ValueError("'name' must be a string")
+            except (ValueError, AttributeError) as exc:
                 self._send_json(400, {"error": f"bad registration: {exc}"})
                 return True
-            granted = cluster.register_worker(url, name=payload.get("name"))
+            granted = cluster.register_worker(name=name)
             self._send_json(201, granted)
             return True
         m = _CLUSTER_HEARTBEAT_PATH.match(self.path)
@@ -823,30 +813,7 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(200, self.service.cluster.topology())
             return
-        m = _CLUSTER_CACHE_PATH.match(self.path)
-        if m:
-            self._cluster_cache("GET", m.group(1))
-            return
         self._send_json(404, {"error": f"no such route: GET {self.path}"})
-
-    def _cluster_cache(self, method: str, key: str) -> None:
-        """Serve this node's shard of the cluster cache."""
-        from ..cluster.shard import serve_cache_route
-
-        try:
-            status, payload = serve_cache_route(
-                self.service.cache, method, key, self._read_json
-            )
-        except ValueError as exc:
-            status, payload = 400, {"error": str(exc)}
-        self._send_json(status, payload)
-
-    def do_PUT(self) -> None:  # noqa: N802 - http.server API
-        m = _CLUSTER_CACHE_PATH.match(self.path)
-        if m:
-            self._cluster_cache("PUT", m.group(1))
-            return
-        self._send_json(404, {"error": f"no such route: PUT {self.path}"})
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
         m = _CLUSTER_WORKER_PATH.match(self.path)

@@ -113,7 +113,7 @@ def receipt_from_service_job(
         "facts_digest": result.get("facts_digest"),
     }
     # Cluster-executed jobs carry the executing node's provenance
-    # (worker id/url/name — see docs/cluster.md); plain single-process
+    # (worker id/name — see docs/cluster.md); plain single-process
     # jobs have no such stamp and the field is omitted.
     worker = result.get("worker")
     if worker is not None:

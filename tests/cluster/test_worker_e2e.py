@@ -101,7 +101,7 @@ class TestClusterEndToEnd:
             # HTTP registration with no heartbeat loop behind it.
             status, ghost = _http_json(
                 f"{url}/cluster/workers",
-                {"url": "http://127.0.0.1:9", "name": "ghost"},
+                {"name": "ghost"},
             )
             assert status == 201
             job_id = client.submit(benchmark="antlr", analysis="insens")
@@ -149,6 +149,16 @@ class TestClusterEndToEnd:
             assert topo["workers"] == []
             assert topo["config"]["max_queue_depth"] == 0
 
+    def test_registration_takes_an_optional_name(self, tmp_path):
+        config = ClusterConfig(journal=str(tmp_path / "journal.jsonl"))
+        with local_service(workers=0, cluster=config) as url:
+            status, granted = _http_json(f"{url}/cluster/workers", {})
+            assert status == 201 and granted["id"]
+            for bad in ({"name": 5}, ["w1"]):
+                status, payload = _http_json(f"{url}/cluster/workers", bad)
+                assert status == 400, bad
+                assert "bad registration" in payload["error"]
+
     def test_non_coordinator_rejects_cluster_routes(self):
         with local_service(workers=0) as url:
             client = ServiceClient(url)
@@ -172,9 +182,7 @@ class TestClusterEndToEnd:
             job_id = client.submit(benchmark="antlr", analysis="insens")
             assert client.wait(job_id, timeout=60)["state"] == "done"
             result = client.result(job_id)["result"]
-            assert result["worker"] == {
-                "id": "coordinator", "url": None, "name": "local",
-            }
+            assert result["worker"] == {"id": "coordinator", "name": "local"}
 
     def test_coordinator_restart_replays_unfinished_jobs(self, tmp_path):
         journal = str(tmp_path / "journal.jsonl")

@@ -19,6 +19,7 @@ from repro.fuzz.runner import (
 from repro.fuzz.shrink import shrink_sketch
 from repro.fuzz.sketch import ProgramSketch
 from repro.ir.instructions import Alloc
+from repro.ir.validate import ValidationError
 
 
 def broken_digest_oracle(facts, rng):
@@ -101,8 +102,25 @@ def test_shrink_prefers_smallest_program():
 
 def test_shrink_returns_input_when_predicate_fails():
     sketch = ProgramSketch.from_program(generate(fuzz_base_specs()[0]))
-    shrunk = shrink_sketch(sketch, lambda s: False)
-    assert shrunk.to_json() == sketch.to_json()
+
+    def never_builds(candidate):
+        raise ValidationError(["injected: candidate does not build"])
+
+    for predicate in (lambda s: False, never_builds):
+        shrunk = shrink_sketch(sketch, predicate)
+        assert shrunk.to_json() == sketch.to_json()
+
+
+def test_shrink_propagates_predicate_bugs():
+    """Only build failures count as 'gone': any other exception is a bug
+    in the predicate or the oracle, and must not pass as a shrink."""
+    sketch = ProgramSketch.from_program(generate(fuzz_base_specs()[0]))
+
+    def broken(candidate):
+        raise RuntimeError("injected oracle bug")
+
+    with pytest.raises(RuntimeError, match="injected oracle bug"):
+        shrink_sketch(sketch, broken)
 
 
 def test_shrink_progress_callback_fires():

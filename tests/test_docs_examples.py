@@ -289,7 +289,6 @@ class TestClusterDoc:
             "/cluster/workers",
             "/cluster/lease",
             "/cluster/complete",
-            "/cluster/cache/{key}",
             "GET /cluster",
         ):
             assert route in text, route

@@ -10,6 +10,7 @@ batch member cannot starve its siblings or poison the memo).
 """
 
 import pytest
+from hypothesis import given, settings
 
 from repro import ProgramBuilder, analyze, encode_program
 from repro.analysis import BudgetExceeded
@@ -46,6 +47,59 @@ def build_throwing_program():
     return b.build(entry="Main.main/0")
 
 
+def build_dispatch_program():
+    """``this`` only receives receivers that dispatch to the method:
+    ``A.me/0/this`` holds the ``A`` heap alone, never the ``B`` one."""
+    b = ProgramBuilder()
+    b.klass("A")
+    b.klass("B")
+    for cls in ("A", "B"):
+        with b.method(cls, "me", []) as m:
+            m.ret("this")
+    with b.method("Main", "main", [], static=True) as m:
+        m.alloc("a", "A")
+        m.alloc("bb", "B")
+        m.move("x", "a")
+        m.move("x", "bb")
+        m.vcall("x", "me", [], target="r")
+    return b.build(entry="Main.main/0")
+
+
+def build_unreachable_store_program():
+    """Regression: a static or field store in a method the call graph
+    never reaches must not feed loads in reachable code."""
+    b = ProgramBuilder()
+    b.klass("A", fields=["f"])
+    b.klass("Util", static_fields=["sf"])
+    with b.method("Util", "dead", [], static=True) as m:
+        m.alloc("v", "A")
+        m.static_store("Util", "sf", "v")
+        m.store("v", "f", "v")
+    with b.method("Main", "main", [], static=True) as m:
+        m.alloc("v", "A")
+        m.static_load("v", "Util", "sf")
+        m.load("w", "v", "f")
+    return b.build(entry="Main.main/0")
+
+
+def build_intercepted_catch_program():
+    """``Lib.mid`` catches every exception ``Lib.boom`` throws, so
+    nothing reaches ``Main.main/0/h``: a catch edge from every throw
+    would leak the ``boom`` heap into it."""
+    b = ProgramBuilder()
+    b.klass("Exc")
+    with b.method("Lib", "boom", [], static=True) as m:
+        m.alloc("e", "Exc")
+        m.throw("e")
+    with b.method("Lib", "mid", [], static=True) as m:
+        m.scall("Lib", "boom", [])
+        m.catch("g", "Exc")
+    with b.method("Main", "main", [], static=True) as m:
+        m.scall("Lib", "mid", [])
+        m.catch("h", "Exc")
+    return b.build(entry="Main.main/0")
+
+
 def whole_program_result(program, facts, flavor):
     """The comparator the engine must reproduce, per flavor."""
     if flavor.startswith("introspective-"):
@@ -61,8 +115,19 @@ def whole_program_result(program, facts, flavor):
         build_box_program,
         build_kitchen_sink_program,
         build_throwing_program,
+        build_dispatch_program,
+        build_unreachable_store_program,
+        build_intercepted_catch_program,
     ],
-    ids=["tiny", "boxes", "kitchen-sink", "throwing"],
+    ids=[
+        "tiny",
+        "boxes",
+        "kitchen-sink",
+        "throwing",
+        "dispatch",
+        "unreachable-store",
+        "intercepted-catch",
+    ],
 )
 @pytest.mark.parametrize("flavor", QUERY_FLAVORS)
 def test_query_equals_whole_program_per_flavor(builder, flavor):
@@ -82,6 +147,24 @@ def test_query_equals_whole_program_per_flavor(builder, flavor):
         ), (outcome.var, flavor)
 
 
+# Property-based: reuse the random-program strategy.  Catch handlers
+# included, every variable's insensitive query answer is exactly its
+# whole-program insensitive set.
+from tests.analysis.test_properties import programs  # noqa: E402
+
+
+@given(programs())
+@settings(max_examples=40, deadline=None)
+def test_query_matches_insensitive_on_random_programs(program):
+    facts = encode_program(program)
+    insens = analyze(program, "insens", facts=facts)
+    engine = QueryEngine(program, facts=facts, insens=insens)
+    for var in sorted({var for var, _meth in facts.varinmeth}):
+        assert engine.query(var, "insens").points_to == frozenset(
+            insens.points_to(var)
+        ), var
+
+
 def test_slice_is_a_real_slice():
     """Querying one box group's result must not drag in the hub code."""
     from repro.benchgen import BenchmarkSpec, HubSpec, generate
@@ -98,13 +181,13 @@ def test_slice_is_a_real_slice():
     program = generate(spec)
     facts = encode_program(program)
     engine = QueryEngine(program, facts=facts)
-    whole = analyze(program, "2objH", facts=facts)
-    answer = engine.query("BoxDriver0.drive/0/g0", "2objH")
-    assert answer.points_to == frozenset(
-        whole.points_to("BoxDriver0.drive/0/g0")
-    )
-    assert 0.0 < answer.footprint < 0.25
-    assert answer.slice_variables < len(facts.varinmeth) / 4
+    var = "BoxDriver0.drive/0/g0"
+    for flavor, max_fraction in (("2objH", 1 / 4), ("insens", 1 / 5)):
+        whole = analyze(program, flavor, facts=facts)
+        answer = engine.query(var, flavor)
+        assert answer.points_to == frozenset(whole.points_to(var)), flavor
+        assert 0.0 < answer.footprint < 0.25, flavor
+        assert answer.slice_variables < len(facts.varinmeth) * max_fraction
 
 
 class TestMemoization:
