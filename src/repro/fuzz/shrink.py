@@ -7,8 +7,8 @@ no longer violates, is rejected).  "No longer builds" means the candidate
 raised :class:`~repro.ir.validate.ValidationError` or
 :class:`~repro.ir.types.TypeError_`; any other exception from the
 predicate is a bug in the predicate or the code it runs, and propagates
-out of :func:`shrink_sketch` rather than passing as a successful shrink.  Three reduction passes repeat until a
-full round removes nothing:
+out of :func:`shrink_sketch` rather than passing as a successful shrink.
+Three reduction passes repeat until a full round removes nothing:
 
 1. **methods** — drop whole non-entry methods;
 2. **classes** — drop whole classes together with their methods;
