@@ -1,17 +1,16 @@
-"""Tests for the demand-driven points-to baseline.
+"""Tests for single-variable, context-insensitive demand queries.
 
-The headline property: on catch-free programs, a demand query returns
-*exactly* the whole-program context-insensitive points-to set of the
-queried variable — checked on the fixture programs and property-based over
-random programs — while visiting only the variable's backward slice.
+Each query goes through `repro.query.QueryEngine.query` one variable at a
+time (the batch path is covered in `test_query_engine`).  A demand query
+must return *exactly* the whole-program context-insensitive points-to set
+of the queried variable — catch handlers included — while visiting only
+the variable's backward slice.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import ProgramBuilder, analyze, encode_program
-from repro.baselines.demand import DemandPointsTo
+from repro.query import QueryEngine
 from tests.conftest import (
     build_box_program,
     build_kitchen_sink_program,
@@ -22,9 +21,7 @@ from tests.conftest import (
 def make_engine(program):
     facts = encode_program(program)
     insens = analyze(program, "insens", facts=facts)
-    return facts, insens, DemandPointsTo.from_insensitive_result(
-        program, facts, insens
-    )
+    return facts, insens, QueryEngine(program, facts=facts, insens=insens)
 
 
 @pytest.mark.parametrize(
@@ -36,12 +33,12 @@ def test_demand_equals_whole_program(builder):
     program = builder()
     facts, insens, engine = make_engine(program)
     for var, expected in insens.var_points_to.items():
-        answer = engine.query(var)
+        answer = engine.query(var, "insens")
         assert answer.points_to == frozenset(expected), var
     # and vars with empty points-to stay empty
     for var, meth in facts.varinmeth:
         if meth in insens.reachable_methods and var not in insens.var_points_to:
-            assert engine.query(var).points_to == frozenset(), var
+            assert engine.query(var, "insens").points_to == frozenset(), var
 
 
 def test_footprint_is_a_slice():
@@ -60,38 +57,16 @@ def test_footprint_is_a_slice():
     program = generate(spec)
     facts, insens, engine = make_engine(program)
     total_vars = len(facts.varinmeth)
-    answer = engine.query("BoxDriver0.drive/0/g0")
+    answer = engine.query("BoxDriver0.drive/0/g0", "insens")
     assert answer.points_to == frozenset(
         insens.var_points_to["BoxDriver0.drive/0/g0"]
     )
-    assert answer.visited_variables < total_vars / 5
-
-
-def test_dispatch_filter_matches_solver():
-    """`this` only receives receivers that actually dispatch to the method."""
-    b = ProgramBuilder()
-    b.klass("A")
-    b.klass("B")
-    for cls in ("A", "B"):
-        with b.method(cls, "me", []) as m:
-            m.ret("this")
-    with b.method("Main", "main", [], static=True) as m:
-        m.alloc("a", "A")
-        m.alloc("bb", "B")
-        m.move("x", "a")
-        m.move("x", "bb")
-        m.vcall("x", "me", [], target="r")
-    program = b.build(entry="Main.main/0")
-    _facts, insens, engine = make_engine(program)
-    assert engine.query("A.me/0/this").points_to == frozenset(
-        {"Main.main/0/new A/0"}
-    )
-    assert engine.query("A.me/0/this").points_to == frozenset(
-        insens.var_points_to["A.me/0/this"]
-    )
+    assert answer.slice_variables < total_vars / 5
 
 
 def test_catch_query_over_approximates():
+    """A catch handler's answer covers every heap the whole-program
+    analysis gives it, and adds none."""
     b = ProgramBuilder()
     b.klass("Exc")
     with b.method("Lib", "boom", [], static=True) as m:
@@ -102,83 +77,7 @@ def test_catch_query_over_approximates():
         m.catch("h", "Exc")
     program = b.build(entry="Main.main/0")
     _facts, insens, engine = make_engine(program)
-    demand = engine.query("Main.main/0/h").points_to
-    assert demand >= frozenset(insens.var_points_to["Main.main/0/h"])
-
-
-def test_exception_slop_attributes_the_catch_over_approximation():
-    """`exception_slop` counts exactly the heaps the every-throw catch
-    edge added — here a heap the real analysis intercepts mid-chain —
-    so query-vs-exhaustive deltas stay attributable."""
-    b = ProgramBuilder()
-    b.klass("Exc")
-    with b.method("Lib", "boom", [], static=True) as m:
-        m.alloc("e", "Exc")
-        m.throw("e")
-    with b.method("Lib", "mid", [], static=True) as m:
-        m.scall("Lib", "boom", [])
-        m.catch("g", "Exc")  # intercepts: nothing escapes to Main
-    with b.method("Main", "main", [], static=True) as m:
-        m.scall("Lib", "mid", [])
-        m.catch("h", "Exc")
-    program = b.build(entry="Main.main/0")
-    _facts, insens, engine = make_engine(program)
-    answer = engine.query("Main.main/0/h")
-    whole = frozenset(insens.var_points_to.get("Main.main/0/h", ()))
-    # The baseline ignores interception, so the boom heap leaks into h —
-    # and the slop counter owns up to exactly that excess.
-    assert answer.points_to > whole
-    assert answer.exception_slop == len(answer.points_to - whole)
-
-
-def test_stores_in_unreachable_methods_do_not_leak():
-    """Regression (found by the property test below): a static or field
-    store in a method the call graph never reaches must not feed loads
-    in reachable code."""
-    b = ProgramBuilder()
-    b.klass("A", fields=["f"])
-    b.klass("Util", static_fields=["sf"])
-    with b.method("Util", "dead", [], static=True) as m:
-        m.alloc("v", "A")
-        m.static_store("Util", "sf", "v")
-        m.store("v", "f", "v")
-    with b.method("Main", "main", [], static=True) as m:
-        m.alloc("v", "A")
-        m.static_load("v", "Util", "sf")
-        m.load("w", "v", "f")
-    program = b.build(entry="Main.main/0")
-    _facts, insens, engine = make_engine(program)
-    for var in ("Main.main/0/v", "Main.main/0/w"):
-        whole = frozenset(insens.var_points_to.get(var, ()))
-        assert engine.query(var).points_to == whole, var
-
-
-def test_exception_slop_is_zero_without_catch_edges():
-    for builder in (build_tiny_program, build_box_program):
-        program = builder()
-        _facts, insens, engine = make_engine(program)
-        for var in insens.var_points_to:
-            assert engine.query(var).exception_slop == 0, var
-
-
-# Property-based: reuse the random-program strategy.  The catch-handler
-# over-approximation (see the demand module docstring) propagates to every
-# variable downstream of a handler, so exactness is asserted only on
-# catch-free programs; with handlers present the demand answer must still
-# be a superset of the whole-program result (soundness direction).
-from tests.analysis.test_properties import programs  # noqa: E402
-
-
-@given(programs())
-@settings(max_examples=40, deadline=None)
-def test_demand_matches_insensitive_on_random_programs(program):
-    facts = encode_program(program)
-    insens = analyze(program, "insens", facts=facts)
-    engine = DemandPointsTo.from_insensitive_result(program, facts, insens)
-    exact = not facts.catchclause
-    for var, expected in insens.var_points_to.items():
-        answer = engine.query(var).points_to
-        if exact:
-            assert answer == frozenset(expected), var
-        else:
-            assert answer >= frozenset(expected), var
+    demand = engine.query("Main.main/0/h", "insens").points_to
+    whole = frozenset(insens.var_points_to["Main.main/0/h"])
+    assert demand >= whole
+    assert demand == whole
