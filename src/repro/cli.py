@@ -420,7 +420,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         corpus_dir=args.corpus_dir,
         flavors=flavors,
         shrink=not args.no_shrink,
-        datalog_rotate=args.datalog_rotate,
     )
     outcome = run_campaign(config, progress=print)
     s = outcome.stats
@@ -841,12 +840,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-shrink",
         action="store_true",
         help="skip delta-debugging minimization of counterexamples",
-    )
-    p_fuzz.add_argument(
-        "--datalog-rotate",
-        action="store_true",
-        help="run the Datalog model on one rotating flavor per iteration "
-        "(pre-compiled-engine throughput mode) instead of all flavors",
     )
     p_fuzz.add_argument(
         "--replay",

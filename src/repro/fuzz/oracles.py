@@ -400,7 +400,6 @@ def check_incremental_equivalence(
     sketch,
     seed: int,
     flavor: Optional[str] = None,
-    engine: str = "solver",
     steps: int = 2,
     edits_per_step: int = 2,
     max_tuples: Optional[int] = None,
@@ -409,10 +408,9 @@ def check_incremental_equivalence(
     exactly the from-scratch relations after every edit it absorbs.
 
     Applies ``steps`` seeded random edit scripts (removals included, so
-    the monotonic, affected-strata *and* full tiers are all exercised)
-    and compares the session's five relations against a fresh packed
-    solve of the edited program after each one.  ``engine`` selects which
-    warm engine the session keeps ("solver" or "datalog").
+    both the monotonic and the full tier are exercised) and compares the
+    session's five relations against a fresh packed solve of the edited
+    program after each one.
 
     Budget overruns propagate (the campaign counts them as skips); an
     edit script the session legitimately refuses is skipped, not a
@@ -426,7 +424,7 @@ def check_incremental_equivalence(
     analysis = flavor or "insens"
     rng = random.Random(seed)
     session = IncrementalSession(
-        sketch, analysis=analysis, engine=engine, max_tuples=max_tuples
+        sketch, analysis=analysis, max_tuples=max_tuples
     )
     for step in range(steps):
         script = random_edit_script(
@@ -453,7 +451,7 @@ def check_incremental_equivalence(
                 return Violation(
                     oracle="incremental-equivalence",
                     flavor=flavor,
-                    engines=(f"{engine}-warm", "packed-scratch"),
+                    engines=("solver-warm", "packed-scratch"),
                     detail=(
                         f"step {step} [{outcome.tier}] "
                         f"({script.describe()}): "

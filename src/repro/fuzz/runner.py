@@ -8,11 +8,7 @@ One campaign iteration:
    mutant that no longer freezes is counted and discarded;
 3. run the packed solver, the frozen reference solver, **and** the
    Datalog model on the insensitive analysis and on every configured
-   deep flavor — three engines per flavor, every iteration.  (Before the
-   engine grew compiled join plans the Datalog model was an order of
-   magnitude slower and ran on just one flavor per iteration, rotating;
-   ``datalog_rotate=True`` / ``repro fuzz --datalog-rotate`` restores
-   that throughput-first schedule.);
+   deep flavor — three engines per flavor, every iteration;
 4. check every applicable oracle from :mod:`repro.fuzz.oracles`; the
    heavier oracles (introspective-bracketing, tuple-budget-exactness,
    trace-transparency, incremental-equivalence, demand-equivalence) run
@@ -169,10 +165,6 @@ class FuzzConfig:
     trace_every: int = 8
     incremental_every: int = 8
     demand_every: int = 8
-    #: Run the Datalog model on one rotating flavor per iteration instead
-    #: of all of them — the pre-compiled-engine schedule, kept as an
-    #: escape hatch for throughput-starved campaigns.
-    datalog_rotate: bool = False
 
 
 @dataclass
@@ -269,16 +261,12 @@ def _check_program(
         return v
 
     flavors = ("insens",) + tuple(config.flavors)
-    datalog_flavor = flavors[iteration % len(flavors)]
     results: Dict[str, AnalysisResult] = {}
     tuple_counts: Dict[str, int] = {}
     packed_rels: Dict[str, Relations] = {}
     for flavor in flavors:
-        run_datalog = (
-            flavor == datalog_flavor if config.datalog_rotate else True
-        )
         packed_rel, ref_rel, dl_rel, tuples, result = _flavor_relations(
-            program, facts, flavor, run_datalog, stats
+            program, facts, flavor, True, stats
         )
         results[flavor] = result
         tuple_counts[flavor] = tuples
@@ -358,13 +346,6 @@ def _check_program(
         and iteration % config.incremental_every == 1
     ):
         flavor = flavors[iteration % len(flavors)]
-        # Alternate the warm engine between cadence hits so both the
-        # solver's extend() and the Datalog resume() see fuzz traffic.
-        engine = (
-            "datalog"
-            if (iteration // config.incremental_every) % 2
-            else "solver"
-        )
         stats.engine_runs += 4
         stats.count("incremental-equivalence")
         # config.seed, not a per-iteration derivative: the shrinker and
@@ -375,7 +356,6 @@ def _check_program(
             sketch,
             seed=config.seed,
             flavor=flavor,
-            engine=engine,
             max_tuples=_MUTANT_TUPLE_CAP,
         )
         if v is not None:
@@ -440,19 +420,9 @@ def run_single_check(
         )
 
     if oracle == "incremental-equivalence":
-        # Replay covers both warm engines: a corpus entry stays red no
-        # matter which one the campaign caught it on.
-        for engine in ("solver", "datalog"):
-            v = check_incremental_equivalence(
-                sketch,
-                seed=seed,
-                flavor=flavor,
-                engine=engine,
-                max_tuples=_MUTANT_TUPLE_CAP,
-            )
-            if v is not None:
-                return v
-        return None
+        return check_incremental_equivalence(
+            sketch, seed=seed, flavor=flavor, max_tuples=_MUTANT_TUPLE_CAP
+        )
 
     if oracle == "demand-equivalence":
         target = flavor or flavors[0]

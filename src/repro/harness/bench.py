@@ -439,7 +439,7 @@ def _incremental_cells(specs, flavors, progress, **_) -> Iterator[_Cell]:
     for spec in specs:
         sketch = ProgramSketch.from_program(generate(spec))
         for flavor in flavors:
-            session = IncrementalSession(sketch, analysis=flavor, engine="solver")
+            session = IncrementalSession(sketch, analysis=flavor)
             progress(
                 f"{spec.name}/{flavor}: warm solve "
                 f"{session.initial_solve_seconds:.3f}s "

@@ -1,6 +1,6 @@
 """Incremental analysis: program deltas in, result deltas out.
 
-The subsystem has four layers, bottom-up:
+The subsystem has three layers, bottom-up:
 
 * :mod:`~repro.incremental.edits` — a typed, invertible, JSON-round-
   trippable edit vocabulary over :class:`~repro.fuzz.sketch.ProgramSketch`
@@ -8,20 +8,23 @@ The subsystem has four layers, bottom-up:
 * :mod:`~repro.incremental.differ` — turns an edit's before/after fact
   bases into per-relation EDB row additions/retractions and classifies
   the cheapest sound re-analysis tier.
-* :mod:`~repro.incremental.resume` — monotonic resumption of the compiled
-  Datalog engine's semi-naive delta rounds, plus the affected-strata
-  partial recompute for deletions.  (The packed solver's equivalent fast
-  path lives on the solver itself:
-  :meth:`repro.analysis.solver.PointsToSolver.extend`.)
 * :mod:`~repro.incremental.session` — the warm
   :class:`~repro.incremental.session.IncrementalSession` tying it
-  together; the service's ``/sessions`` endpoints and ``repro bench
+  together over the packed solver, whose monotonic fast path lives on the
+  solver itself (:meth:`repro.analysis.solver.PointsToSolver.extend`);
+  the service's ``/sessions`` endpoints and ``repro bench
   --incremental`` sit on top of it.
 
 See ``docs/incremental.md`` for the full tour.
 """
 
-from .differ import FactDelta, MONOTONIC_HAZARDS, classify_delta, diff_facts
+from .differ import (
+    FactDelta,
+    MONOTONIC_HAZARDS,
+    classify_delta,
+    diff_facts,
+    negation_tainted,
+)
 from .edits import (
     AddClass,
     AddEntryPoint,
@@ -38,12 +41,6 @@ from .edits import (
     RemoveMethod,
     edit_from_json,
     random_edit_script,
-)
-from .resume import (
-    affected_predicates,
-    negation_tainted,
-    resume,
-    run_affected_strata,
 )
 from .session import EditOutcome, IncrementalSession, RESULT_RELATIONS
 
@@ -66,12 +63,9 @@ __all__ = [
     "RemoveEntryPoint",
     "RemoveField",
     "RemoveMethod",
-    "affected_predicates",
     "classify_delta",
     "diff_facts",
     "edit_from_json",
     "negation_tainted",
     "random_edit_script",
-    "resume",
-    "run_affected_strata",
 ]

@@ -10,29 +10,31 @@ source edit can renumber later site ids and show up as removals).
 :func:`classify_delta` then decides which incremental tier can absorb the
 delta:
 
-* ``monotonic`` — pure additions outside the hazard set; both engines can
-  extend their prior fixpoint (semi-naive delta resume / worklist
-  replay).
+* ``monotonic`` — pure additions outside the hazard set; the packed
+  solver can extend its prior fixpoint by replaying only the delta into
+  its worklist.
 * ``recompute`` — anything with retractions, rows in
   :data:`MONOTONIC_HAZARDS` (relations that feed negation or cached
   type-hierarchy state), or structural rows attached to pre-existing
   methods.  Deletion from a least fixpoint is non-monotonic, so these
-  fall back to the per-stratum / whole-analysis tiers.
+  fall back to a whole-analysis solve.
 
 The hazard set is *derived* facts for the Datalog model: an EDB addition
 is unsafe iff its relation can transitively derive into a negated
-predicate (see :func:`repro.incremental.resume.negation_tainted`); a test
-pins the frozen constant to the derivation.  The packed solver adds two
-hazards of its own: ``SUBTYPE`` rows would stale its incremental
-cast-filter index, and ``CATCHCLAUSE`` rows re-route exceptions that
-already escaped (the same negation, operationally).
+predicate (see :func:`negation_tainted`); a test pins the frozen constant
+to the derivation.  The packed solver adds two hazards of its own:
+``SUBTYPE`` rows would stale its incremental cast-filter index, and
+``CATCHCLAUSE`` rows re-route exceptions that already escaped (the same
+negation, operationally).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Mapping, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Mapping, Set, Tuple
 
+from ..datalog.rules import RuleProgram
+from ..datalog.terms import Atom
 from ..facts.encoder import FactBase
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "MONOTONIC_HAZARDS",
     "classify_delta",
     "diff_facts",
+    "negation_tainted",
 ]
 
 #: EDB relations whose *additions* are not monotonic for either engine:
@@ -54,6 +57,35 @@ MONOTONIC_HAZARDS: FrozenSet[str] = frozenset(
         "OBJECTNOTTOREFINE",
     }
 )
+
+
+def negation_tainted(program: RuleProgram) -> FrozenSet[str]:
+    """Predicates whose growth can shrink some derived relation.
+
+    Seeds with every negated predicate (and every aggregate-body
+    predicate — aggregates are implicit negation), then walks rule
+    dependencies *backwards*: if a rule's head is tainted, every positive
+    body predicate that can feed it is tainted too.  EDB additions
+    outside this set can only ever add derived tuples, which is what the
+    monotonic fast path requires.
+    """
+    tainted: Set[str] = set()
+    for rule in program.rules:
+        tainted |= rule.negated_preds()
+    for agg in program.aggregates:
+        tainted |= agg.body_preds()
+        tainted |= agg.head_preds()
+    changed = True
+    while changed:
+        changed = False
+        for rule in program.rules:
+            if rule.head_preds() & tainted:
+                for lit in rule.body:
+                    if isinstance(lit, Atom) and lit.pred not in tainted:
+                        tainted.add(lit.pred)
+                        changed = True
+    return frozenset(tainted)
+
 
 #: Relations binding structure onto an existing method.  Additions are
 #: only monotonic when the owning method is itself new — a new formal on

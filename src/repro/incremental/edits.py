@@ -489,6 +489,9 @@ def edit_from_json(data: Dict[str, object]) -> Edit:
     if not isinstance(data, dict):
         raise EditError("edit must be a JSON object")
     op = data.get("op")
+    index = data.get("index")
+    if index is not None and type(index) is not int:  # bools are ints too
+        raise EditError(f"edit {op!r} index must be an integer")
     if op == "compound":
         return _CompoundEdit(EditScript.from_json(data.get("edits", ())))
     try:

@@ -1,11 +1,10 @@
 """Warm edit sessions: edit scripts in, result deltas out.
 
 An :class:`IncrementalSession` owns one evolving
-:class:`~repro.fuzz.sketch.ProgramSketch` and one warm engine — either the
-packed worklist solver or the compiled Datalog model — and absorbs
-:class:`~repro.incremental.edits.EditScript`\\ s without re-solving from
-scratch whenever the fact delta allows it.  Each apply runs the tier
-ladder:
+:class:`~repro.fuzz.sketch.ProgramSketch` and one warm packed worklist
+solver, and absorbs :class:`~repro.incremental.edits.EditScript`\\ s
+without re-solving from scratch whenever the fact delta allows it.  Each
+apply runs the tier ladder:
 
 ``noop``
     the edit changed no facts (e.g. adding then removing in one script);
@@ -13,32 +12,25 @@ ladder:
 ``monotonic``
     pure additions outside the hazard set: the solver replays only the
     delta bodies into its live worklist state
-    (:meth:`~repro.analysis.solver.PointsToSolver.extend`) or the Datalog
-    engine re-enters its semi-naive delta rounds with just the new EDB
-    rows seeded (:func:`~repro.incremental.resume.resume`).
-``strata`` (Datalog engine only)
-    retractions or hazard rows: a fresh engine over the new EDB, but only
-    the strata transitively affected by the changed relations are rerun —
-    the rest copy rows from the previous fixpoint
-    (:func:`~repro.incremental.resume.run_affected_strata`).
+    (:meth:`~repro.analysis.solver.PointsToSolver.extend`).
 ``full``
-    the always-correct escape hatch: a fresh solve.
+    retractions, hazard rows, or anything else the classifier refuses:
+    the always-correct escape hatch, a fresh solve.
 
 Every apply returns an :class:`EditOutcome` carrying the tier taken, the
 fact delta, *result* deltas (added/removed tuples per output relation),
 and timing split into delta-apply (edit + rebuild + diff + classify) and
 solve.  Equality with a from-scratch solve is enforced by the
-``incremental-equivalence`` fuzz oracle and the bench harness; if a fast
-tier's belt-and-braces guards refuse a delta the session silently falls
-back to ``full`` and says so in the outcome reason.
+``incremental-equivalence`` fuzz oracle and the bench harness; if the
+fast tier's belt-and-braces guards refuse a delta the session silently
+falls back to ``full`` and says so in the outcome reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Union
 
-from ..analysis.datalog_model import DatalogModelResult, DatalogPointsToAnalysis
 from ..analysis.solver import PointsToSolver
 from ..contexts.policies import policy_by_name
 from ..facts.encoder import FactBase, encode_program
@@ -48,7 +40,6 @@ from ..ir.program import Program
 from ..utils import Stopwatch
 from .differ import FactDelta, classify_delta, diff_facts
 from .edits import Edit, EditScript
-from .resume import resume, run_affected_strata
 
 __all__ = ["EditOutcome", "IncrementalSession", "RESULT_RELATIONS"]
 
@@ -78,9 +69,8 @@ def _jsonify(value: object) -> object:
 class EditOutcome:
     """What one :meth:`IncrementalSession.apply` did, and what changed."""
 
-    tier: str  # "noop" | "monotonic" | "strata" | "full"
+    tier: str  # "noop" | "monotonic" | "full"
     reason: str
-    engine: str
     delta: FactDelta
     apply_seconds: float
     solve_seconds: float
@@ -121,7 +111,6 @@ class EditOutcome:
         return {
             "tier": self.tier,
             "reason": self.reason,
-            "engine": self.engine,
             "digest": self.digest,
             "fact_delta": {
                 "rows_added": self.delta.rows_added,
@@ -146,13 +135,9 @@ class IncrementalSession:
         self,
         sketch: ProgramSketch,
         analysis: str = "insens",
-        engine: str = "solver",
         max_tuples: Optional[int] = None,
     ) -> None:
-        if engine not in ("solver", "datalog"):
-            raise ValueError(f"unknown engine {engine!r}")
         self.analysis = analysis
-        self.engine = engine
         self.max_tuples = max_tuples
         self.sketch = sketch.clone()
         self.program: Program = self.sketch.build()
@@ -166,7 +151,6 @@ class IncrementalSession:
             analysis, alloc_class_of=self._alloc_class.__getitem__
         )
         self._solver: Optional[PointsToSolver] = None
-        self._model: Optional[DatalogPointsToAnalysis] = None
         self.edits_applied = 0
         self.tier_counts: Dict[str, int] = {}
         sw = Stopwatch()
@@ -174,77 +158,34 @@ class IncrementalSession:
         self.initial_solve_seconds = sw.elapsed()
 
     # ------------------------------------------------------------------
-    # Engine plumbing
+    # Solver plumbing
     # ------------------------------------------------------------------
     def _solve_fresh(self, program: Program, facts: FactBase) -> Relations:
-        if self.engine == "solver":
-            self._solver = PointsToSolver(
-                program, self._policy, facts=facts, max_tuples=self.max_tuples
-            )
-            return {
-                name: set(rows)
-                for name, rows in zip(
-                    RESULT_RELATIONS, solver_relations(self._solver.solve())
-                )
-            }
-        self._model = DatalogPointsToAnalysis(
-            program, self._policy, facts=facts, max_rows=self.max_tuples
+        self._solver = PointsToSolver(
+            program, self._policy, facts=facts, max_tuples=self.max_tuples
         )
-        return self._datalog_relations(self._model.run())
-
-    @staticmethod
-    def _datalog_relations(result: DatalogModelResult) -> Relations:
         return {
-            "VARPOINTSTO": set(result.var_points_to),
-            "FLDPOINTSTO": set(result.fld_points_to),
-            "CALLGRAPH": set(result.call_graph),
-            "REACHABLE": set(result.reachable),
-            "THROWPOINTSTO": set(result.throw_points_to),
+            name: set(rows)
+            for name, rows in zip(
+                RESULT_RELATIONS, solver_relations(self._solver.solve())
+            )
         }
 
     def _extend(
         self, program: Program, facts: FactBase, delta: FactDelta
-    ) -> Tuple[Relations, Optional[Dict[str, FrozenSet[tuple]]]]:
-        """Monotonic fast path on the warm engine.
+    ) -> Dict[str, FrozenSet[tuple]]:
+        """Monotonic fast path on the warm solver.
 
-        Returns ``(relations, added)``.  The solver reports its result
-        delta natively, so the cached sets are grown in place and
-        ``added`` is exact without any full-relation comparison; the
-        Datalog path re-queries its (small) database and leaves ``added``
-        as None for the caller to diff.
+        The solver reports its result delta natively, so the cached sets
+        are grown in place and the returned additions are exact without
+        any full-relation comparison.
         """
-        if self.engine == "solver":
-            assert self._solver is not None
-            _raw, added = self._solver.extend(program, facts, delta.added)
-            for name, plus in added.items():
-                if plus:
-                    self._relations[name].update(plus)
-            return self._relations, added
-        assert self._model is not None
-        resume(self._model.engine, delta.added)
-        self._model.program = program
-        self._model.facts = facts
-        query = self._model.engine.query
-        return (
-            {name: set(query(name)) for name in RESULT_RELATIONS},
-            None,
-        )
-
-    def _recompute(
-        self, program: Program, facts: FactBase, delta: FactDelta
-    ) -> Tuple[str, Relations]:
-        """Deletion tier: affected strata for Datalog, full solve otherwise."""
-        if self.engine == "datalog" and self._model is not None:
-            old_db = self._model.engine.db
-            self._model = DatalogPointsToAnalysis(
-                program, self._policy, facts=facts, max_rows=self.max_tuples
-            )
-            run_affected_strata(self._model.engine, old_db, delta.touched())
-            query = self._model.engine.query
-            return "strata", {
-                name: set(query(name)) for name in RESULT_RELATIONS
-            }
-        return "full", self._solve_fresh(program, facts)
+        assert self._solver is not None
+        _raw, added = self._solver.extend(program, facts, delta.added)
+        for name, plus in added.items():
+            if plus:
+                self._relations[name].update(plus)
+        return added
 
     # ------------------------------------------------------------------
     # The session API
@@ -287,26 +228,23 @@ class IncrementalSession:
 
         sw.restart()
         old_relations = self._relations
-        direct_added: Optional[Dict[str, FrozenSet[tuple]]] = None
+        added: Optional[Dict[str, FrozenSet[tuple]]] = None
         try:
             if tier == "noop":
-                relations = old_relations
-                direct_added = {}
+                added = {}
             elif tier == "monotonic":
                 try:
-                    relations, direct_added = self._extend(
-                        program, facts, delta
-                    )
+                    added = self._extend(program, facts, delta)
                 except ValueError as exc:
                     # A fast-path guard refused the delta the classifier
                     # accepted: fall back to the escape hatch and say so.
-                    tier, relations = self._recompute(program, facts, delta)
                     reason = f"fast path refused ({exc}); {reason}"
-            else:
-                tier, relations = self._recompute(program, facts, delta)
+            if added is None:
+                tier = "full"
+                self._relations = self._solve_fresh(program, facts)
         except Exception:
             # The solve itself failed (e.g. a tuple-budget trip mid
-            # extension), possibly leaving the warm engine inconsistent.
+            # extension), possibly leaving the warm solver inconsistent.
             # Revert the sketch and rebuild the warm state at the old
             # program so the session survives; then let the error out.
             inverse.apply(self.sketch)
@@ -316,21 +254,21 @@ class IncrementalSession:
 
         self.program = program
         self.facts = facts
-        self._relations = relations
         self.edits_applied += len(script)
         self.tier_counts[tier] = self.tier_counts.get(tier, 0) + 1
 
         result_added: Dict[str, FrozenSet[tuple]] = {}
         result_removed: Dict[str, FrozenSet[tuple]] = {}
-        if direct_added is not None:
-            # Engine-reported delta (solver fast path / noop): exact by
+        if added is not None:
+            # Solver-reported delta (fast path / noop): exact by
             # construction — every fuzz-oracle equivalence check also
             # revalidates it — and O(delta) where the full comparison
             # below is O(result).  Monotonic, so nothing was removed.
-            for name, plus in direct_added.items():
+            for name, plus in added.items():
                 if plus:
                     result_added[name] = frozenset(plus)
         else:
+            relations = self._relations
             for name in RESULT_RELATIONS:
                 plus = relations[name] - old_relations[name]
                 minus = old_relations[name] - relations[name]
@@ -341,7 +279,6 @@ class IncrementalSession:
         return EditOutcome(
             tier=tier,
             reason=reason,
-            engine=self.engine,
             delta=delta,
             apply_seconds=apply_seconds,
             solve_seconds=solve_seconds,
@@ -359,17 +296,10 @@ class IncrementalSession:
         policy = policy_by_name(
             self.analysis, alloc_class_of=facts.alloc_class_of
         )
-        if self.engine == "solver":
-            raw = PointsToSolver(
-                program, policy, facts=facts, max_tuples=self.max_tuples
-            ).solve()
-            scratch = dict(zip(RESULT_RELATIONS, solver_relations(raw)))
-        else:
-            scratch = self._datalog_relations(
-                DatalogPointsToAnalysis(
-                    program, policy, facts=facts, max_rows=self.max_tuples
-                ).run()
-            )
+        raw = PointsToSolver(
+            program, policy, facts=facts, max_tuples=self.max_tuples
+        ).solve()
+        scratch = dict(zip(RESULT_RELATIONS, solver_relations(raw)))
         return [
             name
             for name in RESULT_RELATIONS

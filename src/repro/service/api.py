@@ -26,7 +26,8 @@ speaking JSON, mirroring the submit/poll shape of builder-style services:
 ``GET /sessions/{id}``       200     one session's snapshot
 ``POST /sessions/{id}/edits``  200   apply an edit script, returning the
                                      result delta + tier + timing (400
-                                     rejects, session unchanged)
+                                     rejects, 500 server faults; the
+                                     session is unchanged on both)
 ``DELETE /sessions/{id}``    200     close a session
 ``POST /queries``            200     answer a batch of demand ``pts(v)``
                                      queries over slices (cached via the
@@ -669,14 +670,17 @@ class _Handler(BaseHTTPRequestHandler):
         m = _SESSION_EDITS_PATH.match(self.path)
         if m:
             try:
-                payload = self.service.sessions.apply_edits(
-                    m.group(1), self._read_json()
-                )
+                body = self._read_json()
+            except ValueError as exc:
+                self._send_json(400, {"error": str(exc)})
+                return
+            try:
+                payload = self.service.sessions.apply_edits(m.group(1), body)
             except SessionError as exc:
                 self._send_json(exc.status, {"error": str(exc)})
                 return
-            except ValueError as exc:
-                self._send_json(400, {"error": str(exc)})
+            except Exception as exc:  # noqa: BLE001 - a fault, not a bad edit
+                self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
                 return
             self.service._m_session_edits.inc(tier=payload["tier"])
             self._send_json(200, payload)

@@ -7,13 +7,16 @@ or inline source), pays the from-scratch solve once, and every subsequent
 :class:`~repro.incremental.edits.EditScript` and gets back the *result
 delta* — added/removed tuples per output relation — plus timing split
 into delta-apply and solve, and the tier the session actually took
-(``noop``/``monotonic``/``strata``/``full``).
+(``noop``/``monotonic``/``full``).
 
 Unlike jobs, sessions are stateful and synchronous: edits run in the
 HTTP handler thread under a per-session lock (an edit on a warm session
 is orders of magnitude cheaper than the solve a job pays — that is the
 point of the subsystem), and a failed edit script rolls back, leaving
 the session at its previous consistent state (HTTP 400, session intact).
+Any other failure inside the solve is a server fault, not a bad edit: it
+propagates (the route answers 500), and the session has still rolled
+back.
 
 The store bounds live sessions (each one pins a solved fixpoint in
 memory); creation beyond the cap is refused with HTTP 409 until a
@@ -27,16 +30,30 @@ import time
 import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..analysis.solver import BudgetExceeded
 from ..benchgen.dacapo import DACAPO_SPECS, benchmark_names, build_benchmark
 from ..contexts.policies import policy_by_name
 from ..frontend import parse_source
 from ..fuzz.sketch import ProgramSketch
 from ..incremental.edits import EditError, EditScript
 from ..incremental.session import IncrementalSession
+from ..ir.program import ProgramError
+from ..ir.types import TypeError_
+from ..ir.validate import ValidationError
 
 __all__ = ["EditSessionRecord", "SessionError", "SessionStore"]
 
-_CREATE_FIELDS = {"benchmark", "source", "analysis", "engine", "max_tuples"}
+_CREATE_FIELDS = {"benchmark", "source", "analysis", "max_tuples"}
+
+#: What an edit script can legitimately raise: a bad edit, an invalid
+#: resulting program, or a result over the tuple budget.
+_EDIT_ERRORS = (
+    EditError,
+    ProgramError,
+    ValidationError,
+    TypeError_,
+    BudgetExceeded,
+)
 
 
 class SessionError(ValueError):
@@ -65,7 +82,6 @@ class EditSessionRecord:
             "id": self.id,
             "spec": self.spec,
             "analysis": s.analysis,
-            "engine": s.engine,
             "digest": s.facts.digest(),
             "program": s.program.summary(),
             "initial_solve_seconds": round(s.initial_solve_seconds, 6),
@@ -107,10 +123,7 @@ class SessionStore:
                 "exactly one of 'benchmark' or 'source' must be given"
             )
         analysis = payload.get("analysis", "insens")
-        engine = payload.get("engine", "solver")
         max_tuples = payload.get("max_tuples")
-        if engine not in ("solver", "datalog"):
-            raise SessionError(f"unknown engine {engine!r}")
         if max_tuples is not None and (
             not isinstance(max_tuples, int)
             or isinstance(max_tuples, bool)
@@ -143,7 +156,6 @@ class SessionStore:
         session = IncrementalSession(
             ProgramSketch.from_program(program),
             analysis=analysis,
-            engine=engine,
             max_tuples=max_tuples,
         )
         record = EditSessionRecord(
@@ -152,7 +164,6 @@ class SessionStore:
                 "benchmark": benchmark,
                 "source": source,
                 "analysis": analysis,
-                "engine": engine,
                 "max_tuples": max_tuples,
             },
         )
@@ -188,7 +199,9 @@ class SessionStore:
         """Apply one edit script; return the outcome payload.
 
         The edit runs under the record's lock so concurrent posts to the
-        same session serialize; distinct sessions edit in parallel.
+        same session serialize; distinct sessions edit in parallel.  Only
+        the errors an edit can legitimately raise become a 400
+        :class:`SessionError`; anything else propagates.
         """
         record = self.get(session_id)
         if record is None:
@@ -205,7 +218,7 @@ class SessionStore:
         with record.lock:
             try:
                 outcome = record.session.apply(script)
-            except Exception as exc:  # noqa: BLE001 - session rolled back
+            except _EDIT_ERRORS as exc:  # the session rolled back
                 raise SessionError(
                     f"edit rejected ({type(exc).__name__}: {exc}); "
                     "session unchanged"

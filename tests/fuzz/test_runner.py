@@ -40,19 +40,6 @@ def test_campaign_runs_clean_and_counts(tmp_path):
     assert s.seconds > 0
 
 
-def test_datalog_rotate_drops_to_one_datalog_run_per_program():
-    full = run_campaign(small_config())
-    rotated = run_campaign(small_config(datalog_rotate=True))
-    assert rotated.ok and full.ok
-    # The schedule knob must not change what gets fuzzed or checked...
-    assert rotated.stats.programs == full.stats.programs
-    assert rotated.stats.oracle_checks == full.stats.oracle_checks
-    # ...only how many Datalog evaluations pay for it: one rotating run
-    # instead of one per flavor (insens + the deep flavors).
-    diff = full.stats.engine_runs - rotated.stats.engine_runs
-    assert diff == full.stats.programs * len(DEEP_FLAVORS)
-
-
 def test_campaign_is_deterministic_in_stats():
     a = run_campaign(small_config())
     b = run_campaign(small_config())

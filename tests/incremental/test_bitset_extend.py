@@ -90,7 +90,6 @@ def test_identically_seeded_warm_sessions_agree_exactly():
         session = IncrementalSession(
             ProgramSketch.from_program(build_kitchen_sink_program()),
             analysis="2objH",
-            engine="solver",
         )
         rng = random.Random(37)
         trail = []
@@ -122,7 +121,6 @@ def test_warm_session_digest_and_relations_match_cold_rebuild():
     session = IncrementalSession(
         ProgramSketch.from_program(build_kitchen_sink_program()),
         analysis="2objH",
-        engine="solver",
     )
     rng = random.Random(41)
     for _ in range(3):
@@ -131,9 +129,7 @@ def test_warm_session_digest_and_relations_match_cold_rebuild():
         )
         session.apply(script)
 
-    cold = IncrementalSession(
-        session.sketch.clone(), analysis="2objH", engine="solver"
-    )
+    cold = IncrementalSession(session.sketch.clone(), analysis="2objH")
     assert cold.facts.digest() == session.facts.digest()
     assert cold.relations() == session.relations()
     assert session.check_against_scratch() == []

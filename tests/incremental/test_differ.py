@@ -10,9 +10,9 @@ from repro.incremental.differ import (
     MONOTONIC_HAZARDS,
     classify_delta,
     diff_facts,
+    negation_tainted,
 )
 from repro.incremental.edits import random_edit_script
-from repro.incremental.resume import negation_tainted
 from tests.conftest import build_kitchen_sink_program, build_tiny_program
 
 

@@ -114,6 +114,10 @@ def test_edit_from_json_rejects_junk():
         edit_from_json({"op": "explode"})
     with pytest.raises(EditError, match="missing key"):
         edit_from_json({"op": "add-class"})
+    with pytest.raises(EditError, match="index must be an integer"):
+        edit_from_json(
+            {"op": "delete-instruction", "method_id": "Main.main/0", "index": "0"}
+        )
     with pytest.raises(EditError):
         edit_from_json("not an object")
 

@@ -1,4 +1,4 @@
-"""Warm sessions must equal from-scratch on every tier, both engines."""
+"""Warm sessions must equal from-scratch on every tier."""
 
 from __future__ import annotations
 
@@ -28,31 +28,34 @@ PROGRAMS = {
     "boxes": build_box_program,
     "kitchen-sink": build_kitchen_sink_program,
 }
-ENGINES = ("solver", "datalog")
+#: The packed solver is the one warm engine; the parameter keeps the
+#: node ids (``[tiny-solver]``, ``[solver]``) and the edit seeds stable.
+ENGINES = ("solver",)
+TIERS = ("noop", "monotonic", "full")
 
 
-def make_session(name="kitchen-sink", engine="solver", analysis="2objH"):
+def make_session(name="kitchen-sink", analysis="2objH"):
     sketch = ProgramSketch.from_program(PROGRAMS[name]())
-    return IncrementalSession(sketch, analysis=analysis, engine=engine)
+    return IncrementalSession(sketch, analysis=analysis)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_edit_sequences_stay_equivalent_to_scratch(engine, name):
-    session = make_session(name, engine)
+    session = make_session(name)
     rng = random.Random(f"{engine}/{name}")
     for step in range(4):
         script = random_edit_script(session.sketch, rng, edits=2)
         out = session.apply(script)
-        assert out.tier in ("noop", "monotonic", "strata", "full")
-        assert session.check_against_scratch() == [], (engine, name, step)
+        assert out.tier in TIERS
+        assert session.check_against_scratch() == [], (name, step)
     assert session.edits_applied >= 4
     assert sum(session.tier_counts.values()) == 4
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_monotonic_tier_taken_for_pure_additions(engine):
-    session = make_session(engine=engine)
+    session = make_session()
     rng = random.Random(11)
     script = random_edit_script(
         session.sketch, rng, edits=1, allow_removals=False, kinds=("alloc",)
@@ -65,11 +68,11 @@ def test_monotonic_tier_taken_for_pure_additions(engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_deletion_takes_a_recompute_tier(engine):
-    session = make_session(engine=engine)
+    session = make_session()
     rng = random.Random(13)
     script = random_edit_script(session.sketch, rng, edits=1, kinds=("delete",))
     out = session.apply(script)
-    assert out.tier == ("strata" if engine == "datalog" else "full")
+    assert out.tier == "full"
     assert session.check_against_scratch() == []
 
 
@@ -86,7 +89,7 @@ def test_result_delta_matches_relation_diff_exactly():
     # The solver's O(delta) reported additions must equal the brute-force
     # before/after set difference — the cheap path may not drop or invent
     # a single tuple.
-    session = make_session(engine="solver")
+    session = make_session()
     rng = random.Random(17)
     for _ in range(3):
         before = session.relations()
@@ -113,7 +116,7 @@ def test_failed_edit_leaves_session_consistent():
     assert session.check_against_scratch() == []
     # ... and the session still accepts edits afterwards.
     out = session.apply(EditScript([AddClass("ZAfter")]))
-    assert out.tier in ("noop", "monotonic", "strata", "full")
+    assert out.tier in TIERS
 
 
 def test_budget_trip_mid_extend_keeps_session_usable():
@@ -121,12 +124,10 @@ def test_budget_trip_mid_extend_keeps_session_usable():
     # later extension must not poison the warm engine: the session
     # recovers to its previous state and keeps answering.
     sketch = ProgramSketch.from_program(build_kitchen_sink_program())
-    probe = IncrementalSession(sketch, analysis="2objH", engine="solver")
+    probe = IncrementalSession(sketch, analysis="2objH")
     budget = len(probe.relations()["VARPOINTSTO"]) + 40
 
-    session = IncrementalSession(
-        sketch, analysis="2objH", engine="solver", max_tuples=budget
-    )
+    session = IncrementalSession(sketch, analysis="2objH", max_tuples=budget)
     digest = session.facts.digest()
     rng = random.Random(23)
     tripped = False

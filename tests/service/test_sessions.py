@@ -8,6 +8,7 @@ import urllib.request
 
 import pytest
 
+from repro.incremental.session import IncrementalSession
 from repro.service.api import local_service
 from repro.service.sessions import SessionError, SessionStore
 
@@ -43,8 +44,8 @@ class TestSessionStore:
             store.create({})
         with pytest.raises(SessionError, match="exactly one"):
             store.create({"benchmark": "antlr", "source": SOURCE})
-        with pytest.raises(SessionError, match="unknown engine"):
-            store.create({"source": SOURCE, "engine": "gpu"})
+        with pytest.raises(SessionError, match="unknown session fields"):
+            store.create({"source": SOURCE, "engine": "solver"})
         with pytest.raises(SessionError, match="positive integer"):
             store.create({"source": SOURCE, "max_tuples": 0})
         with pytest.raises(SessionError, match="unknown benchmark"):
@@ -71,7 +72,7 @@ class TestSessionStore:
         )
         assert out["session_id"] == record.id
         assert out["edits_applied"] == 1
-        assert out["tier"] in ("noop", "monotonic", "strata", "full")
+        assert out["tier"] in ("noop", "monotonic", "full")
         assert "result_delta" in out and "timing" in out
 
         # A rejected script must leave the session unchanged...
@@ -125,7 +126,7 @@ class TestSessionRoutes:
         )
         assert status == 201, created
         sid = created["id"]
-        assert created["engine"] == "solver"
+        assert "engine" not in created
         assert created["edits_url"] == f"/sessions/{sid}/edits"
         assert created["initial_solve_seconds"] >= 0
 
@@ -191,6 +192,29 @@ class TestSessionRoutes:
         )
         assert status == 400
         assert "session unchanged" in err["error"]
+        status, snap = _req(base + f"/sessions/{sid}")
+        assert status == 200 and snap["edits_applied"] == 0
+        _req(base + f"/sessions/{sid}", "DELETE")
+
+    def test_server_fault_is_a_500_and_keeps_session(self, base, monkeypatch):
+        # Not a bad edit but a fault inside the solve: a 500 with the
+        # exception named, and the session still answers.
+        _, created = _req(
+            base + "/sessions", "POST", {"source": SOURCE, "analysis": "insens"}
+        )
+        sid = created["id"]
+
+        def broken(_session, _script):
+            raise RuntimeError("solver invariant violated")
+
+        monkeypatch.setattr(IncrementalSession, "apply", broken)
+        status, err = _req(
+            base + f"/sessions/{sid}/edits",
+            "POST",
+            {"edits": [{"op": "add-class", "name": "ZNew"}]},
+        )
+        assert status == 500
+        assert err["error"] == "RuntimeError: solver invariant violated"
         status, snap = _req(base + f"/sessions/{sid}")
         assert status == 200 and snap["edits_applied"] == 0
         _req(base + f"/sessions/{sid}", "DELETE")

@@ -208,7 +208,7 @@ class TestIncrementalDoc:
         from repro.incremental import MONOTONIC_HAZARDS
 
         text = (DOCS / "incremental.md").read_text()
-        for tier in ("noop", "monotonic", "strata", "full"):
+        for tier in ("noop", "monotonic", "full"):
             assert f"`{tier}`" in text, tier
         for relation in MONOTONIC_HAZARDS - {"SITENOTTOREFINE", "OBJECTNOTTOREFINE"}:
             assert relation in text, relation
