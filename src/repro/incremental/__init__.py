@@ -4,16 +4,20 @@ The subsystem has three layers, bottom-up:
 
 * :mod:`~repro.incremental.edits` — a typed, invertible, JSON-round-
   trippable edit vocabulary over :class:`~repro.fuzz.sketch.ProgramSketch`
-  (the same program model the fuzzer mutates).
-* :mod:`~repro.incremental.differ` — turns an edit's before/after fact
-  bases into per-relation EDB row additions/retractions and classifies
-  the cheapest sound re-analysis tier.
+  (the same program model the fuzzer mutates); an applied script reports
+  its :class:`~repro.incremental.edits.Footprint`, what it touched.
+* :mod:`~repro.incremental.differ` — the per-relation EDB row
+  additions/retractions of an edit (:class:`FactDelta`, with
+  :func:`diff_facts` as the whole-base reference) and the classifier
+  picking the cheapest sound re-analysis tier.
 * :mod:`~repro.incremental.session` — the warm
   :class:`~repro.incremental.session.IncrementalSession` tying it
-  together over the packed solver, whose monotonic fast path lives on the
-  solver itself (:meth:`repro.analysis.solver.PointsToSolver.extend`);
-  the service's ``/sessions`` endpoints and ``repro bench
-  --incremental`` sit on top of it.
+  together over the packed solver.  It keeps each method's encoded rows
+  and re-encodes only the methods an edit's footprint makes dirty, so
+  the fact delta comes from those rows alone; the monotonic fast path
+  lives on the solver itself
+  (:meth:`repro.analysis.solver.PointsToSolver.extend`).  The service's
+  ``/sessions`` endpoints and ``repro bench --incremental`` sit on top.
 
 See ``docs/incremental.md`` for the full tour.
 """

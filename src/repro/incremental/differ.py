@@ -1,11 +1,13 @@
-"""Fact-level differ: two fact bases in, EDB row deltas out.
+"""Fact deltas: what an edit means to the engines, and which tier absorbs it.
 
-:func:`diff_facts` compares two :class:`~repro.facts.encoder.FactBase`
-snapshots (before/after an edit) relation by relation and returns a
-:class:`FactDelta` of per-relation row additions and retractions.  The
-differ is the sole authority on what an edit *means* to the engines — the
-edit model describes intent, the delta describes consequence (a one-line
-source edit can renumber later site ids and show up as removals).
+A :class:`FactDelta` holds per-relation EDB row additions and
+retractions.  The edit model describes intent, the delta describes
+consequence (a one-line source edit can renumber later site ids and show
+up as removals).  An :class:`~repro.incremental.session.IncrementalSession`
+takes its delta from the old and new rows of the methods an edit made
+dirty; :func:`diff_facts` is the whole-base reference it is held to —
+it compares two :class:`~repro.facts.encoder.FactBase` snapshots
+(before/after an edit) relation by relation.
 
 :func:`classify_delta` then decides which incremental tier can absorb the
 delta:
@@ -13,7 +15,7 @@ delta:
 * ``monotonic`` — pure additions outside the hazard set; the packed
   solver can extend its prior fixpoint by replaying only the delta into
   its worklist.
-* ``recompute`` — anything with retractions, rows in
+* ``full`` — anything with retractions, rows in
   :data:`MONOTONIC_HAZARDS` (relations that feed negation or cached
   type-hierarchy state), or structural rows attached to pre-existing
   methods.  Deletion from a least fixpoint is non-monotonic, so these
@@ -156,24 +158,24 @@ def classify_delta(
     """Pick the cheapest sound tier for a delta.
 
     Returns ``(tier, reason)`` where tier is ``"noop"``, ``"monotonic"``,
-    or ``"recompute"`` and the reason is a short human-readable
+    or ``"full"`` (a fresh solve) and the reason is a short human-readable
     explanation (surfaced in session outcomes and the service API).
     """
     if delta.is_empty:
         return "noop", "no fact changes"
     if delta.removed:
         names = ", ".join(sorted(delta.removed))
-        return "recompute", f"retractions in {names}"
+        return "full", f"retractions in {names}"
     hot = sorted(set(delta.added) & hazards)
     if hot:
-        return "recompute", f"additions to hazard relations: {', '.join(hot)}"
+        return "full", f"additions to hazard relations: {', '.join(hot)}"
     for name in _METHOD_STRUCTURE:
         stale = {
             row[0] for row in delta.added.get(name, ()) if row[0] in old_method_ids
         }
         if stale:
             return (
-                "recompute",
+                "full",
                 f"{name} additions on pre-existing methods: "
                 f"{', '.join(sorted(stale))}",
             )
@@ -183,7 +185,7 @@ def classify_delta(
         }
         if stale:
             return (
-                "recompute",
+                "full",
                 f"{name} additions on pre-existing call sites: "
                 f"{', '.join(sorted(stale))}",
             )

@@ -18,14 +18,22 @@ A structurally impossible edit (unknown method, index out of range,
 duplicate class) raises :class:`EditError` *before* mutating anything, so
 a failed script application never leaves the sketch half-edited beyond
 the edits that already succeeded (and those have inverses).
+
+The inverse script that :meth:`EditScript.apply` returns carries a
+:class:`Footprint`: the method bodies, method declarations, classes and
+entry points the application touched — also exactly what applying the
+inverse touches.  An :class:`~repro.incremental.session.IncrementalSession`
+re-encodes only the methods a footprint names.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..ir.instructions import Alloc, Instruction, Move, Return, StaticCall
+from ..ir.program import signature
 from ..ir.types import OBJECT
 from ..fuzz.sketch import (
     ClassSketch,
@@ -44,6 +52,7 @@ __all__ = [
     "Edit",
     "EditError",
     "EditScript",
+    "Footprint",
     "InsertInstruction",
     "RemoveEntryPoint",
     "RemoveField",
@@ -57,6 +66,29 @@ class EditError(ValueError):
     """The edit cannot be applied to this sketch (nothing was mutated)."""
 
 
+@dataclass
+class Footprint:
+    """What one application of an edit script touched.
+
+    ``bodies`` are the ids of methods whose instructions changed;
+    ``methods`` maps each added or removed method's id to its
+    ``(signature, is_static)``.  ``classes`` is set when a class was
+    added or removed, ``entry_points`` when the entry points changed.
+    Field declarations encode no facts and leave no trace here.
+    """
+
+    bodies: Set[str] = field(default_factory=set)
+    methods: Dict[str, Tuple[str, bool]] = field(default_factory=dict)
+    classes: bool = False
+    entry_points: bool = False
+
+    def update(self, other: "Footprint") -> None:
+        self.bodies |= other.bodies
+        self.methods.update(other.methods)
+        self.classes |= other.classes
+        self.entry_points |= other.entry_points
+
+
 class Edit:
     """One reversible structural change; subclasses define ``op``."""
 
@@ -64,6 +96,11 @@ class Edit:
 
     def apply(self, sketch: ProgramSketch) -> "Edit":
         """Mutate ``sketch`` in place; return the inverse edit."""
+        raise NotImplementedError
+
+    def touch(self, footprint: Footprint, inverse: "Edit") -> None:
+        """Record in ``footprint`` what applying this edit touched;
+        ``inverse`` is what that application returned."""
         raise NotImplementedError
 
     def to_json(self) -> Dict[str, object]:
@@ -114,6 +151,9 @@ class AddClass(Edit):
         sketch.classes[self.cls.name] = self.cls.clone()
         return RemoveClass(self.cls.name)
 
+    def touch(self, footprint: Footprint, inverse: Edit) -> None:
+        footprint.classes = True
+
     def to_json(self) -> Dict[str, object]:
         c = self.cls
         return {
@@ -153,6 +193,9 @@ class RemoveClass(Edit):
         inverse.cls = cls
         return inverse
 
+    def touch(self, footprint: Footprint, inverse: Edit) -> None:
+        footprint.classes = True
+
     def to_json(self) -> Dict[str, object]:
         return {"op": self.op, "name": self.name}
 
@@ -188,6 +231,10 @@ class AddMethod(Edit):
             raise EditError(f"method already declared: {self.method.id}")
         sketch.methods.append(self.method.clone())
         return RemoveMethod(self.method.id)
+
+    def touch(self, footprint: Footprint, inverse: Edit) -> None:
+        m = self.method
+        footprint.methods[m.id] = (signature(m.name, len(m.params)), m.is_static)
 
     def to_json(self) -> Dict[str, object]:
         m = self.method
@@ -230,6 +277,13 @@ class RemoveMethod(Edit):
         script_inverse = EditScript([inverse, AddEntryPoint(self.method_id)])
         return _CompoundEdit(script_inverse)
 
+    def touch(self, footprint: Footprint, inverse: Edit) -> None:
+        # The inverse re-adds the removed method (and re-registers its
+        # entry point): it touches what the removal touched.
+        readd = inverse.script if isinstance(inverse, _CompoundEdit) else (inverse,)
+        for edit in readd:
+            edit.touch(footprint, self)
+
     def to_json(self) -> Dict[str, object]:
         return {"op": self.op, "method_id": self.method_id}
 
@@ -247,6 +301,10 @@ class _CompoundEdit(Edit):
 
     def apply(self, sketch: ProgramSketch) -> Edit:
         return _CompoundEdit(self.script.apply(sketch))
+
+    def touch(self, footprint: Footprint, inverse: Edit) -> None:
+        assert isinstance(inverse, _CompoundEdit)
+        footprint.update(inverse.script.footprint)
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -284,6 +342,9 @@ class InsertInstruction(Edit):
         method.instructions.insert(index, self.instruction)
         return DeleteInstruction(self.method_id, index)
 
+    def touch(self, footprint: Footprint, inverse: Edit) -> None:
+        footprint.bodies.add(self.method_id)
+
     def to_json(self) -> Dict[str, object]:
         return {
             "op": self.op,
@@ -319,6 +380,9 @@ class DeleteInstruction(Edit):
         instruction = method.instructions.pop(self.index)
         return InsertInstruction(self.method_id, instruction, self.index)
 
+    def touch(self, footprint: Footprint, inverse: Edit) -> None:
+        footprint.bodies.add(self.method_id)
+
     def to_json(self) -> Dict[str, object]:
         return {"op": self.op, "method_id": self.method_id, "index": self.index}
 
@@ -338,6 +402,9 @@ class AddEntryPoint(Edit):
             raise EditError(f"already an entry point: {self.method_id}")
         sketch.entry_points.append(self.method_id)
         return RemoveEntryPoint(self.method_id)
+
+    def touch(self, footprint: Footprint, inverse: Edit) -> None:
+        footprint.entry_points = True
 
     def to_json(self) -> Dict[str, object]:
         return {"op": self.op, "method_id": self.method_id}
@@ -359,6 +426,9 @@ class RemoveEntryPoint(Edit):
             raise EditError("a program needs at least one entry point")
         sketch.entry_points.remove(self.method_id)
         return AddEntryPoint(self.method_id)
+
+    def touch(self, footprint: Footprint, inverse: Edit) -> None:
+        footprint.entry_points = True
 
     def to_json(self) -> Dict[str, object]:
         return {"op": self.op, "method_id": self.method_id}
@@ -386,6 +456,9 @@ class AddField(Edit):
             )
         cls.fields.append(self.field_name)
         return RemoveField(self.class_name, self.field_name)
+
+    def touch(self, footprint: Footprint, inverse: Edit) -> None:
+        pass  # a field declaration encodes no rows
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -416,6 +489,9 @@ class RemoveField(Edit):
         cls.fields.remove(self.field_name)
         return AddField(self.class_name, self.field_name)
 
+    def touch(self, footprint: Footprint, inverse: Edit) -> None:
+        pass  # a field declaration encodes no rows
+
     def to_json(self) -> Dict[str, object]:
         return {
             "op": self.op,
@@ -428,10 +504,15 @@ class RemoveField(Edit):
 
 
 class EditScript:
-    """An ordered sequence of edits applied as one unit."""
+    """An ordered sequence of edits applied as one unit.
+
+    ``footprint`` is empty on a script built by hand; on the inverse
+    script :meth:`apply` returns it is what that application touched.
+    """
 
     def __init__(self, edits: Iterable[Edit] = ()) -> None:
         self.edits: List[Edit] = list(edits)
+        self.footprint = Footprint()
 
     def __len__(self) -> int:
         return len(self.edits)
@@ -440,21 +521,27 @@ class EditScript:
         return iter(self.edits)
 
     def apply(self, sketch: ProgramSketch) -> "EditScript":
-        """Apply every edit in order; return the inverse script.
+        """Apply every edit in order; return the inverse script, whose
+        ``footprint`` records what the application touched.
 
         On :class:`EditError` the edits applied so far are rolled back
         before the error propagates, so a failed script leaves the sketch
         exactly as it found it.
         """
         inverses: List[Edit] = []
+        footprint = Footprint()
         try:
             for edit in self.edits:
-                inverses.append(edit.apply(sketch))
+                inverse = edit.apply(sketch)
+                inverses.append(inverse)
+                edit.touch(footprint, inverse)
         except EditError:
             for inverse in reversed(inverses):
                 inverse.apply(sketch)
             raise
-        return EditScript(list(reversed(inverses)))
+        script = EditScript(list(reversed(inverses)))
+        script.footprint = footprint
+        return script
 
     def describe(self) -> str:
         return "; ".join(e.describe() for e in self.edits) or "(empty)"

@@ -17,10 +17,36 @@ apply runs the tier ladder:
     retractions, hazard rows, or anything else the classifier refuses:
     the always-correct escape hatch, a fresh solve.
 
+The write path is per method.  The session keeps every method's encoded
+rows; an apply re-encodes only the methods the script's
+:class:`~repro.incremental.edits.Footprint` makes dirty, assembles the
+new :class:`~repro.facts.encoder.FactBase` by concatenating the cached
+rows in ``program.methods()`` order (list-equal to ``encode_program``),
+and takes the :class:`~repro.incremental.differ.FactDelta` from the dirty
+methods' old and new rows alone.  The dirty set grows past the edited
+bodies where encoding crosses methods:
+
+* an added or removed method is dirty, and so is every method with a
+  static or special call on its signature (those rows resolve through
+  ``Program.lookup``, which walks superclasses);
+* the ``SUBTYPE``/``LOOKUP`` rows are re-derived when a class is added
+  or removed, or when an added or removed method is an instance method
+  or shares a signature with one (a static method can shadow an
+  inherited instance method); otherwise they are reused;
+* a class-level edit makes every method dirty;
+* a shared string constant's ``HEAPTYPE``/``ALLOCCLASS`` rows are
+  emitted at its first use in method order and retracted only when no
+  method uses it any more;
+* ``REACHABLEROOT`` is re-derived when the entry points changed.
+
+A failed build or solve leaves the row cache, :attr:`facts` and the warm
+solver as they were.
+
 Every apply returns an :class:`EditOutcome` carrying the tier taken, the
 fact delta, *result* deltas (added/removed tuples per output relation),
-and timing split into delta-apply (edit + rebuild + diff + classify) and
-solve.  Equality with a from-scratch solve is enforced by the
+and timing split into delta-apply (edit + build + encoding the dirty
+methods + assembly + delta + classify) and solve; the fact digest is
+computed when first read.  Equality with a from-scratch solve is enforced by the
 ``incremental-equivalence`` fuzz oracle and the bench harness; if the
 fast tier's belt-and-braces guards refuse a delta the session silently
 falls back to ``full`` and says so in the outcome reason.
@@ -28,18 +54,36 @@ falls back to ``full`` and says so in the outcome reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..analysis.solver import PointsToSolver
 from ..contexts.policies import policy_by_name
-from ..facts.encoder import FactBase, encode_program
+from ..facts.encoder import (
+    INSTRUCTION_RELATIONS,
+    FactBase,
+    _encode_method,
+    _encode_types,
+    encode_program,
+)
 from ..fuzz.oracles import solver_relations
 from ..fuzz.sketch import ProgramSketch
-from ..ir.program import Program
+from ..ir.program import Method, Program
 from ..utils import Stopwatch
-from .differ import FactDelta, classify_delta, diff_facts
-from .edits import Edit, EditScript
+# ``diff_facts`` is not called here; it stays importable from this module
+# because the benchmark's traced run wraps the module's names.
+from .differ import FactDelta, classify_delta, diff_facts  # noqa: F401
+from .edits import Edit, EditScript, Footprint
 
 __all__ = ["EditOutcome", "IncrementalSession", "RESULT_RELATIONS"]
 
@@ -58,6 +102,77 @@ RESULT_RELATIONS = (
 #: of rebuilding O(result) frozensets per edit.
 Relations = Dict[str, set]
 
+#: The fact-base relations one method's encoding writes (attribute names).
+_METHOD_RELATIONS = INSTRUCTION_RELATIONS + (
+    "formalarg",
+    "actualarg",
+    "formalreturn",
+    "actualreturn",
+    "thisvar",
+    "heaptype",
+    "allocclass",
+    "varinmeth",
+    "invoinmeth",
+)
+_EMPTY: FrozenSet[str] = frozenset()
+
+
+class _MethodRows:
+    """One method's encoding: its non-empty relations and its share of
+    the encoder's derived maps (``method_of_invo`` and ``all_heaps``
+    follow from ``args_of_invo`` and ``heap_type``)."""
+
+    __slots__ = (
+        "rows",
+        "vars",
+        "heap_type",
+        "alloc_class",
+        "args_of_invo",
+        "vcall_invos",
+        "strings",
+        "call_sigs",
+    )
+
+    def __init__(self, program: Program, method: Method) -> None:
+        scratch = FactBase(program)
+        _encode_method(program, method, scratch)
+        # Tuples, not lists: the collector stops tracking a tuple of
+        # untracked rows, and a session holds one per relation per method.
+        encoded = vars(scratch)
+        self.rows: Dict[str, Tuple[tuple, ...]] = {
+            name: tuple(encoded[name])
+            for name in _METHOD_RELATIONS
+            if encoded[name]
+        }
+        self.vars = scratch.vars_of_method[method.id]
+        self.heap_type = scratch.heap_type
+        self.alloc_class = scratch.alloc_class
+        self.args_of_invo = scratch.args_of_invo
+        self.vcall_invos = scratch.vcall_invos or _EMPTY
+        # String constants, each with its HEAPTYPE/ALLOCCLASS rows here;
+        # the whole-program encoding keeps those rows at the first use.
+        strings = scratch.string_const_heaps
+        self.strings = frozenset(strings) if strings else _EMPTY
+        # Signatures of static and special calls: their rows name the
+        # callee ``Program.lookup`` resolved, so they go stale when a
+        # method with that signature comes or goes.
+        callees = [row[0] for row in scratch.scall]
+        callees += [row[1] for row in scratch.specialcall]
+        self.call_sigs = (
+            frozenset(program.method(c).sig for c in callees) if callees else _EMPTY
+        )
+
+
+def _type_rows(program: Program) -> FactBase:
+    """A scratch fact base holding only ``program``'s SUBTYPE/LOOKUP rows."""
+    scratch = FactBase(program)
+    _encode_types(program, scratch)
+    return scratch
+
+
+def _instance_sigs(program: Program) -> FrozenSet[str]:
+    return frozenset(m.sig for m in program.methods() if not m.is_static)
+
 
 def _jsonify(value: object) -> object:
     if isinstance(value, tuple):
@@ -74,9 +189,14 @@ class EditOutcome:
     delta: FactDelta
     apply_seconds: float
     solve_seconds: float
-    digest: str
+    facts: FactBase = field(repr=False, compare=False)
     result_added: Dict[str, FrozenSet[tuple]]
     result_removed: Dict[str, FrozenSet[tuple]]
+
+    @cached_property
+    def digest(self) -> str:
+        """The post-edit :meth:`FactBase.digest`, computed on first read."""
+        return self.facts.digest()
 
     @property
     def result_rows_added(self) -> int:
@@ -141,10 +261,17 @@ class IncrementalSession:
         self.max_tuples = max_tuples
         self.sketch = sketch.clone()
         self.program: Program = self.sketch.build()
-        self.facts: FactBase = encode_program(self.program)
+        # The row cache: every method's encoding, by method id.
+        self._methods: Dict[str, _MethodRows] = {
+            m.id: _MethodRows(self.program, m) for m in self.program.methods()
+        }
+        self._instance_sigs = _instance_sigs(self.program)
+        types = _type_rows(self.program)
+        roots = [(ep,) for ep in self.program.entry_points]
+        self.facts: FactBase = self._assemble(self.program, {}, types, roots)
         # The policy binds alloc_class_of at construction; a session-owned
-        # dict (grown per edit, before each solve) keeps it fresh.  An
-        # alloc site's declaring class never changes while the site id
+        # dict (grown from each delta, before each solve) keeps it fresh.
+        # An alloc site's declaring class never changes while the site id
         # exists, so stale entries are never *wrong*.
         self._alloc_class: Dict[str, str] = dict(self.facts.alloc_class)
         self._policy = policy_by_name(
@@ -156,6 +283,132 @@ class IncrementalSession:
         sw = Stopwatch()
         self._relations: Relations = self._solve_fresh(self.program, self.facts)
         self.initial_solve_seconds = sw.elapsed()
+
+    # ------------------------------------------------------------------
+    # The per-method write path
+    # ------------------------------------------------------------------
+    def _encode_dirty(
+        self, program: Program, footprint: Footprint
+    ) -> Tuple[Dict[str, Optional[_MethodRows]], bool]:
+        """Re-encode the methods ``footprint`` makes dirty.
+
+        Returns the fresh rows by method id (``None``: the method is
+        gone) and whether the SUBTYPE/LOOKUP rows must be re-derived.
+        """
+        changed = footprint.methods
+        if footprint.classes:
+            dirty = set(self._methods).union(m.id for m in program.methods())
+        else:
+            dirty = footprint.bodies | changed.keys()
+            sigs = {sig for sig, _static in changed.values()}
+            if sigs:
+                dirty.update(
+                    mid
+                    for mid, cached in self._methods.items()
+                    if not cached.call_sigs.isdisjoint(sigs)
+                )
+        retype = footprint.classes or any(
+            not static or sig in self._instance_sigs
+            for sig, static in changed.values()
+        )
+        fresh: Dict[str, Optional[_MethodRows]] = {}
+        for mid in dirty:
+            try:
+                method = program.method(mid)
+            except KeyError:
+                fresh[mid] = None
+            else:
+                fresh[mid] = _MethodRows(program, method)
+        return fresh, retype
+
+    def _assemble(
+        self,
+        program: Program,
+        fresh: Mapping[str, Optional[_MethodRows]],
+        types: FactBase,
+        roots: List[Tuple[str]],
+    ) -> FactBase:
+        """The whole fact base: cached rows, with ``fresh`` overriding
+        the cache, concatenated in ``program.methods()`` order — the
+        order ``encode_program`` emits them in."""
+        facts = FactBase(program)
+        out = {name: getattr(facts, name) for name in _METHOD_RELATIONS}
+        heap_type = facts.heap_type
+        alloc_class = facts.alloc_class
+        args_of_invo = facts.args_of_invo
+        method_of_invo = facts.method_of_invo
+        vcall_invos = facts.vcall_invos
+        strings = facts.string_const_heaps
+        vars_of_method = facts.vars_of_method
+        cache = self._methods
+        for method in program.methods():
+            mid = method.id
+            entry = fresh.get(mid) or cache[mid]
+            rows = entry.rows
+            if entry.strings:
+                shared = entry.strings & strings
+                if shared:
+                    # An earlier method already emitted these constants.
+                    rows = dict(rows)
+                    for name in ("heaptype", "allocclass"):
+                        rows[name] = [r for r in rows[name] if r[0] not in shared]
+                strings |= entry.strings
+            for name, part in rows.items():
+                out[name].extend(part)
+            vars_of_method[mid] = entry.vars
+            if entry.heap_type:
+                heap_type.update(entry.heap_type)
+                alloc_class.update(entry.alloc_class)
+            if entry.args_of_invo:
+                args_of_invo.update(entry.args_of_invo)
+                method_of_invo.update(dict.fromkeys(entry.args_of_invo, mid))
+                vcall_invos |= entry.vcall_invos
+        facts.all_heaps = set(heap_type)
+        facts.subtype = list(types.subtype)
+        facts.lookup = list(types.lookup)
+        facts.reachableroot = list(roots)
+        return facts
+
+    def _delta(
+        self,
+        fresh: Mapping[str, Optional[_MethodRows]],
+        facts: FactBase,
+        retype: bool,
+        reroot: bool,
+    ) -> FactDelta:
+        """The fact delta from the dirty methods' old and new rows (plus
+        the type and root rows when those were re-derived)."""
+        before: Dict[str, set] = {}
+        after: Dict[str, set] = {}
+        for mid, new in fresh.items():
+            for side, entry in ((before, self._methods.get(mid)), (after, new)):
+                if entry is not None:
+                    for name, rows in entry.rows.items():
+                        side.setdefault(name, set()).update(rows)
+        old = self.facts
+        rederived = ("subtype", "lookup") if retype else ()
+        if reroot:
+            rederived += ("reachableroot",)
+        for name in rederived:
+            before[name] = set(getattr(old, name))
+            after[name] = set(getattr(facts, name))
+        added: Dict[str, FrozenSet[tuple]] = {}
+        removed: Dict[str, FrozenSet[tuple]] = {}
+        for name in before.keys() | after.keys():
+            was = before.get(name, set())
+            now = after.get(name, set())
+            plus = now - was
+            minus = was - now
+            if name in ("heaptype", "allocclass"):
+                # A string constant's rows come and go with its last use
+                # anywhere in the program, not with one method's use.
+                plus = {r for r in plus if r[0] not in old.string_const_heaps}
+                minus = {r for r in minus if r[0] not in facts.string_const_heaps}
+            if plus:
+                added[name.upper()] = frozenset(plus)
+            if minus:
+                removed[name.upper()] = frozenset(minus)
+        return FactDelta(added=added, removed=removed)
 
     # ------------------------------------------------------------------
     # Solver plumbing
@@ -212,18 +465,27 @@ class IncrementalSession:
         )
         sw = Stopwatch()
         inverse = script.apply(self.sketch)
+        footprint = inverse.footprint
         try:
             program = self.sketch.build()
-            facts = encode_program(program)
+            fresh, retype = self._encode_dirty(program, footprint)
+            types = _type_rows(program) if retype else self.facts
+            roots = (
+                [(ep,) for ep in program.entry_points]
+                if footprint.entry_points
+                else self.facts.reachableroot
+            )
+            facts = self._assemble(program, fresh, types, roots)
+            delta = self._delta(fresh, facts, retype, footprint.entry_points)
         except Exception:
             inverse.apply(self.sketch)
             raise
-        delta = diff_facts(self.facts, facts)
-        old_method_ids = {m.id for m in self.program.methods()}
-        old_invo_ids = {invo for invo, _meth in self.facts.invoinmeth}
-        tier, reason = classify_delta(delta, old_method_ids, old_invo_ids)
+        # The old fact base's maps are the old method and call-site ids.
+        tier, reason = classify_delta(
+            delta, self.facts.vars_of_method.keys(), self.facts.method_of_invo.keys()
+        )
         # Policies read alloc_class_of during the solve below.
-        self._alloc_class.update(facts.alloc_class)
+        self._alloc_class.update(delta.added.get("ALLOCCLASS", ()))
         apply_seconds = sw.elapsed()
 
         sw.restart()
@@ -238,20 +500,28 @@ class IncrementalSession:
                 except ValueError as exc:
                     # A fast-path guard refused the delta the classifier
                     # accepted: fall back to the escape hatch and say so.
+                    tier = "full"
                     reason = f"fast path refused ({exc}); {reason}"
             if added is None:
-                tier = "full"
                 self._relations = self._solve_fresh(program, facts)
         except Exception:
             # The solve itself failed (e.g. a tuple-budget trip mid
             # extension), possibly leaving the warm solver inconsistent.
             # Revert the sketch and rebuild the warm state at the old
             # program so the session survives; then let the error out.
+            # The row cache and ``facts`` were not yet touched.
             inverse.apply(self.sketch)
             self._relations = self._solve_fresh(self.program, self.facts)
             raise
         solve_seconds = sw.elapsed()
 
+        for mid, entry in fresh.items():
+            if entry is None:
+                del self._methods[mid]
+            else:
+                self._methods[mid] = entry
+        if retype:
+            self._instance_sigs = _instance_sigs(program)
         self.program = program
         self.facts = facts
         self.edits_applied += len(script)
@@ -282,7 +552,7 @@ class IncrementalSession:
             delta=delta,
             apply_seconds=apply_seconds,
             solve_seconds=solve_seconds,
-            digest=facts.digest(),
+            facts=facts,
             result_added=result_added,
             result_removed=result_removed,
         )

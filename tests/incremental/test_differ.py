@@ -53,7 +53,7 @@ def test_deletion_forces_recompute():
     delta, _ = delta_for(script, sketch)
     assert delta.removed
     tier, reason = classify_delta(delta, old_methods)
-    assert tier == "recompute"
+    assert tier == "full"
     assert "retractions" in reason
 
 
@@ -65,7 +65,7 @@ def test_hazard_addition_forces_recompute():
         removed={},
     )
     tier, reason = classify_delta(delta, frozenset())
-    assert tier == "recompute"
+    assert tier == "full"
     assert "SUBTYPE" in reason
 
 
@@ -76,7 +76,7 @@ def test_method_structure_on_old_method_forces_recompute():
         added={"FORMALARG": frozenset({("Old.m/1", 0, "p")})},
         removed={},
     )
-    assert classify_delta(delta, {"Old.m/1"})[0] == "recompute"
+    assert classify_delta(delta, {"Old.m/1"})[0] == "full"
     # ... but the same addition on a brand-new method is monotonic.
     assert classify_delta(delta, frozenset())[0] == "monotonic"
 
@@ -88,7 +88,7 @@ def test_call_structure_on_old_invocation_forces_recompute():
         added={"ACTUALARG": frozenset({("invo7", 0, "arg")})},
         removed={},
     )
-    assert classify_delta(delta, frozenset(), {"invo7"})[0] == "recompute"
+    assert classify_delta(delta, frozenset(), {"invo7"})[0] == "full"
     assert classify_delta(delta, frozenset(), frozenset())[0] == "monotonic"
 
 

@@ -13,12 +13,16 @@ from repro.fuzz.sketch import ProgramSketch
 from repro.incremental.edits import (
     AddClass,
     AddEntryPoint,
+    AddField,
     AddMethod,
     DeleteInstruction,
     EditError,
     EditScript,
+    Footprint,
     InsertInstruction,
     RemoveClass,
+    RemoveField,
+    RemoveMethod,
     edit_from_json,
     random_edit_script,
 )
@@ -182,3 +186,34 @@ def test_duplicate_class_refused():
     existing = next(iter(sketch.classes))
     with pytest.raises(EditError, match="already declared"):
         AddClass(existing).apply(sketch)
+
+
+# ----------------------------------------------------------------------
+# Footprints: what an application touched
+# ----------------------------------------------------------------------
+def test_footprint_names_what_an_application_touched():
+    sketch = sketch_of("kitchen-sink")
+    aux = AddMethod("Main", "aux", is_static=True,
+                    instructions=[Alloc("r", "Dog"), Return("r")])
+    inverse = EditScript([
+        aux,
+        AddEntryPoint("Main.aux/0"),
+        InsertInstruction("Main.main/0", Alloc("z", "Cat")),
+        AddField("Sound", "zf"),
+    ]).apply(sketch)
+    assert inverse.footprint == Footprint(
+        bodies={"Main.main/0"},
+        methods={"Main.aux/0": ("aux/0", True)},
+        entry_points=True,
+    )
+    # Removing an entry-point method touches the method and the entry
+    # points; the compound edit that restores both reports the same.
+    removal = EditScript([RemoveMethod("Main.aux/0"), RemoveField("Sound", "zf")])
+    undo = removal.apply(sketch)
+    expected = Footprint(methods={"Main.aux/0": ("aux/0", True)}, entry_points=True)
+    assert undo.footprint == expected
+    assert undo.apply(sketch).footprint == expected
+    assert EditScript([AddClass("ZNew")]).apply(sketch).footprint == Footprint(
+        classes=True
+    )
+    assert EditScript([AddClass("ZOther")]).footprint == Footprint()

@@ -5,14 +5,27 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import ProgramBuilder
+from repro.facts.encoder import encode_program
+from repro.frontend import parse_source
 from repro.fuzz.sketch import ProgramSketch
+from repro.incremental.differ import diff_facts
 from repro.incremental.edits import (
     AddClass,
+    AddEntryPoint,
+    AddMethod,
+    DeleteInstruction,
     EditScript,
+    InsertInstruction,
     RemoveClass,
+    RemoveMethod,
     random_edit_script,
 )
+from repro.ir.instructions import Alloc, ConstString, Return, StaticCall
+from repro.ir.validate import ValidationError
 from repro.incremental.session import (
     RESULT_RELATIONS,
     IncrementalSession,
@@ -37,6 +50,35 @@ TIERS = ("noop", "monotonic", "full")
 def make_session(name="kitchen-sink", analysis="2objH"):
     sketch = ProgramSketch.from_program(PROGRAMS[name]())
     return IncrementalSession(sketch, analysis=analysis)
+
+
+#: The encoder's derived maps beside the relation lists.
+DERIVED_MAPS = (
+    "heap_type",
+    "alloc_class",
+    "vars_of_method",
+    "args_of_invo",
+    "method_of_invo",
+    "vcall_invos",
+    "all_heaps",
+    "string_const_heaps",
+)
+
+
+def apply_and_check(session, script):
+    """Apply ``script``; assert the per-method write path produced what
+    a whole-program encoding would: the same rows in the same order, the
+    same derived maps, the delta ``diff_facts`` computes, the digest."""
+    previous = encode_program(session.program)
+    assert session.facts.as_relation_dict() == previous.as_relation_dict()
+    out = session.apply(script)
+    fresh = encode_program(session.sketch.build())
+    assert session.facts.as_relation_dict() == fresh.as_relation_dict()
+    for name in DERIVED_MAPS:
+        assert getattr(session.facts, name) == getattr(fresh, name), name
+    assert out.delta == diff_facts(previous, fresh)
+    assert out.digest == fresh.digest()
+    return out
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -117,6 +159,20 @@ def test_failed_edit_leaves_session_consistent():
     # ... and the session still accepts edits afterwards.
     out = session.apply(EditScript([AddClass("ZAfter")]))
     assert out.tier in TIERS
+    # A script that applies but builds an invalid program (a static call
+    # nothing resolves) is rolled back; the edits after it must see the
+    # rows of the program before it.
+    with pytest.raises(ValidationError, match="unresolvable"):
+        session.apply(EditScript([
+            InsertInstruction("Main.main/0", Alloc("zfresh", "Dog")),
+            InsertInstruction("Main.main/0", StaticCall(
+                target="zr", args=(), class_name="Util", sig="nowhere/0"
+            )),
+        ]))
+    assert session.check_against_scratch() == []
+    rng = random.Random(31)
+    out = apply_and_check(session, random_edit_script(session.sketch, rng))
+    assert out.tier in TIERS
 
 
 def test_budget_trip_mid_extend_keeps_session_usable():
@@ -144,6 +200,12 @@ def test_budget_trip_mid_extend_keeps_session_usable():
     assert tripped, "budget never tripped; test needs a smaller margin"
     assert session.facts.digest() == digest
     assert session.check_against_scratch() == []
+    # The row cache was left at the pre-failure program too: the next
+    # successful edit's delta and fact base match a fresh encoding.
+    out = apply_and_check(
+        session, EditScript([DeleteInstruction("Main.main/0", 0)])
+    )
+    assert out.tier == "full"
 
 
 def test_outcome_payload_is_json_shaped():
@@ -161,3 +223,147 @@ def test_outcome_payload_is_json_shaped():
         assert rel["count"] >= len(rel["rows"])
     assert payload["timing"]["apply_seconds"] >= 0
     assert payload["timing"]["solve_seconds"] >= 0
+
+
+# ----------------------------------------------------------------------
+# The per-method write path: cross-method dependencies
+# ----------------------------------------------------------------------
+def hierarchy_session():
+    """``B extends A``; ``A`` declares a static ``f`` and an instance
+    ``g``; ``main`` calls ``f`` statically through ``B``."""
+    b = ProgramBuilder()
+    b.klass("A")
+    b.klass("B", super_name="A")
+    with b.method("A", "f", [], static=True) as m:
+        m.alloc("fa", "A")
+        m.ret("fa")
+    with b.method("A", "g", []) as m:
+        m.ret("this")
+    with b.method("Main", "main", [], static=True) as m:
+        m.alloc("x", "B")
+        m.vcall("x", "g", [], target="y")
+        m.scall("B", "f", [], target="z")
+    sketch = ProgramSketch.from_program(b.build(entry="Main.main/0"))
+    return IncrementalSession(sketch, analysis="2objH")
+
+
+def test_added_method_shadowing_an_inherited_static_callee():
+    session = hierarchy_session()
+    body = [Alloc("fb", "B"), Return("fb")]
+    out = apply_and_check(
+        session, EditScript([AddMethod("B", "f", is_static=True, instructions=body)])
+    )
+    # main's static call now resolves to B.f: its SCALL row moved, though
+    # main itself was never edited.
+    assert {row[0] for row in out.delta.removed["SCALL"]} == {"A.f/0"}
+    assert {row[0] for row in out.delta.added["SCALL"]} == {"B.f/0"}
+    assert session.check_against_scratch() == []
+
+
+def test_static_method_shadowing_an_instance_method_drops_a_lookup_row():
+    session = hierarchy_session()
+    out = apply_and_check(
+        session,
+        EditScript([AddMethod("B", "g", is_static=True, instructions=[])]),
+    )
+    assert out.delta.removed["LOOKUP"] == frozenset({("B", "g/0", "A.g/0")})
+    assert session.check_against_scratch() == []
+
+
+def test_added_class_with_an_overriding_method():
+    session = hierarchy_session()
+    out = apply_and_check(
+        session,
+        EditScript([
+            AddClass("C", superclass="A"),
+            AddMethod("C", "g", instructions=[Alloc("r", "C"), Return("r")]),
+        ]),
+    )
+    assert ("C", "g/0", "C.g/0") in out.delta.added["LOOKUP"]
+    assert ("C", "A") in out.delta.added["SUBTYPE"]
+    assert out.tier == "full"
+    assert session.check_against_scratch() == []
+
+
+def test_shared_string_constant_is_retracted_with_its_last_use():
+    b = ProgramBuilder()
+    with b.method("Main", "main", [], static=True) as m:
+        m.const_string("s", "hello")
+        m.scall("Main", "aux", [], target="t")
+    with b.method("Main", "aux", [], static=True) as m:
+        m.const_string("u", "hello")
+        m.ret("u")
+    sketch = ProgramSketch.from_program(b.build(entry="Main.main/0"))
+    session = IncrementalSession(sketch, analysis="2objH")
+    heap = ConstString("s", "hello").heap_id
+    users = [
+        m.id
+        for m in session.program.methods()
+        if any(isinstance(i, ConstString) for i in m.instructions)
+    ]
+    assert len(users) == 2
+    first, second = users
+    out = apply_and_check(session, EditScript([DeleteInstruction(first, 0)]))
+    # The second use still holds the constant's heap.
+    assert "HEAPTYPE" not in out.delta.removed
+    assert (heap, "java.lang.String") in session.facts.heaptype
+    out = apply_and_check(session, EditScript([DeleteInstruction(second, 0)]))
+    assert out.delta.removed["HEAPTYPE"] == frozenset({(heap, "java.lang.String")})
+    assert out.delta.removed["ALLOCCLASS"] == frozenset({(heap, "java.lang.String")})
+    assert session.check_against_scratch() == []
+
+
+def test_removing_an_added_entry_point_method():
+    session = make_session()
+    body = [Alloc("r", "Dog"), Return("r")]
+    apply_and_check(
+        session,
+        EditScript([AddMethod("Main", "aux", is_static=True, instructions=body)]),
+    )
+    out = apply_and_check(session, EditScript([AddEntryPoint("Main.aux/0")]))
+    assert out.delta.added["REACHABLEROOT"] == frozenset({("Main.aux/0",)})
+    out = apply_and_check(session, EditScript([RemoveMethod("Main.aux/0")]))
+    assert out.delta.removed["REACHABLEROOT"] == frozenset({("Main.aux/0",)})
+    assert "Main.aux/0" not in session.facts.vars_of_method
+    assert session.check_against_scratch() == []
+
+
+STRING_SOURCE = """
+class Box {
+    field v;
+    method set(x) { this.v = x; }
+    method get() { r = this.v; return r; }
+}
+class Main {
+    static method greet() { s = "hi"; return s; }
+    static method main() {
+        b = new Box();
+        t = "hi";
+        b.set(t);
+        g = b.get();
+        h = Main.greet();
+    }
+}
+"""
+
+WRITE_PATH_PROGRAMS = {
+    **PROGRAMS,
+    "shared-string": lambda: parse_source(STRING_SOURCE),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    name=st.sampled_from(sorted(WRITE_PATH_PROGRAMS)),
+    allow_removals=st.booleans(),
+)
+def test_write_path_equals_whole_program_encoding(seed, name, allow_removals):
+    sketch = ProgramSketch.from_program(WRITE_PATH_PROGRAMS[name]())
+    session = IncrementalSession(sketch, analysis="insens")
+    rng = random.Random(seed)
+    for _ in range(4):
+        script = random_edit_script(
+            session.sketch, rng, edits=2, allow_removals=allow_removals
+        )
+        apply_and_check(session, script)
