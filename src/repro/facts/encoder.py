@@ -40,7 +40,17 @@ from ..ir.instructions import (
 from ..ir.program import Method, Program
 from ..ir.types import JAVA_STRING
 
-__all__ = ["FactBase", "FactIndex", "INSTRUCTION_RELATIONS", "encode_program"]
+__all__ = [
+    "FactBase",
+    "FactIndex",
+    "INSTRUCTION_RELATIONS",
+    "METHOD_RELATIONS",
+    "MethodRows",
+    "assemble_facts",
+    "encode_program",
+    "method_rows_delta",
+    "type_rows",
+]
 
 #: The per-method instruction relations.  A fact base derived with
 #: :meth:`FactBase.with_instructions` may replace only these, which is what
@@ -59,6 +69,25 @@ INSTRUCTION_RELATIONS = (
     "throwinstr",
     "catchclause",
 )
+
+#: The relations one method's encoding writes (:class:`MethodRows`); the
+#: rest (SUBTYPE, LOOKUP, REACHABLEROOT) are whole-program.
+METHOD_RELATIONS = INSTRUCTION_RELATIONS + (
+    "formalarg",
+    "actualarg",
+    "formalreturn",
+    "actualreturn",
+    "thisvar",
+    "heaptype",
+    "allocclass",
+    "varinmeth",
+    "invoinmeth",
+)
+
+#: Where a shared string constant's rows live: once per program, at the
+#: constant's first use in method order (see ``_encode_method``).
+_STRING_RELATIONS = ("heaptype", "allocclass")
+_EMPTY: FrozenSet[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -420,3 +449,147 @@ def _encode_types(program: Program, facts: FactBase) -> None:
             target = program.lookup(ct.name, sig)
             if target is not None and not target.is_static:
                 facts.lookup.append((ct.name, sig, target.id))
+
+
+# ----------------------------------------------------------------------
+# Per-method encoding: the pieces of ``encode_program``'s output, so a
+# changed program can be re-encoded one method at a time.
+# ----------------------------------------------------------------------
+class MethodRows:
+    """One method's encoding: its non-empty :data:`METHOD_RELATIONS` and
+    its share of the derived maps (``method_of_invo`` and ``all_heaps``
+    follow from ``args_of_invo`` and ``heap_type``).
+
+    Its rows depend on the rest of the program in two ways only: static
+    and special calls name the callee ``Program.lookup`` resolved
+    (``call_sigs``), and a string constant's HEAPTYPE/ALLOCCLASS rows are
+    kept by :func:`assemble_facts` only at the constant's first use
+    (``strings``).
+    """
+
+    __slots__ = (
+        "rows",
+        "vars",
+        "heap_type",
+        "alloc_class",
+        "args_of_invo",
+        "vcall_invos",
+        "strings",
+        "call_sigs",
+    )
+
+    def __init__(self, program: Program, method: Method) -> None:
+        scratch = FactBase(program)
+        _encode_method(program, method, scratch)
+        # Tuples, not lists: the collector stops tracking a tuple of
+        # untracked rows, and a caller may hold one per relation per method.
+        encoded = vars(scratch)
+        self.rows: Dict[str, Tuple[tuple, ...]] = {
+            name: tuple(encoded[name])
+            for name in METHOD_RELATIONS
+            if encoded[name]
+        }
+        self.vars = scratch.vars_of_method[method.id]
+        self.heap_type = scratch.heap_type
+        self.alloc_class = scratch.alloc_class
+        self.args_of_invo = scratch.args_of_invo
+        self.vcall_invos = scratch.vcall_invos or _EMPTY
+        strings = scratch.string_const_heaps
+        self.strings = frozenset(strings) if strings else _EMPTY
+        callees = [row[0] for row in scratch.scall]
+        callees += [row[1] for row in scratch.specialcall]
+        self.call_sigs = (
+            frozenset(program.method(c).sig for c in callees) if callees else _EMPTY
+        )
+
+
+def type_rows(program: Program) -> Tuple[List[tuple], List[tuple]]:
+    """``program``'s SUBTYPE and LOOKUP rows, as ``encode_program`` emits
+    them."""
+    scratch = FactBase(program)
+    _encode_types(program, scratch)
+    return scratch.subtype, scratch.lookup
+
+
+def assemble_facts(
+    program: Program,
+    methods: Iterable[MethodRows],
+    subtype: Iterable[tuple],
+    lookup: Iterable[tuple],
+) -> FactBase:
+    """The whole fact base from per-method encodings.
+
+    ``methods`` must follow ``program.methods()``; the result is then
+    list-equal to ``encode_program(program)``, row order included, given
+    that program's SUBTYPE/LOOKUP rows.
+    """
+    facts = FactBase(program)
+    out = {name: getattr(facts, name) for name in METHOD_RELATIONS}
+    heap_type = facts.heap_type
+    alloc_class = facts.alloc_class
+    args_of_invo = facts.args_of_invo
+    method_of_invo = facts.method_of_invo
+    vcall_invos = facts.vcall_invos
+    strings = facts.string_const_heaps
+    vars_of_method = facts.vars_of_method
+    for method, entry in zip(program.methods(), methods):
+        mid = method.id
+        rows = entry.rows
+        if entry.strings:
+            shared = entry.strings & strings
+            if shared:
+                # An earlier method already emitted these constants.
+                rows = dict(rows)
+                for name in _STRING_RELATIONS:
+                    rows[name] = [r for r in rows[name] if r[0] not in shared]
+            strings |= entry.strings
+        for name, part in rows.items():
+            out[name].extend(part)
+        vars_of_method[mid] = entry.vars
+        if entry.heap_type:
+            heap_type.update(entry.heap_type)
+            alloc_class.update(entry.alloc_class)
+        if entry.args_of_invo:
+            args_of_invo.update(entry.args_of_invo)
+            method_of_invo.update(dict.fromkeys(entry.args_of_invo, mid))
+            vcall_invos |= entry.vcall_invos
+    facts.all_heaps = set(heap_type)
+    facts.subtype = list(subtype)
+    facts.lookup = list(lookup)
+    facts.reachableroot = [(ep,) for ep in program.entry_points]
+    return facts
+
+
+def method_rows_delta(
+    old: Iterable[MethodRows],
+    new: Iterable[MethodRows],
+    before: FactBase,
+    after: FactBase,
+) -> Tuple[Dict[str, Set[tuple]], Dict[str, Set[tuple]]]:
+    """The :data:`METHOD_RELATIONS` rows a whole-program encoding gains
+    and loses when the methods encoded as ``old`` are re-encoded as
+    ``new``; ``before`` and ``after`` are the whole fact bases.
+
+    Returns ``(added, removed)``, non-empty sets by attribute name.
+    """
+    was: Dict[str, Set[tuple]] = {}
+    now: Dict[str, Set[tuple]] = {}
+    for side, entries in ((was, old), (now, new)):
+        for entry in entries:
+            for name, rows in entry.rows.items():
+                side.setdefault(name, set()).update(rows)
+    added: Dict[str, Set[tuple]] = {}
+    removed: Dict[str, Set[tuple]] = {}
+    for name in was.keys() | now.keys():
+        plus = now.get(name, set()) - was.get(name, set())
+        minus = was.get(name, set()) - now.get(name, set())
+        if name in _STRING_RELATIONS:
+            # A string constant's rows come and go with its last use
+            # anywhere in the program, not with one method's use.
+            plus = {r for r in plus if r[0] not in before.string_const_heaps}
+            minus = {r for r in minus if r[0] not in after.string_const_heaps}
+        if plus:
+            added[name] = plus
+        if minus:
+            removed[name] = minus
+    return added, removed

@@ -17,14 +17,17 @@ apply runs the tier ladder:
     retractions, hazard rows, or anything else the classifier refuses:
     the always-correct escape hatch, a fresh solve.
 
-The write path is per method.  The session keeps every method's encoded
-rows; an apply re-encodes only the methods the script's
-:class:`~repro.incremental.edits.Footprint` makes dirty, assembles the
-new :class:`~repro.facts.encoder.FactBase` by concatenating the cached
-rows in ``program.methods()`` order (list-equal to ``encode_program``),
-and takes the :class:`~repro.incremental.differ.FactDelta` from the dirty
-methods' old and new rows alone.  The dirty set grows past the edited
-bodies where encoding crosses methods:
+The write path is per method.  The session keeps every method's encoding
+(a :class:`~repro.facts.encoder.MethodRows`); an apply re-encodes only
+the methods the script's :class:`~repro.incremental.edits.Footprint`
+makes dirty, assembles the new :class:`~repro.facts.encoder.FactBase`
+from the cached rows with :func:`~repro.facts.encoder.assemble_facts`
+(list-equal to ``encode_program``), and takes the
+:class:`~repro.incremental.differ.FactDelta` from the dirty methods' old
+and new rows alone (:func:`~repro.facts.encoder.method_rows_delta`, which
+also keeps a shared string constant's ``HEAPTYPE``/``ALLOCCLASS`` rows
+until its last use).  The dirty set grows past the edited bodies where
+encoding crosses methods:
 
 * an added or removed method is dirty, and so is every method with a
   static or special call on its signature (those rows resolve through
@@ -33,11 +36,9 @@ bodies where encoding crosses methods:
   or removed, or when an added or removed method is an instance method
   or shares a signature with one (a static method can shadow an
   inherited instance method); otherwise they are reused;
-* a class-level edit makes every method dirty;
-* a shared string constant's ``HEAPTYPE``/``ALLOCCLASS`` rows are
-  emitted at its first use in method order and retracted only when no
-  method uses it any more;
-* ``REACHABLEROOT`` is re-derived when the entry points changed.
+* a class-level edit makes every method with a static or special call
+  dirty (the hierarchy reaches no other row of a method);
+* ``REACHABLEROOT`` enters the delta when the entry points changed.
 
 A failed build or solve leaves the row cache, :attr:`facts` and the warm
 solver as they were.
@@ -46,10 +47,11 @@ Every apply returns an :class:`EditOutcome` carrying the tier taken, the
 fact delta, *result* deltas (added/removed tuples per output relation),
 and timing split into delta-apply (edit + build + encoding the dirty
 methods + assembly + delta + classify) and solve; the fact digest is
-computed when first read.  Equality with a from-scratch solve is enforced by the
-``incremental-equivalence`` fuzz oracle and the bench harness; if the
-fast tier's belt-and-braces guards refuse a delta the session silently
-falls back to ``full`` and says so in the outcome reason.
+computed when first read.  Equality with a from-scratch solve is
+enforced by the ``incremental-equivalence`` fuzz oracle and the bench
+harness; if the fast tier's belt-and-braces guards refuse a delta the
+session silently falls back to ``full`` and says so in the outcome
+reason.
 """
 
 from __future__ import annotations
@@ -70,15 +72,16 @@ from typing import (
 from ..analysis.solver import PointsToSolver
 from ..contexts.policies import policy_by_name
 from ..facts.encoder import (
-    INSTRUCTION_RELATIONS,
     FactBase,
-    _encode_method,
-    _encode_types,
+    MethodRows,
+    assemble_facts,
     encode_program,
+    method_rows_delta,
+    type_rows,
 )
 from ..fuzz.oracles import solver_relations
 from ..fuzz.sketch import ProgramSketch
-from ..ir.program import Method, Program
+from ..ir.program import Program
 from ..utils import Stopwatch
 # ``diff_facts`` is not called here; it stays importable from this module
 # because the benchmark's traced run wraps the module's names.
@@ -101,73 +104,6 @@ RESULT_RELATIONS = (
 #: fast path can union its reported additions in place (O(delta)) instead
 #: of rebuilding O(result) frozensets per edit.
 Relations = Dict[str, set]
-
-#: The fact-base relations one method's encoding writes (attribute names).
-_METHOD_RELATIONS = INSTRUCTION_RELATIONS + (
-    "formalarg",
-    "actualarg",
-    "formalreturn",
-    "actualreturn",
-    "thisvar",
-    "heaptype",
-    "allocclass",
-    "varinmeth",
-    "invoinmeth",
-)
-_EMPTY: FrozenSet[str] = frozenset()
-
-
-class _MethodRows:
-    """One method's encoding: its non-empty relations and its share of
-    the encoder's derived maps (``method_of_invo`` and ``all_heaps``
-    follow from ``args_of_invo`` and ``heap_type``)."""
-
-    __slots__ = (
-        "rows",
-        "vars",
-        "heap_type",
-        "alloc_class",
-        "args_of_invo",
-        "vcall_invos",
-        "strings",
-        "call_sigs",
-    )
-
-    def __init__(self, program: Program, method: Method) -> None:
-        scratch = FactBase(program)
-        _encode_method(program, method, scratch)
-        # Tuples, not lists: the collector stops tracking a tuple of
-        # untracked rows, and a session holds one per relation per method.
-        encoded = vars(scratch)
-        self.rows: Dict[str, Tuple[tuple, ...]] = {
-            name: tuple(encoded[name])
-            for name in _METHOD_RELATIONS
-            if encoded[name]
-        }
-        self.vars = scratch.vars_of_method[method.id]
-        self.heap_type = scratch.heap_type
-        self.alloc_class = scratch.alloc_class
-        self.args_of_invo = scratch.args_of_invo
-        self.vcall_invos = scratch.vcall_invos or _EMPTY
-        # String constants, each with its HEAPTYPE/ALLOCCLASS rows here;
-        # the whole-program encoding keeps those rows at the first use.
-        strings = scratch.string_const_heaps
-        self.strings = frozenset(strings) if strings else _EMPTY
-        # Signatures of static and special calls: their rows name the
-        # callee ``Program.lookup`` resolved, so they go stale when a
-        # method with that signature comes or goes.
-        callees = [row[0] for row in scratch.scall]
-        callees += [row[1] for row in scratch.specialcall]
-        self.call_sigs = (
-            frozenset(program.method(c).sig for c in callees) if callees else _EMPTY
-        )
-
-
-def _type_rows(program: Program) -> FactBase:
-    """A scratch fact base holding only ``program``'s SUBTYPE/LOOKUP rows."""
-    scratch = FactBase(program)
-    _encode_types(program, scratch)
-    return scratch
 
 
 def _instance_sigs(program: Program) -> FrozenSet[str]:
@@ -262,13 +198,13 @@ class IncrementalSession:
         self.sketch = sketch.clone()
         self.program: Program = self.sketch.build()
         # The row cache: every method's encoding, by method id.
-        self._methods: Dict[str, _MethodRows] = {
-            m.id: _MethodRows(self.program, m) for m in self.program.methods()
+        self._methods: Dict[str, MethodRows] = {
+            m.id: MethodRows(self.program, m) for m in self.program.methods()
         }
         self._instance_sigs = _instance_sigs(self.program)
-        types = _type_rows(self.program)
-        roots = [(ep,) for ep in self.program.entry_points]
-        self.facts: FactBase = self._assemble(self.program, {}, types, roots)
+        self.facts: FactBase = self._assemble(
+            self.program, {}, *type_rows(self.program)
+        )
         # The policy binds alloc_class_of at construction; a session-owned
         # dict (grown from each delta, before each solve) keeps it fresh.
         # An alloc site's declaring class never changes while the site id
@@ -289,126 +225,90 @@ class IncrementalSession:
     # ------------------------------------------------------------------
     def _encode_dirty(
         self, program: Program, footprint: Footprint
-    ) -> Tuple[Dict[str, Optional[_MethodRows]], bool]:
+    ) -> Tuple[Dict[str, Optional[MethodRows]], bool]:
         """Re-encode the methods ``footprint`` makes dirty.
 
         Returns the fresh rows by method id (``None``: the method is
         gone) and whether the SUBTYPE/LOOKUP rows must be re-derived.
         """
         changed = footprint.methods
+        dirty = footprint.bodies | changed.keys()
+        sigs = {sig for sig, _static in changed.values()}
         if footprint.classes:
-            dirty = set(self._methods).union(m.id for m in program.methods())
-        else:
-            dirty = footprint.bodies | changed.keys()
-            sigs = {sig for sig, _static in changed.values()}
-            if sigs:
-                dirty.update(
-                    mid
-                    for mid, cached in self._methods.items()
-                    if not cached.call_sigs.isdisjoint(sigs)
-                )
+            # The hierarchy reaches a method's rows only through the
+            # callees its static and special calls resolve to.
+            dirty.update(
+                mid for mid, cached in self._methods.items() if cached.call_sigs
+            )
+        elif sigs:
+            dirty.update(
+                mid
+                for mid, cached in self._methods.items()
+                if not cached.call_sigs.isdisjoint(sigs)
+            )
         retype = footprint.classes or any(
             not static or sig in self._instance_sigs
             for sig, static in changed.values()
         )
-        fresh: Dict[str, Optional[_MethodRows]] = {}
+        fresh: Dict[str, Optional[MethodRows]] = {}
         for mid in dirty:
             try:
                 method = program.method(mid)
             except KeyError:
-                fresh[mid] = None
+                # Gone, unless it came and went within the script.
+                if mid in self._methods:
+                    fresh[mid] = None
             else:
-                fresh[mid] = _MethodRows(program, method)
+                fresh[mid] = MethodRows(program, method)
         return fresh, retype
 
     def _assemble(
         self,
         program: Program,
-        fresh: Mapping[str, Optional[_MethodRows]],
-        types: FactBase,
-        roots: List[Tuple[str]],
+        fresh: Mapping[str, Optional[MethodRows]],
+        subtype: List[tuple],
+        lookup: List[tuple],
     ) -> FactBase:
-        """The whole fact base: cached rows, with ``fresh`` overriding
-        the cache, concatenated in ``program.methods()`` order — the
-        order ``encode_program`` emits them in."""
-        facts = FactBase(program)
-        out = {name: getattr(facts, name) for name in _METHOD_RELATIONS}
-        heap_type = facts.heap_type
-        alloc_class = facts.alloc_class
-        args_of_invo = facts.args_of_invo
-        method_of_invo = facts.method_of_invo
-        vcall_invos = facts.vcall_invos
-        strings = facts.string_const_heaps
-        vars_of_method = facts.vars_of_method
+        """The whole fact base: the cached rows, ``fresh`` overriding
+        them, in ``program.methods()`` order."""
         cache = self._methods
-        for method in program.methods():
-            mid = method.id
-            entry = fresh.get(mid) or cache[mid]
-            rows = entry.rows
-            if entry.strings:
-                shared = entry.strings & strings
-                if shared:
-                    # An earlier method already emitted these constants.
-                    rows = dict(rows)
-                    for name in ("heaptype", "allocclass"):
-                        rows[name] = [r for r in rows[name] if r[0] not in shared]
-                strings |= entry.strings
-            for name, part in rows.items():
-                out[name].extend(part)
-            vars_of_method[mid] = entry.vars
-            if entry.heap_type:
-                heap_type.update(entry.heap_type)
-                alloc_class.update(entry.alloc_class)
-            if entry.args_of_invo:
-                args_of_invo.update(entry.args_of_invo)
-                method_of_invo.update(dict.fromkeys(entry.args_of_invo, mid))
-                vcall_invos |= entry.vcall_invos
-        facts.all_heaps = set(heap_type)
-        facts.subtype = list(types.subtype)
-        facts.lookup = list(types.lookup)
-        facts.reachableroot = list(roots)
-        return facts
+        return assemble_facts(
+            program,
+            [fresh.get(m.id) or cache[m.id] for m in program.methods()],
+            subtype,
+            lookup,
+        )
 
     def _delta(
         self,
-        fresh: Mapping[str, Optional[_MethodRows]],
+        fresh: Mapping[str, Optional[MethodRows]],
         facts: FactBase,
         retype: bool,
         reroot: bool,
     ) -> FactDelta:
         """The fact delta from the dirty methods' old and new rows (plus
         the type and root rows when those were re-derived)."""
-        before: Dict[str, set] = {}
-        after: Dict[str, set] = {}
-        for mid, new in fresh.items():
-            for side, entry in ((before, self._methods.get(mid)), (after, new)):
-                if entry is not None:
-                    for name, rows in entry.rows.items():
-                        side.setdefault(name, set()).update(rows)
         old = self.facts
+        added, removed = method_rows_delta(
+            [self._methods[mid] for mid in fresh if mid in self._methods],
+            [entry for entry in fresh.values() if entry is not None],
+            old,
+            facts,
+        )
         rederived = ("subtype", "lookup") if retype else ()
         if reroot:
             rederived += ("reachableroot",)
         for name in rederived:
-            before[name] = set(getattr(old, name))
-            after[name] = set(getattr(facts, name))
-        added: Dict[str, FrozenSet[tuple]] = {}
-        removed: Dict[str, FrozenSet[tuple]] = {}
-        for name in before.keys() | after.keys():
-            was = before.get(name, set())
-            now = after.get(name, set())
-            plus = now - was
-            minus = was - now
-            if name in ("heaptype", "allocclass"):
-                # A string constant's rows come and go with its last use
-                # anywhere in the program, not with one method's use.
-                plus = {r for r in plus if r[0] not in old.string_const_heaps}
-                minus = {r for r in minus if r[0] not in facts.string_const_heaps}
-            if plus:
-                added[name.upper()] = frozenset(plus)
-            if minus:
-                removed[name.upper()] = frozenset(minus)
-        return FactDelta(added=added, removed=removed)
+            was = set(getattr(old, name))
+            now = set(getattr(facts, name))
+            if now - was:
+                added[name] = now - was
+            if was - now:
+                removed[name] = was - now
+        return FactDelta(
+            added={name.upper(): frozenset(rows) for name, rows in added.items()},
+            removed={name.upper(): frozenset(rows) for name, rows in removed.items()},
+        )
 
     # ------------------------------------------------------------------
     # Solver plumbing
@@ -469,13 +369,12 @@ class IncrementalSession:
         try:
             program = self.sketch.build()
             fresh, retype = self._encode_dirty(program, footprint)
-            types = _type_rows(program) if retype else self.facts
-            roots = (
-                [(ep,) for ep in program.entry_points]
-                if footprint.entry_points
-                else self.facts.reachableroot
+            types = (
+                type_rows(program)
+                if retype
+                else (self.facts.subtype, self.facts.lookup)
             )
-            facts = self._assemble(program, fresh, types, roots)
+            facts = self._assemble(program, fresh, *types)
             delta = self._delta(fresh, facts, retype, footprint.entry_points)
         except Exception:
             inverse.apply(self.sketch)

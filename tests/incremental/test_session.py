@@ -285,6 +285,27 @@ def test_added_class_with_an_overriding_method():
     assert session.check_against_scratch() == []
 
 
+def test_reparented_class_moves_a_static_call_through_it():
+    session = hierarchy_session()
+    body = [Alloc("ft", "T"), Return("ft")]
+    apply_and_check(
+        session,
+        EditScript([
+            AddClass("T"),
+            AddMethod("T", "f", is_static=True, instructions=body),
+        ]),
+    )
+    # ``B`` declares nothing, so it can be removed and re-declared under
+    # ``T``: main's ``B.f`` now resolves to ``T.f``, main untouched.
+    out = apply_and_check(
+        session, EditScript([RemoveClass("B"), AddClass("B", superclass="T")])
+    )
+    assert {row[0] for row in out.delta.removed["SCALL"]} == {"A.f/0"}
+    assert {row[0] for row in out.delta.added["SCALL"]} == {"T.f/0"}
+    assert ("B", "T") in out.delta.added["SUBTYPE"]
+    assert session.check_against_scratch() == []
+
+
 def test_shared_string_constant_is_retracted_with_its_last_use():
     b = ProgramBuilder()
     with b.method("Main", "main", [], static=True) as m:
@@ -325,6 +346,25 @@ def test_removing_an_added_entry_point_method():
     out = apply_and_check(session, EditScript([RemoveMethod("Main.aux/0")]))
     assert out.delta.removed["REACHABLEROOT"] == frozenset({("Main.aux/0",)})
     assert "Main.aux/0" not in session.facts.vars_of_method
+    assert session.check_against_scratch() == []
+
+
+def test_method_added_and_removed_in_one_script():
+    session = make_session()
+    out = apply_and_check(
+        session,
+        EditScript([
+            InsertInstruction("Main.main/0", Alloc("zfresh", "Dog")),
+            AddMethod("Main", "aux", instructions=[Return("this")]),
+            RemoveMethod("Main.aux/0"),
+        ]),
+    )
+    assert out.tier == "monotonic"
+    assert "Main.aux/0" not in session.facts.vars_of_method
+    assert session.edits_applied == 3
+    # The row cache is still whole: the next script sees it.
+    rng = random.Random(5)
+    apply_and_check(session, random_edit_script(session.sketch, rng))
     assert session.check_against_scratch() == []
 
 
