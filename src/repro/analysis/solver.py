@@ -1020,7 +1020,7 @@ class PointsToSolver:
             for ep in self.program.entry_points:
                 self._make_reachable(self.meths.intern(ep), ctx0)
             self._propagate()
-            return self._snapshot()
+            return self.snapshot()
         with tracer.span(
             "solver.seed", entry_points=len(self.program.entry_points)
         ):
@@ -1044,7 +1044,7 @@ class PointsToSolver:
                 ),
             )
         with tracer.span("solver.snapshot"):
-            return self._snapshot()
+            return self.snapshot()
 
     # ------------------------------------------------------------------
     # Monotonic extension (incremental fast path)
@@ -1054,13 +1054,14 @@ class PointsToSolver:
         program: Program,
         facts: FactBase,
         added: Mapping[str, Iterable[tuple]],
-    ) -> Tuple[RawSolution, Dict[str, FrozenSet[tuple]]]:
+    ) -> Dict[str, FrozenSet[tuple]]:
         """Extend a solved fixpoint with *added* EDB rows, in place.
 
-        Returns ``(solution, result_added)`` where ``result_added`` maps
-        each of the five output relations to the string-level tuples this
-        extension derived — collected from an insertion log armed for the
-        duration of the call, so reporting costs O(delta), not O(result).
+        Returns only the result delta: each of the five output relations
+        mapped to the string-level tuples this extension derived —
+        collected from an insertion log armed for the duration of the
+        call, so reporting costs O(delta), not O(result).  A caller that
+        wants the whole new fixpoint reads :meth:`snapshot` afterwards.
 
         The resumable-worklist path of the incremental subsystem: the
         interned pair table, node tables, cast-filter index and all
@@ -1218,7 +1219,7 @@ class PointsToSolver:
 
         self._propagate()
         log, self._added_log = self._added_log, None
-        return self._snapshot(), self._extend_delta(log, reach_before, cg_before)
+        return self._extend_delta(log, reach_before, cg_before)
 
     def _extend_delta(
         self,
@@ -1439,7 +1440,8 @@ class PointsToSolver:
                     for pid in iter_bits(delta):
                         self._raise_in(meth, ctx, pid)
 
-    def _snapshot(self) -> RawSolution:
+    def snapshot(self) -> RawSolution:
+        """The current fixpoint, materialised (O(result))."""
         ph, pc = self._pair_heap, self._pair_hctx
         return RawSolution(
             vars=self.vars,

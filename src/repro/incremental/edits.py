@@ -17,13 +17,17 @@ service's ``POST /sessions/{id}/edits`` endpoint.
 A structurally impossible edit (unknown method, index out of range,
 duplicate class) raises :class:`EditError` *before* mutating anything, so
 a failed script application never leaves the sketch half-edited beyond
-the edits that already succeeded (and those have inverses).
+the edits that already succeeded (and those have inverses).  An
+inverse puts a removed method, class, field or entry point back at its
+old place, so undoing a script restores the sketch's order too — which
+a session that derives each program from the last one relies on.
 
 The inverse script that :meth:`EditScript.apply` returns carries a
-:class:`Footprint`: the method bodies, method declarations, classes and
-entry points the application touched — also exactly what applying the
-inverse touches.  An :class:`~repro.incremental.session.IncrementalSession`
-re-encodes only the methods a footprint names.
+:class:`Footprint`: the method bodies, method declarations, classes,
+fields and entry points the application touched — also exactly what
+applying the inverse touches.  An
+:class:`~repro.incremental.session.IncrementalSession` re-encodes and
+re-validates only the methods a footprint makes dirty.
 """
 
 from __future__ import annotations
@@ -73,19 +77,25 @@ class Footprint:
     ``bodies`` are the ids of methods whose instructions changed;
     ``methods`` maps each added or removed method's id to its
     ``(signature, is_static)``.  ``classes`` is set when a class was
-    added or removed, ``entry_points`` when the entry points changed.
-    Field declarations encode no facts and leave no trace here.
+    added or removed, ``fields`` when an instance field was declared or
+    removed, ``entry_points`` when the entry points changed.  A field
+    declaration encodes no facts, but removing one can invalidate a
+    ``Load``/``Store`` in any method, so a session rebuilds and
+    re-validates the whole program after a class or field edit, and
+    derives it from the previous one otherwise.
     """
 
     bodies: Set[str] = field(default_factory=set)
     methods: Dict[str, Tuple[str, bool]] = field(default_factory=dict)
     classes: bool = False
+    fields: bool = False
     entry_points: bool = False
 
     def update(self, other: "Footprint") -> None:
         self.bodies |= other.bodies
         self.methods.update(other.methods)
         self.classes |= other.classes
+        self.fields |= other.fields
         self.entry_points |= other.entry_points
 
 
@@ -144,11 +154,20 @@ class AddClass(Edit):
             is_interface=is_interface,
             is_abstract=is_abstract,
         )
+        # Set on an inverse: the place the removed class is put back at.
+        self.at: Optional[int] = None
 
     def apply(self, sketch: ProgramSketch) -> Edit:
         if self.cls.name in sketch.classes:
             raise EditError(f"class already declared: {self.cls.name}")
-        sketch.classes[self.cls.name] = self.cls.clone()
+        cls = self.cls.clone()
+        if self.at is None:
+            sketch.classes[cls.name] = cls
+        else:
+            items = list(sketch.classes.items())
+            items.insert(self.at, (cls.name, cls))
+            sketch.classes.clear()
+            sketch.classes.update(items)
         return RemoveClass(self.cls.name)
 
     def touch(self, footprint: Footprint, inverse: Edit) -> None:
@@ -188,9 +207,11 @@ class RemoveClass(Edit):
             raise EditError(
                 f"class {self.name} still declares methods: {owners}"
             )
+        at = list(sketch.classes).index(self.name)
         del sketch.classes[self.name]
         inverse = AddClass(self.name)
         inverse.cls = cls
+        inverse.at = at
         return inverse
 
     def touch(self, footprint: Footprint, inverse: Edit) -> None:
@@ -223,13 +244,16 @@ class AddMethod(Edit):
             is_static=is_static,
             instructions=list(instructions),
         )
+        # Set on an inverse: the place the removed method is put back at.
+        self.at: Optional[int] = None
 
     def apply(self, sketch: ProgramSketch) -> Edit:
         if self.method.class_name not in sketch.classes:
             raise EditError(f"no such class: {self.method.class_name}")
         if sketch.method_by_id(self.method.id) is not None:
             raise EditError(f"method already declared: {self.method.id}")
-        sketch.methods.append(self.method.clone())
+        at = len(sketch.methods) if self.at is None else self.at
+        sketch.methods.insert(at, self.method.clone())
         return RemoveMethod(self.method.id)
 
     def touch(self, footprint: Footprint, inverse: Edit) -> None:
@@ -261,10 +285,6 @@ class RemoveMethod(Edit):
 
     def apply(self, sketch: ProgramSketch) -> Edit:
         method = _require_method(sketch, self.method_id)
-        was_entry = self.method_id in sketch.entry_points
-        sketch.methods.remove(method)
-        if was_entry:
-            sketch.entry_points.remove(self.method_id)
         inverse = AddMethod(
             method.class_name,
             method.name,
@@ -272,10 +292,14 @@ class RemoveMethod(Edit):
             method.is_static,
             method.instructions,
         )
-        if not was_entry:
+        inverse.at = sketch.methods.index(method)
+        del sketch.methods[inverse.at]
+        if self.method_id not in sketch.entry_points:
             return inverse
-        script_inverse = EditScript([inverse, AddEntryPoint(self.method_id)])
-        return _CompoundEdit(script_inverse)
+        readd_entry = AddEntryPoint(self.method_id)
+        readd_entry.at = sketch.entry_points.index(self.method_id)
+        del sketch.entry_points[readd_entry.at]
+        return _CompoundEdit(EditScript([inverse, readd_entry]))
 
     def touch(self, footprint: Footprint, inverse: Edit) -> None:
         # The inverse re-adds the removed method (and re-registers its
@@ -395,12 +419,15 @@ class AddEntryPoint(Edit):
 
     def __init__(self, method_id: str) -> None:
         self.method_id = method_id
+        # Set on an inverse: the place the removed entry is put back at.
+        self.at: Optional[int] = None
 
     def apply(self, sketch: ProgramSketch) -> Edit:
         _require_method(sketch, self.method_id)
         if self.method_id in sketch.entry_points:
             raise EditError(f"already an entry point: {self.method_id}")
-        sketch.entry_points.append(self.method_id)
+        at = len(sketch.entry_points) if self.at is None else self.at
+        sketch.entry_points.insert(at, self.method_id)
         return RemoveEntryPoint(self.method_id)
 
     def touch(self, footprint: Footprint, inverse: Edit) -> None:
@@ -424,8 +451,10 @@ class RemoveEntryPoint(Edit):
             raise EditError(f"not an entry point: {self.method_id}")
         if len(sketch.entry_points) == 1:
             raise EditError("a program needs at least one entry point")
-        sketch.entry_points.remove(self.method_id)
-        return AddEntryPoint(self.method_id)
+        inverse = AddEntryPoint(self.method_id)
+        inverse.at = sketch.entry_points.index(self.method_id)
+        del sketch.entry_points[inverse.at]
+        return inverse
 
     def touch(self, footprint: Footprint, inverse: Edit) -> None:
         footprint.entry_points = True
@@ -445,6 +474,8 @@ class AddField(Edit):
     def __init__(self, class_name: str, field_name: str) -> None:
         self.class_name = class_name
         self.field_name = field_name
+        # Set on an inverse: the place the removed field is put back at.
+        self.at: Optional[int] = None
 
     def apply(self, sketch: ProgramSketch) -> Edit:
         cls = sketch.classes.get(self.class_name)
@@ -454,11 +485,12 @@ class AddField(Edit):
             raise EditError(
                 f"field already declared: {self.class_name}.{self.field_name}"
             )
-        cls.fields.append(self.field_name)
+        at = len(cls.fields) if self.at is None else self.at
+        cls.fields.insert(at, self.field_name)
         return RemoveField(self.class_name, self.field_name)
 
     def touch(self, footprint: Footprint, inverse: Edit) -> None:
-        pass  # a field declaration encodes no rows
+        footprint.fields = True
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -486,11 +518,13 @@ class RemoveField(Edit):
             raise EditError(
                 f"no such field: {self.class_name}.{self.field_name}"
             )
-        cls.fields.remove(self.field_name)
-        return AddField(self.class_name, self.field_name)
+        inverse = AddField(self.class_name, self.field_name)
+        inverse.at = cls.fields.index(self.field_name)
+        del cls.fields[inverse.at]
+        return inverse
 
     def touch(self, footprint: Footprint, inverse: Edit) -> None:
-        pass  # a field declaration encodes no rows
+        footprint.fields = True
 
     def to_json(self) -> Dict[str, object]:
         return {

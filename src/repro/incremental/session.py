@@ -40,13 +40,20 @@ encoding crosses methods:
   dirty (the hierarchy reaches no other row of a method);
 * ``REACHABLEROOT`` enters the delta when the entry points changed.
 
-A failed build or solve leaves the row cache, :attr:`facts` and the warm
-solver as they were.
+The post-edit :class:`~repro.ir.program.Program` is per method too.  A
+script that declares or removes no class and no field is applied with
+:meth:`Program.derive <repro.ir.program.Program.derive>`: only the
+methods it edited, added or removed are rebuilt from the sketch, the
+rest is shared with the previous program, and only the dirty methods
+(the same set the encoding uses) and the entry points are re-validated.
+A class or field edit rebuilds and re-validates the whole program with
+``ProgramSketch.build``.  A failed build or solve leaves the program,
+the row cache, :attr:`facts` and the warm solver as they were.
 
 Every apply returns an :class:`EditOutcome` carrying the tier taken, the
 fact delta, *result* deltas (added/removed tuples per output relation),
-and timing split into delta-apply (edit + build + encoding the dirty
-methods + assembly + delta + classify) and solve; the fact digest is
+and timing split into delta-apply (edit + build or derive + encoding
+the dirty methods + assembly + delta + classify) and solve; the fact digest is
 computed when first read.  Equality with a from-scratch solve is
 enforced by the ``incremental-equivalence`` fuzz oracle and the bench
 harness; if the fast tier's belt-and-braces guards refuse a delta the
@@ -65,6 +72,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     Tuple,
     Union,
 )
@@ -81,7 +89,8 @@ from ..facts.encoder import (
 )
 from ..fuzz.oracles import solver_relations
 from ..fuzz.sketch import ProgramSketch
-from ..ir.program import Program
+from ..ir.program import Method, Program
+from ..ir.validate import validate_program
 from ..utils import Stopwatch
 # ``diff_facts`` is not called here; it stays importable from this module
 # because the benchmark's traced run wraps the module's names.
@@ -108,6 +117,17 @@ Relations = Dict[str, set]
 
 def _instance_sigs(program: Program) -> FrozenSet[str]:
     return frozenset(m.sig for m in program.methods() if not m.is_static)
+
+
+def _present(program: Program, ids: Iterable[str]) -> Dict[str, Method]:
+    """The methods of ``program`` among ``ids``, by id."""
+    found: Dict[str, Method] = {}
+    for mid in ids:
+        try:
+            found[mid] = program.method(mid)
+        except KeyError:
+            pass
+    return found
 
 
 def _jsonify(value: object) -> object:
@@ -223,14 +243,9 @@ class IncrementalSession:
     # ------------------------------------------------------------------
     # The per-method write path
     # ------------------------------------------------------------------
-    def _encode_dirty(
-        self, program: Program, footprint: Footprint
-    ) -> Tuple[Dict[str, Optional[MethodRows]], bool]:
-        """Re-encode the methods ``footprint`` makes dirty.
-
-        Returns the fresh rows by method id (``None``: the method is
-        gone) and whether the SUBTYPE/LOOKUP rows must be re-derived.
-        """
+    def _dirty(self, footprint: Footprint) -> Set[str]:
+        """The ids of the methods whose rows or validity ``footprint``
+        can change (some may be gone from the new program)."""
         changed = footprint.methods
         dirty = footprint.bodies | changed.keys()
         sigs = {sig for sig, _static in changed.values()}
@@ -246,20 +261,61 @@ class IncrementalSession:
                 for mid, cached in self._methods.items()
                 if not cached.call_sigs.isdisjoint(sigs)
             )
+        return dirty
+
+    def _build(self, footprint: Footprint, dirty: Set[str]) -> Program:
+        """The post-edit program, validated.
+
+        A class or field edit rebuilds it from the sketch.  Any other
+        script derives it from :attr:`program`: only the methods the
+        script edited, added or removed are rebuilt, and only the dirty
+        methods (and the entry points) are re-validated — with classes
+        and fields unchanged, no other method's validity can move.
+        """
+        if footprint.classes or footprint.fields:
+            return self.sketch.build()
+        touched = footprint.bodies | footprint.methods.keys()
+        old = self.program
+        program = old.derive(
+            [
+                Method(
+                    ms.class_name,
+                    ms.name,
+                    tuple(ms.params),
+                    tuple(ms.instructions),
+                    ms.is_static,
+                )
+                for ms in self.sketch.methods
+                if ms.id in touched
+            ],
+            # Each removed method; one re-added in the script moves to
+            # the end of its class, as in a build from the sketch.
+            [mid for mid in footprint.methods if mid in self._methods],
+            self.sketch.entry_points,
+        )
+        validate_program(program, _present(program, dirty).values())
+        return program
+
+    def _encode_dirty(
+        self, program: Program, footprint: Footprint, dirty: Set[str]
+    ) -> Tuple[Dict[str, Optional[MethodRows]], bool]:
+        """Re-encode the ``dirty`` methods.
+
+        Returns the fresh rows by method id (``None``: the method is
+        gone) and whether the SUBTYPE/LOOKUP rows must be re-derived.
+        """
         retype = footprint.classes or any(
             not static or sig in self._instance_sigs
-            for sig, static in changed.values()
+            for sig, static in footprint.methods.values()
         )
-        fresh: Dict[str, Optional[MethodRows]] = {}
-        for mid in dirty:
-            try:
-                method = program.method(mid)
-            except KeyError:
-                # Gone, unless it came and went within the script.
-                if mid in self._methods:
-                    fresh[mid] = None
-            else:
-                fresh[mid] = MethodRows(program, method)
+        present = _present(program, dirty)
+        fresh: Dict[str, Optional[MethodRows]] = {
+            mid: MethodRows(program, method) for mid, method in present.items()
+        }
+        for mid in dirty - present.keys():
+            # Gone, unless it came and went within the script.
+            if mid in self._methods:
+                fresh[mid] = None
         return fresh, retype
 
     def _assemble(
@@ -334,7 +390,7 @@ class IncrementalSession:
         any full-relation comparison.
         """
         assert self._solver is not None
-        _raw, added = self._solver.extend(program, facts, delta.added)
+        added = self._solver.extend(program, facts, delta.added)
         for name, plus in added.items():
             if plus:
                 self._relations[name].update(plus)
@@ -367,8 +423,9 @@ class IncrementalSession:
         inverse = script.apply(self.sketch)
         footprint = inverse.footprint
         try:
-            program = self.sketch.build()
-            fresh, retype = self._encode_dirty(program, footprint)
+            dirty = self._dirty(footprint)
+            program = self._build(footprint, dirty)
+            fresh, retype = self._encode_dirty(program, footprint, dirty)
             types = (
                 type_rows(program)
                 if retype

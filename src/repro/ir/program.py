@@ -117,7 +117,13 @@ class ClassDef:
 
 
 class Program:
-    """A whole program: hierarchy + class definitions + entry points."""
+    """A whole program: hierarchy + class definitions + entry points.
+
+    Built mutable, then frozen by :meth:`freeze`; a frozen program is
+    never changed again.  An edited program is either built anew or
+    made by :meth:`derive` from its predecessor, sharing everything the
+    edit left alone.
+    """
 
     def __init__(self) -> None:
         self.hierarchy = TypeHierarchy()
@@ -182,9 +188,75 @@ class Program:
         self._frozen = True
         return self
 
+    def derive(
+        self,
+        methods: Iterable[Method],
+        removed: Iterable[str],
+        entry_points: Iterable[str],
+    ) -> "Program":
+        """A new frozen program: this one with whole methods replaced,
+        added or removed, and the entry points set to ``entry_points``.
+
+        The ids in ``removed`` are dropped first.  Then each of
+        ``methods`` whose id this program still has replaces that method
+        in place; any other is appended to its class, in the order given.
+        That is the method order :meth:`freeze` gives a program built
+        with the same edits, so :meth:`methods` iterates alike.
+
+        Classes, fields and the hierarchy are shared with this program,
+        as is every method not replaced; only the classes whose methods
+        change are copied.  This program is left as it was.  Every
+        method's class must exist, and every entry point must be a
+        method of the result.
+        """
+        derived = Program.__new__(Program)
+        derived.hierarchy = self.hierarchy
+        derived.classes = dict(self.classes)
+        derived._alloc_sites = dict(self._alloc_sites)
+        derived._lookup_cache = {}
+        derived._frozen = True
+        changed: Dict[str, Dict[str, Method]] = {}
+
+        def class_methods(class_name: str) -> Dict[str, Method]:
+            table = changed.get(class_name)
+            if table is None:
+                table = dict(self.classes[class_name].methods)
+                changed[class_name] = table
+            return table
+
+        def drop_sites(old: Method) -> None:
+            allocs = sum(isinstance(i, Alloc) for i in old.instructions)
+            for alloc_idx in range(allocs):
+                del derived._alloc_sites[(old.id, alloc_idx)]
+
+        for method_id in removed:
+            old = self._methods_by_id[method_id]
+            del class_methods(old.class_name)[old.sig]
+            drop_sites(old)
+        for method in methods:
+            table = class_methods(method.class_name)
+            old = table.get(method.sig)
+            if old is not None:
+                drop_sites(old)
+            table[method.sig] = method  # an existing key keeps its place
+            derived._assign_site_ids(method)
+        for class_name, table in changed.items():
+            derived.classes[class_name] = replace(
+                self.classes[class_name], methods=table
+            )
+        derived._methods_by_id = {
+            m.id: m for cd in derived.classes.values() for m in cd.methods.values()
+        }
+        derived.entry_points = list(entry_points)
+        for ep in derived.entry_points:
+            if ep not in derived._methods_by_id:
+                raise ProgramError(f"entry point {ep!r} is not a defined method")
+        return derived
+
     def _assign_site_ids(self, method: Method) -> None:
         """Rewrite instructions so every call site has a unique ``invo`` id
-        and record allocation-site identities."""
+        and record allocation-site identities.  An invocation that already
+        carries its id (a body lifted from a frozen program) is kept."""
         new_instructions: List[Instruction] = []
         alloc_idx = 0
         invo_idx = 0
@@ -193,13 +265,13 @@ class Program:
                 site = f"{method.id}/new {instr.class_name}/{alloc_idx}"
                 self._alloc_sites[(method.id, alloc_idx)] = site
                 alloc_idx += 1
-                new_instructions.append(instr)
             elif isinstance(instr, Invocation):
                 invo = f"{method.id}/invo/{invo_idx}"
                 invo_idx += 1
-                new_instructions.append(replace(instr, invo=invo))
-            else:
-                new_instructions.append(instr)
+                # ``invo`` is compare=False: test it explicitly.
+                if instr.invo != invo:
+                    instr = replace(instr, invo=invo)
+            new_instructions.append(instr)
         method.instructions = tuple(new_instructions)
 
     # ------------------------------------------------------------------

@@ -14,11 +14,18 @@ dataclasses alone cannot enforce:
 * entry points are static, zero-or-more-arg methods.
 
 Violations raise :class:`ValidationError` listing every problem found.
+
+A method's problems depend on the rest of the program only through the
+hierarchy, the classes' instance and static fields and
+``Program.lookup`` of its static and special calls.  So when an edit changes no class or field, only the
+methods it changed and the methods calling a signature it added or
+removed can become invalid; ``validate_program(program, methods)``
+checks just those (and the entry points).
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import AbstractSet, Iterable, List, Optional
 
 from .instructions import (
     Alloc,
@@ -45,11 +52,18 @@ class ValidationError(Exception):
         self.problems = problems
 
 
-def validate_program(program: Program) -> None:
-    """Check structural well-formedness; raise ValidationError on problems."""
+def validate_program(
+    program: Program, methods: Optional[Iterable[Method]] = None
+) -> None:
+    """Check structural well-formedness; raise ValidationError on problems.
+
+    ``methods`` limits the per-method checks to those methods (default:
+    every method); the entry points are always checked.
+    """
     problems: List[str] = []
-    for method in program.methods():
-        _validate_method(program, method, problems)
+    fields = frozenset(f for cd in program.classes.values() for f in cd.fields)
+    for method in program.methods() if methods is None else methods:
+        _validate_method(program, method, fields, problems)
     for ep in program.entry_points:
         method = program.method(ep)
         if not method.is_static:
@@ -58,7 +72,12 @@ def validate_program(program: Program) -> None:
         raise ValidationError(problems)
 
 
-def _validate_method(program: Program, method: Method, problems: List[str]) -> None:
+def _validate_method(
+    program: Program,
+    method: Method,
+    fields: AbstractSet[str],
+    problems: List[str],
+) -> None:
     hierarchy = program.hierarchy
     where = method.id
 
@@ -119,14 +138,10 @@ def _validate_method(program: Program, method: Method, problems: List[str]) -> N
                 )
         elif isinstance(instr, (Load, Store)):
             field_name = instr.field_name
-            if field_name != "<arr>" and not _field_declared(program, field_name):
+            if field_name != "<arr>" and field_name not in fields:
                 problems.append(
                     f"{where}: field {field_name!r} is not declared by any class"
                 )
         elif isinstance(instr, VirtualCall):
             if not instr.base:
                 problems.append(f"{where}: virtual call with empty base")
-
-
-def _field_declared(program: Program, field_name: str) -> bool:
-    return any(field_name in cd.fields for cd in program.classes.values())

@@ -21,6 +21,7 @@ from repro.incremental.edits import (
     Footprint,
     InsertInstruction,
     RemoveClass,
+    RemoveEntryPoint,
     RemoveField,
     RemoveMethod,
     edit_from_json,
@@ -163,6 +164,29 @@ def test_add_method_inverse_removes_entry_point_too():
     assert digest_of(sketch) == before
 
 
+def test_undoing_removals_restores_the_sketch_order():
+    # An inverse puts each removed class, field, method and entry point
+    # back where it was, not at the end.
+    sketch = sketch_of("kitchen-sink")
+    EditScript([
+        AddClass("ZEmpty"),
+        AddField("Sound", "zf"),
+        AddField("Sound", "zg"),
+        AddMethod("Main", "aux", is_static=True),
+        AddEntryPoint("Main.aux/0"),
+        AddClass("ZLast"),
+    ]).apply(sketch)
+    before = sketch.to_json()
+    EditScript([
+        RemoveEntryPoint(sketch.entry_points[0]),
+        RemoveClass("ZEmpty"),
+        RemoveField("Sound", "zf"),
+        RemoveMethod("Main.aux/0"),
+        RemoveMethod(sketch.methods[0].id),
+    ]).apply(sketch).apply(sketch)
+    assert sketch.to_json() == before
+
+
 def test_insert_delete_instruction_are_inverse():
     sketch = sketch_of("boxes")
     method = sketch.methods[0]
@@ -204,13 +228,16 @@ def test_footprint_names_what_an_application_touched():
     assert inverse.footprint == Footprint(
         bodies={"Main.main/0"},
         methods={"Main.aux/0": ("aux/0", True)},
+        fields=True,
         entry_points=True,
     )
     # Removing an entry-point method touches the method and the entry
     # points; the compound edit that restores both reports the same.
     removal = EditScript([RemoveMethod("Main.aux/0"), RemoveField("Sound", "zf")])
     undo = removal.apply(sketch)
-    expected = Footprint(methods={"Main.aux/0": ("aux/0", True)}, entry_points=True)
+    expected = Footprint(
+        methods={"Main.aux/0": ("aux/0", True)}, fields=True, entry_points=True
+    )
     assert undo.footprint == expected
     assert undo.apply(sketch).footprint == expected
     assert EditScript([AddClass("ZNew")]).apply(sketch).footprint == Footprint(

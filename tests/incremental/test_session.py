@@ -16,15 +16,23 @@ from repro.incremental.differ import diff_facts
 from repro.incremental.edits import (
     AddClass,
     AddEntryPoint,
+    AddField,
     AddMethod,
     DeleteInstruction,
     EditScript,
     InsertInstruction,
     RemoveClass,
+    RemoveField,
     RemoveMethod,
     random_edit_script,
 )
-from repro.ir.instructions import Alloc, ConstString, Return, StaticCall
+from repro.ir.instructions import (
+    Alloc,
+    ConstString,
+    Invocation,
+    Return,
+    StaticCall,
+)
 from repro.ir.validate import ValidationError
 from repro.incremental.session import (
     RESULT_RELATIONS,
@@ -65,14 +73,43 @@ DERIVED_MAPS = (
 )
 
 
+def program_shape(program):
+    """Everything of a frozen program the analysis reads, as plain data."""
+    return (
+        [
+            (
+                m.id,
+                m.params,
+                m.is_static,
+                m.instructions,
+                tuple(i.invo for i in m.instructions if isinstance(i, Invocation)),
+            )
+            for m in program.methods()
+        ],
+        dict(program._alloc_sites),
+        list(program.entry_points),
+        [
+            (cd.type, cd.fields, cd.static_fields, list(cd.methods))
+            for cd in program.classes.values()
+        ],
+    )
+
+
 def apply_and_check(session, script):
     """Apply ``script``; assert the per-method write path produced what
-    a whole-program encoding would: the same rows in the same order, the
-    same derived maps, the delta ``diff_facts`` computes, the digest."""
-    previous = encode_program(session.program)
+    a whole-program build and encoding would: the same program, the same
+    rows in the same order, the same derived maps, the delta
+    ``diff_facts`` computes, the digest; and that the previous program
+    was left as it was."""
+    previous_program = session.program
+    previous_shape = program_shape(previous_program)
+    previous = encode_program(previous_program)
     assert session.facts.as_relation_dict() == previous.as_relation_dict()
     out = session.apply(script)
-    fresh = encode_program(session.sketch.build())
+    assert program_shape(previous_program) == previous_shape
+    built = session.sketch.build()
+    assert program_shape(session.program) == program_shape(built)
+    fresh = encode_program(built)
     assert session.facts.as_relation_dict() == fresh.as_relation_dict()
     for name in DERIVED_MAPS:
         assert getattr(session.facts, name) == getattr(fresh, name), name
@@ -366,6 +403,88 @@ def test_method_added_and_removed_in_one_script():
     rng = random.Random(5)
     apply_and_check(session, random_edit_script(session.sketch, rng))
     assert session.check_against_scratch() == []
+
+
+def test_method_removed_and_re_added_moves_to_the_end_of_its_class():
+    session = hierarchy_session()
+    out = apply_and_check(
+        session,
+        EditScript([
+            RemoveMethod("A.f/0"),
+            AddMethod("A", "f", is_static=True,
+                      instructions=[Alloc("fa", "A"), Return("fa")]),
+        ]),
+    )
+    assert list(session.program.classes["A"].methods) == ["g/0", "f/0"]
+    assert out.tier == "noop"
+    assert session.check_against_scratch() == []
+
+
+def test_field_edits_take_the_whole_build():
+    session = make_session("boxes")
+    owner = next(iter(session.sketch.classes))
+    out = apply_and_check(
+        session, EditScript([AddField(owner, "zf"), RemoveField(owner, "zf")])
+    )
+    assert out.tier == "noop"
+    out = apply_and_check(session, EditScript([AddField(owner, "zg")]))
+    assert out.tier == "noop"
+    assert "zg" in session.program.classes[owner].fields
+
+
+# ----------------------------------------------------------------------
+# Validation dependencies random edits never reach: each script builds
+# an invalid program, is refused, and leaves the session as it was.
+# ----------------------------------------------------------------------
+def assert_refused(session, script, match):
+    program, facts = session.program, session.facts
+    shape = program_shape(program)
+    rows = facts.as_relation_dict()
+    before = session.relations()
+    with pytest.raises(ValidationError, match=match):
+        session.apply(script)
+    assert session.program is program
+    assert program_shape(program) == shape
+    assert session.facts is facts
+    assert facts.as_relation_dict() == rows
+    assert session.relations() == before
+    apply_and_check(
+        session, EditScript([InsertInstruction("Main.main/0", Alloc("zok", "Main"))])
+    )
+    assert session.check_against_scratch() == []
+
+
+def test_removing_a_loaded_field_is_refused():
+    session = IncrementalSession(
+        ProgramSketch.from_program(parse_source(STRING_SOURCE)), analysis="insens"
+    )
+    assert_refused(
+        session, EditScript([RemoveField("Box", "v")]), "'v' is not declared"
+    )
+
+
+def test_instance_method_shadowing_a_static_callee_is_refused():
+    assert_refused(
+        hierarchy_session(),
+        EditScript([AddMethod("B", "f", instructions=[Return("this")])]),
+        "static call to instance method B.f/0",
+    )
+
+
+def test_removing_a_called_static_method_is_refused():
+    assert_refused(
+        hierarchy_session(),
+        EditScript([RemoveMethod("A.f/0")]),
+        "static call to unresolvable B.f/0",
+    )
+
+
+def test_instance_entry_point_is_refused():
+    assert_refused(
+        hierarchy_session(),
+        EditScript([AddEntryPoint("A.g/0")]),
+        "entry point A.g/0 must be static",
+    )
 
 
 STRING_SOURCE = """

@@ -174,3 +174,36 @@ class TestStructureQueries:
     def test_declared_field_walks_hierarchy(self, tiny_program):
         assert tiny_program.declared_field("B", "f")  # inherited from A
         assert not tiny_program.declared_field("B", "ghost")
+
+
+class TestDerive:
+    def test_replaces_in_place_appends_and_removes(self, tiny_program):
+        old_ids = [m.id for m in tiny_program.methods()]
+        old_sites = dict(tiny_program._alloc_sites)
+        main = tiny_program.method("Main.main/0")
+        derived = tiny_program.derive(
+            [
+                Method("A", "id", ("p",), (Alloc("n", "B"), Return("n"))),
+                Method("A", "make", (), (Alloc("m", "A"),), is_static=True),
+            ],
+            removed=["B.id/1"],
+            entry_points=["Main.main/0", "A.make/0"],
+        )
+        assert [m.id for m in derived.methods()] == [
+            "A.id/1", "A.make/0", "Main.main/0"
+        ]
+        assert derived.method("Main.main/0") is main  # shared, untouched
+        assert derived.hierarchy is tiny_program.hierarchy
+        assert derived.alloc_site(derived.method("A.id/1"), 0) == "A.id/1/new B/0"
+        assert ("B.id/1", 0) not in derived._alloc_sites
+        assert derived.lookup("B", "id/1").id == "A.id/1"
+        assert derived.entry_points == ["Main.main/0", "A.make/0"]
+        # The program it came from is as it was.
+        assert [m.id for m in tiny_program.methods()] == old_ids
+        assert tiny_program._alloc_sites == old_sites
+        assert tiny_program.lookup("B", "id/1").id == "B.id/1"
+
+    def test_entry_point_must_exist(self, tiny_program):
+        with pytest.raises(ProgramError, match="entry point"):
+            tiny_program.derive([], removed=["Main.main/0"],
+                                entry_points=["Main.main/0"])
