@@ -18,6 +18,7 @@ from typing import Optional, Union
 from ..contexts.policies import ContextPolicy, policy_by_name
 from ..facts.encoder import FactBase, encode_program
 from ..ir.program import Program
+from ..obs import NULL_TRACER, Tracer
 from .results import AnalysisResult, AnalysisStats
 from .stats import CostReport, explain_costs
 from .solver import BudgetExceeded, PointsToSolver, RawSolution, solve
@@ -41,14 +42,13 @@ def analyze(
     facts: Optional[FactBase] = None,
     max_tuples: Optional[int] = None,
     max_seconds: Optional[float] = None,
-    tracer=None,
+    tracer: Tracer = NULL_TRACER,
 ) -> AnalysisResult:
     """Run one points-to analysis over ``program`` and wrap the result.
 
     Raises :class:`BudgetExceeded` when a budget is given and exhausted.
-    ``tracer`` is an optional :class:`repro.obs.Tracer`; passing one must
-    never change the computed result (the ``trace-transparency`` fuzz
-    oracle enforces this).
+    Tracing must never change the computed result (the
+    ``trace-transparency`` fuzz oracle enforces this).
     """
     if facts is None:
         facts = encode_program(program, tracer=tracer)
@@ -56,23 +56,14 @@ def analyze(
         policy = policy_by_name(analysis, alloc_class_of=facts.alloc_class_of)
     else:
         policy = analysis
-    if tracer is None:
+    with tracer.span("analysis.solve", analysis=policy.name):
         raw = solve(
             program,
             policy,
             facts=facts,
             max_tuples=max_tuples,
             max_seconds=max_seconds,
+            tracer=tracer,
         )
-    else:
-        with tracer.span("analysis.solve", analysis=policy.name):
-            raw = solve(
-                program,
-                policy,
-                facts=facts,
-                max_tuples=max_tuples,
-                max_seconds=max_seconds,
-                tracer=tracer,
-            )
-            tracer.annotate(tuples=raw.tuple_count)
+        tracer.annotate(tuples=raw.tuple_count)
     return AnalysisResult(raw, policy.name)

@@ -96,6 +96,7 @@ from ..contexts.abstractions import ContextTable
 from ..contexts.policies import ContextPolicy
 from ..facts.encoder import FactBase, FactIndex, encode_program
 from ..ir.program import Program
+from ..obs import NULL_TRACER, Tracer
 from ..utils import Interner, Stopwatch
 
 __all__ = [
@@ -246,18 +247,17 @@ class PointsToSolver:
         facts: Optional[FactBase] = None,
         max_tuples: Optional[int] = None,
         max_seconds: Optional[float] = None,
-        tracer=None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.program = program
         self.policy = policy
         self.facts = facts if facts is not None else encode_program(program)
         self.max_tuples = max_tuples
         self.max_seconds = max_seconds
-        # Optional repro.obs.Tracer.  Every callsite is guarded, and spans
-        # wrap phase boundaries only; the hot loop contributes counter
-        # samples solely inside the (cold) periodic clock-check branch, so
-        # disabled tracing is a strict no-op and enabled tracing cannot
-        # change derivation order or results.
+        # Spans wrap phase boundaries only; the hot loop contributes
+        # counter samples solely inside the (cold) periodic clock-check
+        # branch, so tracing costs nothing per operation and cannot change
+        # derivation order or results.
         self._tracer = tracer
 
         # Interners ---------------------------------------------------------
@@ -360,11 +360,8 @@ class PointsToSolver:
         self._index = self.facts.index()
         self._edit_var_meth: Dict[str, str] = {}
         self._bodies: Dict[int, _MethodBody] = {}
-        if tracer is None:
+        with tracer.span("solver.init", analysis=policy.name):
             self._compile_facts()
-        else:
-            with tracer.span("solver.init", analysis=policy.name):
-                self._compile_facts()
 
     # ------------------------------------------------------------------
     # Fact compilation: rows -> interned instruction lists -> method bodies
@@ -535,30 +532,22 @@ class PointsToSolver:
         pairs = self._filter_pairs.get(type_i)
         if pairs is None:
             # Cold build path: runs once per distinct cast type.
-            span = (
-                self._tracer.span(
-                    "solver.castfilter", type=self.types.value(type_i)
-                )
-                if self._tracer is not None
-                else None
-            )
-            hierarchy = self.program.hierarchy
             target = self.types.value(type_i)
-            closure = (
-                hierarchy.subtypes(target)
-                if target in hierarchy
-                else frozenset()
-            )
-            self._filter_closures[type_i] = frozenset(closure)
-            self._filter_heaps[type_i] = set()
-            self._filter_pairs[type_i] = 0
-            for tname in closure:
-                for heap in self._heaps_by_typename.get(tname, ()):
-                    self._admit_heap_to_filter(type_i, heap)
-            # re-read: _admit_heap_to_filter rebinds the (immutable) mask
-            pairs = self._filter_pairs[type_i]
-            if span is not None:
-                span.__exit__(None, None, None)
+            with self._tracer.span("solver.castfilter", type=target):
+                hierarchy = self.program.hierarchy
+                closure = (
+                    hierarchy.subtypes(target)
+                    if target in hierarchy
+                    else frozenset()
+                )
+                self._filter_closures[type_i] = frozenset(closure)
+                self._filter_heaps[type_i] = set()
+                self._filter_pairs[type_i] = 0
+                for tname in closure:
+                    for heap in self._heaps_by_typename.get(tname, ()):
+                        self._admit_heap_to_filter(type_i, heap)
+                # re-read: _admit_heap_to_filter rebinds the (immutable) mask
+                pairs = self._filter_pairs[type_i]
         return pairs
 
     # ------------------------------------------------------------------
@@ -665,8 +654,7 @@ class PointsToSolver:
                     self._tuple_count,
                     self._stopwatch.elapsed(),
                 )
-            if self._tracer is not None:
-                self._tracer.counter_sample("solver.tuples", self._tuple_count)
+            self._tracer.counter_sample("solver.tuples", self._tuple_count)
         pending = self._pending.get(node)
         if pending is None:
             self._pending[node] = bit
@@ -692,8 +680,7 @@ class PointsToSolver:
                     self._tuple_count,
                     self._stopwatch.elapsed(),
                 )
-            if self._tracer is not None:
-                self._tracer.counter_sample("solver.tuples", self._tuple_count)
+            self._tracer.counter_sample("solver.tuples", self._tuple_count)
 
     def _add_edge(self, src: int, dst: int, filter_type: int = _NONE) -> None:
         if filter_type == _NONE:
@@ -1016,11 +1003,6 @@ class PointsToSolver:
         self._stopwatch.restart()
         tracer = self._tracer
         ctx0 = self.ctxs.empty_id
-        if tracer is None:
-            for ep in self.program.entry_points:
-                self._make_reachable(self.meths.intern(ep), ctx0)
-            self._propagate()
-            return self.snapshot()
         with tracer.span(
             "solver.seed", entry_points=len(self.program.entry_points)
         ):
@@ -1039,10 +1021,13 @@ class PointsToSolver:
                 reachable=len(self._reachable),
                 compiled_methods=len(self._bodies),
                 call_edges=len(self._call_graph),
-                vcall_targets=sum(
-                    len(v) for v in self._vcall_targets.values()
-                ),
             )
+            if tracer.enabled:
+                tracer.annotate(
+                    vcall_targets=sum(
+                        len(v) for v in self._vcall_targets.values()
+                    )
+                )
         with tracer.span("solver.snapshot"):
             return self.snapshot()
 
@@ -1356,10 +1341,9 @@ class PointsToSolver:
                                     self._tuple_count,
                                     elapsed(),
                                 )
-                            if tracer is not None:
-                                tracer.counter_sample(
-                                    "solver.tuples", self._tuple_count
-                                )
+                            tracer.counter_sample(
+                                "solver.tuples", self._tuple_count
+                            )
                         p = pending_get(dst)
                         if p is None:
                             pending[dst] = new
@@ -1486,7 +1470,7 @@ def solve(
     facts: Optional[FactBase] = None,
     max_tuples: Optional[int] = None,
     max_seconds: Optional[float] = None,
-    tracer=None,
+    tracer: Tracer = NULL_TRACER,
 ) -> RawSolution:
     """Convenience one-call entry point for :class:`PointsToSolver`."""
     return PointsToSolver(

@@ -64,7 +64,7 @@ from .harness.experiments import main as experiments_main
 from .introspection import heuristic_from_spec, run_introspective
 from .ir.printer import dump_program
 from .ir.program import Program
-from .obs import Tracer
+from .obs import NULL_TRACER, Tracer
 
 __all__ = ["main"]
 
@@ -147,7 +147,7 @@ def _make_heuristic(label: str, constants: Optional[str]):
 def _run_and_report(
     program: Program,
     args: argparse.Namespace,
-    tracer: Optional[Tracer] = None,
+    tracer: Tracer = NULL_TRACER,
 ) -> int:
     facts = encode_program(program, tracer=tracer)
     if args.save_facts:
@@ -197,16 +197,14 @@ def _run_and_report(
         return 3
 
     print(f"stats: {result.stats().row()}")
-    if tracer is not None:
-        # Run the precision client under its own span even when the row
-        # is not printed: a trace should cover the whole pipeline,
-        # frontend through solver through clients.
+    if args.precision or tracer.enabled:
+        # A traced run measures precision even when the row is not
+        # printed: a trace should cover the whole pipeline, frontend
+        # through solver through clients.
         with tracer.span("clients.precision"):
             precision = measure_precision(result, facts)
         if args.precision:
             print(f"precision: {precision.row()}")
-    elif args.precision:
-        print(f"precision: {measure_precision(result, facts).row()}")
     if args.devirt:
         print(f"devirtualization: {devirtualize(result, facts).summary()}")
     if args.exceptions:
@@ -244,13 +242,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         reason = exc.strerror or exc.__class__.__name__
         print(f"error: cannot read {args.file}: {reason}", file=sys.stderr)
         return 2
-    tracer = Tracer() if args.trace is not None else None
+    tracer = Tracer() if args.trace is not None else NULL_TRACER
     program = parse_source(source, tracer=tracer)
     if args.dump:
         print(dump_program(program))
     print(f"program: {program.summary()}")
     rc = _run_and_report(program, args, tracer)
-    if tracer is not None:
+    if args.trace is not None:
         _export_trace(tracer, args.trace or "TRACE.json")
     return rc
 
@@ -262,15 +260,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"unknown benchmark {args.name!r}; try: {', '.join(benchmark_names())}")
         return 2
     print(f"spec: {DACAPO_SPECS[args.name].describe()}")
-    tracer = Tracer() if args.trace is not None else None
-    if tracer is not None:
-        with tracer.span("benchgen.build", benchmark=args.name):
-            program = build_benchmark(args.name)
-    else:
+    tracer = Tracer() if args.trace is not None else NULL_TRACER
+    with tracer.span("benchgen.build", benchmark=args.name):
         program = build_benchmark(args.name)
     print(f"program: {program.summary()}")
     rc = _run_and_report(program, args, tracer)
-    if tracer is not None:
+    if args.trace is not None:
         _export_trace(tracer, args.trace or "TRACE.json")
     return rc
 

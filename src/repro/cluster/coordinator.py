@@ -282,7 +282,7 @@ class ClusterCoordinator:
                 from ..service.cache import cache_key
                 from ..service.workers import _build_program
 
-                program = _build_program(job.spec, None)
+                program = _build_program(job.spec)
                 digest = encode_program(program).digest()
             except Exception as exc:  # noqa: BLE001 - bad source/benchmark
                 self.service._finalize(

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..obs import NULL_TRACER, Tracer
 from .database import Database, Relation
 from .rules import AggregateRule, Rule, RuleError, RuleProgram
 from .terms import Atom, FilterAtom, FunAtom, NegAtom, Var
@@ -168,19 +169,16 @@ class Engine:
         program: RuleProgram,
         database: Optional[Database] = None,
         max_rows: Optional[int] = None,
-        tracer=None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.program = program
         self.db = database if database is not None else Database()
         self.max_rows = max_rows
-        # Optional repro.obs.Tracer; spans wrap strata/rounds/rule
-        # compilation only, never the per-row join inner loops.
+        # Spans wrap strata/rounds/rule compilation only, never the
+        # per-row join inner loops.
         self._tracer = tracer
-        if tracer is None:
+        with tracer.span("datalog.stratify", rules=len(program.rules)):
             self.strata = stratify(program)
-        else:
-            with tracer.span("datalog.stratify", rules=len(program.rules)):
-                self.strata = stratify(program)
         self._check_multihead_strata()
         #: Semi-naive delta rounds executed across all strata (telemetry;
         #: pinned by tests to catch silent naive-restart regressions).
@@ -211,14 +209,13 @@ class Engine:
         """Evaluate all strata in order; returns the database."""
         max_level = max(self.strata.values(), default=0)
         tracer = self._tracer
-        if tracer is None:
-            for level in range(max_level + 1):
-                self._run_stratum(level)
-            return self.db
         for level in range(max_level + 1):
             with tracer.span("datalog.stratum", level=level):
                 self._run_stratum(level)
-                tracer.annotate(rounds=self.rounds, rows=self.db.total_rows())
+                if tracer.enabled:
+                    tracer.annotate(
+                        rounds=self.rounds, rows=self.db.total_rows()
+                    )
         return self.db
 
     def query(self, pred: str) -> Set[Row]:
@@ -252,31 +249,26 @@ class Engine:
         tracer = self._tracer
         while any(current.values()):
             self.rounds += 1
-            span = (
-                tracer.span(
-                    "datalog.round",
-                    round=self.rounds,
-                    delta_rows=sum(len(r) for r in current.values()),
-                )
-                if tracer is not None
-                else None
-            )
-            # Wrap each delta in an indexed relation, shared by every rule
-            # consuming it this round (replaces the linear _matches scan).
-            delta_rels: Dict[str, Relation] = {}
-            for p, rows in current.items():
-                if rows:
-                    rel = Relation(p)
-                    rel.rows = rows
-                    delta_rels[p] = rel
-            for i, rule in rules:
-                for pos, atom in rule.positive_positions():
-                    delta = delta_rels.get(atom.pred)
-                    if delta is not None and atom.pred in stratum_preds:
-                        self._delta_plan(i, pos)(delta)
-            current = {p: self.db.take_delta(p) for p in stratum_preds}
-            if span is not None:
-                span.__exit__(None, None, None)
+            with tracer.span("datalog.round", round=self.rounds):
+                if tracer.enabled:
+                    tracer.annotate(
+                        delta_rows=sum(len(r) for r in current.values())
+                    )
+                # Wrap each delta in an indexed relation, shared by every
+                # rule consuming it this round (replaces the linear
+                # _matches scan).
+                delta_rels: Dict[str, Relation] = {}
+                for p, rows in current.items():
+                    if rows:
+                        rel = Relation(p)
+                        rel.rows = rows
+                        delta_rels[p] = rel
+                for i, rule in rules:
+                    for pos, atom in rule.positive_positions():
+                        delta = delta_rels.get(atom.pred)
+                        if delta is not None and atom.pred in stratum_preds:
+                            self._delta_plan(i, pos)(delta)
+                current = {p: self.db.take_delta(p) for p in stratum_preds}
 
         # Aggregates of this stratum run on the completed inputs.
         for agg_idx, agg in enumerate(self.program.aggregates):
@@ -311,21 +303,14 @@ class Engine:
     def _compile_rule(
         self, rule: Rule, delta_pos: Optional[int]
     ) -> Callable[[Optional[Relation]], None]:
-        if self._tracer is not None:
-            with self._tracer.span(
-                "datalog.compile",
-                heads=",".join(sorted(rule.head_preds())),
-                delta_pos=delta_pos if delta_pos is not None else -1,
-            ):
-                return self._compile_rule_impl(rule, delta_pos)
-        return self._compile_rule_impl(rule, delta_pos)
-
-    def _compile_rule_impl(
-        self, rule: Rule, delta_pos: Optional[int]
-    ) -> Callable[[Optional[Relation]], None]:
-        steps, slots = self._compile_body(rule.body, delta_pos)
-        emit = self._make_rule_emit(rule, slots)
-        runner = self._link(steps, emit)
+        with self._tracer.span(
+            "datalog.compile",
+            heads=",".join(sorted(rule.head_preds())),
+            delta_pos=delta_pos if delta_pos is not None else -1,
+        ):
+            steps, slots = self._compile_body(rule.body, delta_pos)
+            emit = self._make_rule_emit(rule, slots)
+            runner = self._link(steps, emit)
         nslots = len(slots)
 
         def plan(delta: Optional[Relation]) -> None:

@@ -39,6 +39,7 @@ from ..ir.instructions import (
 )
 from ..ir.program import Method, Program
 from ..ir.types import JAVA_STRING
+from ..obs import NULL_TRACER, Tracer
 
 __all__ = [
     "FactBase",
@@ -312,19 +313,17 @@ class FactBase:
         return h.hexdigest()
 
 
-def encode_program(program: Program, tracer=None) -> FactBase:
+def encode_program(program: Program, tracer: Tracer = NULL_TRACER) -> FactBase:
     """Encode a frozen program into its input relations.
 
-    ``tracer`` is an optional :class:`repro.obs.Tracer`; when given, the
-    encoding is wrapped in a ``facts.encode`` span.
+    The encoding is wrapped in a ``facts.encode`` span on ``tracer``.
     """
     if not program.frozen:
         raise ValueError("program must be frozen before encoding")
-    if tracer is None:
-        return _encode(program)
     with tracer.span("facts.encode"):
         facts = _encode(program)
-        tracer.annotate(tuples=facts.count_tuples())
+        if tracer.enabled:
+            tracer.annotate(tuples=facts.count_tuples())
     return facts
 
 

@@ -24,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 from ..ir.program import Program
+from ..obs import NULL_TRACER, Tracer
 from .ast_nodes import SourceProgram
 from .lexer import SyntaxError_
 from .lowering import lower_program
@@ -32,14 +33,11 @@ from .parser import parse_source_text
 __all__ = ["SyntaxError_", "parse_source", "parse_source_text", "lower_program"]
 
 
-def parse_source(text: str, tracer=None) -> Program:
+def parse_source(text: str, tracer: Tracer = NULL_TRACER) -> Program:
     """Parse and lower surface-language source to a frozen IR program.
 
-    ``tracer`` is an optional :class:`repro.obs.Tracer`; when given, the
-    parse and lowering stages are recorded as spans.
+    The parse and lowering stages are recorded as spans on ``tracer``.
     """
-    if tracer is None:
-        return lower_program(parse_source_text(text))
     with tracer.span("frontend.parse", chars=len(text)):
         ast = parse_source_text(text)
     with tracer.span("frontend.lower", classes=len(ast.classes)):

@@ -378,12 +378,12 @@ def _solver_cell(name, program, facts, flavor, traced, on_trace) -> _Cell:
     def measure(variant: str) -> Callable[[], int]:
         if variant == "reference":
             return lambda: reference_solve(program, policy, facts=facts).tuple_count
+        if variant == "packed":
+            return lambda: packed_solve(program, policy, facts=facts).tuple_count
         # Each traced run gets a fresh tracer so the exported spans
         # describe one solve.
-        tracer = None
-        if variant == "traced":
-            tracer = Tracer()
-            tracers[:] = [tracer]
+        tracer = Tracer()
+        tracers[:] = [tracer]
         return lambda: packed_solve(
             program, policy, facts=facts, tracer=tracer
         ).tuple_count

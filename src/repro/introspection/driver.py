@@ -39,6 +39,7 @@ from ..contexts.introspective import IntrospectivePolicy, RefinementDecision
 from ..contexts.policies import ContextPolicy, InsensitivePolicy, policy_by_name
 from ..facts.encoder import FactBase, encode_program
 from ..ir.program import Program
+from ..obs import NULL_TRACER, Tracer
 from ..utils import Stopwatch
 from .heuristics import Heuristic, HeuristicA, call_site_universe, object_universe
 from .metrics import IntrospectionMetrics, compute_metrics
@@ -113,7 +114,7 @@ def run_introspective(
     pass1: Optional[AnalysisResult] = None,
     max_tuples: Optional[int] = None,
     max_seconds: Optional[float] = None,
-    tracer=None,
+    tracer: Tracer = NULL_TRACER,
 ) -> IntrospectiveOutcome:
     """Run the full two-pass introspective analysis.
 
@@ -122,8 +123,8 @@ def run_introspective(
     (and ``facts``) may be supplied to amortize the insensitive pass across
     several introspective variants, as the paper's timing discussion
     suggests.  ``max_seconds`` is shared across both passes (see the module
-    docstring).  ``tracer`` is an optional :class:`repro.obs.Tracer`
-    recording pass1/metrics/heuristic/pass2 as child spans.
+    docstring).  ``tracer`` records pass1/metrics/heuristic/pass2 as
+    child spans.
     """
     if heuristic is None:
         heuristic = HeuristicA()
@@ -138,24 +139,15 @@ def run_introspective(
     watch = Stopwatch()
     pass1_reused = pass1 is not None
     if pass1 is None:
-        if tracer is None:
+        with tracer.span("intro.pass1"):
             pass1 = analyze(
                 program,
                 InsensitivePolicy(),
                 facts=facts,
                 max_tuples=max_tuples,
                 max_seconds=max_seconds,
+                tracer=tracer,
             )
-        else:
-            with tracer.span("intro.pass1"):
-                pass1 = analyze(
-                    program,
-                    InsensitivePolicy(),
-                    facts=facts,
-                    max_tuples=max_tuples,
-                    max_seconds=max_seconds,
-                    tracer=tracer,
-                )
         pass1_seconds = watch.elapsed()
     else:
         # Validating/receiving the argument costs ~nothing; reporting the
@@ -163,14 +155,10 @@ def run_introspective(
         pass1_seconds = 0.0
 
     watch.restart()
-    if tracer is None:
+    with tracer.span("intro.metrics"):
         metrics = compute_metrics(pass1, facts)
+    with tracer.span("intro.heuristic", heuristic=heuristic.name):
         decision = heuristic.decide(metrics, facts, pass1)
-    else:
-        with tracer.span("intro.metrics"):
-            metrics = compute_metrics(pass1, facts)
-        with tracer.span("intro.heuristic", heuristic=heuristic.name):
-            decision = heuristic.decide(metrics, facts, pass1)
     overhead_seconds = watch.elapsed()
 
     stats = RefinementStats(
@@ -190,24 +178,15 @@ def run_introspective(
     timed_out = False
     result: Optional[AnalysisResult] = None
     try:
-        if tracer is None:
+        with tracer.span("intro.pass2", analysis=refined.name):
             result = analyze(
                 program,
                 policy,
                 facts=facts,
                 max_tuples=max_tuples,
                 max_seconds=pass2_budget,
+                tracer=tracer,
             )
-        else:
-            with tracer.span("intro.pass2", analysis=refined.name):
-                result = analyze(
-                    program,
-                    policy,
-                    facts=facts,
-                    max_tuples=max_tuples,
-                    max_seconds=pass2_budget,
-                    tracer=tracer,
-                )
     except BudgetExceeded:
         timed_out = True
     seconds = watch.elapsed()

@@ -4,6 +4,6 @@ See :mod:`repro.obs.tracer` for the design notes and
 ``docs/observability.md`` for the span catalogue.
 """
 
-from .tracer import Span, Tracer
+from .tracer import NULL_TRACER, Span, Tracer
 
-__all__ = ["Span", "Tracer"]
+__all__ = ["NULL_TRACER", "Span", "Tracer"]

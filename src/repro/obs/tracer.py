@@ -10,11 +10,17 @@ timed **spans**.
 
 Design rules (they are load-bearing):
 
-* **Opt-in and guarded.**  Every instrumented function takes
-  ``tracer: Optional[Tracer] = None`` and guards each callsite with
-  ``if tracer is not None``.  When no tracer is passed the pipeline
-  executes exactly the pre-instrumentation code paths — tracing disabled
-  is a strict no-op, enforced by the ``trace-transparency`` fuzz oracle.
+* **One path, disabled by default.**  Every instrumented function takes
+  ``tracer: Tracer = NULL_TRACER`` and opens its spans with plain
+  ``with tracer.span(...)`` blocks, traced or not.
+  :data:`NULL_TRACER` records nothing: its ``span()`` returns one shared
+  no-op handle and ``annotate``/``add``/``counter_sample`` return at
+  once.  Tracing never changes a result, which the
+  ``trace-transparency`` fuzz oracle enforces.
+* **Costly annotations only when enabled.**  An annotation whose value
+  costs more than O(1) to compute (a sum over a table, a row count)
+  sits under ``if tracer.enabled:``, so an untraced run never pays for
+  it.
 * **Monotonic clocks.**  Timestamps come from ``time.perf_counter()``
   relative to the tracer's construction instant; wall-clock never enters
   a span.
@@ -42,7 +48,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Span", "Tracer"]
+__all__ = ["NULL_TRACER", "Span", "Tracer"]
 
 
 class Span:
@@ -100,6 +106,9 @@ class Tracer:
     One tracer instance covers one logical run (a CLI invocation, a
     service job, a benchmark cell).  All methods are thread-safe.
     """
+
+    #: False only on :class:`NullTracer`; guards costly annotations.
+    enabled = True
 
     def __init__(self) -> None:
         self._epoch = time.perf_counter()
@@ -296,6 +305,43 @@ class Tracer:
                 f"{row['min_seconds']:>8.4f}s  {row['max_seconds']:>8.4f}s"
             )
         return "\n".join(lines)
+
+
+class _NullHandle:
+    """The no-op context manager every :class:`NullTracer` span returns."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
+_NULL_HANDLE = _NullHandle()
+
+
+class NullTracer(Tracer):
+    """A tracer that records nothing; see :data:`NULL_TRACER`."""
+
+    enabled = False
+
+    def span(self, name: str, **attrs: Any) -> _NullHandle:  # type: ignore[override]
+        return _NULL_HANDLE
+
+    def add(self, counter: str, amount: float = 1) -> None:
+        pass
+
+    def annotate(self, **attrs: Any) -> None:
+        pass
+
+    def counter_sample(self, name: str, value: float) -> None:
+        pass
+
+
+#: The shared disabled tracer: the default of every instrumented function.
+NULL_TRACER = NullTracer()
 
 
 def _jsonable(value: Any) -> Any:

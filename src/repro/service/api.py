@@ -299,7 +299,7 @@ class AnalysisService:
             from .workers import _build_program  # local import: same logic
             from ..facts.encoder import encode_program
 
-            program = _build_program(job.spec, None)
+            program = _build_program(job.spec)
             digest = encode_program(program).digest()
         except Exception as exc:  # noqa: BLE001 - bad source/benchmark
             self._finalize(
@@ -483,7 +483,7 @@ class AnalysisService:
         from .workers import _build_program
 
         spec = JobSpec(benchmark=benchmark, source=source)
-        program = _build_program(spec, None)
+        program = _build_program(spec)
         facts = encode_program(program)
         digest = facts.digest()
         key = hashlib.sha256(

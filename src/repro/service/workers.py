@@ -38,7 +38,7 @@ from ..frontend import parse_source
 from ..introspection.driver import MIN_PASS2_SECONDS, run_introspective
 from ..introspection.heuristics import heuristic_from_spec
 from ..ir.program import Program
-from ..obs import Tracer
+from ..obs import NULL_TRACER, Tracer
 from ..utils import Stopwatch
 from .jobs import JobSpec, JobState
 
@@ -49,15 +49,13 @@ _PASS1_CACHE: "OrderedDict[str, AnalysisResult]" = OrderedDict()
 _PASS1_LIMIT = 4
 
 
-def _build_program(spec: JobSpec, tracer: Optional[Tracer]) -> Program:
+def _build_program(spec: JobSpec, tracer: Tracer = NULL_TRACER) -> Program:
     if spec.benchmark is not None:
         if spec.benchmark not in DACAPO_SPECS:
             raise ValueError(
                 f"unknown benchmark {spec.benchmark!r}; "
                 f"try one of: {', '.join(benchmark_names())}"
             )
-        if tracer is None:
-            return build_benchmark(spec.benchmark)
         with tracer.span("job.build", benchmark=spec.benchmark):
             return build_benchmark(spec.benchmark)
     assert spec.source is not None
@@ -69,7 +67,7 @@ def _pass1(
     facts: FactBase,
     digest: str,
     spec: JobSpec,
-    tracer: Optional[Tracer],
+    tracer: Tracer = NULL_TRACER,
 ) -> Tuple[AnalysisResult, bool, float]:
     """Insensitive first pass, reused across jobs on the same program.
 
@@ -82,24 +80,15 @@ def _pass1(
         _PASS1_CACHE.move_to_end(digest)
         return cached, True, 0.0
     watch = Stopwatch()
-    if tracer is None:
+    with tracer.span("intro.pass1"):
         result = analyze(
             program,
             InsensitivePolicy(),
             facts=facts,
             max_tuples=spec.max_tuples,
             max_seconds=spec.max_seconds,
+            tracer=tracer,
         )
-    else:
-        with tracer.span("intro.pass1"):
-            result = analyze(
-                program,
-                InsensitivePolicy(),
-                facts=facts,
-                max_tuples=spec.max_tuples,
-                max_seconds=spec.max_seconds,
-                tracer=tracer,
-            )
     seconds = watch.elapsed()
     _PASS1_CACHE[digest] = result
     while len(_PASS1_CACHE) > _PASS1_LIMIT:
@@ -126,118 +115,109 @@ def execute_job(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
 
     try:
         spec = JobSpec.from_payload(spec_payload)
-        tracer = Tracer() if spec.trace else None
-        job_span = (
-            tracer.span("job.execute", analysis=spec.analysis)
-            if tracer is not None
-            else None
-        )
-        program = _build_program(spec, tracer)
-        stage("build")
-        facts = encode_program(program, tracer=tracer)
-        digest = facts.digest()
-        stage("encode")
-        payload: Dict[str, Any] = {
-            "state": JobState.DONE,
-            "error": None,
-            "analysis": spec.analysis,
-            "benchmark": spec.benchmark,
-            "program": program.summary(),
-            "facts_digest": digest,
-            "facts_tuples": facts.count_tuples(),
-            "pass1_reused": False,
-            "stats": None,
-            "precision": None,
-            "refinement": None,
-            "heuristic": None,
-            "points_to": None,
-            "stages": stages,
-        }
-        result: Optional[AnalysisResult] = None
-        if spec.introspective is not None:
-            heuristic = heuristic_from_spec(
-                spec.introspective, spec.heuristic_constants
-            )
-            try:
-                pass1, reused, pass1_seconds = _pass1(
-                    program, facts, digest, spec, tracer
+        tracer = Tracer() if spec.trace else NULL_TRACER
+        with tracer.span("job.execute", analysis=spec.analysis):
+            program = _build_program(spec, tracer)
+            stage("build")
+            facts = encode_program(program, tracer=tracer)
+            digest = facts.digest()
+            stage("encode")
+            payload: Dict[str, Any] = {
+                "state": JobState.DONE,
+                "error": None,
+                "analysis": spec.analysis,
+                "benchmark": spec.benchmark,
+                "program": program.summary(),
+                "facts_digest": digest,
+                "facts_tuples": facts.count_tuples(),
+                "pass1_reused": False,
+                "stats": None,
+                "precision": None,
+                "refinement": None,
+                "heuristic": None,
+                "points_to": None,
+                "stages": stages,
+            }
+            result: Optional[AnalysisResult] = None
+            if spec.introspective is not None:
+                heuristic = heuristic_from_spec(
+                    spec.introspective, spec.heuristic_constants
                 )
-            except BudgetExceeded as exc:
-                # Pass 1 alone blew the whole budget: a timeout, not an
-                # internal error.
-                payload["state"] = JobState.TIMEOUT
-                payload["error"] = str(exc)
-                stage("pass1")
-            else:
-                stage("pass1")
-                # The driver sees a precomputed pass 1 (pass1_seconds=0.0
-                # on its side), so the shared wall-clock budget must be
-                # drawn down *here* by what pass 1 actually cost this job.
-                budget = spec.max_seconds
-                if budget is not None and pass1_seconds:
-                    budget = max(budget - pass1_seconds, MIN_PASS2_SECONDS)
-                outcome = run_introspective(
-                    program,
-                    spec.analysis,
-                    heuristic,
-                    facts=facts,
-                    pass1=pass1,
-                    max_tuples=spec.max_tuples,
-                    max_seconds=budget,
-                    tracer=tracer,
-                )
-                stage("solve")
-                stats = outcome.refinement_stats
-                payload.update(
-                    analysis=outcome.name,
-                    heuristic=heuristic.describe(),
-                    pass1_reused=reused,
-                    refinement={
-                        "total_call_sites": stats.total_call_sites,
-                        "excluded_call_sites": stats.excluded_call_sites,
-                        "total_objects": stats.total_objects,
-                        "excluded_objects": stats.excluded_objects,
-                        "call_site_percent": stats.call_site_percent,
-                        "object_percent": stats.object_percent,
-                    },
-                )
-                if outcome.timed_out:
+                try:
+                    pass1, reused, pass1_seconds = _pass1(
+                        program, facts, digest, spec, tracer
+                    )
+                except BudgetExceeded as exc:
+                    # Pass 1 alone blew the whole budget: a timeout, not an
+                    # internal error.
                     payload["state"] = JobState.TIMEOUT
+                    payload["error"] = str(exc)
+                    stage("pass1")
                 else:
-                    result = outcome.result
-        else:
-            try:
-                result = analyze(
-                    program,
-                    spec.analysis,
-                    facts=facts,
-                    max_tuples=spec.max_tuples,
-                    max_seconds=spec.max_seconds,
-                    tracer=tracer,
-                )
-            except BudgetExceeded as exc:
-                payload["state"] = JobState.TIMEOUT
-                payload["error"] = str(exc)
-            stage("solve")
-        if result is not None:
-            if spec.introspective is None:
-                payload["analysis"] = result.analysis_name
-            payload["stats"] = asdict(result.stats())
-            if tracer is None:
-                payload["precision"] = asdict(measure_precision(result, facts))
+                    stage("pass1")
+                    # The driver sees a precomputed pass 1 (pass1_seconds=0.0
+                    # on its side), so the shared wall-clock budget must be
+                    # drawn down *here* by what pass 1 actually cost this job.
+                    budget = spec.max_seconds
+                    if budget is not None and pass1_seconds:
+                        budget = max(budget - pass1_seconds, MIN_PASS2_SECONDS)
+                    outcome = run_introspective(
+                        program,
+                        spec.analysis,
+                        heuristic,
+                        facts=facts,
+                        pass1=pass1,
+                        max_tuples=spec.max_tuples,
+                        max_seconds=budget,
+                        tracer=tracer,
+                    )
+                    stage("solve")
+                    stats = outcome.refinement_stats
+                    payload.update(
+                        analysis=outcome.name,
+                        heuristic=heuristic.describe(),
+                        pass1_reused=reused,
+                        refinement={
+                            "total_call_sites": stats.total_call_sites,
+                            "excluded_call_sites": stats.excluded_call_sites,
+                            "total_objects": stats.total_objects,
+                            "excluded_objects": stats.excluded_objects,
+                            "call_site_percent": stats.call_site_percent,
+                            "object_percent": stats.object_percent,
+                        },
+                    )
+                    if outcome.timed_out:
+                        payload["state"] = JobState.TIMEOUT
+                    else:
+                        result = outcome.result
             else:
+                try:
+                    result = analyze(
+                        program,
+                        spec.analysis,
+                        facts=facts,
+                        max_tuples=spec.max_tuples,
+                        max_seconds=spec.max_seconds,
+                        tracer=tracer,
+                    )
+                except BudgetExceeded as exc:
+                    payload["state"] = JobState.TIMEOUT
+                    payload["error"] = str(exc)
+                stage("solve")
+            if result is not None:
+                if spec.introspective is None:
+                    payload["analysis"] = result.analysis_name
+                payload["stats"] = asdict(result.stats())
                 with tracer.span("clients.precision"):
                     payload["precision"] = asdict(
                         measure_precision(result, facts)
                     )
-            stage("precision")
-            if spec.show:
-                payload["points_to"] = {
-                    var: sorted(result.points_to(var)) for var in spec.show
-                }
-        if job_span is not None:
-            job_span.__exit__(None, None, None)
-        if tracer is not None:
+                stage("precision")
+                if spec.show:
+                    payload["points_to"] = {
+                        var: sorted(result.points_to(var)) for var in spec.show
+                    }
+        if spec.trace:
             payload["trace"] = {
                 "chrome": tracer.chrome_trace(),
                 "summary": tracer.summary(),

@@ -17,6 +17,7 @@ from repro.datalog import (
     parse_program,
     stratify,
 )
+from repro.obs import Tracer
 
 
 def run(text, facts, max_rows=None):
@@ -287,6 +288,28 @@ class TestBudget:
                 {"edge": [(i, i + 1) for i in range(100)]},
                 max_rows=50,
             )
+
+    @pytest.mark.parametrize("max_rows", [350, 700])
+    def test_traced_trip_keeps_the_tripping_round(self, max_rows):
+        """The round in which the budget trips still records its span, so
+        a trace shows where evaluation stopped."""
+        tracer = Tracer()
+        engine = Engine(
+            parse_program(
+                """
+                path(X, Y) :- edge(X, Y).
+                path(X, Z) :- edge(X, Y), path(Y, Z).
+                """
+            ),
+            max_rows=max_rows,
+            tracer=tracer,
+        )
+        engine.load({"edge": [(i, i + 1) for i in range(100)]})
+        with pytest.raises(EvaluationBudgetExceeded):
+            engine.run()
+        rounds = [s.attrs["round"] for s in tracer.spans()
+                  if s.name == "datalog.round"]
+        assert rounds == list(range(1, engine.rounds + 1))
 
 
 class TestRuleValidation:

@@ -23,6 +23,7 @@ from repro.harness.bench import (
     suite_names,
     suite_specs,
 )
+from repro.obs import NULL_TRACER
 from repro.warehouse import (
     RECEIPT_SCHEMA,
     cells_of,
@@ -274,9 +275,9 @@ class TestEngineDisagreement:
             run_bench("demand", "tiny", flavors=("2objH",), repeat=1)
 
     def test_traced_vs_untraced_tuples(self, monkeypatch):
-        def tracing_changes_result(*args, tracer=None, **kwargs):
+        def tracing_changes_result(*args, tracer=NULL_TRACER, **kwargs):
             raw = packed_solve(*args, tracer=tracer, **kwargs)
-            extra = 1 if tracer is not None else 0
+            extra = 1 if tracer.enabled else 0
             return SimpleNamespace(tuple_count=raw.tuple_count + extra)
 
         monkeypatch.setattr(bench, "packed_solve", tracing_changes_result)

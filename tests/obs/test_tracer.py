@@ -4,7 +4,7 @@ import json
 import threading
 import time
 
-from repro.obs import Span, Tracer
+from repro.obs import NULL_TRACER, Span, Tracer
 
 
 class TestSpans:
@@ -198,20 +198,77 @@ class TestSummary:
         assert t.chrome_trace()["traceEvents"] == []
 
 
+def _boxes_source(n):
+    """A program whose solve passes the solver's counter-sample cadence."""
+    body = "\n".join(
+        f"        o{i} = new Box(); b.set(o{i}); r{i} = b.get();"
+        for i in range(n)
+    )
+    return f"""
+class Box {{
+    field v;
+    method set(x) {{ this.v = x; }}
+    method get() {{ r = this.v; return r; }}
+}}
+class Main {{
+    static method main() {{
+        b = new Box();
+{body}
+    }}
+}}
+"""
+
+
+def _pipeline(**traced):
+    """parse -> encode -> introspective run -> precision, as a user runs it."""
+    from repro.clients.precision import measure_precision
+    from repro.facts.encoder import encode_program
+    from repro.frontend import parse_source
+    from repro.introspection.driver import run_introspective
+
+    program = parse_source(_boxes_source(80), **traced)
+    facts = encode_program(program, **traced)
+    outcome = run_introspective(program, "2objH", facts=facts, **traced)
+    measure_precision(outcome.result, facts)
+
+
 class TestNoOpDiscipline:
-    def test_solver_signatures_default_to_none(self):
-        """Every instrumented entry point defaults tracer to None, so the
-        untraced path never constructs observability objects."""
+    def test_entry_points_default_to_null_tracer(self):
+        """Every instrumented entry point defaults to the shared disabled
+        tracer, so the untraced path never constructs a recording one."""
         import inspect
 
         from repro.analysis import analyze
-        from repro.analysis.solver import solve
+        from repro.analysis.solver import PointsToSolver, solve
         from repro.datalog.engine import Engine
         from repro.facts.encoder import encode_program
         from repro.frontend import parse_source
         from repro.introspection.driver import run_introspective
 
         for fn in (analyze, solve, encode_program, parse_source,
-                   run_introspective, Engine.__init__):
+                   run_introspective, Engine.__init__,
+                   PointsToSolver.__init__):
             param = inspect.signature(fn).parameters["tracer"]
-            assert param.default is None, fn
+            assert param.default is NULL_TRACER, fn
+
+    def test_null_tracer_records_nothing(self):
+        assert Tracer.enabled and not NULL_TRACER.enabled
+        assert isinstance(NULL_TRACER, Tracer)
+        handle = NULL_TRACER.span("work", k=1)
+        assert NULL_TRACER.span("other") is handle
+        with handle:
+            NULL_TRACER.annotate(k=2)
+            NULL_TRACER.add("n")
+            NULL_TRACER.counter_sample("c", 1.0)
+        assert NULL_TRACER.spans() == []
+        assert NULL_TRACER.chrome_trace()["traceEvents"] == []
+
+    def test_untraced_pipeline_leaves_null_tracer_empty(self):
+        traced = Tracer()
+        _pipeline(tracer=traced)
+        phases = {e["ph"] for e in traced.chrome_trace()["traceEvents"]}
+        assert phases == {"X", "C"}  # the traced twin has spans and samples
+
+        _pipeline()
+        assert NULL_TRACER.spans() == []
+        assert NULL_TRACER.chrome_trace()["traceEvents"] == []

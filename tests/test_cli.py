@@ -320,6 +320,27 @@ class TestTrace:
         assert not (tmp_path / "TRACE.json").exists()
         assert "wrote trace" not in capsys.readouterr().out
 
+    def test_untraced_run_skips_precision_client(self, source_file,
+                                                 monkeypatch, capsys):
+        import repro.cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("precision client ran untraced")
+
+        monkeypatch.setattr(repro.cli, "measure_precision", forbidden)
+        assert main(["analyze", source_file]) == 0
+
+    def test_traced_run_records_precision_client(self, source_file,
+                                                 tmp_path, capsys):
+        import json
+
+        trace_path = tmp_path / "out.json"
+        assert main(["analyze", source_file, "--trace", str(trace_path)]) == 0
+        assert "precision:" not in capsys.readouterr().out
+        trace = json.loads(trace_path.read_text())
+        names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
+        assert "clients.precision" in names
+
     def test_bench_suite_trace_cell(self, tmp_path, capsys):
         import json
 

@@ -188,6 +188,25 @@ class TestObservabilityDoc:
             )
         assert emitted == documented, emitted ^ documented
 
+    def test_no_untraced_forks(self):
+        """Instrumented code has one path: it traces into the default
+        NULL_TRACER instead of forking on a missing tracer or closing
+        spans by hand."""
+        import re as _re
+
+        fork = _re.compile(
+            r"tracer is (not )?None|__exit__\(None, None, None\)"
+        )
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        offenders = [
+            f"{path.relative_to(src)}:{lineno}"
+            for path in src.rglob("*.py")
+            if path.parent.name != "obs"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if fork.search(line)
+        ]
+        assert offenders == []
+
 
 class TestIncrementalDoc:
     def test_usage_block_executes_as_written(self):
