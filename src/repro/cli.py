@@ -20,9 +20,9 @@ Subcommands:
   query's slice (``docs/queries.md``);
 * ``repro serve`` — run the analysis service (HTTP JSON API with a job
   queue, worker pool, and content-addressed result cache); with
-  ``--journal`` it becomes a cluster coordinator (``docs/cluster.md``);
-* ``repro worker`` — run a cluster worker node that registers with a
-  coordinator, heartbeats, and pulls jobs (``docs/cluster.md``);
+  ``--journal`` every accepted job survives a crash and is replayed on
+  restart, and ``--max-queue-depth`` answers overload with 429
+  (``docs/service.md``);
 * ``repro report`` — the results warehouse: ingest receipts, bin and
   score the perf trajectory, render a table + JSON, and (``--gate``)
   fail on regressions (see ``docs/warehouse.md``);
@@ -40,7 +40,6 @@ Examples::
     repro query 'Main.main/0/result' --benchmark hsqldb --flavor 2objH
     repro serve --port 8080 --workers 4 --cache-dir /tmp/repro-cache
     repro serve --port 8080 --journal /tmp/repro-journal.jsonl
-    repro worker --coordinator http://127.0.0.1:8080
     repro report benchmarks/receipts --json TRAJECTORY.json
     repro report benchmarks/receipts --gate --max-regression 10
 """
@@ -448,16 +447,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.api import serve
 
-    cluster = None
-    if args.journal is not None:
-        from .cluster import ClusterConfig
-
-        cluster = ClusterConfig(
-            journal=args.journal,
-            heartbeat_timeout=args.heartbeat_timeout,
-            max_retries=args.max_retries,
-            max_queue_depth=args.max_queue_depth,
-        )
     return serve(
         host=args.host,
         port=args.port,
@@ -467,15 +456,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         receipt_dir=args.receipt_dir,
         verbose=args.verbose,
         max_sessions=args.max_sessions,
-        cluster=cluster,
-    )
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from .cluster import run_worker
-
-    return run_worker(
-        args.coordinator, poll_interval=args.poll_interval, name=args.name
+        journal=args.journal,
+        max_queue_depth=args.max_queue_depth,
     )
 
 
@@ -694,23 +676,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--journal",
         default=None,
         metavar="FILE",
-        help="run as a cluster coordinator: journal every accepted job "
-        "to FILE (fsynced, replayed on restart; docs/cluster.md)",
-    )
-    p_serve.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="declare a worker dead after this long without a heartbeat "
-        "and requeue its leased jobs (default 10)",
-    )
-    p_serve.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="requeues per job before dead-lettering (default 3)",
+        help="journal every accepted job to FILE (fsynced before the 202; "
+        "unfinished jobs are replayed on restart; docs/service.md)",
     )
     p_serve.add_argument(
         "--max-queue-depth",
@@ -718,33 +685,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="N",
         help="reject POST /jobs with 429 once N jobs are queued "
-        "(cluster mode only; default unbounded)",
+        "(default unbounded)",
     )
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_worker = sub.add_parser(
-        "worker",
-        help="run a cluster worker node pulling jobs from a coordinator "
-        "(docs/cluster.md)",
-    )
-    p_worker.add_argument(
-        "--coordinator",
-        required=True,
-        metavar="URL",
-        help="coordinator base URL, e.g. http://127.0.0.1:8080",
-    )
-    p_worker.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.2,
-        metavar="SECONDS",
-        help="sleep between lease polls when the queue is empty "
-        "(default 0.2)",
-    )
-    p_worker.add_argument(
-        "--name", default=None, help="human-readable worker name"
-    )
-    p_worker.set_defaults(func=_cmd_worker)
 
     p_query = sub.add_parser(
         "query",

@@ -9,12 +9,20 @@ pops jobs as worker slots free up, computes the content key (building the
 program and encoding its facts — cheap relative to a solve), answers from
 the cache when possible, and otherwise ships the job to the pool.
 
+Two optional guards serve crash safety and overload.  With ``journal``
+every accepted job is appended to an fsynced
+:class:`~repro.service.journal.JobJournal` before the 202 is sent and its
+terminal state before a poller can see it, so a restart on the same file
+replays every accepted-but-unfinished job under its original id.  With
+``max_queue_depth`` a submission past that many queued jobs is refused
+with :class:`~repro.service.jobs.Backpressure` (``429`` + ``Retry-After``).
+
 The HTTP layer is a stdlib :class:`~http.server.ThreadingHTTPServer`
 speaking JSON, mirroring the submit/poll shape of builder-style services:
 
 ===========================  ======  ======================================
 ``POST /jobs``               202     submit a job (benchmark or inline
-                                     source)
+                                     source; 429 past ``max_queue_depth``)
 ``GET /jobs``                200     list job snapshots
 ``GET /jobs/{id}``           200     one job's status snapshot
 ``GET /jobs/{id}/result``    200     terminal result payload (409 while
@@ -54,16 +62,16 @@ import time
 from collections import OrderedDict
 from concurrent.futures import CancelledError, Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Iterator, Optional, TYPE_CHECKING, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .cache import ResultCache, cache_key
-from .jobs import Job, JobQueue, JobSpec, JobState
+from .jobs import Backpressure, Job, JobQueue, JobSpec, JobState
+from .journal import JobJournal
 from .sessions import SessionError, SessionStore
 from .telemetry import Registry
 from .workers import WorkerPool
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..cluster.coordinator import ClusterConfig
+_log = logging.getLogger("repro.service")
 
 __all__ = [
     "AnalysisService",
@@ -84,9 +92,11 @@ class AnalysisService:
         cache_dir: Optional[str] = None,
         receipt_dir: Optional[str] = None,
         max_sessions: int = 16,
-        cluster: Optional["ClusterConfig"] = None,
+        journal: Optional[str] = None,
+        max_queue_depth: Optional[int] = None,
     ) -> None:
         self.receipt_dir = receipt_dir
+        self.max_queue_depth = max_queue_depth
         self.telemetry = Registry()
         t = self.telemetry
         self._m_submitted = t.counter(
@@ -149,14 +159,43 @@ class AnalysisService:
             "repro_service_receipt_errors_total",
             "Receipt writes that failed (the job still completes).",
         )
+        self._m_cache_errors = t.counter(
+            "repro_service_cache_errors_total",
+            "Result-cache disk-tier writes and unlinks that failed, by op.",
+        )
+        self._m_pool_restarts = t.counter(
+            "repro_service_pool_restarts_total",
+            "Broken worker-process pools replaced after a worker died.",
+        )
+        self._m_rejected = t.counter(
+            "repro_service_rejected_total",
+            "Submissions rejected with 429, by reason.",
+        )
+        self._m_journal_records = t.counter(
+            "repro_service_journal_records_total",
+            "Journal records appended, by type.",
+        )
+        self._m_journal_bytes = t.gauge(
+            "repro_service_journal_bytes", "Job journal size on disk."
+        )
+        self._m_journal_errors = t.counter(
+            "repro_service_journal_errors_total",
+            "Journal appends after acceptance that failed (the job still "
+            "completes; a restart may replay it).",
+        )
+        self._m_replayed = t.counter(
+            "repro_service_replayed_jobs_total",
+            "Jobs re-enqueued from the journal at startup.",
+        )
 
         self.queue = JobQueue()
-        self.pool = WorkerPool(workers)
+        self.pool = WorkerPool(workers, restarts=self._m_pool_restarts)
         self.cache = ResultCache(
             capacity=cache_capacity,
             cache_dir=cache_dir,
             hits=self._m_cache_hits,
             misses=self._m_cache_misses,
+            errors=self._m_cache_errors,
         )
         self._m_workers.set(workers)
         self.sessions = SessionStore(max_sessions=max_sessions)
@@ -178,26 +217,69 @@ class AnalysisService:
         self._stop = threading.Event()
         self._dispatcher: Optional[threading.Thread] = None
         self.started_at = time.time()
-        # The cluster extension (docs/cluster.md) — None keeps the exact
-        # single-process behavior.  Constructed last: it registers its
-        # own telemetry and may replay journaled jobs into the queue.
-        self.cluster = None
-        if cluster is not None:
-            from ..cluster.coordinator import ClusterCoordinator
-
-            self.cluster = ClusterCoordinator(self, cluster)
+        # Last: replay may enqueue jobs, which needs everything above.
+        self.journal: Optional[JobJournal] = None
+        if journal is not None:
+            self.journal = JobJournal(journal)
+            self._m_journal_bytes.set(self.journal.size_bytes())
+            self._replay()
 
     # ------------------------------------------------------------------
     # Public API (used by the HTTP layer and directly by tests/harness)
     # ------------------------------------------------------------------
     def submit(self, spec: JobSpec) -> Job:
-        """Accept a job.  In cluster mode this runs admission control
-        (may raise :class:`~repro.cluster.coordinator.Backpressure`) and
-        journals the acceptance durably before the job becomes visible.
+        """Accept a job: admission control (may raise
+        :class:`~repro.service.jobs.Backpressure`), then, with a journal,
+        a durable ``accepted`` record before the job becomes visible.
         """
-        if self.cluster is not None:
-            return self.cluster.submit(spec)
-        return self.enqueue(Job(spec=spec))
+        if (
+            self.max_queue_depth is not None
+            and self.queue.depth() >= self.max_queue_depth
+        ):
+            self._m_rejected.inc(reason="queue_full")
+            raise Backpressure("queue_full", retry_after=1.0)
+        job = Job(spec=spec)
+        self._journal("accepted", id=job.id, spec=spec.to_payload())
+        return self.enqueue(job)
+
+    def _journal(self, type: str, **fields: Any) -> None:
+        """Durably append one record (a no-op without a journal).
+
+        A failed ``accepted`` append raises: a job is never acknowledged
+        unless its acceptance is on disk.  Later records are best-effort:
+        a full disk must not turn a finished job into a crashed service;
+        the cost is a possible replay after restart.
+        """
+        if self.journal is None:
+            return
+        try:
+            self.journal.append(type, **fields)
+        except OSError as exc:
+            if type == "accepted":
+                raise
+            self._m_journal_errors.inc()
+            _log.warning(
+                "journal append failed for job %s (%s): %r",
+                fields.get("id"), type, exc,
+            )
+            return
+        self._m_journal_records.inc(type=type)
+        self._m_journal_bytes.set(self.journal.size_bytes())
+
+    def _replay(self) -> None:
+        """Re-enqueue accepted-but-unfinished jobs from the journal."""
+        pending, _ = self.journal.pending()
+        for job_id, record in pending.items():
+            try:
+                spec = JobSpec.from_payload(record["spec"])
+            except (ValueError, TypeError, KeyError):
+                # A journaled spec that no longer validates (e.g. a
+                # benchmark renamed across versions) is finished as an
+                # error, not silently dropped.
+                self._journal("done", id=job_id, state=JobState.ERROR)
+                continue
+            self.enqueue(Job(spec=spec, id=job_id))
+            self._m_replayed.inc()
 
     def enqueue(self, job: Job) -> Job:
         """Register and queue an already-constructed job (no admission)."""
@@ -223,10 +305,9 @@ class AnalysisService:
         if self.queue.cancel(job):
             self._m_jobs.inc(state=JobState.CANCELLED)
             self._m_depth.set(self.queue.depth())
-            if self.cluster is not None:
-                # Keep the journal truthful: a cancelled job must not be
-                # resurrected by a replay after a coordinator restart.
-                self.cluster.record_terminal(job.id, JobState.CANCELLED)
+            # Keep the journal truthful: a cancelled job must not be
+            # resurrected by a replay after a restart.
+            self._journal("done", id=job.id, state=JobState.CANCELLED)
             return True
         return False
 
@@ -238,16 +319,14 @@ class AnalysisService:
             target=self._dispatch_loop, name="repro-dispatcher", daemon=True
         )
         self._dispatcher.start()
-        if self.cluster is not None:
-            self.cluster.start()
 
     def stop(self, wait: bool = True) -> None:
         self._stop.set()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=5.0)
             self._dispatcher = None
-        if self.cluster is not None:
-            self.cluster.stop()
+        if self.journal is not None:
+            self.journal.close()
         self.pool.shutdown(wait=wait)
 
     # ------------------------------------------------------------------
@@ -255,24 +334,11 @@ class AnalysisService:
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while not self._stop.is_set():
-            if self.cluster is not None and self.cluster.defer_local():
-                # Live workers exist: they pull jobs over /cluster/lease
-                # and the single-process fallback path stands down.
-                time.sleep(0.05)
-                continue
             if not self._slots.acquire(timeout=0.1):
                 continue
             job = self.queue.pop(timeout=0.1)
             self._m_depth.set(self.queue.depth())
             if job is None:
-                self._slots.release()
-                continue
-            if self.cluster is not None and self.cluster.defer_local():
-                # A worker registered while we were blocked in pop():
-                # hand the job back for the pull path instead of racing
-                # the fleet for it.
-                self.queue.put(job)
-                self._m_depth.set(self.queue.depth())
                 self._slots.release()
                 continue
             try:
@@ -320,7 +386,12 @@ class AnalysisService:
             return
         job.state = JobState.RUNNING
         self._m_running.inc()
-        future = self.pool.submit(spec_payload)
+        try:
+            future = self.pool.submit(spec_payload)
+        except Exception:
+            # The dispatcher finalizes the job; _on_done never runs.
+            self._m_running.dec()
+            raise
         future.add_done_callback(
             lambda f, j=job, k=key: self._on_done(j, k, f)
         )
@@ -331,6 +402,8 @@ class AnalysisService:
         except CancelledError:
             payload = {"state": JobState.CANCELLED}
         except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
+            # If a worker process died mid-job, the pool replaces itself
+            # on the next submit; this job ends ERROR naming the cause.
             payload = {
                 "state": JobState.ERROR,
                 "error": f"{type(exc).__name__}: {exc}",
@@ -343,11 +416,8 @@ class AnalysisService:
         job: Job,
         payload: Dict[str, Any],
         store_key: Optional[str],
-        release_slot: bool = True,
     ) -> None:
-        """Drive a job to its terminal state (idempotence guarded by the
-        cluster lease layer; ``release_slot=False`` for jobs that never
-        occupied a local worker slot — leases, cluster requeues)."""
+        """Drive a job to its terminal state and free its worker slot."""
         state = payload.get("state", JobState.ERROR)
         job.result = payload
         job.error = payload.get("error")
@@ -374,16 +444,6 @@ class AnalysisService:
         if store_key is not None and state in (JobState.DONE, JobState.TIMEOUT):
             self.cache.put(store_key, payload)
         if (
-            self.cluster is not None
-            and not job.cached
-            and "worker" not in payload
-            and state in (JobState.DONE, JobState.TIMEOUT, JobState.ERROR)
-        ):
-            # Locally executed under cluster mode: stamp the coordinator
-            # itself as the executing worker, so every receipt carries
-            # the provenance of the node that did the work.
-            payload["worker"] = self.cluster.local_worker_provenance()
-        if (
             self.receipt_dir is not None
             and state == JobState.DONE
             and not job.cached
@@ -405,17 +465,13 @@ class AnalysisService:
                 )
             except Exception as exc:  # noqa: BLE001 - receipts are advisory
                 self._m_receipt_errors.inc()
-                logging.getLogger("repro.service").warning(
-                    "receipt write failed for job %s: %r", job.id, exc
-                )
-        if self.cluster is not None:
-            # Journal the terminal transition before the state flip: a
-            # replay after a crash must never resurrect a job whose
-            # terminal state a poller could already have observed.
-            self.cluster.record_terminal(job.id, state)
+                _log.warning("receipt write failed for job %s: %r", job.id, exc)
+        # Journal the terminal transition before the state flip: a replay
+        # after a crash must never resurrect a job whose terminal state a
+        # poller could already have observed.
+        self._journal("done", id=job.id, state=state)
         job.state = state
-        if release_slot:
-            self._slots.release()
+        self._slots.release()
 
     # ------------------------------------------------------------------
     # Demand queries (POST /queries — synchronous, like sessions)
@@ -532,7 +588,7 @@ class AnalysisService:
     # Introspection for /healthz
     # ------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
-        health: Dict[str, Any] = {
+        return {
             "status": "ok",
             "workers": self.pool.workers,
             "queue_depth": self.queue.depth(),
@@ -541,13 +597,6 @@ class AnalysisService:
             "cache_entries": len(self.cache),
             "uptime_seconds": round(time.time() - self.started_at, 3),
         }
-        if self.cluster is not None:
-            health["cluster"] = {
-                "node_id": self.cluster.node_id,
-                "live_workers": len(self.cluster.live_workers()),
-                "leases": self.cluster.lease_count(),
-            }
-        return health
 
 
 # ----------------------------------------------------------------------
@@ -557,10 +606,6 @@ _JOB_PATH = re.compile(r"^/jobs/([0-9a-f]+)$")
 _RESULT_PATH = re.compile(r"^/jobs/([0-9a-f]+)/result$")
 _SESSION_PATH = re.compile(r"^/sessions/([0-9a-f]+)$")
 _SESSION_EDITS_PATH = re.compile(r"^/sessions/([0-9a-f]+)/edits$")
-_CLUSTER_HEARTBEAT_PATH = re.compile(
-    r"^/cluster/workers/([0-9a-f]+)/heartbeat$"
-)
-_CLUSTER_WORKER_PATH = re.compile(r"^/cluster/workers/([0-9a-f]+)$")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -591,11 +636,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_empty(self, status: int) -> None:
-        self.send_response(status)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
     def _send_text(self, status: int, text: str) -> None:
         body = text.encode()
         self.send_response(status)
@@ -619,11 +659,9 @@ class _Handler(BaseHTTPRequestHandler):
             except ValueError as exc:
                 self._send_json(400, {"error": str(exc)})
                 return
-            from ..cluster.coordinator import Backpressure
-
             try:
                 job = self.service.submit(spec)
-            except Backpressure as exc:  # cluster mode only
+            except Backpressure as exc:
                 self._send_json(
                     429,
                     {"error": str(exc), "reason": exc.reason,
@@ -685,71 +723,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.service._m_session_edits.inc(tier=payload["tier"])
             self._send_json(200, payload)
             return
-        if self.path.startswith("/cluster") and self._cluster_post():
-            return
         self._send_json(404, {"error": f"no such route: POST {self.path}"})
-
-    # -- cluster routes (docs/cluster.md) ------------------------------
-    def _cluster_post(self) -> bool:
-        """Handle POST /cluster/*; False if the path matched nothing."""
-        cluster = self.service.cluster
-        if cluster is None:
-            self._send_json(
-                404, {"error": "not a cluster coordinator (no --journal)"}
-            )
-            return True
-        if self.path == "/cluster/workers":
-            try:
-                payload = self._read_json()
-                name = payload.get("name")
-                if name is not None and not isinstance(name, str):
-                    raise ValueError("'name' must be a string")
-            except (ValueError, AttributeError) as exc:
-                self._send_json(400, {"error": f"bad registration: {exc}"})
-                return True
-            granted = cluster.register_worker(name=name)
-            self._send_json(201, granted)
-            return True
-        m = _CLUSTER_HEARTBEAT_PATH.match(self.path)
-        if m:
-            if cluster.heartbeat(m.group(1)):
-                self._send_json(200, {"ok": True})
-            else:
-                self._send_json(
-                    404, {"error": f"unknown worker {m.group(1)}; re-register"}
-                )
-            return True
-        if self.path == "/cluster/lease":
-            try:
-                worker_id = self._read_json()["worker"]
-            except (ValueError, KeyError, TypeError) as exc:
-                self._send_json(400, {"error": f"bad lease request: {exc}"})
-                return True
-            try:
-                leased = cluster.lease(worker_id)
-            except KeyError:
-                self._send_json(
-                    404, {"error": f"unknown worker {worker_id}; re-register"}
-                )
-                return True
-            if leased is None:
-                self._send_empty(204)
-            else:
-                self._send_json(200, leased)
-            return True
-        if self.path == "/cluster/complete":
-            try:
-                body = self._read_json()
-                worker_id = body["worker"]
-                job_id = body["job_id"]
-                payload = body["payload"]
-            except (ValueError, KeyError, TypeError) as exc:
-                self._send_json(400, {"error": f"bad completion: {exc}"})
-                return True
-            accepted = cluster.complete(worker_id, job_id, payload)
-            self._send_json(200, {"accepted": accepted})
-            return True
-        return False
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/healthz":
@@ -809,31 +783,9 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(200, record.snapshot())
             return
-        if self.path == "/cluster":
-            if self.service.cluster is None:
-                self._send_json(
-                    404, {"error": "not a cluster coordinator (no --journal)"}
-                )
-            else:
-                self._send_json(200, self.service.cluster.topology())
-            return
         self._send_json(404, {"error": f"no such route: GET {self.path}"})
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        m = _CLUSTER_WORKER_PATH.match(self.path)
-        if m:
-            cluster = self.service.cluster
-            if cluster is None:
-                self._send_json(
-                    404, {"error": "not a cluster coordinator (no --journal)"}
-                )
-            elif cluster.detach_worker(m.group(1)):
-                self._send_json(200, {"id": m.group(1), "detached": True})
-            else:
-                self._send_json(
-                    404, {"error": f"unknown worker {m.group(1)}"}
-                )
-            return
         m = _SESSION_PATH.match(self.path)
         if m:
             if self.service.sessions.delete(m.group(1)):
@@ -898,15 +850,15 @@ def local_service(
     cache_dir: Optional[str] = None,
     receipt_dir: Optional[str] = None,
     max_sessions: int = 16,
-    cluster: Optional["ClusterConfig"] = None,
+    journal: Optional[str] = None,
+    max_queue_depth: Optional[int] = None,
 ) -> Iterator[str]:
     """Context manager: an ephemeral service; yields its base URL.
 
     Used by the harness (`run through the service`), the test suite, and
     CI smoke checks.  ``workers=0`` runs solves inline in the dispatcher
     thread — no process pool — which is the cheapest way to exercise the
-    cache path.  Passing ``cluster`` makes the service a coordinator
-    (see ``docs/cluster.md``).
+    cache path.
     """
     service = AnalysisService(
         workers=workers,
@@ -914,7 +866,8 @@ def local_service(
         cache_dir=cache_dir,
         receipt_dir=receipt_dir,
         max_sessions=max_sessions,
-        cluster=cluster,
+        journal=journal,
+        max_queue_depth=max_queue_depth,
     )
     server, _thread = start_server(service)
     host, port = server.server_address[:2]
@@ -935,7 +888,8 @@ def serve(
     receipt_dir: Optional[str] = None,
     verbose: bool = False,
     max_sessions: int = 16,
-    cluster: Optional["ClusterConfig"] = None,
+    journal: Optional[str] = None,
+    max_queue_depth: Optional[int] = None,
 ) -> int:
     """Blocking entry point behind ``repro serve``."""
     service = AnalysisService(
@@ -944,7 +898,8 @@ def serve(
         cache_dir=cache_dir,
         receipt_dir=receipt_dir,
         max_sessions=max_sessions,
-        cluster=cluster,
+        journal=journal,
+        max_queue_depth=max_queue_depth,
     )
     service.start()
     server = create_server(service, host, port, verbose=verbose)
@@ -953,7 +908,7 @@ def serve(
         f"repro service listening on http://{bound_host}:{bound_port} "
         f"(workers={workers}, cache={cache_capacity}"
         + (f", cache-dir={cache_dir}" if cache_dir else "")
-        + (f", journal={cluster.journal}" if cluster is not None else "")
+        + (f", journal={journal}" if journal is not None else "")
         + ")",
         flush=True,
     )

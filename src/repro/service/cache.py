@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import tempfile
 import threading
@@ -37,6 +38,8 @@ from .jobs import JobSpec
 from .telemetry import Counter
 
 __all__ = ["ResultCache", "cache_key"]
+
+_log = logging.getLogger("repro.service")
 
 
 def cache_key(facts_digest: str, spec: JobSpec) -> str:
@@ -66,7 +69,11 @@ def cache_key(facts_digest: str, spec: JobSpec) -> str:
 
 
 class ResultCache:
-    """LRU memory tier over an optional JSON-file disk tier."""
+    """LRU memory tier over an optional JSON-file disk tier.
+
+    Disk-tier failures never fail the caller: each one logs a warning and
+    counts into ``errors`` (labelled ``op="put"`` or ``op="clear"``).
+    """
 
     def __init__(
         self,
@@ -74,6 +81,7 @@ class ResultCache:
         cache_dir: Optional[str] = None,
         hits: Optional[Counter] = None,
         misses: Optional[Counter] = None,
+        errors: Optional[Counter] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
@@ -88,6 +96,7 @@ class ResultCache:
         self._generation = 0
         self._hits = hits
         self._misses = misses
+        self._errors = errors
 
     def __len__(self) -> int:
         with self._lock:
@@ -144,8 +153,9 @@ class ResultCache:
                     json.dump(payload, fh)
                 os.replace(tmp, path)
                 tmp = None
-            except (OSError, TypeError, ValueError):
-                pass  # disk tier is best-effort; memory tier already holds it
+            except (OSError, TypeError, ValueError) as exc:
+                # Best-effort: the memory tier already holds the entry.
+                self._disk_error("put", path, exc)
             finally:
                 # Never leave *.tmp debris behind: a failed dump (full
                 # disk, unserializable payload) must not leak files into
@@ -186,5 +196,10 @@ class ResultCache:
             for path in self.cache_dir.glob("*.json"):
                 try:
                     path.unlink()
-                except OSError:
-                    pass  # best-effort, matching put()
+                except OSError as exc:
+                    self._disk_error("clear", path, exc)
+
+    def _disk_error(self, op: str, path: Path, exc: Exception) -> None:
+        if self._errors is not None:
+            self._errors.inc(op=op)
+        _log.warning("result-cache %s failed for %s: %r", op, path, exc)

@@ -7,7 +7,8 @@ source, plus the analysis/introspection configuration and per-job budgets
 wall-clock guard).  A :class:`Job` wraps a spec with identity, lifecycle
 state, and timestamps; :class:`JobQueue` orders pending jobs by priority
 (higher first, FIFO within a priority) and supports cancellation of
-queued jobs.
+queued jobs.  A service with a bounded queue refuses a submission past
+the bound with :class:`Backpressure` (HTTP 429).
 
 Lifecycle::
 
@@ -32,7 +33,14 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..contexts.policies import policy_by_name
 from ..introspection.heuristics import heuristic_from_spec
 
-__all__ = ["Job", "JobQueue", "JobSpec", "JobState", "TERMINAL_STATES"]
+__all__ = [
+    "Backpressure",
+    "Job",
+    "JobQueue",
+    "JobSpec",
+    "JobState",
+    "TERMINAL_STATES",
+]
 
 
 class JobState:
@@ -237,6 +245,15 @@ class Job:
             "error": self.error,
             "cached": self.cached,
         }
+
+
+class Backpressure(Exception):
+    """The service refuses new work right now (HTTP 429)."""
+
+    def __init__(self, reason: str, retry_after: float) -> None:
+        super().__init__(f"backpressure ({reason}); retry in {retry_after:.2f}s")
+        self.reason = reason
+        self.retry_after = retry_after
 
 
 class JobQueue:

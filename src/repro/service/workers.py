@@ -18,14 +18,20 @@ introspective job on the same program, so subsequent jobs reuse it
 
 :class:`WorkerPool` wraps the executor with a configurable worker count
 and graceful shutdown; ``workers=0`` selects an inline (same-process)
-mode used by tests and by very small deployments.
+mode used by tests and by very small deployments.  A worker process that
+dies (an OOM kill, a SIGKILL) breaks a ``ProcessPoolExecutor`` for good,
+so the pool replaces a broken executor on the next submit: the jobs in
+flight at the death fail with ``BrokenProcessPool``, later jobs run.
 """
 
 from __future__ import annotations
 
+import logging
+import threading
 import traceback
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from typing import Any, Dict, Optional, Tuple
 
@@ -41,6 +47,7 @@ from ..ir.program import Program
 from ..obs import NULL_TRACER, Tracer
 from ..utils import Stopwatch
 from .jobs import JobSpec, JobState
+from .telemetry import Counter
 
 __all__ = ["WorkerPool", "execute_job"]
 
@@ -235,12 +242,19 @@ def execute_job(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class WorkerPool:
-    """Process pool running :func:`execute_job`; ``workers=0`` is inline."""
+    """Process pool running :func:`execute_job`; ``workers=0`` is inline.
 
-    def __init__(self, workers: int = 2) -> None:
+    ``restarts`` counts each replacement of a broken executor.
+    """
+
+    def __init__(
+        self, workers: int = 2, restarts: Optional[Counter] = None
+    ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = workers
+        self._restarts = restarts
+        self._lock = threading.Lock()
         self._executor: Optional[ProcessPoolExecutor] = (
             ProcessPoolExecutor(max_workers=workers) if workers else None
         )
@@ -251,11 +265,32 @@ class WorkerPool:
         return self.workers or 1
 
     def submit(self, spec_payload: Dict[str, Any]) -> "Future[Dict[str, Any]]":
-        if self._executor is not None:
-            return self._executor.submit(execute_job, spec_payload)
-        future: "Future[Dict[str, Any]]" = Future()
-        future.set_result(execute_job(spec_payload))
-        return future
+        """Run one job; a broken executor is replaced and the job resubmitted
+        once (a second failure propagates to the caller)."""
+        executor = self._executor
+        if executor is None:
+            future: "Future[Dict[str, Any]]" = Future()
+            future.set_result(execute_job(spec_payload))
+            return future
+        try:
+            return executor.submit(execute_job, spec_payload)
+        except BrokenProcessPool:
+            return self._replace(executor).submit(execute_job, spec_payload)
+
+    def _replace(self, broken: ProcessPoolExecutor) -> ProcessPoolExecutor:
+        """Swap ``broken`` for a fresh executor, once however many callers
+        saw it broken; returns the current executor."""
+        with self._lock:
+            if self._executor is broken:
+                self._executor = ProcessPoolExecutor(max_workers=self.workers)
+                if self._restarts is not None:
+                    self._restarts.inc()
+                logging.getLogger("repro.service").warning(
+                    "worker process died; replaced the broken process pool"
+                )
+            current = self._executor
+        broken.shutdown(wait=False)
+        return current
 
     def shutdown(self, wait: bool = True) -> None:
         if self._executor is not None:

@@ -112,12 +112,6 @@ def receipt_from_service_job(
         "pass1_reused": result.get("pass1_reused", False),
         "facts_digest": result.get("facts_digest"),
     }
-    # Cluster-executed jobs carry the executing node's provenance
-    # (worker id/name — see docs/cluster.md); plain single-process
-    # jobs have no such stamp and the field is omitted.
-    worker = result.get("worker")
-    if worker is not None:
-        payload["worker"] = worker
     return make_receipt(
         "service-job",
         identity={

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
 from repro.harness.service_runner import run_matrix_via_service, run_via_service
@@ -213,3 +218,29 @@ class TestProcessPool:
             ]
             states = [client.wait(i, timeout=120)["state"] for i in ids]
             assert states == ["done", "done"]
+
+    def test_killed_worker_fails_its_job_and_the_pool_recovers(self):
+        before = set(multiprocessing.active_children())
+        with local_service(workers=1) as url:
+            client = ServiceClient(url)
+            # A multi-second solve, still in flight when its process dies.
+            doomed = client.submit(
+                benchmark="jython", analysis="2callH", max_tuples=5_000_000
+            )
+            deadline = time.monotonic() + 60
+            while not (set(multiprocessing.active_children()) - before):
+                assert time.monotonic() < deadline, "no pool process"
+                time.sleep(0.02)
+            assert client.status(doomed)["state"] == "running"
+            (worker,) = set(multiprocessing.active_children()) - before
+            os.kill(worker.pid, signal.SIGKILL)
+
+            assert client.wait(doomed, timeout=60)["state"] == "error"
+            error = client.result(doomed)["result"]["error"]
+            assert error.startswith("BrokenProcessPool: "), error
+            after = client.submit(benchmark="antlr", analysis="insens")
+            assert client.wait(after, timeout=60)["state"] == "done"
+            assert client.metric_value("repro_service_jobs_running") == 0
+            assert (
+                client.metric_value("repro_service_pool_restarts_total") == 1
+            )

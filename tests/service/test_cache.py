@@ -161,6 +161,38 @@ class TestDiskTier:
         # The memory tier still holds both entries (disk is best-effort).
         assert cache.get("k1") == {"v": 1}
 
+    def test_failed_disk_write_is_logged_and_counted(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        errors = Registry().counter("errors", "e")
+        cache = ResultCache(capacity=4, cache_dir=str(tmp_path), errors=errors)
+
+        def exploding_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.service.cache.os.replace", exploding_replace)
+        cache.put("k1", {"v": 1})
+        assert errors.value(op="put") == 1
+        assert "result-cache put failed" in caplog.text
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_clear_unlink_is_logged_and_counted(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        errors = Registry().counter("errors", "e")
+        cache = ResultCache(capacity=4, cache_dir=str(tmp_path), errors=errors)
+        cache.put("k1", {"v": 1})
+        cache.put("k2", {"v": 2})
+
+        def exploding_unlink(self, missing_ok=False):
+            raise OSError("read-only file system")
+
+        monkeypatch.setattr("repro.service.cache.Path.unlink", exploding_unlink)
+        cache.clear()
+        assert errors.value(op="clear") == 2
+        assert caplog.text.count("result-cache clear failed") == 2
+        assert len(cache) == 0  # the memory tier is gone regardless
+
     def test_concurrent_clear_does_not_resurrect_from_disk(
         self, tmp_path, monkeypatch
     ):

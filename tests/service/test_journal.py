@@ -10,7 +10,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.journal import (
+from repro.service.journal import (
     JOURNAL_SCHEMA,
     JobJournal,
     pending_jobs,

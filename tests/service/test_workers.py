@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.service.jobs import JobSpec, JobState
@@ -128,6 +133,29 @@ class TestWorkerPool:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             WorkerPool(workers=-1)
+
+    def test_pool_recovers_after_a_worker_is_killed(self, caplog):
+        before = set(multiprocessing.active_children())
+        pool = WorkerPool(workers=1)
+        try:
+            assert pool.submit(payload()).result(60)["state"] == JobState.DONE
+            (worker,) = set(multiprocessing.active_children()) - before
+            # A multi-second solve, still in flight when its process dies.
+            doomed = pool.submit(
+                payload(benchmark="jython", analysis="2callH",
+                        max_tuples=5_000_000)
+            )
+            os.kill(worker.pid, signal.SIGKILL)
+            assert isinstance(doomed.exception(60), BrokenProcessPool)
+
+            for _ in range(2):
+                assert pool.submit(payload()).result(60)["state"] == (
+                    JobState.DONE
+                )
+            # One breakage, one replacement.
+            assert caplog.text.count("replaced the broken process pool") == 1
+        finally:
+            pool.shutdown()
 
 
 class TestStagesAndTrace:

@@ -284,6 +284,19 @@ class TestList:
             assert name in out
 
 
+class TestServe:
+    def test_max_queue_depth_applies_without_journal(self, monkeypatch):
+        import repro.service.api
+
+        seen = {}
+        monkeypatch.setattr(
+            repro.service.api, "serve", lambda **kwargs: seen.update(kwargs)
+        )
+        main(["serve", "--port", "0", "--max-queue-depth", "3"])
+        assert seen["max_queue_depth"] == 3
+        assert seen["journal"] is None
+
+
 class TestTrace:
     def test_analyze_trace_writes_chrome_json(self, source_file, tmp_path, capsys):
         import json

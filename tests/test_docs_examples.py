@@ -274,21 +274,31 @@ class TestWarehouseDoc:
         assert "repro report" in text
 
 
-class TestClusterDoc:
+class TestServiceDoc:
     def test_journal_record_example_is_valid_and_replayable(self):
-        """The journal-record example in cluster.md must pass the real
+        """The journal-record example in service.md must pass the real
         checksum validation, carry a spec that builds a real JobSpec, and
         fold into the pending set like any journaled acceptance."""
         import json
 
-        from repro.cluster.journal import (
+        from repro.service import JobSpec
+        from repro.service.journal import (
             JOURNAL_SCHEMA,
             pending_jobs,
             record_is_valid,
         )
-        from repro.service import JobSpec
 
-        record = json.loads(extract_block(DOCS / "cluster.md", "json"))
+        records = []
+        for block in re.findall(
+            r"```json\n(.*?)```", (DOCS / "service.md").read_text(), re.S
+        ):
+            try:
+                data = json.loads(block)
+            except json.JSONDecodeError:
+                continue  # the commented request/response sketches
+            if isinstance(data, dict) and "schema" in data:
+                records.append(data)
+        (record,) = records
         assert record["schema"] == JOURNAL_SCHEMA
         assert record_is_valid(record)
 
@@ -298,26 +308,14 @@ class TestClusterDoc:
         assert set(pending) == {record["id"]}
         assert attempts == {}
 
-    def test_doc_names_every_record_type_route_and_flag(self):
-        from repro.cluster.journal import _RECORD_TYPES
+    def test_doc_names_every_record_type_and_flag(self):
+        from repro.service.journal import _RECORD_TYPES
 
-        text = (DOCS / "cluster.md").read_text()
+        text = (DOCS / "service.md").read_text()
         for record_type in _RECORD_TYPES:
             assert f"`{record_type}`" in text, record_type
-        for route in (
-            "/cluster/workers",
-            "/cluster/lease",
-            "/cluster/complete",
-            "GET /cluster",
-        ):
-            assert route in text, route
-        for flag in (
-            "--journal",
-            "--heartbeat-timeout",
-            "--max-retries",
-            "--max-queue-depth",
-        ):
-            assert flag in text, flag
+        for flag in ("--journal", "--max-queue-depth"):
+            assert f"`{flag}" in text, flag
 
 
 class TestQueriesDoc:
