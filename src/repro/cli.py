@@ -52,15 +52,15 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import AnalysisResult, BudgetExceeded, analyze
 from .benchgen.dacapo import DACAPO_SPECS, benchmark_names, build_benchmark
-from .clients import analyze_exceptions, check_casts, devirtualize, measure_precision
+from .clients import analyze_exceptions, devirtualize
 from .contexts.policies import ANALYSIS_NAMES
-from .facts.encoder import FactBase, encode_program
+from .facts.encoder import encode_program
 from .frontend import parse_source
 from .harness.bench import BENCH_KINDS, run_bench
 from .harness.experiments import main as experiments_main
-from .introspection import heuristic_from_spec, run_introspective
+from .harness.runner import run_analysis, run_introspective_analysis
+from .introspection import heuristic_from_spec
 from .ir.printer import dump_program
 from .ir.program import Program
 from .obs import NULL_TRACER, Tracer
@@ -139,10 +139,6 @@ def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_heuristic(label: str, constants: Optional[str]):
-    return heuristic_from_spec(label, constants)
-
-
 def _run_and_report(
     program: Program,
     args: argparse.Namespace,
@@ -154,56 +150,42 @@ def _run_and_report(
 
         written = save_facts(facts, args.save_facts)
         print(f"wrote {len(written)} .facts files to {args.save_facts}")
+    budget = dict(
+        facts=facts, max_tuples=args.budget, max_seconds=None, tracer=tracer
+    )
     if args.introspective:
         try:
-            heuristic = _make_heuristic(
+            heuristic = heuristic_from_spec(
                 args.introspective, args.heuristic_constants
             )
         except ValueError as exc:
             print(f"error: --heuristic-constants: {exc}", file=sys.stderr)
             return 2
-    try:
-        if args.introspective:
-            outcome = run_introspective(
-                program,
-                args.analysis,
-                heuristic,
-                facts=facts,
-                max_tuples=args.budget,
-                tracer=tracer,
-            )
-            stats = outcome.refinement_stats
-            print(
-                f"{outcome.name}: {heuristic.describe()}; not refined: "
-                f"{stats.excluded_call_sites}/{stats.total_call_sites} call "
-                f"sites, {stats.excluded_objects}/{stats.total_objects} objects"
-            )
-            if outcome.timed_out:
-                print("second pass: TIMEOUT (tuple budget exceeded)")
-                return 3
-            result = outcome.result
-            assert result is not None
+        outcome = run_introspective_analysis(
+            program, args.analysis, heuristic, **budget
+        )
+    else:
+        outcome = run_analysis(program, args.analysis, **budget)
+    intro = outcome.introspective
+    if intro is not None:
+        stats = intro.refinement_stats
+        print(
+            f"{outcome.analysis}: {heuristic.describe()}; not refined: "
+            f"{stats.excluded_call_sites}/{stats.total_call_sites} call "
+            f"sites, {stats.excluded_objects}/{stats.total_objects} objects"
+        )
+    if outcome.timed_out:
+        if intro is not None:
+            print(f"second pass: TIMEOUT ({outcome.reason})")
         else:
-            result = analyze(
-                program,
-                args.analysis,
-                facts=facts,
-                max_tuples=args.budget,
-                tracer=tracer,
-            )
-    except BudgetExceeded as exc:
-        print(f"TIMEOUT: {exc}")
+            print(f"TIMEOUT: {outcome.reason}")
         return 3
 
-    print(f"stats: {result.stats().row()}")
-    if args.precision or tracer.enabled:
-        # A traced run measures precision even when the row is not
-        # printed: a trace should cover the whole pipeline, frontend
-        # through solver through clients.
-        with tracer.span("clients.precision"):
-            precision = measure_precision(result, facts)
-        if args.precision:
-            print(f"precision: {precision.row()}")
+    result = outcome.result
+    assert result is not None
+    print(f"stats: {outcome.stats.row()}")
+    if args.precision:
+        print(f"precision: {outcome.precision.row()}")
     if args.devirt:
         print(f"devirtualization: {devirtualize(result, facts).summary()}")
     if args.exceptions:

@@ -12,11 +12,6 @@ from .experiments import (
     main,
 )
 from .reporting import render_bars, render_markdown_table, render_table
-from .service_runner import (
-    outcome_from_payload,
-    run_matrix_via_service,
-    run_via_service,
-)
 from .runner import (
     EXPERIMENT_BUDGET,
     EXPERIMENT_TIME_LIMIT,
@@ -40,14 +35,11 @@ __all__ = [
     "figure6",
     "figure7",
     "main",
-    "outcome_from_payload",
     "render_bars",
     "render_markdown_table",
     "render_table",
     "run_analysis",
     "run_introspective_analysis",
-    "run_matrix_via_service",
-    "run_via_service",
     "scaled_heuristic_a",
     "scaled_heuristic_b",
 ]

@@ -32,11 +32,7 @@ from ..benchgen.dacapo import (
 )
 from ..facts.encoder import encode_program
 from ..introspection.driver import RefinementStats
-from ..introspection.heuristics import (
-    Heuristic,
-    call_site_universe,
-    object_universe,
-)
+from ..introspection.heuristics import Heuristic
 from ..introspection.metrics import compute_metrics
 from .reporting import render_bars, render_markdown_table, render_table
 from .runner import (
@@ -135,7 +131,6 @@ def figure1(
                 benchmark=bench,
                 max_tuples=max_tuples,
                 max_seconds=max_seconds,
-                with_precision=False,
             )
             for analysis in ("insens", "2objH")
         }
@@ -215,19 +210,10 @@ def figure4(
         facts = encode_program(program)
         pass1 = analyze(program, "insens", facts=facts, max_tuples=max_tuples)
         metrics = compute_metrics(pass1, facts)
-        site_universe = {invo for invo, _ in call_site_universe(pass1)}
-        objects = object_universe(pass1, facts)
         percentages[bench] = {}
         for label, heuristic in (("A", ha), ("B", hb)):
             decision = heuristic.decide(metrics, facts, pass1)
-            stats = RefinementStats(
-                total_call_sites=len(site_universe),
-                excluded_call_sites=len(
-                    {invo for invo, _ in decision.excluded_sites}
-                ),
-                total_objects=len(objects),
-                excluded_objects=len(decision.excluded_objects),
-            )
+            stats = RefinementStats.of(pass1, facts, decision)
             percentages[bench][label] = (
                 stats.call_site_percent,
                 stats.object_percent,

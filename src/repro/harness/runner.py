@@ -1,12 +1,22 @@
-"""Budgeted analysis runs: the experiment harness's unit of work.
+"""Budgeted analysis runs: the one code path from a program to an outcome.
+
+:func:`run_analysis` and :func:`run_introspective_analysis` turn
+(program, analysis, heuristic, budget) into a :class:`RunOutcome`:
+encode, solve (or pass 1, cost metrics, heuristic and pass 2), then the
+precision clients.  Every analysis run goes through them:
+
+* the figure drivers in :mod:`repro.harness.experiments`;
+* the service's :func:`repro.service.workers.execute_job`, which folds the
+  outcome into a job payload;
+* ``repro analyze`` / ``repro bench NAME`` (``cli._run_and_report``);
+* the end-to-end benchmark's ``paper-matrix`` workload (``bench/``).
 
 The paper ran on a 24 GB machine with a 90-minute timeout; our stand-in is
 a *tuple budget* (total derived tuples — the quantity that actually
-explodes) plus a wall-clock guard.  :func:`run_analysis` and
-:func:`run_introspective_analysis` wrap the engines, catch
-:class:`~repro.analysis.solver.BudgetExceeded`, and return a uniform
-:class:`RunOutcome` that reporting code can render ("TIMEOUT" bars in the
-figures).
+explodes) plus a wall-clock guard; ``None`` means unlimited.  A trip, in
+any pass, is an outcome and not an exception: ``timed_out`` is set and
+``reason`` carries the :class:`~repro.analysis.solver.BudgetExceeded`
+message ("TIMEOUT" bars in the figures).
 
 ``EXPERIMENT_BUDGET`` and the *scaled* heuristic constants used by every
 figure experiment live here so the whole evaluation uses one consistent
@@ -27,6 +37,7 @@ from ..facts.encoder import FactBase, encode_program
 from ..introspection.driver import IntrospectiveOutcome, run_introspective
 from ..introspection.heuristics import Heuristic, HeuristicA, HeuristicB
 from ..ir.program import Program
+from ..obs import NULL_TRACER, Tracer
 from ..utils import Stopwatch
 
 __all__ = [
@@ -58,7 +69,11 @@ def scaled_heuristic_b() -> HeuristicB:
 
 @dataclass
 class RunOutcome:
-    """One analysis run, timed and measured — or a recorded timeout."""
+    """One analysis run, timed and measured — or a recorded timeout.
+
+    ``introspective`` is set once pass 1 finished, so it is also set on a
+    pass-2 timeout; ``reason`` is the trip's message on any timeout.
+    """
 
     benchmark: str
     analysis: str
@@ -68,6 +83,7 @@ class RunOutcome:
     precision: Optional[PrecisionReport] = None
     result: Optional[AnalysisResult] = None
     introspective: Optional[IntrospectiveOutcome] = None
+    reason: Optional[str] = None
 
     @property
     def tuples(self) -> Optional[int]:
@@ -80,19 +96,42 @@ class RunOutcome:
         return f"{self.seconds:.2f}s/{self.stats.tuple_count}t"
 
 
+def _measured(
+    benchmark: str,
+    analysis: str,
+    seconds: float,
+    result: AnalysisResult,
+    facts: FactBase,
+    tracer: Tracer,
+    introspective: Optional[IntrospectiveOutcome] = None,
+) -> RunOutcome:
+    """The outcome of a finished run, with its precision clients measured."""
+    with tracer.span("clients.precision"):
+        precision = measure_precision(result, facts)
+    return RunOutcome(
+        benchmark=benchmark,
+        analysis=analysis,
+        seconds=seconds,
+        timed_out=False,
+        stats=result.stats(),
+        precision=precision,
+        result=result,
+        introspective=introspective,
+    )
+
+
 def run_analysis(
     program: Program,
     analysis: Union[str, ContextPolicy],
     facts: Optional[FactBase] = None,
     benchmark: str = "?",
-    max_tuples: int = EXPERIMENT_BUDGET,
-    max_seconds: float = EXPERIMENT_TIME_LIMIT,
-    with_precision: bool = True,
+    max_tuples: Optional[int] = EXPERIMENT_BUDGET,
+    max_seconds: Optional[float] = EXPERIMENT_TIME_LIMIT,
+    tracer: Tracer = NULL_TRACER,
 ) -> RunOutcome:
     """Run one plain analysis under the experiment budget."""
     if facts is None:
-        facts = encode_program(program)
-    name = analysis if isinstance(analysis, str) else analysis.name
+        facts = encode_program(program, tracer=tracer)
     watch = Stopwatch()
     try:
         result = analyze(
@@ -101,22 +140,18 @@ def run_analysis(
             facts=facts,
             max_tuples=max_tuples,
             max_seconds=max_seconds,
+            tracer=tracer,
         )
-    except BudgetExceeded:
+    except BudgetExceeded as exc:
         return RunOutcome(
             benchmark=benchmark,
-            analysis=name,
+            analysis=analysis if isinstance(analysis, str) else analysis.name,
             seconds=watch.elapsed(),
             timed_out=True,
+            reason=str(exc),
         )
-    return RunOutcome(
-        benchmark=benchmark,
-        analysis=result.analysis_name,
-        seconds=watch.elapsed(),
-        timed_out=False,
-        stats=result.stats(),
-        precision=measure_precision(result, facts) if with_precision else None,
-        result=result,
+    return _measured(
+        benchmark, result.analysis_name, watch.elapsed(), result, facts, tracer
     )
 
 
@@ -127,29 +162,52 @@ def run_introspective_analysis(
     facts: Optional[FactBase] = None,
     pass1: Optional[AnalysisResult] = None,
     benchmark: str = "?",
-    max_tuples: int = EXPERIMENT_BUDGET,
-    max_seconds: float = EXPERIMENT_TIME_LIMIT,
+    max_tuples: Optional[int] = EXPERIMENT_BUDGET,
+    max_seconds: Optional[float] = EXPERIMENT_TIME_LIMIT,
+    tracer: Tracer = NULL_TRACER,
 ) -> RunOutcome:
-    """Run one introspective variant under the experiment budget."""
+    """Run one introspective variant under the experiment budget.
+
+    ``seconds`` is pass 2 only (the paper's convention, see
+    :mod:`repro.introspection.driver`), or the time to a pass-1 trip.
+    """
     if facts is None:
-        facts = encode_program(program)
-    outcome = run_introspective(
-        program,
-        analysis,
-        heuristic,
-        facts=facts,
-        pass1=pass1,
-        max_tuples=max_tuples,
-        max_seconds=max_seconds,
-    )
-    result = outcome.result
-    return RunOutcome(
-        benchmark=benchmark,
-        analysis=outcome.name,
-        seconds=outcome.seconds,
-        timed_out=outcome.timed_out,
-        stats=result.stats() if result is not None else None,
-        precision=measure_precision(result, facts) if result is not None else None,
-        result=result,
+        facts = encode_program(program, tracer=tracer)
+    watch = Stopwatch()
+    try:
+        outcome = run_introspective(
+            program,
+            analysis,
+            heuristic,
+            facts=facts,
+            pass1=pass1,
+            max_tuples=max_tuples,
+            max_seconds=max_seconds,
+            tracer=tracer,
+        )
+    except BudgetExceeded as exc:
+        return RunOutcome(
+            benchmark=benchmark,
+            analysis=f"{analysis}-Intro{heuristic.name}",
+            seconds=watch.elapsed(),
+            timed_out=True,
+            reason=str(exc),
+        )
+    if outcome.result is None:
+        return RunOutcome(
+            benchmark=benchmark,
+            analysis=outcome.name,
+            seconds=outcome.seconds,
+            timed_out=True,
+            introspective=outcome,
+            reason=outcome.reason,
+        )
+    return _measured(
+        benchmark,
+        outcome.name,
+        outcome.seconds,
+        outcome.result,
+        facts,
+        tracer,
         introspective=outcome,
     )

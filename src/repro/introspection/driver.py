@@ -24,9 +24,13 @@ receives only the remainder (floored at a small epsilon so it still starts
 and trips its own budget check); a run with ``max_seconds=N`` therefore
 finishes or times out within ~N of starting pass 1.  ``max_tuples`` stays
 per-pass: it bounds peak derivation size, which does not accumulate across
-passes.  A budget trip in pass 2 is reported as ``timed_out`` (pass 1,
-being context-insensitive, is expected to always fit — if it does not, the
-budget is simply too small for the program and we re-raise).
+passes.  A budget trip in pass 2 is reported as ``timed_out`` with the
+trip's message in ``reason``.  A pass-1 trip raises
+:class:`~repro.analysis.BudgetExceeded`: there is no pass 1 to report
+(:func:`repro.harness.runner.run_introspective_analysis` turns it into a
+timed-out outcome).  A supplied ``pass1`` must fit ``max_tuples`` too: the
+budget is exact, so a fresh pass 1 trips iff its fixpoint holds more
+tuples than the budget, and a reused one is refused on the same terms.
 """
 
 from __future__ import annotations
@@ -81,6 +85,18 @@ class RefinementStats:
             return 0.0
         return 100.0 * self.excluded_objects / self.total_objects
 
+    @classmethod
+    def of(
+        cls, pass1: AnalysisResult, facts: FactBase, decision: RefinementDecision
+    ) -> "RefinementStats":
+        """The statistics of ``decision`` over pass 1's call sites and objects."""
+        return cls(
+            total_call_sites=len({invo for invo, _ in call_site_universe(pass1)}),
+            excluded_call_sites=len({invo for invo, _ in decision.excluded_sites}),
+            total_objects=len(object_universe(pass1, facts)),
+            excluded_objects=len(decision.excluded_objects),
+        )
+
 
 @dataclass
 class IntrospectiveOutcome:
@@ -100,6 +116,8 @@ class IntrospectiveOutcome:
     #: True when the caller supplied a precomputed pass-1 result; then
     #: ``pass1_seconds`` is 0.0 (this run did not pay for that pass).
     pass1_reused: bool = False
+    #: The pass-2 ``BudgetExceeded`` message when ``timed_out``.
+    reason: Optional[str] = None
 
     @property
     def name(self) -> str:
@@ -122,9 +140,9 @@ def run_introspective(
     defaults to the paper's Heuristic A.  A precomputed ``pass1`` result
     (and ``facts``) may be supplied to amortize the insensitive pass across
     several introspective variants, as the paper's timing discussion
-    suggests.  ``max_seconds`` is shared across both passes (see the module
-    docstring).  ``tracer`` records pass1/metrics/heuristic/pass2 as
-    child spans.
+    suggests; it must hold at most ``max_tuples`` tuples.  ``max_seconds``
+    is shared across both passes (see the module docstring).  ``tracer``
+    records pass1/metrics/heuristic/pass2 as child spans.
     """
     if heuristic is None:
         heuristic = HeuristicA()
@@ -150,6 +168,10 @@ def run_introspective(
             )
         pass1_seconds = watch.elapsed()
     else:
+        if max_tuples is not None and pass1.raw.tuple_count > max_tuples:
+            raise BudgetExceeded(
+                "tuple budget exceeded", pass1.raw.tuple_count, 0.0
+            )
         # Validating/receiving the argument costs ~nothing; reporting the
         # elapsed time here would masquerade as compute time.
         pass1_seconds = 0.0
@@ -161,12 +183,7 @@ def run_introspective(
         decision = heuristic.decide(metrics, facts, pass1)
     overhead_seconds = watch.elapsed()
 
-    stats = RefinementStats(
-        total_call_sites=len({invo for invo, _ in call_site_universe(pass1)}),
-        excluded_call_sites=len({invo for invo, _ in decision.excluded_sites}),
-        total_objects=len(object_universe(pass1, facts)),
-        excluded_objects=len(decision.excluded_objects),
-    )
+    stats = RefinementStats.of(pass1, facts, decision)
 
     policy = IntrospectivePolicy(refined, decision)
     pass2_budget = max_seconds
@@ -175,7 +192,7 @@ def run_introspective(
             max_seconds - pass1_seconds - overhead_seconds, MIN_PASS2_SECONDS
         )
     watch.restart()
-    timed_out = False
+    reason: Optional[str] = None
     result: Optional[AnalysisResult] = None
     try:
         with tracer.span("intro.pass2", analysis=refined.name):
@@ -187,8 +204,8 @@ def run_introspective(
                 max_seconds=pass2_budget,
                 tracer=tracer,
             )
-    except BudgetExceeded:
-        timed_out = True
+    except BudgetExceeded as exc:
+        reason = str(exc)
     seconds = watch.elapsed()
 
     return IntrospectiveOutcome(
@@ -202,6 +219,7 @@ def run_introspective(
         pass1_seconds=pass1_seconds,
         overhead_seconds=overhead_seconds,
         seconds=seconds,
-        timed_out=timed_out,
+        timed_out=result is None,
         pass1_reused=pass1_reused,
+        reason=reason,
     )

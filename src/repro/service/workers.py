@@ -2,19 +2,24 @@
 
 :func:`execute_job` is the unit of work: a module-level function taking a
 JSON-able job-spec payload and returning a JSON-able result payload, so it
-can cross a :class:`~concurrent.futures.ProcessPoolExecutor` boundary.
-All failure modes are folded into the payload — a tuple-budget or
-wall-clock trip becomes ``state="timeout"`` and any other exception
-``state="error"`` — so a misbehaving *job* never takes down its worker
-process, only a crashed interpreter would.
+can cross a :class:`~concurrent.futures.ProcessPoolExecutor` boundary.  It
+builds and encodes the job's program, runs it through
+:mod:`repro.harness.runner` (the one code path every analysis run takes)
+and folds the :class:`~repro.harness.runner.RunOutcome` into the payload.
+A budget trip becomes ``state="timeout"`` with the trip's message in
+``error``, and any other exception ``state="error"``, so a misbehaving
+*job* never takes down its worker process, only a crashed interpreter
+would.
 
 Each worker process keeps a small per-process cache of context-insensitive
 first-pass results keyed by the fact-base digest: the paper's introspective
 pipeline runs the cheap insensitive pass, computes metrics, then re-runs
 refined — and the insensitive pass (plus its facts) is identical for every
-introspective job on the same program, so subsequent jobs reuse it
-(``pass1_reused`` in the payload; surfaced as
-``repro_service_pass1_reuse_total`` in ``/metrics``).
+introspective job on the same program, so subsequent jobs hand it to the
+runner as ``pass1`` (``pass1_reused`` in the payload; surfaced as
+``repro_service_pass1_reuse_total`` in ``/metrics``).  The driver refuses
+a cached pass 1 larger than the job's tuple budget, so reuse never changes
+an outcome.
 
 :class:`WorkerPool` wraps the executor with a configurable worker count
 and graceful shutdown; ``workers=0`` selects an inline (same-process)
@@ -33,16 +38,14 @@ from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..analysis import AnalysisResult, BudgetExceeded, analyze
+from ..analysis import AnalysisResult
 from ..benchgen.dacapo import DACAPO_SPECS, benchmark_names, build_benchmark
-from ..clients.precision import measure_precision
-from ..contexts.policies import InsensitivePolicy
 from ..facts.encoder import FactBase, encode_program
 from ..frontend import parse_source
-from ..introspection.driver import MIN_PASS2_SECONDS, run_introspective
-from ..introspection.heuristics import heuristic_from_spec
+from ..harness.runner import RunOutcome, run_analysis, run_introspective_analysis
+from ..introspection.heuristics import Heuristic, heuristic_from_spec
 from ..ir.program import Program
 from ..obs import NULL_TRACER, Tracer
 from ..utils import Stopwatch
@@ -69,38 +72,57 @@ def _build_program(spec: JobSpec, tracer: Tracer = NULL_TRACER) -> Program:
     return parse_source(spec.source, tracer=tracer)
 
 
-def _pass1(
+def _run(
+    spec: JobSpec,
+    heuristic: Optional[Heuristic],
     program: Program,
     facts: FactBase,
     digest: str,
-    spec: JobSpec,
-    tracer: Tracer = NULL_TRACER,
-) -> Tuple[AnalysisResult, bool, float]:
-    """Insensitive first pass, reused across jobs on the same program.
-
-    Returns ``(result, reused, seconds)`` where ``seconds`` is the compute
-    time *this job* paid — 0.0 on a cache hit, mirroring the driver's
-    ``pass1_seconds`` convention for supplied pass-1 results.
-    """
+    tracer: Tracer,
+) -> RunOutcome:
+    """The job's run, handing introspective jobs this process's pass 1."""
+    budget: Dict[str, Any] = dict(
+        facts=facts,
+        max_tuples=spec.max_tuples,
+        max_seconds=spec.max_seconds,
+        tracer=tracer,
+    )
+    if heuristic is None:
+        return run_analysis(program, spec.analysis, **budget)
     cached = _PASS1_CACHE.get(digest)
     if cached is not None:
         _PASS1_CACHE.move_to_end(digest)
-        return cached, True, 0.0
-    watch = Stopwatch()
-    with tracer.span("intro.pass1"):
-        result = analyze(
-            program,
-            InsensitivePolicy(),
-            facts=facts,
-            max_tuples=spec.max_tuples,
-            max_seconds=spec.max_seconds,
-            tracer=tracer,
-        )
-    seconds = watch.elapsed()
-    _PASS1_CACHE[digest] = result
-    while len(_PASS1_CACHE) > _PASS1_LIMIT:
-        _PASS1_CACHE.popitem(last=False)
-    return result, False, seconds
+    outcome = run_introspective_analysis(
+        program, spec.analysis, heuristic, pass1=cached, **budget
+    )
+    if cached is None and outcome.introspective is not None:
+        _PASS1_CACHE[digest] = outcome.introspective.pass1
+        while len(_PASS1_CACHE) > _PASS1_LIMIT:
+            _PASS1_CACHE.popitem(last=False)
+    return outcome
+
+
+def _run_stages(
+    outcome: RunOutcome, seconds: float, introspective: bool
+) -> Dict[str, float]:
+    """Split the ``seconds`` a run took into pass1/solve/precision stages.
+
+    ``pass1`` is what this job paid for pass 1 (0.0 when it was reused, the
+    whole run when pass 1 tripped), ``solve`` the rest of the analysis and
+    ``precision`` what remains.
+    """
+    intro = outcome.introspective
+    stages: Dict[str, float] = {}
+    if intro is not None:
+        stages["pass1"] = intro.pass1_seconds
+        stages["solve"] = intro.overhead_seconds + intro.seconds
+    elif introspective:
+        stages["pass1"] = seconds
+    else:
+        stages["solve"] = outcome.seconds
+    if outcome.result is not None:
+        stages["precision"] = max(seconds - sum(stages.values()), 0.0)
+    return stages
 
 
 def execute_job(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -129,101 +151,52 @@ def execute_job(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
             facts = encode_program(program, tracer=tracer)
             digest = facts.digest()
             stage("encode")
+            heuristic = (
+                None
+                if spec.introspective is None
+                else heuristic_from_spec(
+                    spec.introspective, spec.heuristic_constants
+                )
+            )
+            outcome = _run(spec, heuristic, program, facts, digest, tracer)
+            stages.update(
+                _run_stages(
+                    outcome, stage_watch.elapsed(), heuristic is not None
+                )
+            )
+            intro = outcome.introspective
+            result = outcome.result
             payload: Dict[str, Any] = {
-                "state": JobState.DONE,
-                "error": None,
-                "analysis": spec.analysis,
+                "state": (
+                    JobState.TIMEOUT if outcome.timed_out else JobState.DONE
+                ),
+                "error": outcome.reason,
+                "analysis": outcome.analysis,
                 "benchmark": spec.benchmark,
                 "program": program.summary(),
                 "facts_digest": digest,
                 "facts_tuples": facts.count_tuples(),
-                "pass1_reused": False,
-                "stats": None,
-                "precision": None,
+                "pass1_reused": intro is not None and intro.pass1_reused,
+                "stats": asdict(outcome.stats) if outcome.stats else None,
+                "precision": (
+                    asdict(outcome.precision) if outcome.precision else None
+                ),
                 "refinement": None,
-                "heuristic": None,
+                "heuristic": heuristic.describe() if heuristic else None,
                 "points_to": None,
                 "stages": stages,
             }
-            result: Optional[AnalysisResult] = None
-            if spec.introspective is not None:
-                heuristic = heuristic_from_spec(
-                    spec.introspective, spec.heuristic_constants
+            if intro is not None:
+                stats = intro.refinement_stats
+                payload["refinement"] = dict(
+                    asdict(stats),
+                    call_site_percent=stats.call_site_percent,
+                    object_percent=stats.object_percent,
                 )
-                try:
-                    pass1, reused, pass1_seconds = _pass1(
-                        program, facts, digest, spec, tracer
-                    )
-                except BudgetExceeded as exc:
-                    # Pass 1 alone blew the whole budget: a timeout, not an
-                    # internal error.
-                    payload["state"] = JobState.TIMEOUT
-                    payload["error"] = str(exc)
-                    stage("pass1")
-                else:
-                    stage("pass1")
-                    # The driver sees a precomputed pass 1 (pass1_seconds=0.0
-                    # on its side), so the shared wall-clock budget must be
-                    # drawn down *here* by what pass 1 actually cost this job.
-                    budget = spec.max_seconds
-                    if budget is not None and pass1_seconds:
-                        budget = max(budget - pass1_seconds, MIN_PASS2_SECONDS)
-                    outcome = run_introspective(
-                        program,
-                        spec.analysis,
-                        heuristic,
-                        facts=facts,
-                        pass1=pass1,
-                        max_tuples=spec.max_tuples,
-                        max_seconds=budget,
-                        tracer=tracer,
-                    )
-                    stage("solve")
-                    stats = outcome.refinement_stats
-                    payload.update(
-                        analysis=outcome.name,
-                        heuristic=heuristic.describe(),
-                        pass1_reused=reused,
-                        refinement={
-                            "total_call_sites": stats.total_call_sites,
-                            "excluded_call_sites": stats.excluded_call_sites,
-                            "total_objects": stats.total_objects,
-                            "excluded_objects": stats.excluded_objects,
-                            "call_site_percent": stats.call_site_percent,
-                            "object_percent": stats.object_percent,
-                        },
-                    )
-                    if outcome.timed_out:
-                        payload["state"] = JobState.TIMEOUT
-                    else:
-                        result = outcome.result
-            else:
-                try:
-                    result = analyze(
-                        program,
-                        spec.analysis,
-                        facts=facts,
-                        max_tuples=spec.max_tuples,
-                        max_seconds=spec.max_seconds,
-                        tracer=tracer,
-                    )
-                except BudgetExceeded as exc:
-                    payload["state"] = JobState.TIMEOUT
-                    payload["error"] = str(exc)
-                stage("solve")
-            if result is not None:
-                if spec.introspective is None:
-                    payload["analysis"] = result.analysis_name
-                payload["stats"] = asdict(result.stats())
-                with tracer.span("clients.precision"):
-                    payload["precision"] = asdict(
-                        measure_precision(result, facts)
-                    )
-                stage("precision")
-                if spec.show:
-                    payload["points_to"] = {
-                        var: sorted(result.points_to(var)) for var in spec.show
-                    }
+            if result is not None and spec.show:
+                payload["points_to"] = {
+                    var: sorted(result.points_to(var)) for var in spec.show
+                }
         if spec.trace:
             payload["trace"] = {
                 "chrome": tracer.chrome_trace(),

@@ -10,6 +10,7 @@ from repro.analysis.datalog_model import DatalogPointsToAnalysis
 from repro.analysis.reference_solver import reference_solve
 from repro.analysis.results import AnalysisResult
 from repro.analysis.solver import solve
+from repro.benchgen.dacapo import build_benchmark
 from repro.fuzz.oracles import (
     ORACLES,
     Violation,
@@ -22,7 +23,7 @@ from repro.fuzz.oracles import (
     reference_relations,
     solver_relations,
 )
-from repro.introspection import run_introspective
+from repro.introspection import RefineEverything, run_introspective
 from tests.conftest import build_box_program, build_tiny_program
 
 FLAVORS = ["insens", "2objH", "2typeH", "2callH"]
@@ -128,13 +129,22 @@ def test_introspective_bracketing_detects_non_bracketed(box):
     assert v is not None and v.oracle == "introspective-bracketing"
 
 
-def test_bracketing_is_skipped_when_pass2_timed_out(box):
-    program, facts = box
+def test_bracketing_is_skipped_when_pass2_timed_out():
+    # A supplied pass 1 must fit the budget.  On pmd, 2objH derives more
+    # tuples than the insensitive pass, so a budget pass 1 fits exactly
+    # trips a refine-everything pass 2.
+    program = build_benchmark("pmd")
+    facts = encode_program(program)
     pass1 = AnalysisResult(
         solve(program, policy_for("insens", facts), facts=facts), "insens"
     )
     outcome = run_introspective(
-        program, "2objH", facts=facts, pass1=pass1, max_tuples=1
+        program,
+        "2objH",
+        RefineEverything(),
+        facts=facts,
+        pass1=pass1,
+        max_tuples=pass1.raw.tuple_count,
     )
     assert outcome.timed_out and outcome.result is None
     full = AnalysisResult(

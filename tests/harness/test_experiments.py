@@ -77,6 +77,15 @@ class TestFlavorFigures:
                 values = [getattr(r, metric) for r in reports]
                 assert values == sorted(values, reverse=True), (bench, metric)
 
+    def test_budget_the_insens_pass_trips_gives_timeout_cells(self):
+        # antlr's insensitive pass alone derives more than 5000 tuples, so
+        # every variant, introspective ones included, is a TIMEOUT cell.
+        result = figure5(benchmarks=("antlr",), max_tuples=5000)
+        for variant in result.variants:
+            assert result.timed_out("antlr", variant), variant
+            assert "tuple budget" in result.run("antlr", variant).reason
+        assert "TIMEOUT" in result.render()
+
     def test_render_sections(self, fig5_small):
         text = fig5_small.render()
         assert "polymorphic virtual call sites" in text

@@ -34,11 +34,13 @@ class TestRunAnalysis:
         assert out.stats is None and out.precision is None
         assert out.tuples is None
         assert out.cell() == "TIMEOUT"
+        assert "tuple budget exceeded" in out.reason
 
-    def test_precision_can_be_skipped(self, setup):
+    def test_precision_always_measured(self, setup):
         program, facts = setup
-        out = run_analysis(program, "insens", facts=facts, with_precision=False)
-        assert out.precision is None and out.stats is not None
+        out = run_analysis(program, "insens", facts=facts)
+        assert out.precision is not None and out.stats is not None
+        assert out.precision.reachable_methods == out.stats.reachable_methods
 
 
 class TestRunIntrospective:
@@ -69,6 +71,17 @@ class TestRunIntrospective:
             max_tuples=5,
         )
         assert out.timed_out and out.precision is None
+        assert "tuple budget exceeded" in out.reason
+
+    def test_pass1_trip_reported_not_raised(self, setup):
+        program, facts = setup
+        out = run_introspective_analysis(
+            program, "2objH", scaled_heuristic_a(), facts=facts, max_tuples=5
+        )
+        assert out.timed_out and out.cell() == "TIMEOUT"
+        assert out.analysis == "2objH-IntroA"
+        assert out.introspective is None and out.result is None
+        assert "tuple budget exceeded" in out.reason
 
 
 class TestScaledHeuristics:

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro import BudgetExceeded, analyze, encode_program
+from repro.benchgen.dacapo import build_benchmark
 from repro.benchgen.generator import generate
 from repro.benchgen.spec import BenchmarkSpec, HubSpec
 from repro.clients import measure_precision
@@ -182,23 +183,51 @@ class TestOutcomeBookkeeping:
 
 
 class TestBudgets:
-    def test_pass2_budget_trip_reported(self, setup):
-        program, facts, insens, _ = setup
+    def test_pass2_budget_trip_reported(self):
+        # On pmd, 2objH derives more tuples than the insensitive pass, so
+        # a budget pass 1 fits exactly is too small for refining everything.
+        program = build_benchmark("pmd")
+        facts = encode_program(program)
+        insens = analyze(program, "insens", facts=facts)
         out = run_introspective(
             program,
             "2objH",
             RefineEverything(),
             facts=facts,
             pass1=insens,
-            max_tuples=10,
+            max_tuples=insens.raw.tuple_count,
         )
         assert out.timed_out
         assert out.result is None
+        assert "tuple budget exceeded" in out.reason
 
     def test_pass1_budget_trip_reraises(self, setup):
         program, facts, _, _ = setup
         with pytest.raises(BudgetExceeded):
             run_introspective(program, "2objH", HeuristicA(), facts=facts, max_tuples=10)
+
+    def test_supplied_pass1_obeys_the_budget_a_fresh_one_would(self, setup):
+        """The budget is exact: a fresh pass 1 trips iff its fixpoint holds
+        more tuples than the budget, so a supplied one is refused on the
+        same terms and reuse never changes an outcome."""
+        program, facts, insens, _ = setup
+        fits = insens.raw.tuple_count
+
+        def run(pass1, budget):
+            return run_introspective(
+                program,
+                "2objH",
+                HeuristicA(),
+                facts=facts,
+                pass1=pass1,
+                max_tuples=budget,
+            )
+
+        for pass1 in (None, insens):
+            with pytest.raises(BudgetExceeded, match="tuple budget"):
+                run(pass1, fits - 1)
+            assert run(pass1, fits).pass1.raw.tuple_count == fits
+
 
 class TestSharedWallClockBudget:
     """``max_seconds`` bounds the *whole* two-pass run.  The old behavior

@@ -1,4 +1,4 @@
-"""End-to-end tests: HTTP API, cache hits via /metrics, harness wiring."""
+"""End-to-end tests: HTTP API, cache hits via /metrics, process pools."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from repro.harness.service_runner import run_matrix_via_service, run_via_service
 from repro.service import AnalysisService, JobSpec, ServiceClient, ServiceError
 from repro.service.api import local_service
 
@@ -170,40 +169,6 @@ class TestPriorityScheduling:
         assert service.queue.pop(0.1) is high
         assert service.queue.pop(0.1) is low
         service.stop()
-
-
-class TestHarnessWiring:
-    def test_run_via_service_outcome(self):
-        with local_service(workers=0) as url:
-            client = ServiceClient(url)
-            outcome = run_via_service(
-                client, "antlr", "insens", max_tuples=200_000
-            )
-            assert outcome.benchmark == "antlr"
-            assert outcome.analysis == "insens"
-            assert not outcome.timed_out
-            assert outcome.stats.tuple_count > 0
-            assert outcome.precision.reachable_methods > 0
-            assert "t" in outcome.cell()
-
-    def test_matrix_exercises_cache(self):
-        with local_service(workers=0) as url:
-            client = ServiceClient(url)
-            first = run_matrix_via_service(
-                client, ["antlr"], ["insens"], max_tuples=200_000
-            )
-            second = run_matrix_via_service(
-                client, ["antlr"], ["insens"], max_tuples=200_000
-            )
-            assert first[0].stats.tuple_count == second[0].stats.tuple_count
-            assert client.metric_value("repro_service_cache_hits_total") == 1
-
-    def test_timeout_surfaces_as_run_outcome(self):
-        with local_service(workers=0) as url:
-            client = ServiceClient(url)
-            outcome = run_via_service(client, "antlr", "2objH", max_tuples=10)
-            assert outcome.timed_out
-            assert outcome.cell() == "TIMEOUT"
 
 
 class TestProcessPool:

@@ -87,6 +87,7 @@ class TestExecuteJob:
         )
         assert out["state"] == JobState.TIMEOUT
         assert out["refinement"] is not None
+        assert "tuple budget" in out["error"]
 
 
 class TestPass1Reuse:
@@ -103,6 +104,28 @@ class TestPass1Reuse:
             payload(benchmark="lusearch", analysis="2objH", introspective="A")
         )
         assert other["pass1_reused"] is False
+
+    def test_reuse_does_not_change_the_outcome(self):
+        """A budget between pass 2's and pass 1's tuple counts trips the
+        cold job's pass 1; a warm worker must not finish the same job by
+        reusing a pass 1 larger than its budget."""
+        big = execute_job(payload(analysis="2objH", introspective="A"))
+        pass1_tuples = _PASS1_CACHE[big["facts_digest"]].raw.tuple_count
+        pass2_tuples = big["stats"]["tuple_count"]
+        assert pass2_tuples < pass1_tuples
+        tight = payload(
+            analysis="2objH",
+            introspective="A",
+            max_tuples=(pass1_tuples + pass2_tuples) // 2,
+        )
+
+        warm = execute_job(tight)
+        _PASS1_CACHE.clear()
+        cold = execute_job(tight)
+        assert cold["state"] == warm["state"] == JobState.TIMEOUT
+        assert "tuple budget" in cold["error"]
+        assert "tuple budget" in warm["error"]
+        assert warm["pass1_reused"] is cold["pass1_reused"] is False
 
     def test_cache_is_bounded(self):
         from repro.service import workers

@@ -333,15 +333,13 @@ class TestTrace:
         assert not (tmp_path / "TRACE.json").exists()
         assert "wrote trace" not in capsys.readouterr().out
 
-    def test_untraced_run_skips_precision_client(self, source_file,
-                                                 monkeypatch, capsys):
-        import repro.cli
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("precision client ran untraced")
-
-        monkeypatch.setattr(repro.cli, "measure_precision", forbidden)
+    def test_precision_row_printed_only_on_request(self, source_file,
+                                                   capsys):
+        # The runner measures every finished run; the row is opt-in.
         assert main(["analyze", source_file]) == 0
+        assert "precision:" not in capsys.readouterr().out
+        assert main(["analyze", source_file, "--precision"]) == 0
+        assert "precision:" in capsys.readouterr().out
 
     def test_traced_run_records_precision_client(self, source_file,
                                                  tmp_path, capsys):
