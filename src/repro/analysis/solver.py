@@ -72,6 +72,12 @@ Resource limits: ``max_tuples`` bounds the total number of derived tuples and
 ``max_seconds`` the wall-clock time; exceeding either raises
 :class:`BudgetExceeded`, the reproduction's analog of the paper's 90-minute /
 24 GB timeouts.
+
+A solved instance also moves with its program, for the incremental
+subsystem: :meth:`PointsToSolver.extend` adds EDB rows by replaying only
+them into the live worklist, and :meth:`PointsToSolver.retract` takes rows
+out by delete-and-rederive over the derived graph.  Both report their
+result delta natively and keep the tuple count equal to a fresh solve's.
 """
 
 from __future__ import annotations
@@ -102,7 +108,10 @@ from ..utils import Interner, Stopwatch
 __all__ = [
     "BudgetExceeded",
     "PointsToSolver",
+    "REDERIVE_MAX_SHARE",
+    "REDERIVE_RELATIONS",
     "RawSolution",
+    "Retraction",
     "iter_bits",
     "popcount",
     "solve",
@@ -180,6 +189,144 @@ _INSTR_FIELDS = (
     "allocs", "moves", "casts", "loads", "stores", "vcalls", "specialcalls",
     "scalls", "staticloads", "staticstores", "throws", "catches",
 )
+
+#: Call instruction lists of a :class:`_MethodBody`, with the position of
+#: the call-site id in their entries.
+_CALL_FIELDS = (("vcalls", 2), ("specialcalls", 2), ("scalls", 1))
+
+#: EDB relations whose retractions :meth:`PointsToSolver.retract` takes:
+#: the instruction rows of a method that stays, the call-site rows that go
+#: with a deleted call, returns, and the rows of a variable or heap that go
+#: with its last use.  Everything else re-solves: CATCHCLAUSE feeds the
+#: "not caught, so it escapes" rule (a negation), SUBTYPE the cast-filter
+#: closures, LOOKUP the dispatch cache, and REACHABLEROOT, FORMALARG and
+#: THISVAR change what a method *is*, not what it does.
+REDERIVE_RELATIONS: FrozenSet[str] = frozenset(
+    {
+        "ALLOC",
+        "MOVE",
+        "CAST",
+        "LOAD",
+        "STORE",
+        "STATICLOAD",
+        "STATICSTORE",
+        "VCALL",
+        "SPECIALCALL",
+        "SCALL",
+        "THROWINSTR",
+        "ACTUALARG",
+        "ACTUALRETURN",
+        "INVOINMETH",
+        "FORMALRETURN",
+        "VARINMETH",
+        "HEAPTYPE",
+        "ALLOCCLASS",
+    }
+)
+
+#: The largest share of the solver's nodes a retraction may over-delete
+#: before :meth:`PointsToSolver.retract` refuses it (and the caller
+#: re-solves from scratch instead).  Measured with 2objH edit sessions on
+#: the DaCapo analogs (deleting each instruction of the entry methods one
+#: at a time, GC off, 2-CPU host): a whole rederive edit took 0.3–0.9x
+#: the time of the same edit on the full tier while it over-deleted up to
+#: 41% of the nodes, 0.6–1.5x at 44–57% (break-even near 45%) and 1.3–1.5x
+#: at 100%.  The edit-session benchmark's ``delete`` draws (seeds 2014
+#: and 7) over-delete at most 5.2%.
+REDERIVE_MAX_SHARE = 0.4
+
+_CTX_MASK = 0xFFFFFFFF
+
+#: A call site as a retraction sees it: (caller, receiver var or
+#: ``_NONE``, sig or callee, lhs, args, dispatched virtually).
+_Site = Tuple[int, int, int, int, Tuple[int, ...], bool]
+
+#: A call-graph edge: (invo, caller ctx, callee, callee ctx).
+_Edge = Tuple[int, int, int, int]
+
+
+def _drop_consumer(table: Dict[int, list], node: int, entry: tuple) -> None:
+    """Remove one registration of ``entry`` from ``node``'s consumers."""
+    cons = table[node]
+    cons.remove(entry)
+    if not cons:
+        del table[node]
+
+
+def _call_invos(mb: "_MethodBody") -> Iterator[int]:
+    """The call-site ids of a body's call instructions."""
+    for name, at in _CALL_FIELDS:
+        for call in getattr(mb, name):
+            yield call[at]
+
+
+def _body_vars(mb: "_MethodBody") -> Set[int]:
+    """Every variable a body's instructions, formals, returns and
+    ``this`` mention — the variable nodes one activation can own."""
+    out: Set[int] = set(mb.formals)
+    out.update(mb.returns)
+    if mb.this != _NONE:
+        out.add(mb.this)
+    out.update(var for var, _heap in mb.allocs)
+    for frm, to in mb.moves:
+        out.update((frm, to))
+    for frm, to, _typ in mb.casts:
+        out.update((frm, to))
+    for to, base, _fld in mb.loads:
+        out.update((to, base))
+    for base, _fld, frm in mb.stores:
+        out.update((base, frm))
+    out.update(to for to, _sfld in mb.staticloads)
+    out.update(frm for _sfld, frm in mb.staticstores)
+    out.update(mb.throws)
+    out.update(var for _typ, var in mb.catches)
+    out.update(call[0] for call in mb.vcalls)
+    out.update(call[0] for call in mb.specialcalls)
+    for calls in (mb.vcalls, mb.specialcalls, mb.scalls):
+        for *_head, lhs, args in calls:
+            if lhs != _NONE:
+                out.add(lhs)
+            out.update(args)
+    return out
+
+
+@dataclass
+class _CallIndex:
+    """The call graph and call sites indexed for one retraction — built
+    on demand (:meth:`of`), never maintained by the solve itself."""
+
+    by_site: Dict[int, List[_Edge]]  # invo << 32 | caller ctx -> edges
+    into: Dict[int, List[_Edge]]  # callee << 32 | callee ctx -> edges
+    sites: Dict[int, _Site]  # call-site id -> site
+
+    @classmethod
+    def of(cls, solver: "PointsToSolver") -> "_CallIndex":
+        by_site: Dict[int, List[_Edge]] = {}
+        into: Dict[int, List[_Edge]] = {}
+        for edge in solver._call_graph:
+            by_site.setdefault(edge[0] << 32 | edge[1], []).append(edge)
+            into.setdefault(edge[2] << 32 | edge[3], []).append(edge)
+        sites: Dict[int, _Site] = {}
+        for meth, mb in solver._bodies.items():
+            for base, target, invo, lhs, args in mb.vcalls:
+                sites[invo] = (meth, base, target, lhs, args, True)
+            for base, target, invo, lhs, args in mb.specialcalls:
+                sites[invo] = (meth, base, target, lhs, args, False)
+            for target, invo, lhs, args in mb.scalls:
+                sites[invo] = (meth, _NONE, target, lhs, args, False)
+        return cls(by_site, into, sites)
+
+
+@dataclass(frozen=True)
+class Retraction:
+    """What one :meth:`PointsToSolver.retract` took out of the fixpoint."""
+
+    #: The five output relations mapped to the string-level tuples the
+    #: retraction removed (the rederived fixpoint is a subset of the old).
+    removed: Dict[str, FrozenSet[tuple]]
+    #: Nodes over-deleted (cleared and rederived), and all nodes.
+    region: int
+    nodes: int
 
 
 @dataclass
@@ -1212,23 +1359,37 @@ class PointsToSolver:
         reach_before: Set[int],
         cg_before: Set[Tuple[int, int, int, int]],
     ) -> Dict[str, FrozenSet[tuple]]:
-        """Translate an insertion log into string-level added tuples.
-
-        Tuple shapes match :meth:`AnalysisResult.iter_var_points_to` and
-        friends exactly — the session unions them into its cached
-        relations.  Static-field nodes are skipped: they feed variables
-        internally but are not part of any exported relation.
-        """
+        """Translate an insertion log into string-level added tuples."""
         per_node: Dict[int, int] = {}
         for node, payload in log:
             per_node[node] = per_node.get(node, 0) | payload
+        return self._delta_rows(
+            per_node,
+            self._call_graph - cg_before,
+            self._reachable - reach_before,
+        )
+
+    def _delta_rows(
+        self,
+        per_node: Mapping[int, int],
+        calls: Iterable[Tuple[int, int, int, int]],
+        acts: Iterable[int],
+    ) -> Dict[str, FrozenSet[tuple]]:
+        """String-level tuples of per-node pair masks, call edges and
+        activations (``meth << 32 | ctx`` keys).
+
+        Tuple shapes match :meth:`AnalysisResult.iter_var_points_to` and
+        friends exactly — the session folds them into its cached
+        relations.  Static-field nodes are skipped: they feed variables
+        internally but are not part of any exported relation.
+        """
         ph, pc = self._pair_heap, self._pair_hctx
         heap_v = self.heaps.value
         hctx_v = self.hctxs.value
         ctx_v = self.ctxs.value
-        var_added: Set[tuple] = set()
-        fld_added: Set[tuple] = set()
-        throw_added: Set[tuple] = set()
+        var_rows: Set[tuple] = set()
+        fld_rows: Set[tuple] = set()
+        throw_rows: Set[tuple] = set()
         if per_node:
             get = per_node.get
             for ctx, vmap in self._var_nodes.items():
@@ -1238,7 +1399,7 @@ class PointsToSolver:
                         var_s = self.vars.value(var)
                         cv = ctx_v(ctx)
                         for pid in iter_bits(pids):
-                            var_added.add(
+                            var_rows.add(
                                 (var_s, cv, heap_v(ph[pid]), hctx_v(pc[pid]))
                             )
             for fld, fmap in self._fld_nodes.items():
@@ -1249,7 +1410,7 @@ class PointsToSolver:
                         bh = hctx_v(pc[bpid])
                         fld_s = self.flds.value(fld)
                         for pid in iter_bits(pids):
-                            fld_added.add(
+                            fld_rows.add(
                                 (base, bh, fld_s, heap_v(ph[pid]), hctx_v(pc[pid]))
                             )
             for key, node in self._throw_nodes.items():
@@ -1258,22 +1419,595 @@ class PointsToSolver:
                     meth_s = self.meths.value(key >> 32)
                     cv = ctx_v(key & 0xFFFFFFFF)
                     for pid in iter_bits(pids):
-                        throw_added.add(
+                        throw_rows.add(
                             (meth_s, cv, heap_v(ph[pid]), hctx_v(pc[pid]))
                         )
         return {
-            "VARPOINTSTO": frozenset(var_added),
-            "FLDPOINTSTO": frozenset(fld_added),
+            "VARPOINTSTO": frozenset(var_rows),
+            "FLDPOINTSTO": frozenset(fld_rows),
             "CALLGRAPH": frozenset(
                 (self.invos.value(i), ctx_v(cc), self.meths.value(m), ctx_v(ec))
-                for i, cc, m, ec in self._call_graph - cg_before
+                for i, cc, m, ec in calls
             ),
             "REACHABLE": frozenset(
                 (self.meths.value(k >> 32), ctx_v(k & 0xFFFFFFFF))
-                for k in self._reachable - reach_before
+                for k in acts
             ),
-            "THROWPOINTSTO": frozenset(throw_added),
+            "THROWPOINTSTO": frozenset(throw_rows),
         }
+
+    # ------------------------------------------------------------------
+    # Delete-and-rederive (incremental retractions)
+    # ------------------------------------------------------------------
+    def retract(
+        self,
+        program: Program,
+        facts: FactBase,
+        removed: Mapping[str, Iterable[tuple]],
+    ) -> Retraction:
+        """Take *removed* EDB rows out of a solved fixpoint, in place.
+
+        Delete-and-rederive (DRed; Gupta, Mumick & Subrahmanian, SIGMOD
+        1993) over the warm solver's derived graph:
+
+        1. **Over-delete.**  From the retracted instructions, follow the
+           derived graph forward — plain and filtered edges, load/store
+           field edges, virtual/special call consumers, escaping
+           exceptions and call bindings — and collect every node whose
+           points-to set could shrink (the *region*) and every call edge
+           that could lose its support.  An activation survives iff it
+           stays reachable from the roots over the call edges that keep
+           theirs; the others join the over-deletion with all their
+           nodes and outgoing calls, so cyclic support cannot keep a dead
+           cycle alive.
+        2. **Tear down.**  Clear the region's masks, its in-edges, the
+           consumers of the retracted instructions and of the dropped
+           activations and call edges, and the retracted rows' compiled
+           instructions.  Heaps whose type row goes leave the cast-filter
+           index.
+        3. **Re-derive.**  Every surviving activation owning a cleared
+           node (or the source of a torn edge into a field or static
+           node) re-emits its products into the region from its current
+           state; then the ordinary worklist runs to the new fixpoint,
+           re-linking the call edges and re-reaching the activations
+           that are still derivable.
+
+        Reverse adjacency, owner and call-site maps are built on demand
+        here, so cold solves pay nothing for this path.  The tuple count
+        drops by exactly what is cleared and rises by what is rederived:
+        afterwards it equals a fresh solve's, so a following
+        :meth:`extend` trips the budget exactly when a fresh solve would.
+
+        Raises ``ValueError`` — before changing anything — for rows outside
+        :data:`REDERIVE_RELATIONS`, a removed method, call-structure rows of
+        a call site that survives, or an over-deleted region larger than
+        :data:`REDERIVE_MAX_SHARE` of the nodes.  ``program``/``facts``
+        are the post-edit snapshots.
+        """
+        for name, rows in removed.items():
+            if rows and name not in REDERIVE_RELATIONS:
+                raise ValueError(f"cannot rederive {name} retractions")
+        gone = self._gone_bodies(program, removed)
+        ctxs_of: Dict[int, List[int]] = {}
+        for key in self._reachable:
+            ctxs_of.setdefault(key >> 32, []).append(key & _CTX_MASK)
+        calls = _CallIndex.of(self)
+        region, cut, dead = self._overdelete(gone, ctxs_of, calls)
+        nodes = len(self._pts)
+        if len(region) > REDERIVE_MAX_SHARE * nodes:
+            raise ValueError(
+                f"over-deleted region {len(region)}/{nodes} nodes exceeds "
+                f"{REDERIVE_MAX_SHARE:.0%}"
+            )
+
+        self.program = program
+        self.facts = facts
+        self._stopwatch.restart()
+        pts = self._pts
+        old = {node: pts[node] for node in region}
+        torn = self._tear_down(gone, ctxs_of, calls, region, cut, dead)
+        for heap, _typ in removed.get("HEAPTYPE", ()):
+            self._unregister_heap_type(self.heaps.get(heap))
+        self._rederive(region, torn, calls, self._var_meth_lookup(removed))
+        self._propagate()
+
+        # Dispatch outcomes of the sites whose call edges were cut.
+        targets: Dict[int, Set[int]] = {
+            edge[0]: set() for edge in cut if edge[0] in self._vcall_targets
+        }
+        if targets:
+            for invo, _cc, callee, _ec in self._call_graph:
+                found = targets.get(invo)
+                if found is not None:
+                    found.add(callee)
+            for invo, found in targets.items():
+                if found:
+                    self._vcall_targets[invo] = found
+                else:
+                    del self._vcall_targets[invo]
+
+        lost: Dict[int, int] = {}
+        for node, was in old.items():
+            gone_pids = was & ~pts[node]
+            if gone_pids:
+                lost[node] = gone_pids
+        return Retraction(
+            removed=self._delta_rows(
+                lost,
+                (edge for edge in cut if edge not in self._call_graph),
+                (key for key in dead if key not in self._reachable),
+            ),
+            region=len(region),
+            nodes=nodes,
+        )
+
+    def _overdelete(
+        self,
+        gone: Mapping[int, _MethodBody],
+        ctxs_of: Mapping[int, List[int]],
+        calls: "_CallIndex",
+    ) -> Tuple[Set[int], Set[_Edge], Set[int]]:
+        """Step 1 of :meth:`retract`, read-only: the nodes whose points-to
+        sets could shrink, the call edges that could lose their support,
+        and the activations no longer reachable from the roots over the
+        others (``meth << 32 | ctx`` keys)."""
+        bodies = self._bodies
+        pts = self._pts
+        var_nodes = self._var_nodes
+        fld_nodes = self._fld_nodes
+        throw_nodes = self._throw_nodes
+        by_site, sites = calls.by_site, calls.sites
+        region: Set[int] = set()
+        todo: List[int] = []
+        cut: Set[_Edge] = set()
+        cut_todo: List[_Edge] = []
+        dead: Set[int] = set()
+
+        def mark(node: Optional[int]) -> None:
+            if node is not None and node not in region:
+                region.add(node)
+                todo.append(node)
+
+        def cut_site(invo: int, ctx: int) -> None:
+            for edge in by_site.get(invo << 32 | ctx, ()):
+                if edge not in cut:
+                    cut.add(edge)
+                    cut_todo.append(edge)
+
+        def mark_raise(meth: int, ctx: int) -> None:
+            # everything _raise_in(meth, ctx, ·) can write
+            vmap = var_nodes.get(ctx, {})
+            for _typ, var in bodies[meth].catches:
+                mark(vmap.get(var))
+            mark(throw_nodes.get(meth << 32 | ctx))
+
+        # Seeds: what the retracted instructions and returns wrote.
+        for meth, g in gone.items():
+            for ctx in ctxs_of.get(meth, ()):
+                vmap = var_nodes.get(ctx, {})
+                for var, _heap in g.allocs:
+                    mark(vmap.get(var))
+                for _frm, to in g.moves:
+                    mark(vmap.get(to))
+                for _frm, to, _typ in g.casts:
+                    mark(vmap.get(to))
+                for to, _base, _fld in g.loads:
+                    mark(vmap.get(to))
+                for base, fld, _frm in g.stores:
+                    fmap = fld_nodes.get(fld, {})
+                    for pid in iter_bits(pts[vmap[base]]):
+                        mark(fmap.get(pid))
+                for to, _sfld in g.staticloads:
+                    mark(vmap.get(to))
+                for sfld, _frm in g.staticstores:
+                    mark(self._static_nodes.get(sfld))
+                if g.throws:
+                    mark_raise(meth, ctx)
+                for invo in _call_invos(g):
+                    cut_site(invo, ctx)
+                if g.returns:
+                    for invo, cc, _callee, _ec in calls.into.get(meth << 32 | ctx, ()):
+                        lhs = sites[invo][3]
+                        if lhs != _NONE:
+                            mark(var_nodes[cc].get(lhs))
+
+        # Forward closure, then activation reachability, until neither
+        # grows: a dead activation's nodes and calls feed the closure.
+        out_plain = self._out_plain
+        out_filtered = self._out_filtered
+        ctx0 = self.ctxs.empty_id
+        roots = [
+            self.meths.intern(ep) << 32 | ctx0 for ep in self.program.entry_points
+        ]
+        checked = 0  # cut size at the last reachability pass
+        while True:
+            while todo or cut_todo:
+                while todo:
+                    node = todo.pop()
+                    for dst in out_plain.get(node, ()):
+                        mark(dst)
+                    for dst, _typ in out_filtered.get(node, ()):
+                        mark(dst)
+                    current = pts[node]
+                    if not current:
+                        continue
+                    for _fld, to in self._load_cons.get(node, ()):
+                        mark(to)
+                    for fld, _frm in self._store_cons.get(node, ()):
+                        fmap = fld_nodes.get(fld, {})
+                        for pid in iter_bits(current):
+                            mark(fmap.get(pid))
+                    for cons in (self._vcall_cons, self._special_cons):
+                        for consumer in cons.get(node, ()):
+                            cut_site(consumer[1], consumer[2])
+                    for meth, ctx in self._throw_cons.get(node, ()):
+                        mark_raise(meth, ctx)
+                while cut_todo:
+                    invo, cc, callee, ec = cut_todo.pop()
+                    mb = bodies[callee]
+                    emap = var_nodes.get(ec, {})
+                    for formal in mb.formals:
+                        mark(emap.get(formal))
+                    if mb.this != _NONE:
+                        mark(emap.get(mb.this))
+                    caller, lhs = sites[invo][0], sites[invo][3]
+                    if lhs != _NONE:
+                        mark(var_nodes[cc].get(lhs))
+                    mark_raise(caller, cc)
+            if len(cut) == checked:
+                return region, cut, dead
+            checked = len(cut)
+            alive = self._live_activations(roots, by_site, cut)
+            for key in self._reachable:
+                if key in alive or key in dead:
+                    continue
+                dead.add(key)
+                ctx = key & _CTX_MASK
+                mb = bodies[key >> 32]
+                vmap = var_nodes.get(ctx, {})
+                for var in _body_vars(mb):
+                    mark(vmap.get(var))
+                mark(throw_nodes.get(key))
+                for invo in _call_invos(mb):
+                    cut_site(invo, ctx)
+
+    def _tear_down(
+        self,
+        gone: Mapping[int, _MethodBody],
+        ctxs_of: Mapping[int, List[int]],
+        calls: "_CallIndex",
+        region: Set[int],
+        cut: Set[_Edge],
+        dead: Set[int],
+    ) -> List[Tuple[int, int]]:
+        """Step 2 of :meth:`retract`: unregister the consumers of what
+        goes, tear out every edge into the region (returned as ``(src,
+        dst)`` pairs), clear the region, drop the cut call edges and dead
+        activations with their tuple charges, and take the retracted
+        instructions and returns out of the bodies."""
+        bodies = self._bodies
+        for key in dead:
+            meth = key >> 32
+            self._unplay(bodies[meth], meth, key & _CTX_MASK)
+        for meth, g in gone.items():
+            for ctx in ctxs_of.get(meth, ()):
+                if meth << 32 | ctx not in dead:
+                    self._unplay(g, meth, ctx)
+        for invo, cc, callee, ec in cut:
+            _drop_consumer(
+                self._throw_cons,
+                self._throw_nodes[callee << 32 | ec],
+                (calls.sites[invo][0], cc),
+            )
+
+        torn: List[Tuple[int, int]] = []
+        edge_seen = self._edge_seen
+        out_plain = self._out_plain
+        for src, dsts in list(out_plain.items()):
+            if region.isdisjoint(dsts):
+                continue
+            keep = []
+            for dst in dsts:
+                if dst in region:
+                    edge_seen.discard(src << 32 | dst)
+                    torn.append((src, dst))
+                else:
+                    keep.append(dst)
+            if keep:
+                out_plain[src] = keep
+            else:
+                del out_plain[src]
+        filtered_seen = self._filtered_edge_seen
+        out_filtered = self._out_filtered
+        for src, fedges in list(out_filtered.items()):
+            if all(dst not in region for dst, _typ in fedges):
+                continue
+            fkeep = []
+            for dst, typ in fedges:
+                if dst in region:
+                    filtered_seen.discard((src, dst, typ))
+                else:
+                    fkeep.append((dst, typ))
+            if fkeep:
+                out_filtered[src] = fkeep
+            else:
+                del out_filtered[src]
+
+        cleared = 0
+        pts = self._pts
+        pending = self._pending
+        for node in region:
+            cleared += popcount(pts[node])
+            pts[node] = 0
+            pending.pop(node, None)
+        self._call_graph -= cut
+        self._reachable -= dead
+        self._tuple_count -= cleared + len(cut) + len(dead)
+
+        for meth, g in gone.items():
+            mb = bodies[meth]
+            for name in _INSTR_FIELDS:
+                drop = getattr(g, name)
+                if drop:
+                    drop_set = set(drop)
+                    getattr(mb, name)[:] = [
+                        entry for entry in getattr(mb, name) if entry not in drop_set
+                    ]
+            if g.returns:
+                mb.returns = tuple(r for r in mb.returns if r not in g.returns)
+        return torn
+
+    def _rederive(
+        self,
+        region: Set[int],
+        torn: List[Tuple[int, int]],
+        calls: "_CallIndex",
+        var_meth: Callable[[str], str],
+    ) -> None:
+        """Step 3 of :meth:`retract`, before the worklist runs: every live
+        activation owning a cleared variable or throw node, or the source
+        of a torn edge into a field or static node (those in-edges come
+        from the stores of the source's activation), re-emits its
+        products (:meth:`_replay`)."""
+        wanted = region.union(src for src, _dst in torn)
+        owner: Dict[int, Tuple[int, int]] = {}
+        for ctx, vmap in self._var_nodes.items():
+            for var, node in vmap.items():
+                if node in wanted:
+                    owner[node] = (var, ctx)
+        meth_of: Dict[int, int] = {}
+
+        def act_of(node: int) -> int:
+            var, ctx = owner[node]
+            meth = meth_of.get(var)
+            if meth is None:
+                meth = meth_of[var] = self.meths.intern(
+                    var_meth(self.vars.value(var))
+                )
+            return meth << 32 | ctx
+
+        replay: Set[int] = set()
+        for node in region:
+            if node in owner:
+                replay.add(act_of(node))
+        for key, node in self._throw_nodes.items():
+            if node in region:
+                replay.add(key)
+        for src, dst in torn:
+            if dst not in owner and src in owner:
+                replay.add(act_of(src))
+        for key in replay:
+            if key in self._reachable:
+                self._replay(key >> 32, key & _CTX_MASK, calls)
+
+    def _var_meth_lookup(
+        self, removed: Mapping[str, Iterable[tuple]]
+    ) -> Callable[[str], str]:
+        """A variable's method: the indexed program's, an edit's, or one
+        the retraction's own VARINMETH rows name."""
+        base = self._index.var_meth
+        edits = self._edit_var_meth
+        retracted = dict(removed.get("VARINMETH", ()))
+
+        def var_meth(var: str) -> str:
+            meth = base.get(var) or edits.get(var) or retracted.get(var)
+            if meth is None:
+                raise ValueError(f"variable {var} has no method")
+            return meth
+
+        return var_meth
+
+    def _gone_bodies(
+        self, program: Program, removed: Mapping[str, Iterable[tuple]]
+    ) -> Dict[int, _MethodBody]:
+        """The compiled instructions and returns the *removed* rows take
+        out of each method, as partial bodies keyed by method id.
+
+        Call instructions are matched by call-site id, so the entries are
+        the body's own (with the arguments they were compiled with).
+        """
+        refused = {
+            row[0]
+            for rel in ("ACTUALARG", "ACTUALRETURN", "INVOINMETH")
+            for row in removed.get(rel, ())
+        }
+        refused -= {row[2] for row in removed.get("VCALL", ())}
+        refused -= {row[2] for row in removed.get("SPECIALCALL", ())}
+        refused -= {row[1] for row in removed.get("SCALL", ())}
+        if refused:
+            raise ValueError(
+                f"call-structure retractions on surviving call sites: "
+                f"{', '.join(sorted(refused))}"
+            )
+        # Calls are matched by site id below: their lhs and args here
+        # do not matter.
+        grouped = self._compile_rows(
+            lambda relation: removed.get(relation.upper(), ()),
+            self._var_meth_lookup(removed),
+            {},
+        )
+        returns: Dict[str, List[str]] = {}
+        for meth, ret in removed.get("FORMALRETURN", ()):
+            returns.setdefault(meth, []).append(ret)
+        gone: Dict[int, _MethodBody] = {}
+        for meth in grouped.keys() | returns.keys():
+            try:
+                program.method(meth)
+            except KeyError:
+                raise ValueError(f"method {meth} removed") from None
+            meth_i = self.meths.intern(meth)
+            mb = self._body(meth_i)
+            g = _MethodBody(
+                *(grouped.get(meth) or ([], [], [], [], [], [], [], [], [], [], [], [])),
+                formals=(),
+                returns=tuple(map(self.vars.intern, returns.get(meth, ()))),
+                this=_NONE,
+            )
+            for name, at in _CALL_FIELDS:
+                invos = {call[at] for call in getattr(g, name)}
+                if invos:
+                    own = [c for c in getattr(mb, name) if c[at] in invos]
+                    if len(own) != len(invos):
+                        raise ValueError(f"{meth}: retracted {name} not compiled")
+                    setattr(g, name, own)
+            for name in _INSTR_FIELDS:
+                if not set(getattr(g, name)) <= set(getattr(mb, name)):
+                    raise ValueError(f"{meth}: retracted {name} not compiled")
+            if not set(g.returns) <= set(mb.returns):
+                raise ValueError(f"{meth}: retracted return not compiled")
+            gone[meth_i] = g
+        return gone
+
+    def _live_activations(
+        self,
+        roots: List[int],
+        by_site: Mapping[int, List[_Edge]],
+        cut: Set[_Edge],
+    ) -> Set[int]:
+        """Activations reachable from ``roots`` over the call edges not in
+        ``cut``."""
+        bodies = self._bodies
+        seen = set(roots)
+        stack = list(roots)
+        while stack:
+            key = stack.pop()
+            ctx = key & _CTX_MASK
+            for invo in _call_invos(bodies[key >> 32]):
+                for edge in by_site.get(invo << 32 | ctx, ()):
+                    if edge not in cut:
+                        callee = edge[2] << 32 | edge[3]
+                        if callee not in seen:
+                            seen.add(callee)
+                            stack.append(callee)
+        return seen
+
+    def _unplay(self, mb: _MethodBody, meth: int, ctx: int) -> None:
+        """Unregister the consumers :meth:`_play_body` registered for
+        ``mb``'s instructions in ``ctx``."""
+        vmap = self._var_nodes[ctx]
+        for to, base, fld in mb.loads:
+            _drop_consumer(self._load_cons, vmap[base], (fld, vmap[to]))
+        for base, fld, frm in mb.stores:
+            _drop_consumer(self._store_cons, vmap[base], (fld, vmap[frm]))
+        for var in mb.throws:
+            _drop_consumer(self._throw_cons, vmap[var], (meth, ctx))
+        for base, sig, invo, lhs, args in mb.vcalls:
+            _drop_consumer(
+                self._vcall_cons, vmap[base], (sig, invo, ctx, meth, lhs, args)
+            )
+        for base, callee, invo, lhs, args in mb.specialcalls:
+            _drop_consumer(
+                self._special_cons,
+                vmap[base],
+                (callee, invo, ctx, meth, lhs, args),
+            )
+
+    def _unregister_heap_type(self, heap: int) -> None:
+        """Undo :meth:`_register_heap_type` for a heap no longer allocated."""
+        type_i = self._heap_type.pop(heap, None)
+        if type_i is None:
+            return
+        of_heap = self._pairs_by_heap.get(heap, 0)
+        pht = self._pair_heap_type
+        for pid in iter_bits(of_heap):
+            pht[pid] = None
+        self._heaps_by_typename[self.types.value(type_i)].remove(heap)
+        for t_i in self._heap_filters.pop(heap, ()):
+            self._filter_heaps[t_i].discard(heap)
+            self._filter_pairs[t_i] &= ~of_heap
+
+    def _replay(self, meth: int, ctx: int, calls: "_CallIndex") -> None:
+        """Re-emit everything a live activation derives, from its current
+        state: instruction edges and seeds, its consumers fired over their
+        bases' current points-to sets (not re-registered), and the
+        bindings and escaping exceptions of its live call edges, in and
+        out.  Idempotent: only what a retraction tore down is new."""
+        mb = self._bodies[meth]
+        pts = self._pts
+        vnode = self._vnode
+        add_edge = self._add_edge
+        call_graph = self._call_graph
+        by_site, into, sites = calls.by_site, calls.into, calls.sites
+        for var, heap in mb.allocs:
+            self._add_pts1(vnode(var, ctx), self._record(heap, ctx))
+        for frm, to in mb.moves:
+            add_edge(vnode(frm, ctx), vnode(to, ctx))
+        for frm, to, typ in mb.casts:
+            add_edge(vnode(frm, ctx), vnode(to, ctx), typ)
+        for to, base, fld in mb.loads:
+            to_node = vnode(to, ctx)
+            for pid in iter_bits(pts[vnode(base, ctx)]):
+                add_edge(self._fnode(pid, fld), to_node)
+        for base, fld, frm in mb.stores:
+            from_node = vnode(frm, ctx)
+            for pid in iter_bits(pts[vnode(base, ctx)]):
+                add_edge(from_node, self._fnode(pid, fld))
+        for to, sfld in mb.staticloads:
+            add_edge(self._snode(sfld), vnode(to, ctx))
+        for sfld, frm in mb.staticstores:
+            add_edge(vnode(frm, ctx), self._snode(sfld))
+        for var in mb.throws:
+            for pid in iter_bits(pts[vnode(var, ctx)]):
+                self._raise_in(meth, ctx, pid)
+        for base, sig, invo, lhs, args in mb.vcalls:
+            for pid in iter_bits(pts[vnode(base, ctx)]):
+                self._dispatch_vcall(pid, sig, invo, ctx, meth, lhs, args)
+        for base, callee, invo, lhs, args in mb.specialcalls:
+            for pid in iter_bits(pts[vnode(base, ctx)]):
+                self._resolve_receiver_call(
+                    pid, invo, ctx, meth, callee, lhs, args
+                )
+        # Outgoing call edges: return bindings and escaping exceptions.
+        for invo in _call_invos(mb):
+            lhs = sites[invo][3]
+            for edge in by_site.get(invo << 32 | ctx, ()):
+                if edge not in call_graph:
+                    continue
+                callee, ec = edge[2], edge[3]
+                if lhs != _NONE:
+                    dst = vnode(lhs, ctx)
+                    for ret in self._bodies[callee].returns:
+                        add_edge(vnode(ret, ec), dst)
+                for pid in iter_bits(pts[self._tnode(callee, ec)]):
+                    self._raise_in(meth, ctx, pid)
+        # Incoming call edges: argument bindings and the receiver.
+        for edge in into.get(meth << 32 | ctx, ()):
+            if edge not in call_graph:
+                continue
+            invo, cc = edge[0], edge[1]
+            _caller, base, target, _lhs, args, virtual = sites[invo]
+            for actual, formal in zip(args, mb.formals):
+                add_edge(vnode(actual, cc), vnode(formal, ctx))
+            if base == _NONE or mb.this == _NONE:
+                continue
+            this_node = vnode(mb.this, ctx)
+            for pid in iter_bits(pts[vnode(base, cc)]):
+                if virtual:
+                    ht = self._pair_heap_type[pid]
+                    if ht is None or self._dispatch(ht, target) != meth:
+                        continue
+                if self._merge(pid, invo, meth, cc) == ctx:
+                    self._add_pts1(this_node, pid)
 
     def _propagate(self) -> None:
         worklist = self._worklist

@@ -408,7 +408,7 @@ def check_incremental_equivalence(
     exactly the from-scratch relations after every edit it absorbs.
 
     Applies ``steps`` seeded random edit scripts (removals included, so
-    both the monotonic and the full tier are exercised) and compares the
+    the monotonic, rederive and full tiers are exercised) and compares the
     session's five relations against a fresh packed solve of the edited
     program after each one.
 

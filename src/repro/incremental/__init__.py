@@ -15,8 +15,9 @@ The subsystem has three layers, bottom-up:
   together over the packed solver.  It keeps each method's encoded rows
   and re-encodes only the methods an edit's footprint makes dirty, so
   the fact delta comes from those rows alone; the monotonic fast path
-  lives on the solver itself
-  (:meth:`repro.analysis.solver.PointsToSolver.extend`).  The service's
+  and delete-and-rederive live on the solver itself
+  (:meth:`repro.analysis.solver.PointsToSolver.extend` and
+  :meth:`~repro.analysis.solver.PointsToSolver.retract`).  The service's
   ``/sessions`` endpoints and ``repro bench --incremental`` sit on top.
 
 See ``docs/incremental.md`` for the full tour.
@@ -25,6 +26,7 @@ See ``docs/incremental.md`` for the full tour.
 from .differ import (
     FactDelta,
     MONOTONIC_HAZARDS,
+    REDERIVE_RELATIONS,
     classify_delta,
     diff_facts,
     negation_tainted,
@@ -62,6 +64,7 @@ __all__ = [
     "IncrementalSession",
     "InsertInstruction",
     "MONOTONIC_HAZARDS",
+    "REDERIVE_RELATIONS",
     "RESULT_RELATIONS",
     "RemoveClass",
     "RemoveEntryPoint",

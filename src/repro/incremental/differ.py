@@ -15,11 +15,15 @@ delta:
 * ``monotonic`` — pure additions outside the hazard set; the packed
   solver can extend its prior fixpoint by replaying only the delta into
   its worklist.
-* ``full`` — anything with retractions, rows in
-  :data:`MONOTONIC_HAZARDS` (relations that feed negation or cached
+* ``rederive`` — retractions confined to :data:`REDERIVE_RELATIONS`
+  (instruction and call-structure rows of methods that stay), plus any
+  additions the monotonic rules accept.  Deletion from a least fixpoint
+  is non-monotonic, so the solver over-deletes what the retracted rows
+  could have fed and re-derives what still holds.
+* ``full`` — retractions outside that set or of a removed method, rows
+  in :data:`MONOTONIC_HAZARDS` (relations that feed negation or cached
   type-hierarchy state), or structural rows attached to pre-existing
-  methods.  Deletion from a least fixpoint is non-monotonic, so these
-  fall back to a whole-analysis solve.
+  methods: a whole-analysis solve.
 
 The hazard set is *derived* facts for the Datalog model: an EDB addition
 is unsafe iff its relation can transitively derive into a negated
@@ -33,8 +37,9 @@ negation, operationally).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Mapping, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
+from ..analysis.solver import REDERIVE_RELATIONS
 from ..datalog.rules import RuleProgram
 from ..datalog.terms import Atom
 from ..facts.encoder import FactBase
@@ -42,6 +47,7 @@ from ..facts.encoder import FactBase
 __all__ = [
     "FactDelta",
     "MONOTONIC_HAZARDS",
+    "REDERIVE_RELATIONS",
     "classify_delta",
     "diff_facts",
     "negation_tainted",
@@ -149,35 +155,25 @@ def diff_facts(old: FactBase, new: FactBase) -> FactDelta:
     return FactDelta(added=added, removed=removed)
 
 
-def classify_delta(
+def _additions_refusal(
     delta: FactDelta,
     old_method_ids: AbstractSet[str],
-    old_invo_ids: AbstractSet[str] = frozenset(),
-    hazards: FrozenSet[str] = MONOTONIC_HAZARDS,
-) -> Tuple[str, str]:
-    """Pick the cheapest sound tier for a delta.
-
-    Returns ``(tier, reason)`` where tier is ``"noop"``, ``"monotonic"``,
-    or ``"full"`` (a fresh solve) and the reason is a short human-readable
-    explanation (surfaced in session outcomes and the service API).
-    """
-    if delta.is_empty:
-        return "noop", "no fact changes"
-    if delta.removed:
-        names = ", ".join(sorted(delta.removed))
-        return "full", f"retractions in {names}"
+    old_invo_ids: AbstractSet[str],
+    hazards: FrozenSet[str],
+) -> Optional[str]:
+    """Why the monotonic rules refuse ``delta``'s additions (``None``:
+    they accept them)."""
     hot = sorted(set(delta.added) & hazards)
     if hot:
-        return "full", f"additions to hazard relations: {', '.join(hot)}"
+        return f"additions to hazard relations: {', '.join(hot)}"
     for name in _METHOD_STRUCTURE:
         stale = {
             row[0] for row in delta.added.get(name, ()) if row[0] in old_method_ids
         }
         if stale:
             return (
-                "full",
                 f"{name} additions on pre-existing methods: "
-                f"{', '.join(sorted(stale))}",
+                f"{', '.join(sorted(stale))}"
             )
     for name in _CALL_STRUCTURE:
         stale = {
@@ -185,8 +181,41 @@ def classify_delta(
         }
         if stale:
             return (
-                "full",
                 f"{name} additions on pre-existing call sites: "
-                f"{', '.join(sorted(stale))}",
+                f"{', '.join(sorted(stale))}"
             )
+    return None
+
+
+def classify_delta(
+    delta: FactDelta,
+    old_method_ids: AbstractSet[str],
+    old_invo_ids: AbstractSet[str] = frozenset(),
+    hazards: FrozenSet[str] = MONOTONIC_HAZARDS,
+    removed_methods: AbstractSet[str] = frozenset(),
+) -> Tuple[str, str]:
+    """Pick the cheapest sound tier for a delta.
+
+    Returns ``(tier, reason)`` where tier is ``"noop"``, ``"monotonic"``,
+    ``"rederive"`` or ``"full"`` (a fresh solve) and the reason is a
+    short human-readable explanation (surfaced in session outcomes and
+    the service API).  ``removed_methods`` names the methods the edit
+    deleted outright.  A ``rederive`` reason is the retracted relations'
+    names; the session adds the over-deleted region to it.
+    """
+    if delta.is_empty:
+        return "noop", "no fact changes"
+    refusal = _additions_refusal(delta, old_method_ids, old_invo_ids, hazards)
+    if delta.removed:
+        if removed_methods:
+            return "full", f"removed methods: {', '.join(sorted(removed_methods))}"
+        names = sorted(delta.removed)
+        blocked = [name for name in names if name not in REDERIVE_RELATIONS]
+        if blocked:
+            return "full", f"retractions in {', '.join(blocked)} cannot be rederived"
+        if refusal is not None:
+            return "full", f"retractions with {refusal}"
+        return "rederive", ", ".join(names)
+    if refusal is not None:
+        return "full", refusal
     return "monotonic", f"pure additions ({delta.rows_added} rows)"

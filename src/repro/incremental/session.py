@@ -13,9 +13,18 @@ apply runs the tier ladder:
     pure additions outside the hazard set: the solver replays only the
     delta bodies into its live worklist state
     (:meth:`~repro.analysis.solver.PointsToSolver.extend`).
+``rederive``
+    retractions of instruction and call-structure rows in methods that
+    stay: delete-and-rederive on the warm solver
+    (:meth:`~repro.analysis.solver.PointsToSolver.retract`), then the
+    script's additions, if the monotonic rules accept them, with
+    ``extend``.  The reason names the retracted relations and the
+    over-deleted region (``rederive: FORMALRETURN; 19/3779 nodes``).
 ``full``
-    retractions, hazard rows, or anything else the classifier refuses:
-    the always-correct escape hatch, a fresh solve.
+    other retractions, removed methods, an over-deleted region past
+    :data:`~repro.analysis.solver.REDERIVE_MAX_SHARE`, hazard rows, or
+    anything else the classifier refuses: the always-correct escape
+    hatch, a fresh solve.
 
 The write path is per method.  The session keeps every method's encoding
 (a :class:`~repro.facts.encoder.MethodRows`); an apply re-encodes only
@@ -51,14 +60,15 @@ A class or field edit rebuilds and re-validates the whole program with
 the row cache, :attr:`facts` and the warm solver as they were.
 
 Every apply returns an :class:`EditOutcome` carrying the tier taken, the
-fact delta, *result* deltas (added/removed tuples per output relation),
-and timing split into delta-apply (edit + build or derive + encoding
-the dirty methods + assembly + delta + classify) and solve; the fact digest is
-computed when first read.  Equality with a from-scratch solve is
-enforced by the ``incremental-equivalence`` fuzz oracle and the bench
-harness; if the fast tier's belt-and-braces guards refuse a delta the
-session silently falls back to ``full`` and says so in the outcome
-reason.
+fact delta, *result* deltas (added/removed tuples per output relation;
+the warm tiers take them from the solver, ``full`` from two relation
+differences), and timing split into delta-apply (edit + build or derive
++ encoding the dirty methods + assembly + delta + classify) and solve;
+the fact digest is computed when first read.  Equality with a
+from-scratch solve is enforced by the ``incremental-equivalence`` fuzz
+oracle and the bench harness; if a warm tier's belt-and-braces guards
+refuse a delta the session falls back to ``full`` and says so in the
+outcome reason.
 """
 
 from __future__ import annotations
@@ -114,6 +124,10 @@ RESULT_RELATIONS = (
 #: of rebuilding O(result) frozensets per edit.
 Relations = Dict[str, set]
 
+#: A result delta as the solver reports it: (added, removed) tuples per
+#: output relation.
+ResultDelta = Tuple[Dict[str, FrozenSet[tuple]], Dict[str, FrozenSet[tuple]]]
+
 
 def _instance_sigs(program: Program) -> FrozenSet[str]:
     return frozenset(m.sig for m in program.methods() if not m.is_static)
@@ -140,7 +154,7 @@ def _jsonify(value: object) -> object:
 class EditOutcome:
     """What one :meth:`IncrementalSession.apply` did, and what changed."""
 
-    tier: str  # "noop" | "monotonic" | "full"
+    tier: str  # "noop" | "monotonic" | "rederive" | "full"
     reason: str
     delta: FactDelta
     apply_seconds: float
@@ -380,21 +394,48 @@ class IncrementalSession:
             )
         }
 
-    def _extend(
-        self, program: Program, facts: FactBase, delta: FactDelta
-    ) -> Dict[str, FrozenSet[tuple]]:
-        """Monotonic fast path on the warm solver.
+    def _warm(
+        self,
+        tier: str,
+        program: Program,
+        facts: FactBase,
+        delta: FactDelta,
+        reason: str,
+    ) -> Tuple[ResultDelta, str]:
+        """The ``monotonic`` or ``rederive`` tier on the warm solver.
 
-        The solver reports its result delta natively, so the cached sets
-        are grown in place and the returned additions are exact without
-        any full-relation comparison.
+        A rederive takes the retractions out first
+        (:meth:`~repro.analysis.solver.PointsToSolver.retract`), then
+        replays the additions (:meth:`~repro.analysis.solver.PointsToSolver.extend`).
+        Both report their result delta natively, so the cached sets are
+        updated in place and the returned ``(added, removed)`` are exact
+        without any full-relation comparison.  Returns them with the
+        outcome's reason.
         """
-        assert self._solver is not None
-        added = self._solver.extend(program, facts, delta.added)
-        for name, plus in added.items():
+        solver = self._solver
+        assert solver is not None
+        lost: Dict[str, FrozenSet[tuple]] = {}
+        if tier == "rederive":
+            retraction = solver.retract(program, facts, delta.removed)
+            lost = retraction.removed
+            reason = (
+                f"rederive: {reason}; {retraction.region}/{retraction.nodes} nodes"
+            )
+        gained = solver.extend(program, facts, delta.added) if delta.added else {}
+        added: Dict[str, FrozenSet[tuple]] = {}
+        removed: Dict[str, FrozenSet[tuple]] = {}
+        for name in RESULT_RELATIONS:
+            minus = lost.get(name, frozenset())
+            plus = gained.get(name, frozenset())
+            rows = self._relations[name]
+            if minus:
+                rows -= minus
+                # a tuple retracted and re-derived by the additions stays
+                removed[name] = minus - plus
             if plus:
-                self._relations[name].update(plus)
-        return added
+                rows |= plus
+                added[name] = plus - minus
+        return (added, removed), reason
 
     # ------------------------------------------------------------------
     # The session API
@@ -438,7 +479,10 @@ class IncrementalSession:
             raise
         # The old fact base's maps are the old method and call-site ids.
         tier, reason = classify_delta(
-            delta, self.facts.vars_of_method.keys(), self.facts.method_of_invo.keys()
+            delta,
+            self.facts.vars_of_method.keys(),
+            self.facts.method_of_invo.keys(),
+            removed_methods={mid for mid, entry in fresh.items() if entry is None},
         )
         # Policies read alloc_class_of during the solve below.
         self._alloc_class.update(delta.added.get("ALLOCCLASS", ()))
@@ -446,19 +490,23 @@ class IncrementalSession:
 
         sw.restart()
         old_relations = self._relations
-        added: Optional[Dict[str, FrozenSet[tuple]]] = None
+        # The solver-reported result delta; None means a fresh solve.
+        changes: Optional[ResultDelta] = None
         try:
             if tier == "noop":
-                added = {}
-            elif tier == "monotonic":
+                changes = ({}, {})
+            elif tier in ("monotonic", "rederive"):
                 try:
-                    added = self._extend(program, facts, delta)
+                    changes, reason = self._warm(tier, program, facts, delta, reason)
                 except ValueError as exc:
-                    # A fast-path guard refused the delta the classifier
+                    # A warm path's guard refused the delta the classifier
                     # accepted: fall back to the escape hatch and say so.
+                    if tier == "rederive":
+                        reason = f"rederive refused ({exc}); retractions in {reason}"
+                    else:
+                        reason = f"fast path refused ({exc}); {reason}"
                     tier = "full"
-                    reason = f"fast path refused ({exc}); {reason}"
-            if added is None:
+            if changes is None:
                 self._relations = self._solve_fresh(program, facts)
         except Exception:
             # The solve itself failed (e.g. a tuple-budget trip mid
@@ -485,14 +533,15 @@ class IncrementalSession:
 
         result_added: Dict[str, FrozenSet[tuple]] = {}
         result_removed: Dict[str, FrozenSet[tuple]] = {}
-        if added is not None:
-            # Solver-reported delta (fast path / noop): exact by
+        if changes is not None:
+            # Solver-reported delta (warm tiers / noop): exact by
             # construction — every fuzz-oracle equivalence check also
             # revalidates it — and O(delta) where the full comparison
-            # below is O(result).  Monotonic, so nothing was removed.
-            for name, plus in added.items():
-                if plus:
-                    result_added[name] = frozenset(plus)
+            # below is O(result).
+            for out, rows in zip((result_added, result_removed), changes):
+                for name, part in rows.items():
+                    if part:
+                        out[name] = part
         else:
             relations = self._relations
             for name in RESULT_RELATIONS:

@@ -52,9 +52,23 @@ def test_deletion_forces_recompute():
     )
     delta, _ = delta_for(script, sketch)
     assert delta.removed
+    # Instruction retractions in a surviving method: delete-and-rederive,
+    # the reason naming the retracted relations ...
     tier, reason = classify_delta(delta, old_methods)
-    assert tier == "full"
-    assert "retractions" in reason
+    assert tier == "rederive"
+    assert reason == ", ".join(sorted(delta.removed))
+    # ... a method removed outright, or a hazard relation retracted,
+    # re-solves from scratch.
+    tier, reason = classify_delta(
+        delta, old_methods, removed_methods={"Main.main/0"}
+    )
+    assert (tier, reason) == ("full", "removed methods: Main.main/0")
+    from repro.incremental.differ import FactDelta
+
+    catch = FactDelta(added={}, removed={"CATCHCLAUSE": frozenset({("M", "T", "v")})})
+    assert classify_delta(catch, old_methods) == (
+        "full", "retractions in CATCHCLAUSE cannot be rederived"
+    )
 
 
 def test_hazard_addition_forces_recompute():

@@ -52,7 +52,7 @@ PROGRAMS = {
 #: The packed solver is the one warm engine; the parameter keeps the
 #: node ids (``[tiny-solver]``, ``[solver]``) and the edit seeds stable.
 ENGINES = ("solver",)
-TIERS = ("noop", "monotonic", "full")
+TIERS = ("noop", "monotonic", "rederive", "full")
 
 
 def make_session(name="kitchen-sink", analysis="2objH"):
@@ -151,7 +151,7 @@ def test_deletion_takes_a_recompute_tier(engine):
     rng = random.Random(13)
     script = random_edit_script(session.sketch, rng, edits=1, kinds=("delete",))
     out = session.apply(script)
-    assert out.tier == "full"
+    assert out.tier == "rederive"
     assert session.check_against_scratch() == []
 
 

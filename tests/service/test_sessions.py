@@ -72,7 +72,7 @@ class TestSessionStore:
         )
         assert out["session_id"] == record.id
         assert out["edits_applied"] == 1
-        assert out["tier"] in ("noop", "monotonic", "full")
+        assert out["tier"] in ("noop", "monotonic", "rederive", "full")
         assert "result_delta" in out and "timing" in out
 
         # A rejected script must leave the session unchanged...
@@ -179,6 +179,28 @@ class TestSessionRoutes:
         assert status == 404
         status, err = _req(base + "/sessions/ffffffffffff", "DELETE")
         assert status == 404
+
+    def test_deletion_is_rederived_and_counted(self, base):
+        _, created = _req(
+            base + "/sessions", "POST", {"source": SOURCE, "analysis": "2objH"}
+        )
+        sid = created["id"]
+        # Box.get's ``return r``: its caller's ``g`` loses the item.
+        status, outcome = _req(
+            base + f"/sessions/{sid}/edits",
+            "POST",
+            {"edits": [
+                {"op": "delete-instruction", "method_id": "Box.get/0", "index": 1}
+            ]},
+        )
+        assert status == 200, outcome
+        assert outcome["tier"] == "rederive"
+        assert outcome["reason"].startswith("rederive: FORMALRETURN; ")
+        assert outcome["result_delta"]["removed"]["VARPOINTSTO"]["count"] >= 1
+        with urllib.request.urlopen(base + "/metrics") as resp:
+            metrics = resp.read().decode()
+        assert 'repro_service_session_edits_total{tier="rederive"} ' in metrics
+        _req(base + f"/sessions/{sid}", "DELETE")
 
     def test_rejected_edit_keeps_session(self, base):
         _, created = _req(

@@ -224,13 +224,15 @@ class TestIncrementalDoc:
     def test_tier_table_matches_the_code(self):
         """Every tier the session can report is named in the doc's tier
         table, and the hazard relations the doc cites are the real ones."""
-        from repro.incremental import MONOTONIC_HAZARDS
+        from repro.incremental import MONOTONIC_HAZARDS, REDERIVE_RELATIONS
 
         text = (DOCS / "incremental.md").read_text()
-        for tier in ("noop", "monotonic", "full"):
+        for tier in ("noop", "monotonic", "rederive", "full"):
             assert f"`{tier}`" in text, tier
         for relation in MONOTONIC_HAZARDS - {"SITENOTTOREFINE", "OBJECTNOTTOREFINE"}:
             assert relation in text, relation
+        for relation in REDERIVE_RELATIONS:
+            assert f"`{relation}`" in text, relation
 
     def test_edit_vocabulary_is_complete(self):
         """Every JSON op the wire format accepts is named in the doc."""
