@@ -19,13 +19,14 @@ from ..contexts.policies import ContextPolicy, policy_by_name
 from ..facts.encoder import FactBase, encode_program
 from ..ir.program import Program
 from ..obs import NULL_TRACER, Tracer
-from .results import AnalysisResult, AnalysisStats
+from .results import AnalysisResult, AnalysisStats, PackedProjections
 from .stats import CostReport, explain_costs
 from .solver import BudgetExceeded, PointsToSolver, RawSolution, solve
 
 __all__ = [
     "AnalysisResult",
     "AnalysisStats",
+    "PackedProjections",
     "CostReport",
     "explain_costs",
     "BudgetExceeded",

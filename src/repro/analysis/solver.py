@@ -82,6 +82,8 @@ result delta natively and keep the tuple count equal to a fresh solve's.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import ChainMap, deque
 from dataclasses import dataclass
 from typing import (
@@ -107,6 +109,7 @@ from ..utils import Interner, Stopwatch
 
 __all__ = [
     "BudgetExceeded",
+    "bit_counts",
     "PointsToSolver",
     "REDERIVE_MAX_SHARE",
     "REDERIVE_RELATIONS",
@@ -140,6 +143,42 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+#: ``str.translate`` tables spreading a binary string's digits into
+#: 16- or 32-bit hex fields (4 or 8 hex digits per bit), keyed by digits.
+_SPREAD = {d: str.maketrans({"0": "0" * d, "1": "0" * (d - 1) + "1"}) for d in (4, 8)}
+
+
+def bit_counts(masks: Iterable[int], width: int) -> List[int]:
+    """Per-position population counts: ``counts[b]`` is the number of
+    ``masks`` with bit ``b`` set, for ``b < width``.
+
+    Vertical counters: ``planes[i]`` holds bit ``i`` of every position's
+    count, and adding a mask is a ripple-carry add across the planes, a
+    few big-int operations per mask instead of a Python step per set bit.
+    The planes are read back by spreading each one's bits into 16-bit
+    (32-bit past 65535 masks) fields with ``int(..., 16)`` and summing.
+    """
+    planes: List[int] = []
+    for carry in masks:
+        i = 0
+        while carry:
+            if i == len(planes):
+                planes.append(carry)
+                break
+            plane = planes[i]
+            planes[i] = plane ^ carry
+            carry &= plane
+            i += 1
+    typecode, digits = ("H", 4) if len(planes) <= 16 else ("I", 8)
+    spread = _SPREAD[digits]
+    total = 0
+    for i, plane in enumerate(planes):
+        if plane:
+            total += int(bin(plane)[2:].translate(spread), 16) << i
+    return array(typecode, total.to_bytes(width * digits // 2, sys.byteorder)).tolist()
+
 
 #: How many tuple insertions between wall-clock checks.
 _CLOCK_CHECK_PERIOD = 4096

@@ -12,14 +12,21 @@
 These are standard client analyses; each may have unique needs, but (paper,
 Section 4) "the three metrics together should yield a reasonable projection
 of precision".
+
+All three read the packed result: polymorphic sites come from the
+distinct (invocation id, method id) call edges, and the cast check walks
+only the reachable casts' source variables' union masks, with one subtype
+verdict per (heap, type).  Names are looked up only for what is reported.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set
+from typing import Dict, FrozenSet, Set, Tuple
 
 from ..analysis.results import AnalysisResult
+from ..analysis.solver import iter_bits
 from ..facts.encoder import FactBase
 
 __all__ = ["PrecisionReport", "measure_precision"]
@@ -53,11 +60,13 @@ class PrecisionReport:
 
 def polymorphic_vcall_sites(result: AnalysisResult, facts: FactBase) -> FrozenSet[str]:
     """Virtual call sites resolving to two or more target methods."""
-    poly: Set[str] = set()
-    for invo, targets in result.call_graph.items():
-        if invo in facts.vcall_invos and len(targets) >= 2:
-            poly.add(invo)
-    return frozenset(poly)
+    targets = Counter(invo for invo, _meth in result.call_edges)
+    invo_name = result.raw.invos.value
+    return frozenset(
+        name
+        for invo, n in targets.items()
+        if n >= 2 and (name := invo_name(invo)) in facts.vcall_invos
+    )
 
 
 def casts_that_may_fail(result: AnalysisResult, facts: FactBase) -> FrozenSet[str]:
@@ -66,16 +75,24 @@ def casts_that_may_fail(result: AnalysisResult, facts: FactBase) -> FrozenSet[st
     Returns one witness string per failing cast instruction (the cast's
     target variable, unique per instruction in our IR encoding).
     """
-    hierarchy = facts.program.hierarchy
+    raw = result.raw
+    is_subtype = facts.program.hierarchy.is_subtype
+    heap_type, heap_name, pair_heap = facts.heap_type, raw.heaps.value, raw.pair_heap
+    var_ids, var_masks = raw.vars, result.var_masks
     reachable = result.reachable_methods
-    var_pts = result.var_points_to
+    fails: Dict[Tuple[int, str], bool] = {}
     failing: Set[str] = set()
     for to, type_name, frm, meth in facts.cast:
-        if meth not in reachable:
+        if meth not in reachable or frm not in var_ids:
             continue
-        for heap in var_pts.get(frm, ()):
-            heap_type = facts.heap_type[heap]
-            if not hierarchy.is_subtype(heap_type, type_name):
+        for pid in iter_bits(var_masks.get(var_ids.get(frm), 0)):
+            key = (pair_heap[pid], type_name)
+            verdict = fails.get(key)
+            if verdict is None:
+                verdict = fails[key] = not is_subtype(
+                    heap_type[heap_name(key[0])], type_name
+                )
+            if verdict:
                 failing.add(to)
                 break
     return frozenset(failing)

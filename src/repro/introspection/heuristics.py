@@ -34,7 +34,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Set, Tuple
 
-from ..analysis.results import AnalysisResult
+from ..analysis.results import AnalysisResult, PackedProjections
 from ..contexts.introspective import RefinementDecision
 from ..facts.encoder import FactBase
 from .metrics import IntrospectionMetrics
@@ -88,12 +88,9 @@ def heuristic_from_spec(label: str, constants: "str | None" = None) -> "Heuristi
 
 
 def call_site_universe(result: AnalysisResult) -> FrozenSet[Tuple[str, str]]:
-    """All (invo, target method) pairs of the pass-1 call graph."""
-    return frozenset(
-        (invo, meth)
-        for invo, targets in result.call_graph.items()
-        for meth in targets
-    )
+    """All (invo, target method) pairs of the pass-1 call graph (the
+    packed projections' distinct call edges, built once per result)."""
+    return PackedProjections.of(result).call_sites
 
 
 def object_universe(result: AnalysisResult, facts: FactBase) -> FrozenSet[str]:

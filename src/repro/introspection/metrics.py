@@ -21,18 +21,27 @@ paper's example Datalog query computes with count aggregation:
 Every metric defaults to 0 for program elements that don't appear — e.g.
 unreachable methods or never-pointed-to objects.
 
-:func:`compute_metrics` is the fast path used by the experiments;
-:mod:`repro.introspection.datalog_metrics` re-expresses the same metrics as
-engine-level Datalog queries (the paper's formulation), and the test suite
-checks the two agree.
+:func:`compute_metrics` is the fast path used by the experiments.  It
+reads the solver's packed masks (``PackedProjections`` in
+:mod:`repro.analysis.results`): sizes are popcounts, the per-object
+counts are per-position bit counts over the masks, and metric 4 tests
+each method's OR of its locals' masks against one heap mask per
+metric-3 value.  Ids become names only for the final dicts.
+:mod:`repro.introspection.datalog_metrics` re-expresses the same metrics
+as engine-level Datalog queries (the paper's formulation) and is the
+fast path's oracle: the test suite checks the two agree, on insensitive
+and context-sensitive results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Set, Tuple
+from functools import reduce
+from operator import or_
+from typing import Dict
 
-from ..analysis.results import AnalysisResult
+from ..analysis.results import AnalysisResult, PackedProjections
+from ..analysis.solver import bit_counts, popcount
 from ..facts.encoder import FactBase
 
 __all__ = ["IntrospectionMetrics", "compute_metrics"]
@@ -58,53 +67,68 @@ class IntrospectionMetrics:
 
 
 def compute_metrics(result: AnalysisResult, facts: FactBase) -> IntrospectionMetrics:
-    """Compute all six metrics from an analysis result's projections."""
+    """Compute all six metrics from a result's packed projections.
+
+    ``result`` may also be any view with the string-set projections (see
+    :meth:`PackedProjections.of`), such as a reference solver's pass 1.
+    """
+    packed = PackedProjections.of(result)
+    heaps = packed.heaps
     metrics = IntrospectionMetrics()
-    var_pts: Mapping[str, Set[str]] = result.var_points_to
-    fld_pts: Mapping[Tuple[str, str], Set[str]] = result.fld_points_to
-    call_graph: Mapping[str, Set[str]] = result.call_graph
 
-    # Metric 3 (max + total variants), per object.
-    for (base_heap, _fld), heaps in fld_pts.items():
-        size = len(heaps)
-        if size > metrics.max_field_pts.get(base_heap, 0):
-            metrics.max_field_pts[base_heap] = size
-        metrics.total_field_pts[base_heap] = (
-            metrics.total_field_pts.get(base_heap, 0) + size
-        )
+    # Metric 3 (max + total variants), per base object bit.
+    max_fld: Dict[int, int] = {}
+    total_fld: Dict[int, int] = {}
+    for (base, _fld), mask in packed.fld.items():
+        size = popcount(mask)
+        if size > max_fld.get(base, 0):
+            max_fld[base] = size
+        total_fld[base] = total_fld.get(base, 0) + size
 
-    # Metric 6, per object.
-    for (base_heap, fld), heaps in fld_pts.items():
-        for heap in heaps:
-            metrics.pointed_by_objs[heap] = metrics.pointed_by_objs.get(heap, 0) + 1
+    # Metric 2 (both variants), per method over its locals' masks; each
+    # method's OR of those masks feeds metric 4.
+    var_mask = packed.var
+    meth_mask: Dict[str, int] = {}
+    for meth, local_vars in facts.vars_of_method.items():
+        masks = list(filter(None, map(var_mask.get, local_vars)))
+        if masks:
+            sizes = list(map(popcount, masks))
+            metrics.total_pts_volume[meth] = sum(sizes)
+            metrics.max_var_pts[meth] = max(sizes)
+            meth_mask[meth] = reduce(or_, masks)
 
-    # Metrics 2 (both variants), 4, 5 need the var -> method mapping.
-    meth_of_var: Dict[str, str] = {v: m for v, m in facts.varinmeth}
-    for var, heaps in var_pts.items():
-        size = len(heaps)
-        meth = meth_of_var.get(var)
-        if meth is not None:
-            metrics.total_pts_volume[meth] = (
-                metrics.total_pts_volume.get(meth, 0) + size
-            )
-            if size > metrics.max_var_pts.get(meth, 0):
-                metrics.max_var_pts[meth] = size
-            best = metrics.max_var_field_pts.get(meth, 0)
-            for heap in heaps:
-                mfp = metrics.max_field_pts.get(heap, 0)
-                if mfp > best:
-                    best = mfp
-            if best:
-                metrics.max_var_field_pts[meth] = best
-        for heap in heaps:
-            metrics.pointed_by_vars[heap] = metrics.pointed_by_vars.get(heap, 0) + 1
+    # Metric 4: the largest metric-3 value among the heaps a method's
+    # locals reach — the first value, from the top, whose heaps meet the
+    # method's mask.
+    heaps_of_value: Dict[int, int] = {}
+    for base, size in max_fld.items():
+        heaps_of_value[size] = heaps_of_value.get(size, 0) | (1 << base)
+    ranked = sorted(heaps_of_value.items(), reverse=True)
+    any_fields = reduce(or_, heaps_of_value.values(), 0)
+    for meth, mask in meth_mask.items():
+        if not mask & any_fields:
+            continue
+        for size, value_mask in ranked:
+            if mask & value_mask:
+                metrics.max_var_field_pts[meth] = size
+                break
 
-    # Metric 1: in-flow, per invocation site in the call graph.
-    for invo in call_graph:
-        args = facts.args_of_invo.get(invo, ())
+    # Metric 1: in-flow, per invocation site in the call graph: the sizes
+    # of its distinct arguments, summed.
+    size_of = dict(zip(var_mask, map(popcount, var_mask.values()))).get
+    args_of_invo = facts.args_of_invo
+    for invo in {invo for invo, _meth in packed.call_sites}:
+        args = args_of_invo.get(invo, ())
         total = 0
-        for arg in set(args):
-            total += len(var_pts.get(arg, ()))
+        for arg in set(args) if len(args) > 1 else args:
+            total += size_of(arg, 0)
         metrics.in_flow[invo] = total
 
+    metrics.max_field_pts = {heaps[b]: n for b, n in max_fld.items()}
+    metrics.total_field_pts = {heaps[b]: n for b, n in total_fld.items()}
+    # Metrics 5 and 6: how many variable / object-field masks hold each bit.
+    by_vars = bit_counts(var_mask.values(), len(heaps))
+    by_objs = bit_counts(packed.fld.values(), len(heaps))
+    metrics.pointed_by_vars = {heaps[b]: n for b, n in enumerate(by_vars) if n}
+    metrics.pointed_by_objs = {heaps[b]: n for b, n in enumerate(by_objs) if n}
     return metrics

@@ -5,6 +5,12 @@ import pytest
 from repro import ProgramBuilder, analyze, encode_program
 from repro.clients import measure_precision
 from repro.clients.precision import casts_that_may_fail, polymorphic_vcall_sites
+from tests.conftest import (
+    MATRIX_FLAVORS,
+    MATRIX_PROGRAMS,
+    matrix_program,
+    matrix_result,
+)
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +91,48 @@ class TestReport:
         )
         assert better.dominates(a)
         assert not a.dominates(better)
+
+
+def reference_precision(result, facts):
+    """The three clients over the full context-sensitive relations,
+    projected to string sets here: (poly sites, reachable methods,
+    failing casts)."""
+    var_pts = {}
+    for var, _ctx, heap, _hctx in result.iter_var_points_to():
+        var_pts.setdefault(var, set()).add(heap)
+    targets = {}
+    for invo, _cc, meth, _ec in result.iter_call_graph():
+        targets.setdefault(invo, set()).add(meth)
+    reachable = {meth for meth, _ctx in result.iter_reachable()}
+    is_subtype = facts.program.hierarchy.is_subtype
+    poly = {
+        invo
+        for invo, meths in targets.items()
+        if invo in facts.vcall_invos and len(meths) >= 2
+    }
+    failing = {
+        to
+        for to, type_name, frm, meth in facts.cast
+        if meth in reachable
+        and any(
+            not is_subtype(facts.heap_type[heap], type_name)
+            for heap in var_pts.get(frm, ())
+        )
+    }
+    return poly, reachable, failing
+
+
+@pytest.mark.parametrize("flavor", ("insens",) + MATRIX_FLAVORS)
+@pytest.mark.parametrize("name", MATRIX_PROGRAMS)
+def test_packed_clients_equal_string_reference(name, flavor):
+    _program, facts = matrix_program(name)
+    result = matrix_result(name, flavor)
+    poly, reachable, failing = reference_precision(result, facts)
+    assert polymorphic_vcall_sites(result, facts) == poly
+    assert casts_that_may_fail(result, facts) == failing
+    report = measure_precision(result, facts)
+    assert (
+        report.polymorphic_call_sites,
+        report.reachable_methods,
+        report.casts_may_fail,
+    ) == (len(poly), len(reachable), len(failing))

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Tuple
+
 import pytest
 
-from repro import ProgramBuilder, encode_program
+from repro import ProgramBuilder, analyze, encode_program
+from repro.analysis import AnalysisResult
+from repro.benchgen import build_benchmark
+from repro.facts.encoder import FactBase
 from repro.ir.program import Program
 
 
@@ -115,3 +121,44 @@ def kitchen_sink_program() -> Program:
 @pytest.fixture
 def tiny_facts(tiny_program):
     return encode_program(tiny_program)
+
+
+# ----------------------------------------------------------------------
+# A matrix of context-sensitive results, for checking the packed-mask
+# clients against string-level references.
+# ----------------------------------------------------------------------
+
+#: The small programs above plus one benchmark analog, whose 2objH, 2callH
+#: and introspective results have heaps under several heap contexts.
+MATRIX_PROGRAMS = ("tiny", "boxes", "kitchen-sink", "lusearch")
+
+#: The refined flavors and an introspective pass 2 (2objH, Heuristic A).
+MATRIX_FLAVORS = ("2objH", "2typeH", "2callH", "2objH-IntroA")
+
+
+@lru_cache(maxsize=None)
+def matrix_program(name: str) -> Tuple[Program, FactBase]:
+    builders = {
+        "tiny": build_tiny_program,
+        "boxes": build_box_program,
+        "kitchen-sink": build_kitchen_sink_program,
+    }
+    program = builders[name]() if name in builders else build_benchmark(name)
+    return program, encode_program(program)
+
+
+@lru_cache(maxsize=None)
+def matrix_result(name: str, flavor: str) -> AnalysisResult:
+    """One cell of the matrix, solved once per test session."""
+    from repro.harness.runner import scaled_heuristic_a
+    from repro.introspection import run_introspective
+
+    program, facts = matrix_program(name)
+    if flavor.endswith("-IntroA"):
+        analysis = flavor[: -len("-IntroA")]
+        result = run_introspective(
+            program, analysis, scaled_heuristic_a(), facts=facts
+        ).result
+        assert result is not None
+        return result
+    return analyze(program, flavor, facts=facts)

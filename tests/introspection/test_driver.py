@@ -17,6 +17,7 @@ from repro.introspection import (
     RefineEverything,
     run_introspective,
 )
+from repro.introspection import driver as driver_module
 from repro.introspection.driver import MIN_PASS2_SECONDS
 from tests.conftest import build_box_program
 
@@ -259,26 +260,38 @@ class TestSharedWallClockBudget:
         pass1_seconds = time.perf_counter() - t0
         return program, facts, pass1_seconds
 
-    def test_pass2_gets_only_the_remaining_budget(self, slow):
+    @staticmethod
+    def _record_pass_budgets(monkeypatch):
+        """Record the ``max_seconds`` each pass receives from the driver."""
+        budgets = []
+        real = driver_module.analyze
+
+        def recording(*args, **kwargs):
+            budgets.append(kwargs.get("max_seconds"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(driver_module, "analyze", recording)
+        return budgets
+
+    def test_pass2_gets_only_the_remaining_budget(self, slow, monkeypatch):
         program, facts, pass1_seconds = slow
-        # Pass 2 under an exclude-everything heuristic costs about as
-        # much as pass 1 (it is the insensitive analysis again, run
-        # through the introspective context policy).  A budget of 2x the
-        # pass-1 time leaves pass 2 roughly one pass-1-worth of seconds —
-        # not enough — so a *shared* budget must report a timeout, while
-        # the old resetting budget (a fresh 2x for pass 2 alone) let it
-        # finish.
-        exclude_all = CustomHeuristic(
-            exclude_object=lambda h, m: True,
-            exclude_site=lambda i, me, m: True,
-            label="all",
-        )
+        budgets = self._record_pass_budgets(monkeypatch)
+        # Pass 2 is the full 2objH analysis here, several times the cost
+        # of pass 1.  A budget of 2x the pass-1 time leaves it about one
+        # pass-1-worth of seconds, so the shared budget reports a timeout.
         budget = 2.0 * pass1_seconds
         t0 = time.perf_counter()
         out = run_introspective(
-            program, "2objH", exclude_all, facts=facts, max_seconds=budget
+            program, "2objH", RefineEverything(), facts=facts, max_seconds=budget
         )
         elapsed = time.perf_counter() - t0
+        # Pass 1 draws on the whole budget; pass 2 gets exactly what pass 1
+        # and the metric/heuristic overhead left of it (the old resetting
+        # budget handed it ``budget`` again).
+        assert budgets == [
+            budget,
+            max(budget - out.pass1_seconds - out.overhead_seconds, MIN_PASS2_SECONDS),
+        ]
         assert out.timed_out
         assert out.result is None
         assert out.pass1_reused is False
@@ -305,26 +318,31 @@ class TestSharedWallClockBudget:
         assert out.timed_out
         assert out.result is None
 
-    def test_precomputed_pass1_leaves_full_budget(self, slow):
+    def test_precomputed_pass1_leaves_full_budget(self, slow, monkeypatch):
         program, facts, pass1_seconds = slow
         insens = analyze(program, "insens", facts=facts)
+        budgets = self._record_pass_budgets(monkeypatch)
         exclude_all = CustomHeuristic(
             exclude_object=lambda h, m: True,
             exclude_site=lambda i, me, m: True,
             label="all",
         )
-        # With pass 1 supplied, pass1_seconds is 0.0 and pass 2 keeps
-        # (nearly) the whole allowance — 4x one pass is plenty for the
-        # exclude-everything second pass.
+        # With pass 1 supplied, pass1_seconds is 0.0 and pass 2 keeps the
+        # whole allowance less the metric/heuristic overhead — 4x one pass
+        # is plenty for the exclude-everything second pass.
+        max_seconds = 4.0 * pass1_seconds
         out = run_introspective(
             program,
             "2objH",
             exclude_all,
             facts=facts,
             pass1=insens,
-            max_seconds=4.0 * pass1_seconds,
+            max_seconds=max_seconds,
         )
         assert out.pass1_reused is True
         assert out.pass1_seconds == 0.0
+        assert budgets == [
+            max(max_seconds - out.overhead_seconds, MIN_PASS2_SECONDS)
+        ]
         assert not out.timed_out
         assert out.result is not None

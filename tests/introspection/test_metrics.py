@@ -6,9 +6,24 @@ import pytest
 from repro import ProgramBuilder, analyze, encode_program
 from repro.introspection import compute_metrics, compute_metrics_datalog
 from tests.conftest import (
+    MATRIX_FLAVORS,
+    MATRIX_PROGRAMS,
     build_box_program,
     build_kitchen_sink_program,
     build_tiny_program,
+    matrix_program,
+    matrix_result,
+)
+
+METRIC_ATTRS = (
+    "in_flow",
+    "total_pts_volume",
+    "max_var_pts",
+    "max_field_pts",
+    "total_field_pts",
+    "max_var_field_pts",
+    "pointed_by_vars",
+    "pointed_by_objs",
 )
 
 
@@ -119,14 +134,32 @@ def test_fast_path_equals_datalog_queries(builder):
     result = analyze(program, "insens", facts=facts)
     fast = compute_metrics(result, facts)
     datalog = compute_metrics_datalog(result, facts)
-    for attr in (
-        "in_flow",
-        "total_pts_volume",
-        "max_var_pts",
-        "max_field_pts",
-        "total_field_pts",
-        "max_var_field_pts",
-        "pointed_by_vars",
-        "pointed_by_objs",
-    ):
+    for attr in METRIC_ATTRS:
         assert getattr(fast, attr) == getattr(datalog, attr), attr
+
+
+@pytest.mark.parametrize("flavor", MATRIX_FLAVORS)
+@pytest.mark.parametrize("name", MATRIX_PROGRAMS)
+def test_fast_path_equals_datalog_on_sensitive_results(name, flavor):
+    """The same agreement on context-sensitive results, where pair ids
+    are not heap ids and a heap may own several pairs, so the masks are
+    projected onto heaps before they are counted."""
+    _program, facts = matrix_program(name)
+    result = matrix_result(name, flavor)
+    fast = compute_metrics(result, facts)
+    datalog = compute_metrics_datalog(result, facts)
+    for attr in METRIC_ATTRS:
+        assert getattr(fast, attr) == getattr(datalog, attr), attr
+
+
+def test_sensitive_matrix_exercises_both_mask_spaces():
+    """The matrix above holds results whose pairs map one-to-one onto
+    heaps (pair bits are used as they are) and results with heaps under
+    several contexts (pair bits are projected)."""
+    injective = []
+    for flavor in MATRIX_FLAVORS:
+        pair_heap = matrix_result("lusearch", flavor).raw.pair_heap
+        assert any(pid != heap for pid, heap in enumerate(pair_heap)), flavor
+        injective.append(len(set(pair_heap)) == len(pair_heap))
+    assert True in injective and False in injective
+    assert not injective[MATRIX_FLAVORS.index("2objH-IntroA")]
