@@ -296,16 +296,27 @@ class AnalysisResult:
             )
         return self._reachable_methods
 
+    def var_mask(self, var: str) -> int:
+        """``var``'s pair mask OR-ed over contexts (0 if unknown)."""
+        raw = self.raw
+        if var not in raw.vars:
+            return 0
+        return self.var_masks.get(raw.vars.get(var), 0)
+
+    def mask_heaps(self) -> Callable[[int], FrozenSet[str]]:
+        """A function naming the heap sites of one of this result's pair
+        masks.  It holds only the pair -> heap-name list, not the
+        solution, so it can outlive the result."""
+        heaps = self.raw.heaps.values()
+        names = [heaps[h] for h in self.raw.pair_heap]
+        return lambda mask: frozenset(names[pid] for pid in iter_bits(mask))
+
     def points_to(self, var: str) -> FrozenSet[str]:
         """Heap sites ``var`` may point to (insensitive projection); reads
         ``var``'s union mask and names only its heaps."""
-        raw = self.raw
-        if var not in raw.vars:
-            return frozenset()
-        pair_heap, heap_name = raw.pair_heap, raw.heaps.value
+        pair_heap, heap_name = self.raw.pair_heap, self.raw.heaps.value
         return frozenset(
-            heap_name(pair_heap[pid])
-            for pid in iter_bits(self.var_masks.get(raw.vars.get(var), 0))
+            heap_name(pair_heap[pid]) for pid in iter_bits(self.var_mask(var))
         )
 
     def vcall_resolved_targets(self, invo: str) -> FrozenSet[str]:

@@ -50,7 +50,7 @@ import argparse
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .benchgen.dacapo import DACAPO_SPECS, benchmark_names, build_benchmark
 from .clients import analyze_exceptions, devirtualize
@@ -205,15 +205,18 @@ def _run_and_report(
     return 0
 
 
-def _export_trace(tracer: Tracer, path: str) -> None:
-    """Write the Chrome trace JSON and print the per-span summary."""
+def _export_trace(
+    tracer: Tracer, path: str, out: Optional[TextIO] = None
+) -> None:
+    """Write the Chrome trace JSON and print the per-span summary to
+    ``out`` (standard output by default)."""
     import json
 
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(tracer.chrome_trace(), fh, indent=2)
         fh.write("\n")
-    print(f"wrote trace ({len(tracer.spans())} spans) to {path}")
-    print(tracer.render_summary())
+    print(f"wrote trace ({len(tracer.spans())} spans) to {path}", file=out)
+    print(tracer.render_summary(), file=out)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -472,6 +475,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    tracer = Tracer() if args.trace is not None else NULL_TRACER
     if args.benchmark is not None:
         if args.benchmark not in DACAPO_SPECS:
             print(
@@ -480,7 +484,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        program = build_benchmark(args.benchmark)
+        with tracer.span("benchgen.build", benchmark=args.benchmark):
+            program = build_benchmark(args.benchmark)
     else:
         try:
             source = Path(args.source).read_text()
@@ -490,8 +495,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 f"error: cannot read {args.source}: {reason}", file=sys.stderr
             )
             return 2
-        program = parse_source(source)
-    engine = QueryEngine(program)
+        program = parse_source(source, tracer=tracer)
+    engine = QueryEngine(program, tracer=tracer)
     try:
         engine.policy(args.flavor)
     except ValueError as exc:
@@ -528,6 +533,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 f"in {answer.seconds * 1000:.1f}ms"
                 f"{' (memoized)' if answer.memoized else ''}"
             )
+    if args.trace is not None:
+        # keep standard output pure JSON under --json
+        _export_trace(
+            tracer, args.trace or "TRACE.json", sys.stderr if args.json else None
+        )
     return 3 if any(o.error is not None for o in outcomes) else 0
 
 
@@ -721,6 +731,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     p_query.add_argument(
         "--json", action="store_true", help="print answers as JSON"
+    )
+    p_query.add_argument(
+        "--trace",
+        nargs="?",
+        const="",
+        default=None,
+        metavar="FILE",
+        help="record the query.plan/query.slice/query.solve spans and write "
+        "them as Chrome trace_event JSON (FILE defaults to TRACE.json); the "
+        "span summary goes to stderr under --json",
     )
     p_query.set_defaults(func=_cmd_query)
 

@@ -15,35 +15,64 @@ insensitive pass (the same inputs :func:`run_introspective` uses), so a
 sliced introspective solve reproduces the whole-program introspective
 answer.
 
-Results memoize at two grains, both keyed under ``FactBase.digest()``:
+Results memoize at two grains:
 
-* **slice memo** — ``(digest, flavor, slice signature)`` maps to the
-  solved projection of the slice's planned variables.  Two queries (or
-  two engines over the same facts) whose closures coincide share one
-  solve; a batch's union-plan lands here too, so later sub-queries whose
-  slices are subsets still pay nothing.
-* **answer memo** — ``(digest, flavor, var)`` caches the finished
-  :class:`QueryAnswer` for exact repeats.
+* **planned-variable projections** — every successful solve indexes the
+  answer of *every* planned variable of its plan under ``(flavor, v)``:
+  the variable's pair mask, a function naming that solve's heaps, and
+  the solve's derived-tuple count.  The planner makes every planned
+  variable exact, not just the queried one, so a later query whose
+  variable some earlier solve planned — a neighbour's closure, a batch's
+  union — is answered from the index; it is still planned, for its
+  slice figures, but not solved.
+* **answer memo** — ``(flavor, var)`` caches the finished
+  :class:`QueryAnswer` for repeats.
+
+An engine holds one fact base, so neither key carries its digest.
 
 Budgets are per query: ``max_tuples`` / ``max_seconds`` are handed to
 the sliced solver verbatim, so an exhausted query raises the very same
 :class:`~repro.analysis.solver.BudgetExceeded` (same ``reason`` /
-``tuples`` / ``seconds`` fields) as the whole-program path.  In a batch,
-a blown union-solve falls back to per-variable solves — one poisonous
-query cannot keep its siblings from being answered or memoized, and a
-failed solve never populates the memo.
+``tuples`` / ``seconds`` fields) as the whole-program path.  Both tiers
+serve a stored answer only when the query's tuple budget is unbounded or
+at least the derived-tuple count of the solve that stored it.  Under such
+a budget the stored answer is the one the variable's own solve would
+return: a planned variable's slice is a subset of the covering plan's,
+and the solver is monotone, so its own solve derives no more tuples.
+Under a tighter budget the variable gets its own solve, which answers or
+raises exactly as on a cold engine, so whether a query answers never
+depends on which queries ran before it.  A stored answer takes no solve
+time, so it meets any wall-clock budget.  In a batch, a blown union-solve
+falls back to per-variable solves — one poisonous query cannot keep its
+siblings from being answered or memoized, and a failed solve indexes
+nothing.
+
+With a ``tracer`` (``repro query --trace``), planning, slicing and
+solving open ``query.plan``, ``query.slice`` and ``query.solve`` spans;
+the sliced solver's own spans nest inside ``query.solve``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..analysis import AnalysisResult, BudgetExceeded, analyze
 from ..contexts.policies import ContextPolicy, policy_by_name
 from ..facts.encoder import FactBase, encode_program
 from ..ir.program import Program
+from ..obs import NULL_TRACER, Tracer
 from .planner import QueryPlanner, SlicePlan
 
 __all__ = ["QueryAnswer", "QueryOutcome", "QueryEngine", "QUERY_FLAVORS"]
@@ -109,6 +138,14 @@ class QueryOutcome:
         }
 
 
+class _Cover(NamedTuple):
+    """One planned variable's answer, as a solve that planned it left it."""
+
+    mask: int  # the variable's pair mask, OR-ed over contexts
+    heaps: Callable[[int], FrozenSet[str]]  # names a mask's heap sites
+    tuples: int  # tuples the solve derived: the least budget it fits
+
+
 class QueryEngine:
     """Answer points-to queries over slices of one program.
 
@@ -126,28 +163,34 @@ class QueryEngine:
         insens: Optional[AnalysisResult] = None,
         max_tuples: Optional[int] = None,
         max_seconds: Optional[float] = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.program = program
-        self.facts = facts if facts is not None else encode_program(program)
+        self.tracer = tracer
+        self.facts = (
+            facts if facts is not None else encode_program(program, tracer=tracer)
+        )
         self.insens = (
             insens
             if insens is not None
-            else analyze(program, "insens", facts=self.facts)
+            else analyze(program, "insens", facts=self.facts, tracer=tracer)
         )
-        self.digest = self.facts.digest()
         self.planner = QueryPlanner(program, self.facts, self.insens.call_graph)
         self.max_tuples = max_tuples
         self.max_seconds = max_seconds
         self._plans: Dict[str, SlicePlan] = {}
         self._policies: Dict[str, ContextPolicy] = {}
-        self._decisions: Dict[str, object] = {}
-        # (digest, flavor, slice signature) -> planned-variable projection
-        self._slice_memo: Dict[
-            Tuple[str, str, str], Dict[str, FrozenSet[str]]
-        ] = {}
-        # (digest, flavor, var) -> finished answer
-        self._answer_memo: Dict[Tuple[str, str, str], QueryAnswer] = {}
+        # (flavor, var) -> var's answer from the cheapest solve that
+        # planned it
+        self._cover: Dict[Tuple[str, str], _Cover] = {}
+        # (flavor, var) -> finished answer
+        self._answer_memo: Dict[Tuple[str, str], QueryAnswer] = {}
         self.solves = 0  # sliced fixpoints actually run (tests/metrics)
+
+    @cached_property
+    def digest(self) -> str:
+        """The engine's :meth:`FactBase.digest`, computed on first read."""
+        return self.facts.digest()
 
     # ------------------------------------------------------------------
     # Flavors
@@ -195,7 +238,8 @@ class QueryEngine:
     def plan(self, var: str) -> SlicePlan:
         plan = self._plans.get(var)
         if plan is None:
-            plan = self._plans[var] = self.planner.plan([var])
+            with self.tracer.span("query.plan", variables=1):
+                plan = self._plans[var] = self.planner.plan([var])
         return plan
 
     def _solve_plan(
@@ -204,35 +248,43 @@ class QueryEngine:
         flavor: str,
         max_tuples: Optional[int],
         max_seconds: Optional[float],
-    ) -> Tuple[Dict[str, FrozenSet[str]], bool]:
-        """Solve one slice (or return its memoized projection).
+    ) -> None:
+        """Solve one slice and index every planned variable's answer.
 
-        Returns ``(projection, memo_hit)``; raises
-        :class:`BudgetExceeded` without touching the memo.
+        Raises :class:`BudgetExceeded` without touching the index.
         """
-        key = (self.digest, flavor, plan.signature)
-        hit = self._slice_memo.get(key)
-        if hit is not None:
-            return hit, True
-        sliced = plan.sliced_facts(self.program, self.facts)
-        result = analyze(
-            self.program,
-            self.policy(flavor),
-            facts=sliced,
-            max_tuples=max_tuples,
-            max_seconds=max_seconds,
-        )
+        with self.tracer.span("query.slice", tuples=plan.kept_tuples):
+            sliced = plan.sliced_facts(self.program, self.facts)
+        with self.tracer.span("query.solve", flavor=flavor):
+            result = analyze(
+                self.program,
+                self.policy(flavor),
+                facts=sliced,
+                max_tuples=max_tuples,
+                max_seconds=max_seconds,
+                tracer=self.tracer,
+            )
         self.solves += 1
-        # Memoize the *whole* sliced projection, not just this plan's
-        # variables: two plans can select identical facts (same
-        # signature) while planning different variable sets — and over
-        # identical facts the solves are identical, so any colliding
-        # plan's variables project exactly from this one solve.
-        projection = {
-            v: frozenset(heaps) for v, heaps in result.var_points_to.items()
-        }
-        self._slice_memo[key] = projection
-        return projection, False
+        heaps = result.mask_heaps()
+        tuples = result.raw.tuple_count
+        cover = self._cover
+        for v in plan.variables:
+            key = (flavor, v)
+            old = cover.get(key)
+            if old is None or tuples < old.tuples:
+                cover[key] = _Cover(result.var_mask(v), heaps, tuples)
+
+    def _fitting_cover(
+        self, key: Tuple[str, str], max_tuples: Optional[int]
+    ) -> Optional[_Cover]:
+        """``key``'s stored answer if a solve under ``max_tuples`` would
+        reach it too, else ``None``."""
+        cover = self._cover.get(key)
+        if cover is None:
+            return None
+        if max_tuples is not None and max_tuples < cover.tuples:
+            return None
+        return cover
 
     def _footprint(self, plan: SlicePlan) -> float:
         total = self.planner.total_variables
@@ -246,30 +298,37 @@ class QueryEngine:
         max_seconds: Optional[float] = None,
     ) -> QueryAnswer:
         """Answer ``pts(var)`` under ``flavor``; raises on a blown budget."""
-        akey = (self.digest, flavor, var)
-        cached = self._answer_memo.get(akey)
-        if cached is not None:
-            return cached
+        key = (flavor, var)
+        if max_tuples is None:
+            max_tuples = self.max_tuples
+        cover = self._fitting_cover(key, max_tuples)
+        if cover is not None:
+            cached = self._answer_memo.get(key)
+            if cached is not None:
+                return cached
         start = time.perf_counter()
         plan = self.plan(var)
-        projection, memo_hit = self._solve_plan(
-            plan,
-            flavor,
-            max_tuples if max_tuples is not None else self.max_tuples,
-            max_seconds if max_seconds is not None else self.max_seconds,
-        )
+        covered = cover is not None
+        if not covered:
+            self._solve_plan(
+                plan,
+                flavor,
+                max_tuples,
+                max_seconds if max_seconds is not None else self.max_seconds,
+            )
+            cover = self._cover[key]
         answer = QueryAnswer(
             var=var,
             flavor=flavor,
-            points_to=projection.get(var, frozenset()),
+            points_to=cover.heaps(cover.mask),
             slice_variables=len(plan.variables),
             slice_methods=len(plan.methods),
             slice_tuples=plan.kept_tuples,
             footprint=self._footprint(plan),
             seconds=time.perf_counter() - start,
-            memoized=memo_hit,
+            memoized=covered,
         )
-        self._answer_memo[akey] = answer
+        self._answer_memo[key] = answer
         return answer
 
     def query_batch(
@@ -295,26 +354,17 @@ class QueryEngine:
         fresh = [
             v
             for v in dict.fromkeys(variables)
-            if (self.digest, flavor, v) not in self._answer_memo
+            if self._fitting_cover((flavor, v), max_tuples) is None
         ]
         if len(fresh) > 1:
-            union = self.planner.plan(fresh)
+            with self.tracer.span("query.plan", variables=len(fresh)):
+                union = self.planner.plan(fresh)
             try:
-                projection, _ = self._solve_plan(
-                    union, flavor, max_tuples, max_seconds
-                )
+                # every member is planned in the union, so this one solve
+                # indexes each member's answer for the loop below
+                self._solve_plan(union, flavor, max_tuples, max_seconds)
             except BudgetExceeded:
                 pass  # fall back to per-variable solves below
-            else:
-                # every individual plan is a sub-closure of the union,
-                # and the union's facts are a superset of each plan's:
-                # its projection is exact for every planned variable, so
-                # seed the slice memo for the per-variable path to hit.
-                for v in fresh:
-                    plan = self.plan(v)
-                    self._slice_memo.setdefault(
-                        (self.digest, flavor, plan.signature), projection
-                    )
         for var in variables:
             try:
                 outcomes.append(
@@ -337,9 +387,9 @@ class QueryEngine:
 
         The bench harness uses this to time every query cold while still
         amortizing the insensitive pass and the planner's indexes, which
-        is the steady-state a long-lived engine actually runs in.
+        is the steady state a long-lived engine actually runs in.
         """
-        self._slice_memo.clear()
+        self._cover.clear()
         self._answer_memo.clear()
 
     # ------------------------------------------------------------------
@@ -347,7 +397,8 @@ class QueryEngine:
     # ------------------------------------------------------------------
     @property
     def memo_entries(self) -> int:
-        return len(self._slice_memo)
+        """Planned-variable projections indexed, one per (flavor, var)."""
+        return len(self._cover)
 
     @property
     def answered(self) -> int:

@@ -81,9 +81,9 @@ class SlicePlan:
     def signature(self) -> str:
         """Content address of the slice: sha256 over the kept tuples.
 
-        Two queries whose closures select the same facts share a
-        signature (and therefore a memo entry) regardless of which
-        variable seeded them.
+        Two plans whose closures select the same facts share a signature,
+        whichever variables seeded them.  It is no memo key: the engine
+        indexes answers by planned variable, so no query hashes its slice.
         """
         h = hashlib.sha256()
         for name in SLICED_RELATIONS:
@@ -96,24 +96,6 @@ class SlicePlan:
                 h.update(row.encode())
                 h.update(b"\x1e")
         return h.hexdigest()
-
-    def merge(self, other: "SlicePlan") -> "SlicePlan":
-        """Union of two plans (batch queries share one union-solve).
-
-        Sound and exact for the union's planned variables: each input
-        plan's closure is already self-contained, and adding facts never
-        shrinks a monotone solution.
-        """
-        kept = {
-            name: set(self.kept.get(name, ())) | set(other.kept.get(name, ()))
-            for name in SLICED_RELATIONS
-        }
-        return SlicePlan(
-            queried=tuple(dict.fromkeys(self.queried + other.queried)),
-            variables=self.variables | other.variables,
-            methods=self.methods | other.methods,
-            kept=kept,
-        )
 
     def sliced_facts(self, program: Program, facts: FactBase) -> FactBase:
         """A :class:`FactBase` holding only this plan's instruction facts.
@@ -238,6 +220,16 @@ class QueryPlanner:
                     info.invo
                 )
 
+        # each invocation's targets, precomputed once: the insensitive
+        # call graph's plus the syntactic one of a static/special call.
+        self.targets_of: Dict[str, Tuple[str, ...]] = {}
+        for invo in self.call_graph.keys() | self.invo_info.keys():
+            targets = set(self.call_graph.get(invo, ()))
+            info = self.invo_info.get(invo)
+            if info is not None and info.syntactic is not None:
+                targets.add(info.syntactic)
+            self.targets_of[invo] = tuple(targets)
+
         self.throws_of_meth: Dict[str, List[tuple]] = {}
         for row in f.throwinstr:
             self.throws_of_meth.setdefault(row[1], []).append(row)
@@ -246,13 +238,6 @@ class QueryPlanner:
         for row in f.catchclause:
             self.catches_of_meth.setdefault(row[0], []).append(row)
             self.catch_meth_of_var[row[2]] = row[0]
-
-    def _targets(self, invo: str) -> Set[str]:
-        targets = set(self.call_graph.get(invo, ()))
-        info = self.invo_info.get(invo)
-        if info is not None and info.syntactic is not None:
-            targets.add(info.syntactic)
-        return targets
 
     # ------------------------------------------------------------------
     # Planning
@@ -269,7 +254,12 @@ class QueryPlanner:
         keep_invos: Set[str] = set()
         reach_methods: Set[str] = set()
         exn_methods: Set[str] = set()
+        # a field's stores are kept (and their vars needed) once per plan,
+        # however many loads of it the closure meets
+        fields_done: Set[str] = set()
+        static_fields_done: Set[Tuple[str, str]] = set()
         var_work: List[str] = []
+        targets_of = self.targets_of
 
         def keep(relation: str, row: tuple) -> None:
             kept[relation].add(row)
@@ -312,7 +302,7 @@ class QueryPlanner:
                 keep("catchclause", row)
             for invo in self.invos_in_meth.get(meth, ()):
                 keep_invo(invo)
-                for target in self._targets(invo):
+                for target in targets_of.get(invo, ()):
                     exn(target)
 
         def expand(v: str) -> None:
@@ -330,13 +320,21 @@ class QueryPlanner:
             for row in self.loads_into.get(v, ()):
                 keep("load", row)
                 need(row[1])
-                for srow in self.stores_by_field.get(row[2], ()):
+                fld = row[2]
+                if fld in fields_done:
+                    continue
+                fields_done.add(fld)
+                for srow in self.stores_by_field.get(fld, ()):
                     keep("store", srow)
                     need(srow[0])
                     need(srow[2])
             for row in self.staticloads_into.get(v, ()):
                 keep("staticload", row)
-                for srow in self.staticstores_of.get((row[1], row[2]), ()):
+                sfld = (row[1], row[2])
+                if sfld in static_fields_done:
+                    continue
+                static_fields_done.add(sfld)
+                for srow in self.staticstores_of.get(sfld, ()):
                     keep("staticstore", srow)
                     need(srow[2])
             if v in self.formal_of:
@@ -354,7 +352,7 @@ class QueryPlanner:
                     keep_invo(invo)
             for invo in self.ret_invos_of.get(v, ()):
                 keep_invo(invo)
-                for target in self._targets(invo):
+                for target in targets_of.get(invo, ()):
                     for ret in self.rets_of_meth.get(target, ()):
                         need(ret)
             if v in self.catch_meth_of_var:

@@ -403,9 +403,35 @@ class TestQuery:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"facts_digest", "flavor", "answers"}
+        from pathlib import Path
+
+        from repro import encode_program
+        from repro.frontend import parse_source
+
+        program = parse_source(Path(source_file).read_text())
+        assert doc["facts_digest"] == encode_program(program).digest()
         (answer,) = doc["answers"]
         assert answer["var"] == "Main.main/0/g"
         assert answer["points_to"] == ["Main.main/0/new Exc/1"]
+
+    def test_trace_records_query_spans(self, source_file, tmp_path, capsys):
+        import json
+
+        trace_path = tmp_path / "query.json"
+        argv = ["query", "Main.main/0/g", "--source", source_file, "--json"]
+        assert main(argv) == 0
+        untraced = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--trace", str(trace_path)]) == 0
+        captured = capsys.readouterr()
+        traced = json.loads(captured.out)  # the summary went to stderr
+        assert "wrote trace" in captured.err
+        assert traced["answers"][0]["points_to"] == (
+            untraced["answers"][0]["points_to"]
+        )
+        trace = json.loads(trace_path.read_text())
+        names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
+        assert {"query.plan", "query.slice", "query.solve"} <= names
+        assert "analysis.solve" in names
 
     def test_batch_file_with_comments(self, source_file, tmp_path, capsys):
         batch = tmp_path / "vars.txt"

@@ -9,6 +9,8 @@ contracts (same ``BudgetExceeded`` as the whole-program path; a blown
 batch member cannot starve its siblings or poison the memo).
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -21,10 +23,15 @@ from repro.query import (
     QueryPlanner,
     SLICED_RELATIONS,
 )
+from repro.obs import Tracer
 from tests.conftest import (
+    MATRIX_FLAVORS,
+    MATRIX_PROGRAMS,
     build_box_program,
     build_kitchen_sink_program,
     build_tiny_program,
+    matrix_program,
+    matrix_result,
 )
 
 
@@ -165,6 +172,37 @@ def test_query_matches_insensitive_on_random_programs(program):
         ), var
 
 
+#: The matrix's refined flavors, plus the engine's own introspective
+#: flavor (the matrix's introspective cell uses scaled constants).
+COVER_FLAVORS = tuple(
+    f for f in MATRIX_FLAVORS if not f.endswith("-IntroA")
+) + ("introspective-A",)
+
+
+@pytest.mark.parametrize("flavor", COVER_FLAVORS)
+@pytest.mark.parametrize("name", MATRIX_PROGRAMS)
+def test_every_planned_variable_equals_whole_program(name, flavor):
+    """The planner's guarantee the cover index rests on: a plan's sliced
+    solve is exact for *every* planned variable, not just the queried
+    one."""
+    program, facts = matrix_program(name)
+    if flavor.startswith("introspective-"):
+        whole = whole_program_result(program, facts, flavor)
+    else:
+        whole = matrix_result(name, flavor)
+    engine = QueryEngine(program, facts=facts)
+    policy = engine.policy(flavor)
+    variables = sorted({var for var, _meth in facts.varinmeth})
+    picked = random.Random(2014).sample(variables, min(8, len(variables)))
+    for var in picked:
+        plan = engine.plan(var)
+        sliced = analyze(
+            program, policy, facts=plan.sliced_facts(program, facts)
+        )
+        for v in plan.variables:
+            assert sliced.points_to(v) == whole.points_to(v), (var, v)
+
+
 def test_slice_is_a_real_slice():
     """Querying one box group's result must not drag in the hub code."""
     from repro.benchgen import BenchmarkSpec, HubSpec, generate
@@ -202,17 +240,17 @@ class TestMemoization:
         assert engine.solves == solves
 
     def test_identical_slice_signature_shares_one_solve(self):
-        """Two variables whose closures coincide must share a fixpoint."""
+        """A variable planned by an earlier query's closure shares that
+        query's fixpoint through the cover index."""
         program = build_box_program()
         engine = QueryEngine(program)
-        a = engine.plan("Main.main/0/g1")
-        b = engine.plan("Box.get/0/r")  # g1's producer: same closure
-        if a.signature == b.signature:
-            engine.query("Main.main/0/g1", "2objH")
-            solves = engine.solves
-            answer = engine.query("Box.get/0/r", "2objH")
-            assert engine.solves == solves
-            assert answer.memoized is True
+        # g1's producer: planned in g1's closure
+        assert "Box.get/0/r" in engine.plan("Main.main/0/g1").variables
+        engine.query("Main.main/0/g1", "2objH")
+        solves = engine.solves
+        answer = engine.query("Box.get/0/r", "2objH")
+        assert engine.solves == solves
+        assert answer.memoized is True
 
     def test_repeat_batch_runs_zero_new_solves(self):
         program = build_box_program()
@@ -225,17 +263,52 @@ class TestMemoization:
         assert all(o.answer is not None for o in outcomes)
 
     def test_batch_union_seeds_individual_plans(self):
-        """After a batch, each member's solo query hits the slice memo."""
+        """After a batch, each member's solo query is answered from the
+        union solve's cover entries."""
         program = build_box_program()
         engine = QueryEngine(program)
         variables = ["Main.main/0/g0", "Main.main/0/g2"]
         engine.query_batch(variables, "2objH")
         solves = engine.solves
         for var in variables:
-            engine._answer_memo.clear()  # force the slice-memo path
+            engine._answer_memo.clear()  # force the cover-index path
             answer = engine.query(var, "2objH")
             assert answer.memoized is True
         assert engine.solves == solves
+
+    def test_covered_query_runs_no_solve(self):
+        """A variable some earlier solve planned is answered from that
+        solve: no new fixpoint, ``memoized``, exact, with its own plan's
+        slice figures."""
+        program = build_box_program()
+        engine = QueryEngine(program)
+        whole = analyze(program, "2objH", facts=engine.facts)
+        engine.query("Main.main/0/g1", "2objH")
+        plan = engine.plan("Main.main/0/g1")
+        others = sorted(plan.variables - {"Main.main/0/g1"})
+        assert others
+        solves = engine.solves
+        for var in others:
+            answer = engine.query(var, "2objH")
+            assert answer.memoized is True, var
+            assert answer.points_to == frozenset(whole.points_to(var)), var
+            plan = engine.plan(var)
+            assert answer.slice_variables == len(plan.variables)
+            assert answer.slice_tuples == plan.kept_tuples
+        assert engine.solves == solves
+
+    def test_clear_memos_drops_the_cover_index(self):
+        program = build_box_program()
+        engine = QueryEngine(program)
+        engine.query("Main.main/0/g1", "2objH")
+        covered = len(engine.plan("Main.main/0/g1").variables)
+        assert engine.memo_entries == covered
+        engine.clear_memos()
+        assert engine.memo_entries == 0
+        solves = engine.solves
+        answer = engine.query("Box.get/0/r", "2objH")
+        assert answer.memoized is False
+        assert engine.solves == solves + 1
 
     def test_flavors_do_not_share_memo_entries(self):
         program = build_tiny_program()
@@ -254,6 +327,10 @@ class TestMemoization:
         engine.clear_memos()
         assert engine.memo_entries == 0 and engine.answered == 0
         assert engine._plans == plans
+
+
+def cold_answer(program, var, flavor="2objH"):
+    return QueryEngine(program).query(var, flavor).points_to
 
 
 class TestBudgets:
@@ -285,6 +362,57 @@ class TestBudgets:
         assert answer.points_to == frozenset(
             whole.points_to("Main.main/0/g1")
         )
+
+    def test_covered_query_keeps_its_own_tuple_budget(self):
+        """A cover entry answers only budgets its solve fitted; a tighter
+        one gets the variable's own solve, which raises or answers just
+        as on a cold engine."""
+        program = build_box_program()
+        engine = QueryEngine(program)
+        engine.query("Main.main/0/g1", "2objH")
+        assert "Box.get/0/r" in engine.plan("Main.main/0/g1").variables
+        with pytest.raises(BudgetExceeded):
+            engine.query("Box.get/0/r", "2objH", max_tuples=1)
+        cold = QueryEngine(program, facts=engine.facts)
+        with pytest.raises(BudgetExceeded):
+            cold.query("Box.get/0/r", "2objH", max_tuples=1)
+        # the answer memo keeps the budget too
+        with pytest.raises(BudgetExceeded):
+            engine.query("Main.main/0/g1", "2objH", max_tuples=1)
+
+    def test_tight_budget_that_fits_gets_an_own_solve(self):
+        """A budget below the covering solve's count but at the
+        variable's own count answers from a fresh solve, which then
+        serves that budget from the index."""
+        program = build_box_program()
+        facts = encode_program(program)
+        var = "Box.set/1/x"  # planned in g1's closure, with a smaller one
+        engine = QueryEngine(program, facts=facts)
+        engine.query("Main.main/0/g1", "2objH")
+        assert var in engine.plan("Main.main/0/g1").variables
+        sliced = engine.plan(var).sliced_facts(program, facts)
+        own = analyze(
+            program, engine.policy("2objH"), facts=sliced
+        ).stats().tuple_count
+        assert own < engine._cover[("2objH", "Main.main/0/g1")].tuples
+        solves = engine.solves
+        answer = engine.query(var, "2objH", max_tuples=own)
+        assert answer.memoized is False
+        assert engine.solves == solves + 1
+        assert answer.points_to == cold_answer(program, var)
+        again = engine.query(var, "2objH", max_tuples=own)
+        assert again is answer
+        assert engine.solves == solves + 1
+        with pytest.raises(BudgetExceeded):
+            engine.query(var, "2objH", max_tuples=own - 1)
+
+    def test_budget_tripped_batch_adds_no_cover_entry(self):
+        program = build_box_program()
+        engine = QueryEngine(program)
+        variables = ["Main.main/0/g0", "Main.main/0/g1"]
+        engine.query_batch(variables, "2objH", max_tuples=1)
+        assert engine.memo_entries == 0
+        assert engine.solves == 0
 
     def test_blown_batch_member_cannot_starve_siblings(self):
         """A budget the union-solve blows but each solo slice fits must
@@ -389,6 +517,31 @@ class TestPlanner:
         engine = QueryEngine(program)
         with pytest.raises(ValueError):
             engine.policy("introspective-C")
+
+
+def test_traced_answers_equal_untraced():
+    """Tracing records the query spans and changes no answer."""
+    program = build_kitchen_sink_program()
+    facts = encode_program(program)
+    insens = analyze(program, "insens", facts=facts)
+    variables = sorted({var for var, _meth in facts.varinmeth})
+    tracer = Tracer()
+    traced = QueryEngine(program, facts=facts, insens=insens, tracer=tracer)
+    plain = QueryEngine(program, facts=facts, insens=insens)
+    for flavor in ("2objH", "introspective-A"):
+        for engine in (traced, plain):
+            engine.query(variables[0], flavor)
+            engine.query_batch(variables, flavor)
+        for var in variables:
+            assert (
+                traced.query(var, flavor).points_to
+                == plain.query(var, flavor).points_to
+            ), (flavor, var)
+    assert traced.solves == plain.solves
+    summary = tracer.summary()
+    for name in ("query.plan", "query.slice", "query.solve", "analysis.solve"):
+        assert summary[name]["count"] > 0, name
+    assert summary["query.solve"]["count"] == traced.solves
 
 
 def test_answer_json_round_trip_fields():
