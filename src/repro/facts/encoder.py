@@ -19,7 +19,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..ir.instructions import (
     Alloc,
@@ -562,14 +572,18 @@ def assemble_facts(
 def method_rows_delta(
     old: Iterable[MethodRows],
     new: Iterable[MethodRows],
-    before: FactBase,
-    after: FactBase,
+    before: AbstractSet[str],
+    after: AbstractSet[str],
 ) -> Tuple[Dict[str, Set[tuple]], Dict[str, Set[tuple]]]:
     """The :data:`METHOD_RELATIONS` rows a whole-program encoding gains
     and loses when the methods encoded as ``old`` are re-encoded as
-    ``new``; ``before`` and ``after`` are the whole fact bases.
+    ``new``.
 
-    Returns ``(added, removed)``, non-empty sets by attribute name.
+    ``before`` and ``after`` are the string constants some method of the
+    whole program uses before and after the change (only membership of
+    the constants in ``old`` and ``new`` is asked), so no whole fact base
+    is needed.  Returns ``(added, removed)``, non-empty sets by attribute
+    name.
     """
     was: Dict[str, Set[tuple]] = {}
     now: Dict[str, Set[tuple]] = {}
@@ -585,8 +599,8 @@ def method_rows_delta(
         if name in _STRING_RELATIONS:
             # A string constant's rows come and go with its last use
             # anywhere in the program, not with one method's use.
-            plus = {r for r in plus if r[0] not in before.string_const_heaps}
-            minus = {r for r in minus if r[0] not in after.string_const_heaps}
+            plus = {r for r in plus if r[0] not in before}
+            minus = {r for r in minus if r[0] not in after}
         if plus:
             added[name] = plus
         if minus:

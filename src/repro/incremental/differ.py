@@ -22,8 +22,8 @@ delta:
   could have fed and re-derives what still holds.
 * ``full`` — retractions outside that set or of a removed method, rows
   in :data:`MONOTONIC_HAZARDS` (relations that feed negation or cached
-  type-hierarchy state), or structural rows attached to pre-existing
-  methods: a whole-analysis solve.
+  type-hierarchy state), or structural and call rows attached to
+  pre-existing methods or call sites: a whole-analysis solve.
 
 The hazard set is *derived* facts for the Datalog model: an EDB addition
 is unsafe iff its relation can transitively derive into a negated
@@ -101,10 +101,21 @@ def negation_tainted(program: RuleProgram) -> FrozenSet[str]:
 #: were already linked.
 _METHOD_STRUCTURE = ("FORMALARG", "FORMALRETURN", "THISVAR")
 
-#: Same idea for call sites: the solver freezes a site's argument/return
-#: wiring into its consumer tuples when the site first becomes reachable,
-#: so new actuals on an old invocation would leave stale consumers.
-_CALL_STRUCTURE = ("ACTUALARG", "ACTUALRETURN")
+#: Same idea for call sites, with the position of the site id in each
+#: row.  The solver freezes a site's argument/return wiring into its
+#: consumer tuples when the site first becomes reachable, so new actuals
+#: on an old invocation would leave stale consumers.  A call instruction
+#: added on an old site (a later call moved up by a deletion, a static
+#: callee that now resolves elsewhere) keeps the site's wiring rows, so
+#: the delta does not carry them, and the solver takes an added call's
+#: wiring from the delta alone.
+_CALL_STRUCTURE = (
+    ("ACTUALARG", 0),
+    ("ACTUALRETURN", 0),
+    ("VCALL", 2),
+    ("SPECIALCALL", 2),
+    ("SCALL", 1),
+)
 
 
 @dataclass(frozen=True)
@@ -175,9 +186,9 @@ def _additions_refusal(
                 f"{name} additions on pre-existing methods: "
                 f"{', '.join(sorted(stale))}"
             )
-    for name in _CALL_STRUCTURE:
+    for name, at in _CALL_STRUCTURE:
         stale = {
-            row[0] for row in delta.added.get(name, ()) if row[0] in old_invo_ids
+            row[at] for row in delta.added.get(name, ()) if row[at] in old_invo_ids
         }
         if stale:
             return (

@@ -27,16 +27,26 @@ apply runs the tier ladder:
     hatch, a fresh solve.
 
 The write path is per method.  The session keeps every method's encoding
-(a :class:`~repro.facts.encoder.MethodRows`); an apply re-encodes only
-the methods the script's :class:`~repro.incremental.edits.Footprint`
-makes dirty, assembles the new :class:`~repro.facts.encoder.FactBase`
-from the cached rows with :func:`~repro.facts.encoder.assemble_facts`
-(list-equal to ``encode_program``), and takes the
+(a :class:`~repro.facts.encoder.MethodRows`), the number of methods using
+each shared string constant, and the current ``SUBTYPE``/``LOOKUP`` rows.
+An apply re-encodes only the methods the script's
+:class:`~repro.incremental.edits.Footprint` makes dirty and takes the
 :class:`~repro.incremental.differ.FactDelta` from the dirty methods' old
-and new rows alone (:func:`~repro.facts.encoder.method_rows_delta`, which
-also keeps a shared string constant's ``HEAPTYPE``/``ALLOCCLASS`` rows
-until its last use).  The dirty set grows past the edited bodies where
-encoding crosses methods:
+and new rows alone (:func:`~repro.facts.encoder.method_rows_delta`; the
+use counts say when a shared string constant's ``HEAPTYPE``/``ALLOCCLASS``
+rows come and go).  The classifier's pre-existing methods are the row
+cache's keys, and its pre-existing call sites those of the dirty
+methods' old rows (a site id names its method), so a warm apply does
+work in the size of the edit, not of the program.
+
+No apply assembles a :class:`~repro.facts.encoder.FactBase` unless a
+``full`` re-solve needs one.  :attr:`IncrementalSession.facts` and
+:attr:`EditOutcome.facts` (with its ``digest``) are built on first read
+with :func:`~repro.facts.encoder.assemble_facts` from that edit's rows,
+list-equal to ``encode_program`` of that edit's program, however many
+edits came after.  Each edit leaves behind only the cache entries it
+replaced, so an outcome nobody reads costs O(edit) to keep.  The dirty
+set grows past the edited bodies where encoding crosses methods:
 
 * an added or removed method is dirty, and so is every method with a
   static or special call on its signature (those rows resolve through
@@ -57,14 +67,15 @@ rest is shared with the previous program, and only the dirty methods
 (the same set the encoding uses) and the entry points are re-validated.
 A class or field edit rebuilds and re-validates the whole program with
 ``ProgramSketch.build``.  A failed build or solve leaves the program,
-the row cache, :attr:`facts` and the warm solver as they were.
+the session's caches, :attr:`facts` and the warm solver as they were.
 
 Every apply returns an :class:`EditOutcome` carrying the tier taken, the
 fact delta, *result* deltas (added/removed tuples per output relation;
 the warm tiers take them from the solver, ``full`` from two relation
 differences), and timing split into delta-apply (edit + build or derive
-+ encoding the dirty methods + assembly + delta + classify) and solve;
-the fact digest is computed when first read.  Equality with a
++ encoding the dirty methods + delta + classify) and solve (which
+includes a ``full`` tier's assembly); the fact base and its digest are
+built when first read.  Equality with a
 from-scratch solve is enforced by the ``incremental-equivalence`` fuzz
 oracle and the bench harness; if a warm tier's belt-and-braces guards
 refuse a delta the session falls back to ``full`` and says so in the
@@ -150,6 +161,77 @@ def _jsonify(value: object) -> object:
     return value
 
 
+def _assemble(
+    program: Program,
+    rows: Mapping[str, Optional[MethodRows]],
+    cache: Mapping[str, MethodRows],
+    types: Tuple[List[tuple], List[tuple]],
+) -> FactBase:
+    """``program``'s whole fact base: the cached rows, ``rows`` overriding
+    them, in ``program.methods()`` order."""
+    return assemble_facts(
+        program,
+        [rows.get(m.id) or cache[m.id] for m in program.methods()],
+        *types,
+    )
+
+
+class _Epoch:
+    """One state of a session's row cache, as a link in a chain.
+
+    The newest epoch is the live cache itself.  When an edit replaces
+    cache entries, the epoch it leaves behind keeps just those entries
+    (``replaced``: method id to its old rows) and a link to the epoch
+    after it, so an older state is the live cache with each later edit's
+    replacements undone.  Epochs hold no program, so a snapshot kept
+    alive does not keep the programs of the edits after it.
+    """
+
+    __slots__ = ("replaced", "newer")
+
+    def __init__(self) -> None:
+        self.replaced: Dict[str, MethodRows] = {}
+        self.newer: Optional[_Epoch] = None
+
+
+class _Snapshot:
+    """The fact base of one edit's program, assembled on first read.
+
+    Holds the program, its SUBTYPE/LOOKUP rows and the epoch of the row
+    cache it was taken at; none of them is copied, so taking one costs
+    O(1).
+    """
+
+    __slots__ = ("program", "types", "epoch", "cache", "_facts")
+
+    def __init__(
+        self,
+        program: Program,
+        types: Tuple[List[tuple], List[tuple]],
+        epoch: _Epoch,
+        cache: Mapping[str, MethodRows],
+        facts: Optional[FactBase],
+    ) -> None:
+        self.program = program
+        self.types = types
+        self.epoch = epoch
+        self.cache = cache
+        self._facts = facts
+
+    def facts(self) -> FactBase:
+        if self._facts is None:
+            # The entry a method had at this epoch is the first one a later
+            # edit replaced, or the live one if none did.
+            rows: Dict[str, MethodRows] = {}
+            epoch = self.epoch
+            while epoch.newer is not None:
+                for mid, entry in epoch.replaced.items():
+                    rows.setdefault(mid, entry)
+                epoch = epoch.newer
+            self._facts = _assemble(self.program, rows, self.cache, self.types)
+        return self._facts
+
+
 @dataclass(frozen=True)
 class EditOutcome:
     """What one :meth:`IncrementalSession.apply` did, and what changed."""
@@ -159,9 +241,14 @@ class EditOutcome:
     delta: FactDelta
     apply_seconds: float
     solve_seconds: float
-    facts: FactBase = field(repr=False, compare=False)
+    snapshot: _Snapshot = field(repr=False, compare=False)
     result_added: Dict[str, FrozenSet[tuple]]
     result_removed: Dict[str, FrozenSet[tuple]]
+
+    @property
+    def facts(self) -> FactBase:
+        """The post-edit :class:`FactBase`, assembled on first read."""
+        return self.snapshot.facts()
 
     @cached_property
     def digest(self) -> str:
@@ -219,7 +306,12 @@ class EditOutcome:
 
 
 class IncrementalSession:
-    """One warm analysis kept alive across a sequence of edits."""
+    """One warm analysis kept alive across a sequence of edits.
+
+    Not thread-safe: an apply updates caches that a first read of a
+    fact base walks, so callers serialise both (the service holds one
+    lock per session).
+    """
 
     def __init__(
         self,
@@ -230,20 +322,28 @@ class IncrementalSession:
         self.analysis = analysis
         self.max_tuples = max_tuples
         self.sketch = sketch.clone()
-        self.program: Program = self.sketch.build()
-        # The row cache: every method's encoding, by method id.
-        self._methods: Dict[str, MethodRows] = {
-            m.id: MethodRows(self.program, m) for m in self.program.methods()
-        }
-        self._instance_sigs = _instance_sigs(self.program)
-        self.facts: FactBase = self._assemble(
-            self.program, {}, *type_rows(self.program)
+        program = self.program = self.sketch.build()
+        # The row cache: every method's encoding, by method id, with the
+        # number of methods using each shared string constant.
+        self._methods: Dict[str, MethodRows] = {}
+        self._string_uses: Dict[str, int] = {}
+        uses = self._string_uses
+        for m in program.methods():
+            entry = self._methods[m.id] = MethodRows(program, m)
+            for heap in entry.strings:
+                uses[heap] = uses.get(heap, 0) + 1
+        self._instance_sigs = _instance_sigs(program)
+        self._types = type_rows(program)
+        facts = assemble_facts(program, self._methods.values(), *self._types)
+        self._epoch = _Epoch()
+        self._snapshot = _Snapshot(
+            program, self._types, self._epoch, self._methods, facts
         )
         # The policy binds alloc_class_of at construction; a session-owned
         # dict (grown from each delta, before each solve) keeps it fresh.
         # An alloc site's declaring class never changes while the site id
         # exists, so stale entries are never *wrong*.
-        self._alloc_class: Dict[str, str] = dict(self.facts.alloc_class)
+        self._alloc_class: Dict[str, str] = dict(facts.alloc_class)
         self._policy = policy_by_name(
             analysis, alloc_class_of=self._alloc_class.__getitem__
         )
@@ -251,8 +351,13 @@ class IncrementalSession:
         self.edits_applied = 0
         self.tier_counts: Dict[str, int] = {}
         sw = Stopwatch()
-        self._relations: Relations = self._solve_fresh(self.program, self.facts)
+        self._relations: Relations = self._solve_fresh(program, facts)
         self.initial_solve_seconds = sw.elapsed()
+
+    @property
+    def facts(self) -> FactBase:
+        """The current :class:`FactBase`, assembled on first read."""
+        return self._snapshot.facts()
 
     # ------------------------------------------------------------------
     # The per-method write path
@@ -312,11 +417,12 @@ class IncrementalSession:
 
     def _encode_dirty(
         self, program: Program, footprint: Footprint, dirty: Set[str]
-    ) -> Tuple[Dict[str, Optional[MethodRows]], bool]:
+    ) -> Tuple[Dict[str, Optional[MethodRows]], Tuple[List[tuple], List[tuple]]]:
         """Re-encode the ``dirty`` methods.
 
         Returns the fresh rows by method id (``None``: the method is
-        gone) and whether the SUBTYPE/LOOKUP rows must be re-derived.
+        gone) and the SUBTYPE/LOOKUP rows: re-derived if the footprint
+        can change them, else the current ones.
         """
         retype = footprint.classes or any(
             not static or sig in self._instance_sigs
@@ -330,55 +436,91 @@ class IncrementalSession:
             # Gone, unless it came and went within the script.
             if mid in self._methods:
                 fresh[mid] = None
-        return fresh, retype
-
-    def _assemble(
-        self,
-        program: Program,
-        fresh: Mapping[str, Optional[MethodRows]],
-        subtype: List[tuple],
-        lookup: List[tuple],
-    ) -> FactBase:
-        """The whole fact base: the cached rows, ``fresh`` overriding
-        them, in ``program.methods()`` order."""
-        cache = self._methods
-        return assemble_facts(
-            program,
-            [fresh.get(m.id) or cache[m.id] for m in program.methods()],
-            subtype,
-            lookup,
-        )
+        return fresh, type_rows(program) if retype else self._types
 
     def _delta(
         self,
+        program: Program,
         fresh: Mapping[str, Optional[MethodRows]],
-        facts: FactBase,
-        retype: bool,
+        types: Tuple[List[tuple], List[tuple]],
         reroot: bool,
-    ) -> FactDelta:
+    ) -> Tuple[FactDelta, Dict[str, int]]:
         """The fact delta from the dirty methods' old and new rows (plus
-        the type and root rows when those were re-derived)."""
-        old = self.facts
+        the type and root rows when those changed), and the new use
+        counts of the string constants those methods use."""
+        old = [self._methods[mid] for mid in fresh if mid in self._methods]
+        new = [entry for entry in fresh.values() if entry is not None]
+        uses = self._string_uses
+        counts: Dict[str, int] = {}
+        for step, entries in ((-1, old), (1, new)):
+            for entry in entries:
+                for heap in entry.strings:
+                    counts[heap] = counts.get(heap, uses.get(heap, 0)) + step
         added, removed = method_rows_delta(
-            [self._methods[mid] for mid in fresh if mid in self._methods],
-            [entry for entry in fresh.values() if entry is not None],
             old,
-            facts,
+            new,
+            {heap for heap in counts if heap in uses},
+            {heap for heap, count in counts.items() if count},
         )
-        rederived = ("subtype", "lookup") if retype else ()
+        rederived = []
+        if types is not self._types:
+            rederived += zip(("subtype", "lookup"), self._types, types)
         if reroot:
-            rederived += ("reachableroot",)
-        for name in rederived:
-            was = set(getattr(old, name))
-            now = set(getattr(facts, name))
+            rederived.append((
+                "reachableroot",
+                [(ep,) for ep in self.program.entry_points],
+                [(ep,) for ep in program.entry_points],
+            ))
+        for name, was_rows, now_rows in rederived:
+            was = set(was_rows)
+            now = set(now_rows)
             if now - was:
                 added[name] = now - was
             if was - now:
                 removed[name] = was - now
-        return FactDelta(
+        delta = FactDelta(
             added={name.upper(): frozenset(rows) for name, rows in added.items()},
             removed={name.upper(): frozenset(rows) for name, rows in removed.items()},
         )
+        return delta, counts
+
+    def _commit(
+        self,
+        program: Program,
+        fresh: Mapping[str, Optional[MethodRows]],
+        types: Tuple[List[tuple], List[tuple]],
+        counts: Mapping[str, int],
+        facts: Optional[FactBase],
+    ) -> _Snapshot:
+        """Move the caches to the post-edit program; returns its snapshot.
+
+        The entries ``fresh`` replaces stay reachable from the epoch left
+        behind, for the snapshots taken before.
+        """
+        cache = self._methods
+        replaced = self._epoch.replaced
+        for mid, entry in fresh.items():
+            if mid in cache:
+                replaced[mid] = cache[mid]
+            if entry is None:
+                del cache[mid]
+            else:
+                cache[mid] = entry
+        epoch = _Epoch()
+        self._epoch.newer = epoch
+        self._epoch = epoch
+        uses = self._string_uses
+        for heap, count in counts.items():
+            if count:
+                uses[heap] = count
+            else:
+                uses.pop(heap, None)
+        if types is not self._types:
+            self._instance_sigs = _instance_sigs(program)
+            self._types = types
+        self.program = program
+        self._snapshot = _Snapshot(program, types, epoch, cache, facts)
+        return self._snapshot
 
     # ------------------------------------------------------------------
     # Solver plumbing
@@ -398,7 +540,6 @@ class IncrementalSession:
         self,
         tier: str,
         program: Program,
-        facts: FactBase,
         delta: FactDelta,
         reason: str,
     ) -> Tuple[ResultDelta, str]:
@@ -416,12 +557,12 @@ class IncrementalSession:
         assert solver is not None
         lost: Dict[str, FrozenSet[tuple]] = {}
         if tier == "rederive":
-            retraction = solver.retract(program, facts, delta.removed)
+            retraction = solver.retract(program, delta.removed)
             lost = retraction.removed
             reason = (
                 f"rederive: {reason}; {retraction.region}/{retraction.nodes} nodes"
             )
-        gained = solver.extend(program, facts, delta.added) if delta.added else {}
+        gained = solver.extend(program, delta.added) if delta.added else {}
         added: Dict[str, FrozenSet[tuple]] = {}
         removed: Dict[str, FrozenSet[tuple]] = {}
         for name in RESULT_RELATIONS:
@@ -466,22 +607,22 @@ class IncrementalSession:
         try:
             dirty = self._dirty(footprint)
             program = self._build(footprint, dirty)
-            fresh, retype = self._encode_dirty(program, footprint, dirty)
-            types = (
-                type_rows(program)
-                if retype
-                else (self.facts.subtype, self.facts.lookup)
-            )
-            facts = self._assemble(program, fresh, *types)
-            delta = self._delta(fresh, facts, retype, footprint.entry_points)
+            fresh, types = self._encode_dirty(program, footprint, dirty)
+            delta, counts = self._delta(program, fresh, types, footprint.entry_points)
         except Exception:
             inverse.apply(self.sketch)
             raise
-        # The old fact base's maps are the old method and call-site ids.
+        # A site id names its method, so the pre-existing call sites the
+        # delta can mention are the dirty methods' old ones.
         tier, reason = classify_delta(
             delta,
-            self.facts.vars_of_method.keys(),
-            self.facts.method_of_invo.keys(),
+            self._methods.keys(),
+            {
+                invo
+                for mid in fresh
+                if mid in self._methods
+                for invo in self._methods[mid].args_of_invo
+            },
             removed_methods={mid for mid, entry in fresh.items() if entry is None},
         )
         # Policies read alloc_class_of during the solve below.
@@ -492,12 +633,14 @@ class IncrementalSession:
         old_relations = self._relations
         # The solver-reported result delta; None means a fresh solve.
         changes: Optional[ResultDelta] = None
+        # Assembled only for a fresh solve.
+        facts: Optional[FactBase] = None
         try:
             if tier == "noop":
                 changes = ({}, {})
             elif tier in ("monotonic", "rederive"):
                 try:
-                    changes, reason = self._warm(tier, program, facts, delta, reason)
+                    changes, reason = self._warm(tier, program, delta, reason)
                 except ValueError as exc:
                     # A warm path's guard refused the delta the classifier
                     # accepted: fall back to the escape hatch and say so.
@@ -507,27 +650,20 @@ class IncrementalSession:
                         reason = f"fast path refused ({exc}); {reason}"
                     tier = "full"
             if changes is None:
+                facts = _assemble(program, fresh, self._methods, types)
                 self._relations = self._solve_fresh(program, facts)
         except Exception:
             # The solve itself failed (e.g. a tuple-budget trip mid
             # extension), possibly leaving the warm solver inconsistent.
             # Revert the sketch and rebuild the warm state at the old
             # program so the session survives; then let the error out.
-            # The row cache and ``facts`` were not yet touched.
+            # The caches and ``facts`` were not yet touched.
             inverse.apply(self.sketch)
             self._relations = self._solve_fresh(self.program, self.facts)
             raise
         solve_seconds = sw.elapsed()
 
-        for mid, entry in fresh.items():
-            if entry is None:
-                del self._methods[mid]
-            else:
-                self._methods[mid] = entry
-        if retype:
-            self._instance_sigs = _instance_sigs(program)
-        self.program = program
-        self.facts = facts
+        snapshot = self._commit(program, fresh, types, counts, facts)
         self.edits_applied += len(script)
         self.tier_counts[tier] = self.tier_counts.get(tier, 0) + 1
 
@@ -557,7 +693,7 @@ class IncrementalSession:
             delta=delta,
             apply_seconds=apply_seconds,
             solve_seconds=solve_seconds,
-            facts=facts,
+            snapshot=snapshot,
             result_added=result_added,
             result_removed=result_removed,
         )

@@ -76,20 +76,25 @@ class EditSessionRecord:
         self.lock = threading.Lock()
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-able status view (``GET /sessions/{id}``)."""
+        """JSON-able status view (``GET /sessions/{id}``).
+
+        Taken under the record's lock: the session assembles its fact
+        base on first read, from caches an edit updates in place.
+        """
         s = self.session
-        return {
-            "id": self.id,
-            "spec": self.spec,
-            "analysis": s.analysis,
-            "digest": s.facts.digest(),
-            "program": s.program.summary(),
-            "initial_solve_seconds": round(s.initial_solve_seconds, 6),
-            "edits_applied": s.edits_applied,
-            "tier_counts": dict(s.tier_counts),
-            "created_at": self.created_at,
-            "last_edit_at": self.last_edit_at,
-        }
+        with self.lock:
+            return {
+                "id": self.id,
+                "spec": self.spec,
+                "analysis": s.analysis,
+                "digest": s.facts.digest(),
+                "program": s.program.summary(),
+                "initial_solve_seconds": round(s.initial_solve_seconds, 6),
+                "edits_applied": s.edits_applied,
+                "tier_counts": dict(s.tier_counts),
+                "created_at": self.created_at,
+                "last_edit_at": self.last_edit_at,
+            }
 
 
 class SessionStore:

@@ -67,7 +67,7 @@ def test_extend_delta_equals_scratch_diff():
     delta = diff_facts(facts, facts2)
     assert delta.added and not delta.removed
 
-    added = solver.extend(program2, facts2, delta.added)
+    added = solver.extend(program2, delta.added)
     warm_raw = solver.snapshot()
     after = solver_relations(warm_raw)
 

@@ -263,6 +263,129 @@ def test_outcome_payload_is_json_shaped():
 
 
 # ----------------------------------------------------------------------
+# The fact base is assembled only when someone reads it
+# ----------------------------------------------------------------------
+AUX_BODY = [Alloc("r", "Dog"), Return("r")]
+
+
+def test_late_reads_of_lazy_snapshots_equal_each_edits_encoding():
+    session = make_session()
+    rng = random.Random(43)
+    taken = []  # (outcome, encode_program of that edit's program)
+
+    def apply(script):
+        out = session.apply(script)
+        taken.append((out, encode_program(session.sketch.build())))
+
+    apply(EditScript([AddMethod("Main", "zaux", is_static=True,
+                                instructions=AUX_BODY)]))
+    apply(random_edit_script(session.sketch, rng, edits=1, kinds=("alloc",)))
+    with pytest.raises(ValidationError, match="unresolvable"):
+        session.apply(EditScript([
+            InsertInstruction("Main.main/0", Alloc("zfresh", "Dog")),
+            InsertInstruction("Main.main/0", StaticCall(
+                target="zr", args=(), class_name="Util", sig="nowhere/0"
+            )),
+        ]))
+    last = len(session.sketch.method_by_id("Main.main/0").instructions) - 1
+    apply(EditScript([DeleteInstruction("Main.main/0", last)]))
+    apply(EditScript([RemoveMethod("Main.zaux/0")]))
+    apply(EditScript([AddClass("ZTemp"), RemoveClass("ZTemp")]))
+    for _ in range(3):
+        apply(random_edit_script(session.sketch, rng, edits=2))
+    assert {out.tier for out, _want in taken} >= set(TIERS)
+
+    for out, want in taken:
+        assert out.facts.as_relation_dict() == want.as_relation_dict(), out.tier
+        for name in DERIVED_MAPS:
+            assert getattr(out.facts, name) == getattr(want, name), name
+        assert out.digest == want.digest()
+    assert session.facts.as_relation_dict() == want.as_relation_dict()
+    assert session.facts.digest() == want.digest()
+
+
+def test_warm_tiers_never_assemble_the_fact_base(monkeypatch):
+    from repro.incremental import session as session_module
+
+    session = make_session()
+    calls = []
+    assemble = session_module.assemble_facts
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(session_module, "assemble_facts", spy)
+    warm = [
+        session.apply(EditScript([AddMethod("Main", "zaux", is_static=True,
+                                            instructions=AUX_BODY)])),
+        session.apply(EditScript([InsertInstruction("Main.main/0",
+                                                    Alloc("zfresh", "Dog"))])),
+        session.apply(EditScript([DeleteInstruction("Main.zaux/0", 0)])),
+        session.apply(EditScript([AddClass("ZTemp"), RemoveClass("ZTemp")])),
+    ]
+    assert [out.tier for out in warm] == [
+        "monotonic", "monotonic", "rederive", "noop"
+    ]
+    assert calls == []
+    out = session.apply(EditScript([RemoveMethod("Main.zaux/0")]))
+    assert out.tier == "full"
+    assert calls == [session.program]
+    # The full apply's fact base is the one its solve was given.
+    assert out.digest == session.facts.digest()
+    assert len(calls) == 1
+    # An earlier outcome's fact base is assembled when it is read.
+    assert warm[1].digest == encode_program(warm[1].facts.program).digest()
+    assert len(calls) == 2
+
+
+def moved_call_session(padding=0):
+    """``main`` passes ``a`` to ``f`` and then to ``g``, both results
+    into ``r``; ``padding`` alloc-and-move pairs keep an over-deleted
+    region small."""
+    b = ProgramBuilder()
+    with b.method("Main", "f", ["x"], static=True) as m:
+        m.ret("x")
+    with b.method("Main", "g", ["x"], static=True) as m:
+        m.alloc("y", "Main")
+        m.ret("y")
+    with b.method("Main", "main", [], static=True) as m:
+        for i in range(padding):
+            m.alloc(f"p{i}", "Main")
+            m.move(f"q{i}", f"p{i}")
+        m.alloc("a", "Main")
+        m.scall("Main", "f", ["a"], target="r")
+        m.scall("Main", "g", ["a"], target="r")
+    sketch = ProgramSketch.from_program(b.build(entry="Main.main/0"))
+    return IncrementalSession(sketch, analysis="2objH")
+
+
+def test_call_moved_onto_an_old_site_takes_a_full_solve():
+    # Deleting f's call moves g's onto f's site id with the same
+    # argument and result rows, so the delta carries no wiring for it.
+    session = moved_call_session()
+    out = apply_and_check(session, EditScript([DeleteInstruction("Main.main/0", 1)]))
+    assert out.tier == "full"
+    assert "SCALL additions on pre-existing call sites" in out.reason
+    assert session.check_against_scratch() == []
+
+
+def test_call_re_created_on_a_deleted_site_has_only_its_own_wiring():
+    # The site of g's deleted call comes back as a call with no result:
+    # its wiring is the delta's (none), not what the site once had.
+    session = moved_call_session(padding=12)
+    last = len(session.sketch.method_by_id("Main.main/0").instructions) - 1
+    out = session.apply(EditScript([DeleteInstruction("Main.main/0", last)]))
+    assert out.tier == "rederive"
+    out = session.apply(EditScript([InsertInstruction(
+        "Main.main/0",
+        StaticCall(target=None, args=(), class_name="Main", sig="g/1"),
+    )]))
+    assert out.tier == "monotonic"
+    assert session.check_against_scratch() == []
+
+
+# ----------------------------------------------------------------------
 # The per-method write path: cross-method dependencies
 # ----------------------------------------------------------------------
 def hierarchy_session():
@@ -344,6 +467,9 @@ def test_reparented_class_moves_a_static_call_through_it():
 
 
 def test_shared_string_constant_is_retracted_with_its_last_use():
+    # The session counts a constant's users instead of reading two whole
+    # fact bases: each step's delta must still be ``diff_facts`` of two
+    # fresh encodings (``apply_and_check``), also across a full apply.
     b = ProgramBuilder()
     with b.method("Main", "main", [], static=True) as m:
         m.const_string("s", "hello")
@@ -351,23 +477,62 @@ def test_shared_string_constant_is_retracted_with_its_last_use():
     with b.method("Main", "aux", [], static=True) as m:
         m.const_string("u", "hello")
         m.ret("u")
+    with b.method("Main", "spare", [], static=True) as m:
+        m.const_string("w", "hello")
+        m.ret("w")
     sketch = ProgramSketch.from_program(b.build(entry="Main.main/0"))
     session = IncrementalSession(sketch, analysis="2objH")
     heap = ConstString("s", "hello").heap_id
-    users = [
+    rows = frozenset({(heap, "java.lang.String")})
+    users = {
         m.id
         for m in session.program.methods()
         if any(isinstance(i, ConstString) for i in m.instructions)
-    ]
-    assert len(users) == 2
-    first, second = users
-    out = apply_and_check(session, EditScript([DeleteInstruction(first, 0)]))
-    # The second use still holds the constant's heap.
-    assert "HEAPTYPE" not in out.delta.removed
+    }
+    assert users == {"Main.main/0", "Main.aux/0", "Main.spare/0"}
+
+    def string_rows(delta):
+        return {
+            (side, name): getattr(delta, side).get(name)
+            for side in ("added", "removed")
+            for name in ("HEAPTYPE", "ALLOCCLASS")
+        }
+
+    no_rows = {
+        (side, name): None
+        for side in ("added", "removed")
+        for name in ("HEAPTYPE", "ALLOCCLASS")
+    }
+    # One use deleted: two still hold the constant's heap.
+    out = apply_and_check(session, EditScript([DeleteInstruction("Main.main/0", 0)]))
+    assert string_rows(out.delta) == no_rows
     assert (heap, "java.lang.String") in session.facts.heaptype
-    out = apply_and_check(session, EditScript([DeleteInstruction(second, 0)]))
-    assert out.delta.removed["HEAPTYPE"] == frozenset({(heap, "java.lang.String")})
-    assert out.delta.removed["ALLOCCLASS"] == frozenset({(heap, "java.lang.String")})
+    # The method holding a second use removed (a full apply).
+    out = apply_and_check(session, EditScript([RemoveMethod("Main.spare/0")]))
+    assert out.tier == "full"
+    assert string_rows(out.delta) == no_rows
+    # A use re-added while one is left: still no rows move.
+    out = apply_and_check(
+        session,
+        EditScript([InsertInstruction("Main.main/0", ConstString("v", "hello"))]),
+    )
+    assert string_rows(out.delta) == no_rows
+    # Both remaining uses deleted: the rows go with the last one ...
+    out = apply_and_check(session, EditScript([DeleteInstruction("Main.aux/0", 0)]))
+    assert string_rows(out.delta) == no_rows
+    out = apply_and_check(
+        session, EditScript([DeleteInstruction("Main.main/0", 1)])
+    )
+    assert out.delta.removed["HEAPTYPE"] == rows
+    assert out.delta.removed["ALLOCCLASS"] == rows
+    assert "HEAPTYPE" not in out.delta.added
+    # ... and come back with a use re-added in a later edit.
+    out = apply_and_check(
+        session,
+        EditScript([InsertInstruction("Main.aux/0", ConstString("x", "hello"), 0)]),
+    )
+    assert out.delta.added["HEAPTYPE"] == rows
+    assert out.delta.added["ALLOCCLASS"] == rows
     assert session.check_against_scratch() == []
 
 
