@@ -8,6 +8,7 @@ delta — and the retractions it cannot absorb must say why they re-solve.
 
 from __future__ import annotations
 
+import gc
 import random
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro import ProgramBuilder
 from repro.analysis.datalog_model import DatalogPointsToAnalysis
-from repro.analysis.solver import BudgetExceeded, PointsToSolver
+from repro.analysis.solver import BudgetExceeded, PointsToSolver, _CallIndex
+from repro.benchgen.dacapo import build_benchmark
 from repro.contexts.policies import policy_by_name
 from repro.facts.encoder import encode_program
 from repro.fuzz.corpus import iter_corpus, load_entry
@@ -368,3 +370,56 @@ def test_rederived_relations_equal_the_datalog_model(path):
         assert rel["REACHABLE"] == model.reachable
         assert rel["THROWPOINTSTO"] == model.throw_points_to
     assert rederived
+
+
+def _solved(program, analysis="2objH"):
+    facts = encode_program(program)
+    solver = PointsToSolver(
+        program, policy_by_name(analysis, alloc_class_of=facts.alloc_class_of),
+        facts=facts,
+    )
+    solver.solve()
+    return solver
+
+
+def _index_keeps(solver):
+    """The collector-tracked objects ``_CallIndex.of`` leaves alive."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        calls = _CallIndex.of(solver)
+        return calls, gc.get_count()[0] - before
+    finally:
+        gc.enable()
+
+
+def test_call_index_holds_no_container_per_key():
+    """A retraction's call index keeps the same handful of tracked objects
+    on the box program and on xalan's 2objH call graph: an allocation per
+    edge or per site would start collector passes inside every edit.  Its
+    lookups answer as a per-key table of the call graph does."""
+    _small, small_keeps = _index_keeps(_solved(build_box_program()))
+    solver = _solved(build_benchmark("xalan"))
+    calls, keeps = _index_keeps(solver)
+    assert len(solver._call_graph) > 1000
+    assert keeps == small_keeps < 20
+
+    by_site, into = {}, {}
+    for edge in solver._call_graph:
+        by_site.setdefault(edge[:2], set()).add(edge)
+        into.setdefault(edge[2:], set()).add(edge)
+    for (invo, ctx), edges in by_site.items():
+        assert set(calls.from_site(invo, ctx)) == edges
+    for (meth, ctx), edges in into.items():
+        assert set(calls.into(meth, ctx)) == edges
+    assert calls.from_site(len(solver.invos) + 1, 0) == []
+    for meth, mb in solver._bodies.items():
+        for base, target, invo, lhs, args in mb.vcalls:
+            assert calls.site(invo) == (meth, base, target, lhs, args, True)
+            assert calls.lhs[invo] == lhs
+        for base, target, invo, lhs, args in mb.specialcalls:
+            assert calls.site(invo) == (meth, base, target, lhs, args, False)
+        for target, invo, lhs, args in mb.scalls:
+            assert calls.site(invo) == (meth, -1, target, lhs, args, False)
+            assert calls.callers[invo] == meth
