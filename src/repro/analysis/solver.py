@@ -277,6 +277,12 @@ REDERIVE_MAX_SHARE = 0.4
 
 _CTX_MASK = 0xFFFFFFFF
 
+#: Node kinds, as :meth:`PointsToSolver._owner` decodes them.
+_VAR, _FLD, _THROW, _STATIC = range(4)
+
+#: The inner table probed for a missing outer key.
+_NO_NODES: Mapping[int, int] = {}
+
 #: A call site as a retraction sees it: (caller, receiver var or
 #: ``_NONE``, sig or callee, lhs, args, dispatched virtually).
 _Site = Tuple[int, int, int, int, Tuple[int, ...], bool]
@@ -553,6 +559,10 @@ class PointsToSolver:
         self._fld_nodes: Dict[int, Dict[int, int]] = {}  # fld -> pair -> node
         self._static_nodes: Dict[int, int] = {}
         self._throw_nodes: Dict[int, int] = {}  # meth << 32 | ctx -> node
+        # node -> packed key of the table entry holding it (see "Node
+        # management"): the incremental paths read only the nodes they
+        # touched instead of scanning the tables.
+        self._owners = array("Q")
 
         # Per-kind consumer tables, keyed by node.
         self._load_cons: Dict[int, List[Tuple[int, int]]] = {}
@@ -800,10 +810,14 @@ class PointsToSolver:
     # ------------------------------------------------------------------
     # Node management
     # ------------------------------------------------------------------
-    def _new_node(self) -> int:
-        node = len(self._pts)
-        self._pts.append(0)
-        return node
+    # Every node is created inline below (and in _play_body, _link_call
+    # and _propagate): one append to ``_pts`` and one to ``_owners``, the
+    # owner packed as ``hi << 32 | lo`` from the key of the table entry
+    # holding the node — var ``(ctx, var)``, field ``(fld, pair)``, throw
+    # ``(meth, ctx)``, static ``(0, sfld)``.  Every id the solver interns
+    # is below 2**32 (its packed keys assume as much), so an owner fits an
+    # unsigned 64-bit slot exactly and cannot overflow.  The kind is not
+    # stored: :meth:`_owner` finds it by probing the tables.
 
     def _vmap(self, ctx: int) -> Dict[int, int]:
         vmap = self._var_nodes.get(ctx)
@@ -817,9 +831,9 @@ class PointsToSolver:
             vmap = self._var_nodes[ctx] = {}
         node = vmap.get(var)
         if node is None:
-            node = len(self._pts)
+            node = vmap[var] = len(self._pts)
             self._pts.append(0)
-            vmap[var] = node
+            self._owners.append(ctx << 32 | var)
         return node
 
     def _fnode(self, pid: int, fld: int) -> int:
@@ -828,16 +842,17 @@ class PointsToSolver:
             fmap = self._fld_nodes[fld] = {}
         node = fmap.get(pid)
         if node is None:
-            node = len(self._pts)
+            node = fmap[pid] = len(self._pts)
             self._pts.append(0)
-            fmap[pid] = node
+            self._owners.append(fld << 32 | pid)
         return node
 
     def _snode(self, sfld: int) -> int:
         node = self._static_nodes.get(sfld)
         if node is None:
-            node = self._new_node()
-            self._static_nodes[sfld] = node
+            node = self._static_nodes[sfld] = len(self._pts)
+            self._pts.append(0)
+            self._owners.append(sfld)
         return node
 
     def _tnode(self, meth: int, ctx: int) -> int:
@@ -846,9 +861,31 @@ class PointsToSolver:
         key = meth << 32 | ctx
         node = self._throw_nodes.get(key)
         if node is None:
-            node = self._new_node()
-            self._throw_nodes[key] = node
+            node = self._throw_nodes[key] = len(self._pts)
+            self._pts.append(0)
+            self._owners.append(key)
         return node
+
+    def _owner(self, node: int) -> Tuple[int, int, int]:
+        """The table entry holding ``node``: ``(kind, hi, lo)`` with kind
+        one of ``_VAR`` (``_var_nodes[hi][lo]``), ``_FLD``
+        (``_fld_nodes[hi][lo]``), ``_THROW`` (``_throw_nodes[hi << 32 |
+        lo]``) or ``_STATIC`` (``_static_nodes[lo]``).
+
+        The packed owner names one key per table; the entry that maps it
+        back to ``node`` is the one (a node is in exactly one entry).
+        """
+        packed = self._owners[node]
+        hi, lo = packed >> 32, packed & _CTX_MASK
+        if self._var_nodes.get(hi, _NO_NODES).get(lo) == node:
+            return _VAR, hi, lo
+        if self._fld_nodes.get(hi, _NO_NODES).get(lo) == node:
+            return _FLD, hi, lo
+        if self._throw_nodes.get(packed) == node:
+            return _THROW, hi, lo
+        if not hi and self._static_nodes.get(lo) == node:
+            return _STATIC, hi, lo
+        raise KeyError(f"node {node} has no owner")
 
     # ------------------------------------------------------------------
     # Propagation primitives
@@ -1083,13 +1120,15 @@ class PointsToSolver:
         vmap = self._vmap(ctx)
         pts = self._pts
         vmap_get = vmap.get
+        own = self._owners.append
+        tag = ctx << 32
 
         def vnode(var: int) -> int:
             node = vmap_get(var)
             if node is None:
-                node = len(pts)
+                node = vmap[var] = len(pts)
                 pts.append(0)
-                vmap[var] = node
+                own(tag | var)
             return node
 
         for var, heap in mb.allocs:
@@ -1144,26 +1183,31 @@ class PointsToSolver:
             cmap = self._vmap(caller_ctx)
             emap = self._vmap(callee_ctx)
             pts = self._pts
+            owners = self._owners
             for actual, formal in zip(args, mb.formals):
                 src = cmap.get(actual)
                 if src is None:
                     src = cmap[actual] = len(pts)
                     pts.append(0)
+                    owners.append(caller_ctx << 32 | actual)
                 dst = emap.get(formal)
                 if dst is None:
                     dst = emap[formal] = len(pts)
                     pts.append(0)
+                    owners.append(callee_ctx << 32 | formal)
                 self._add_edge(src, dst)
             if lhs != _NONE:
                 dst = cmap.get(lhs)
                 if dst is None:
                     dst = cmap[lhs] = len(pts)
                     pts.append(0)
+                    owners.append(caller_ctx << 32 | lhs)
                 for ret in mb.returns:
                     src = emap.get(ret)
                     if src is None:
                         src = emap[ret] = len(pts)
                         pts.append(0)
+                        owners.append(callee_ctx << 32 | ret)
                     self._add_edge(src, dst)
         # Exceptions escaping the callee are (re-)raised in the caller.
         self._register_throw(
@@ -1488,48 +1532,36 @@ class PointsToSolver:
 
         Tuple shapes match :meth:`AnalysisResult.iter_var_points_to` and
         friends exactly — the session folds them into its cached
-        relations.  Static-field nodes are skipped: they feed variables
-        internally but are not part of any exported relation.
+        relations.  Each node's owner (:meth:`_owner`) names its row, so
+        this reads only the nodes in ``per_node``.  Static-field nodes are
+        skipped: they feed variables internally but are not part of any
+        exported relation.
         """
         ph, pc = self._pair_heap, self._pair_hctx
         heap_v = self.heaps.value
         hctx_v = self.hctxs.value
         ctx_v = self.ctxs.value
+        owner = self._owner
         var_rows: Set[tuple] = set()
         fld_rows: Set[tuple] = set()
         throw_rows: Set[tuple] = set()
-        if per_node:
-            get = per_node.get
-            for ctx, vmap in self._var_nodes.items():
-                for var, node in vmap.items():
-                    pids = get(node)
-                    if pids:
-                        var_s = self.vars.value(var)
-                        cv = ctx_v(ctx)
-                        for pid in iter_bits(pids):
-                            var_rows.add(
-                                (var_s, cv, heap_v(ph[pid]), hctx_v(pc[pid]))
-                            )
-            for fld, fmap in self._fld_nodes.items():
-                for bpid, node in fmap.items():
-                    pids = get(node)
-                    if pids:
-                        base = heap_v(ph[bpid])
-                        bh = hctx_v(pc[bpid])
-                        fld_s = self.flds.value(fld)
-                        for pid in iter_bits(pids):
-                            fld_rows.add(
-                                (base, bh, fld_s, heap_v(ph[pid]), hctx_v(pc[pid]))
-                            )
-            for key, node in self._throw_nodes.items():
-                pids = get(node)
-                if pids:
-                    meth_s = self.meths.value(key >> 32)
-                    cv = ctx_v(key & 0xFFFFFFFF)
-                    for pid in iter_bits(pids):
-                        throw_rows.add(
-                            (meth_s, cv, heap_v(ph[pid]), hctx_v(pc[pid]))
-                        )
+        for node, pids in per_node.items():
+            if not pids:
+                continue
+            kind, hi, lo = owner(node)
+            if kind == _VAR:
+                head: tuple = (self.vars.value(lo), ctx_v(hi))
+                rows = var_rows
+            elif kind == _FLD:
+                head = (heap_v(ph[lo]), hctx_v(pc[lo]), self.flds.value(hi))
+                rows = fld_rows
+            elif kind == _THROW:
+                head = (self.meths.value(hi), ctx_v(lo))
+                rows = throw_rows
+            else:
+                continue
+            for pid in iter_bits(pids):
+                rows.add((*head, heap_v(ph[pid]), hctx_v(pc[pid])))
         return {
             "VARPOINTSTO": frozenset(var_rows),
             "FLDPOINTSTO": frozenset(fld_rows),
@@ -1579,8 +1611,9 @@ class PointsToSolver:
            re-linking the call edges and re-reaching the activations
            that are still derivable.
 
-        Reverse adjacency, owner and call-site maps are built on demand
-        here, so cold solves pay nothing for this path.  The tuple count
+        Reverse adjacency and call-site maps are built on demand here,
+        so cold solves pay nothing for them; each node's owner is
+        recorded when the node is created (:meth:`_owner`).  The tuple count
         drops by exactly what is cleared and rises by what is rederived:
         afterwards it equals a fresh solve's, so a following
         :meth:`extend` trips the budget exactly when a fresh solve would.
@@ -1878,13 +1911,17 @@ class PointsToSolver:
         activation owning a cleared variable or throw node, or the source
         of a torn edge into a field or static node (those in-edges come
         from the stores of the source's activation), re-emits its
-        products (:meth:`_replay`)."""
-        wanted = region.union(src for src, _dst in torn)
+        products (:meth:`_replay`).  The nodes' owners say which
+        activations those are, so this reads the region and the torn
+        edges only."""
         owner: Dict[int, Tuple[int, int]] = {}
-        for ctx, vmap in self._var_nodes.items():
-            for var, node in vmap.items():
-                if node in wanted:
-                    owner[node] = (var, ctx)
+        replay: Set[int] = set()
+        for node in region.union(src for src, _dst in torn):
+            kind, hi, lo = self._owner(node)
+            if kind == _VAR:
+                owner[node] = (lo, hi)
+            elif kind == _THROW and node in region:
+                replay.add(hi << 32 | lo)
         meth_of: Dict[int, int] = {}
 
         def act_of(node: int) -> int:
@@ -1896,13 +1933,9 @@ class PointsToSolver:
                 )
             return meth << 32 | ctx
 
-        replay: Set[int] = set()
         for node in region:
             if node in owner:
                 replay.add(act_of(node))
-        for key, node in self._throw_nodes.items():
-            if node in region:
-                replay.add(key)
         for src, dst in torn:
             if dst not in owner and src in owner:
                 replay.add(act_of(src))
@@ -2145,6 +2178,7 @@ class PointsToSolver:
         elapsed = self._stopwatch.elapsed
         tracer = self._tracer
         added_log = self._added_log
+        own = self._owners.append
         while worklist:
             node = worklist.popleft()
             delta = pending_pop(node, 0)
@@ -2215,6 +2249,7 @@ class PointsToSolver:
                         if fn is None:
                             fn = fmap[pid] = len(pts_list)
                             pts_list.append(0)
+                            own(fld << 32 | pid)
                             add_edge(fn, to_node)
                         elif fn << 32 | to_node not in edge_seen:
                             add_edge(fn, to_node)
@@ -2233,6 +2268,7 @@ class PointsToSolver:
                         if fn is None:
                             fn = fmap[pid] = len(pts_list)
                             pts_list.append(0)
+                            own(fld << 32 | pid)
                             add_edge(from_node, fn)
                         elif from_node << 32 | fn not in edge_seen:
                             add_edge(from_node, fn)

@@ -49,6 +49,7 @@ __all__ = [
     "ProgramSketch",
     "instruction_from_json",
     "instruction_to_json",
+    "parse_method_id",
 ]
 
 #: Classes provided implicitly by every Program; never (re)declared.
@@ -81,6 +82,18 @@ class ClassSketch:
             is_interface=self.is_interface,
             is_abstract=self.is_abstract,
         )
+
+
+def parse_method_id(method_id: str) -> Optional[Tuple[str, str, int]]:
+    """``(class name, method name, arity)`` of a ``Class.name/arity``
+    method id, or ``None`` if no :attr:`MethodSketch.id` is spelled so.
+    The class name may be dotted; the method name holds no dot."""
+    head, _slash, digits = method_id.rpartition("/")
+    class_name, _dot, name = head.rpartition(".")
+    if not (class_name and name and digits.isdecimal()):
+        return None
+    arity = int(digits)
+    return (class_name, name, arity) if str(arity) == digits else None
 
 
 @dataclass
@@ -205,8 +218,19 @@ class ProgramSketch:
         return [n for n, c in self.classes.items() if c.concrete]
 
     def method_by_id(self, method_id: str) -> Optional[MethodSketch]:
+        """The method whose :attr:`MethodSketch.id` is ``method_id``, or
+        ``None`` (also for a malformed id).  Compares the id's parts, so
+        no method's id is formatted."""
+        key = parse_method_id(method_id)
+        if key is None:
+            return None
+        class_name, name, arity = key
         for m in self.methods:
-            if m.id == method_id:
+            if (
+                m.name == name
+                and m.class_name == class_name
+                and len(m.params) == arity
+            ):
                 return m
         return None
 

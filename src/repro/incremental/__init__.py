@@ -48,7 +48,12 @@ from .edits import (
     edit_from_json,
     random_edit_script,
 )
-from .session import EditOutcome, IncrementalSession, RESULT_RELATIONS
+from .session import (
+    EditOutcome,
+    IncrementalSession,
+    RESULT_RELATIONS,
+    RelationView,
+)
 
 __all__ = [
     "AddClass",
@@ -66,6 +71,7 @@ __all__ = [
     "MONOTONIC_HAZARDS",
     "REDERIVE_RELATIONS",
     "RESULT_RELATIONS",
+    "RelationView",
     "RemoveClass",
     "RemoveEntryPoint",
     "RemoveField",

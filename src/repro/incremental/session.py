@@ -69,6 +69,11 @@ A class or field edit rebuilds and re-validates the whole program with
 ``ProgramSketch.build``.  A failed build or solve leaves the program,
 the session's caches, :attr:`facts` and the warm solver as they were.
 
+The five output relations are each stored once, as a frozen base plus
+the rows added and removed since (refrozen past :data:`REFREEZE_SHARE`
+of the base); :meth:`IncrementalSession.relations` hands out immutable
+:class:`RelationView`\\ s over them at O(delta) a read.
+
 Every apply returns an :class:`EditOutcome` carrying the tier taken, the
 fact delta, *result* deltas (added/removed tuples per output relation;
 the warm tiers take them from the solver, ``full`` from two relation
@@ -84,12 +89,15 @@ outcome reason.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, filterfalse
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -109,7 +117,7 @@ from ..facts.encoder import (
     type_rows,
 )
 from ..fuzz.oracles import solver_relations
-from ..fuzz.sketch import ProgramSketch
+from ..fuzz.sketch import ProgramSketch, parse_method_id
 from ..ir.program import Method, Program
 from ..ir.validate import validate_program
 from ..utils import Stopwatch
@@ -118,7 +126,7 @@ from ..utils import Stopwatch
 from .differ import FactDelta, classify_delta, diff_facts  # noqa: F401
 from .edits import Edit, EditScript, Footprint
 
-__all__ = ["EditOutcome", "IncrementalSession", "RESULT_RELATIONS"]
+__all__ = ["EditOutcome", "IncrementalSession", "RESULT_RELATIONS", "RelationView"]
 
 #: The five output relations every outcome reports deltas over (the same
 #: canonical string-level relations the fuzz oracles compare).
@@ -130,14 +138,169 @@ RESULT_RELATIONS = (
     "THROWPOINTSTO",
 )
 
-#: Internal relation store: plain mutable sets so the solver's monotonic
-#: fast path can union its reported additions in place (O(delta)) instead
-#: of rebuilding O(result) frozensets per edit.
-Relations = Dict[str, set]
+#: The share of a relation's frozen base its overlay (the rows added and
+#: removed since the base was frozen) may reach before the base is
+#: refrozen.  A read copies the overlay and a refreeze copies the whole
+#: relation, so a small share keeps reads cheap and a large one makes
+#: refreezes rare.
+REFREEZE_SHARE = 0.125
 
 #: A result delta as the solver reports it: (added, removed) tuples per
 #: output relation.
 ResultDelta = Tuple[Dict[str, FrozenSet[tuple]], Dict[str, FrozenSet[tuple]]]
+
+
+#: A set of rows, frozen or not.
+Rows = Union[Set[tuple], FrozenSet[tuple]]
+
+
+def _fold(base: FrozenSet[tuple], added: Rows, removed: Rows) -> FrozenSet[tuple]:
+    """``base`` less ``removed`` plus ``added``, copied only if either
+    is non-empty."""
+    rows = base - removed if removed else base
+    return rows | added if added else rows
+
+
+class RelationView(AbstractSet):
+    """One output relation as it was when read: immutable, and never
+    changed by later edits.
+
+    A frozen base less the rows removed since it was frozen, plus the
+    rows added since.  ``in`` and ``len`` cost O(1); iteration, equality
+    and set algebra (whose results are ``frozenset``\\ s) cost what they
+    would on a ``frozenset`` of the same rows.
+    """
+
+    __slots__ = ("_base", "_added", "_removed")
+
+    def __init__(
+        self,
+        base: FrozenSet[tuple],
+        added: FrozenSet[tuple],
+        removed: FrozenSet[tuple],
+    ) -> None:
+        # added is disjoint from base; removed is a subset of it
+        self._base = base
+        self._added = added
+        self._removed = removed
+
+    def __contains__(self, row: object) -> bool:
+        return row in self._added or (
+            row in self._base and row not in self._removed
+        )
+
+    def __len__(self) -> int:
+        return len(self._base) - len(self._removed) + len(self._added)
+
+    def __iter__(self) -> Iterator[tuple]:
+        if self._removed:
+            kept = filterfalse(self._removed.__contains__, self._base)
+            return chain(kept, self._added)
+        return chain(self._base, self._added)
+
+    def __repr__(self) -> str:
+        return f"RelationView({set(self)!r})"
+
+    def frozen(self) -> FrozenSet[tuple]:
+        """The rows as a ``frozenset`` (the base itself when nothing
+        changed since it was frozen)."""
+        return _fold(self._base, self._added, self._removed)
+
+    @classmethod
+    def _from_iterable(cls, rows: Iterable[tuple]) -> FrozenSet[tuple]:
+        return frozenset(rows)
+
+    def __le__(self, other: object) -> bool:
+        if isinstance(other, RelationView):
+            other = other.frozen()
+        if isinstance(other, (set, frozenset)):
+            # base - removed <= other  iff  base - other <= removed
+            return other.issuperset(self._added) and (
+                self._base.difference(other) <= self._removed
+            )
+        if not isinstance(other, AbstractSet):
+            return NotImplemented
+        return all(row in other for row in self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AbstractSet):
+            return NotImplemented
+        return len(self) == len(other) and self <= other
+
+    def _operand(self, other: object) -> Optional[Rows]:
+        if isinstance(other, RelationView):
+            return other.frozen()
+        if isinstance(other, (set, frozenset)):
+            return other
+        if isinstance(other, AbstractSet):
+            return frozenset(other)
+        return None
+
+    def __sub__(self, other: object) -> FrozenSet[tuple]:
+        rows = self._operand(other)
+        return NotImplemented if rows is None else self.frozen() - rows
+
+    def __rsub__(self, other: object) -> FrozenSet[tuple]:
+        rows = self._operand(other)
+        return NotImplemented if rows is None else frozenset(rows) - self.frozen()
+
+    def __or__(self, other: object) -> FrozenSet[tuple]:
+        rows = self._operand(other)
+        return NotImplemented if rows is None else self.frozen() | rows
+
+    def __and__(self, other: object) -> FrozenSet[tuple]:
+        rows = self._operand(other)
+        return NotImplemented if rows is None else self.frozen() & rows
+
+    def __xor__(self, other: object) -> FrozenSet[tuple]:
+        rows = self._operand(other)
+        return NotImplemented if rows is None else self.frozen() ^ rows
+
+    __ror__ = __or__
+    __rand__ = __and__
+    __rxor__ = __xor__
+
+
+class _Relation:
+    """The session's store of one output relation: a frozen base and the
+    rows added and removed since, refrozen once those pass
+    :data:`REFREEZE_SHARE` of the base.  Reads share one view until the
+    next change."""
+
+    __slots__ = ("base", "added", "removed", "_view")
+
+    def __init__(self, rows: FrozenSet[tuple]) -> None:
+        self.base = rows
+        self.added: Set[tuple] = set()  # not in base
+        self.removed: Set[tuple] = set()  # in base
+        self._view: Optional[RelationView] = None
+
+    def view(self) -> RelationView:
+        if self._view is None:
+            self._view = RelationView(
+                self.base, frozenset(self.added), frozenset(self.removed)
+            )
+        return self._view
+
+    def update(self, plus: FrozenSet[tuple], minus: FrozenSet[tuple]) -> None:
+        """Take out the rows of ``minus`` (all present) and put in those
+        of ``plus`` (all absent)."""
+        if not plus and not minus:
+            return
+        self._view = None
+        base = self.base
+        self.added -= minus
+        self.removed |= minus & base
+        self.removed -= plus
+        self.added |= plus - base
+        if len(self.added) + len(self.removed) > REFREEZE_SHARE * len(base):
+            self.base = _fold(base, self.added, self.removed)
+            self.added = set()
+            self.removed = set()
+
+
+#: The session's five relations, by name.
+Relations = Dict[str, _Relation]
 
 
 def _instance_sigs(program: Program) -> FrozenSet[str]:
@@ -336,8 +499,11 @@ class IncrementalSession:
         self._types = type_rows(program)
         facts = assemble_facts(program, self._methods.values(), *self._types)
         self._epoch = _Epoch()
+        # The snapshot does not keep ``facts``: it is assembled again if
+        # read, so a session does not pin a whole fact base beside its
+        # row cache and solver.
         self._snapshot = _Snapshot(
-            program, self._types, self._epoch, self._methods, facts
+            program, self._types, self._epoch, self._methods, None
         )
         # The policy binds alloc_class_of at construction; a session-owned
         # dict (grown from each delta, before each solve) keeps it fresh.
@@ -393,7 +559,12 @@ class IncrementalSession:
         """
         if footprint.classes or footprint.fields:
             return self.sketch.build()
-        touched = footprint.bodies | footprint.methods.keys()
+        # Match the touched ids' parts, in sketch order, so no sketch
+        # method's id is formatted.
+        touched = {
+            parse_method_id(mid) for mid in footprint.bodies | footprint.methods.keys()
+        }
+        names = {key[1] for key in touched if key is not None}
         old = self.program
         program = old.derive(
             [
@@ -405,7 +576,8 @@ class IncrementalSession:
                     ms.is_static,
                 )
                 for ms in self.sketch.methods
-                if ms.id in touched
+                if ms.name in names
+                and (ms.class_name, ms.name, len(ms.params)) in touched
             ],
             # Each removed method; one re-added in the script moves to
             # the end of its class, as in a build from the sketch.
@@ -529,8 +701,10 @@ class IncrementalSession:
         self._solver = PointsToSolver(
             program, self._policy, facts=facts, max_tuples=self.max_tuples
         )
+        # A frozenset built from a generator may hold a table up to four
+        # times its rows; the one copy made by union() is sized to fit.
         return {
-            name: set(rows)
+            name: _Relation(frozenset().union(rows))
             for name, rows in zip(
                 RESULT_RELATIONS, solver_relations(self._solver.solve())
             )
@@ -548,8 +722,8 @@ class IncrementalSession:
         A rederive takes the retractions out first
         (:meth:`~repro.analysis.solver.PointsToSolver.retract`), then
         replays the additions (:meth:`~repro.analysis.solver.PointsToSolver.extend`).
-        Both report their result delta natively, so the cached sets are
-        updated in place and the returned ``(added, removed)`` are exact
+        Both report their result delta natively, so the relations' overlays
+        are updated from it and the returned ``(added, removed)`` are exact
         without any full-relation comparison.  Returns them with the
         outcome's reason.
         """
@@ -568,26 +742,28 @@ class IncrementalSession:
         for name in RESULT_RELATIONS:
             minus = lost.get(name, frozenset())
             plus = gained.get(name, frozenset())
-            rows = self._relations[name]
+            # a tuple retracted and re-derived by the additions stays
+            minus, plus = minus - plus, plus - minus
+            self._relations[name].update(plus, minus)
             if minus:
-                rows -= minus
-                # a tuple retracted and re-derived by the additions stays
-                removed[name] = minus - plus
+                removed[name] = minus
             if plus:
-                rows |= plus
-                added[name] = plus - minus
+                added[name] = plus
         return (added, removed), reason
 
     # ------------------------------------------------------------------
     # The session API
     # ------------------------------------------------------------------
-    def relations(self) -> Dict[str, FrozenSet[tuple]]:
-        """The current five output relations (string level).
+    def relations(self) -> Dict[str, RelationView]:
+        """The current five output relations (string level), as
+        :class:`RelationView`\\ s.
 
-        Defensive frozen copies: the session mutates its internal sets in
-        place on monotonic edits, and callers hold results across edits.
+        A view is immutable: a caller may hold it across later edits.
+        The session stores each relation once, as a frozen base plus the
+        rows added and removed since; a read copies only those, so it
+        costs O(delta), not O(result).
         """
-        return {name: frozenset(rows) for name, rows in self._relations.items()}
+        return {name: rows.view() for name, rows in self._relations.items()}
 
     def apply(
         self, edits: Union[EditScript, Iterable[Edit]]
@@ -679,14 +855,15 @@ class IncrementalSession:
                     if part:
                         out[name] = part
         else:
-            relations = self._relations
             for name in RESULT_RELATIONS:
-                plus = relations[name] - old_relations[name]
-                minus = old_relations[name] - relations[name]
+                now = self._relations[name].base  # fresh, so no overlay
+                was = old_relations[name].view().frozen()
+                plus = now - was
+                minus = was - now
                 if plus:
-                    result_added[name] = frozenset(plus)
+                    result_added[name] = plus
                 if minus:
-                    result_removed[name] = frozenset(minus)
+                    result_removed[name] = minus
         return EditOutcome(
             tier=tier,
             reason=reason,
@@ -714,5 +891,5 @@ class IncrementalSession:
         return [
             name
             for name in RESULT_RELATIONS
-            if scratch[name] != self._relations[name]
+            if scratch[name] != self._relations[name].view()
         ]

@@ -229,8 +229,13 @@ class Program:
             for alloc_idx in range(allocs):
                 del derived._alloc_sites[(old.id, alloc_idx)]
 
+        # The method table is patched: replacing or removing a method
+        # keeps every other in place.  An added one goes to the end of its
+        # class, so then the table is rebuilt in class order.
+        by_id = derived._methods_by_id = dict(self._methods_by_id)
+        added = False
         for method_id in removed:
-            old = self._methods_by_id[method_id]
+            old = by_id.pop(method_id)
             del class_methods(old.class_name)[old.sig]
             drop_sites(old)
         for method in methods:
@@ -238,15 +243,21 @@ class Program:
             old = table.get(method.sig)
             if old is not None:
                 drop_sites(old)
+            else:
+                added = True
             table[method.sig] = method  # an existing key keeps its place
+            by_id[method.id] = method
             derived._assign_site_ids(method)
         for class_name, table in changed.items():
             derived.classes[class_name] = replace(
                 self.classes[class_name], methods=table
             )
-        derived._methods_by_id = {
-            m.id: m for cd in derived.classes.values() for m in cd.methods.values()
-        }
+        if added:
+            derived._methods_by_id = {
+                m.id: m
+                for cd in derived.classes.values()
+                for m in cd.methods.values()
+            }
         derived.entry_points = list(entry_points)
         for ep in derived.entry_points:
             if ep not in derived._methods_by_id:

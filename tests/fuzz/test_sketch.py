@@ -6,6 +6,7 @@ from repro import encode_program, policy_by_name
 from repro.analysis.solver import solve
 from repro.fuzz.oracles import solver_relations
 from repro.fuzz.sketch import (
+    MethodSketch,
     ProgramSketch,
     instruction_from_json,
     instruction_to_json,
@@ -75,3 +76,26 @@ def test_count_instructions_matches_methods():
     assert sketch.count_instructions() == sum(
         len(m.instructions) for m in sketch.methods
     )
+
+
+def test_method_by_id_matches_id_parts():
+    sketch = ProgramSketch.from_program(build_kitchen_sink_program())
+    for m in sketch.methods:
+        assert sketch.method_by_id(m.id) is m
+    dotted = MethodSketch("a.b.C", "m", ("x", "y"), is_static=True)
+    sketch.methods.append(dotted)
+    assert sketch.method_by_id("a.b.C.m/2") is dotted
+    assert sketch.method_by_id("a.b.C.m/1") is None
+    assert sketch.method_by_id("b.C.m/2") is None
+
+
+@pytest.mark.parametrize(
+    "method_id",
+    ["Main.nowhere/0", "Main.main/1", "Main.main", "main/0", ".main/0",
+     "Main./0", "Main.main/", "Main.main/x", "Main.main/00", "Main.main/-0",
+     "Main.main/٠", ""],
+)
+def test_method_by_id_is_none_for_unknown_or_malformed_ids(method_id):
+    sketch = ProgramSketch.from_program(build_kitchen_sink_program())
+    assert sketch.method_by_id("Main.main/0") is not None
+    assert sketch.method_by_id(method_id) is None

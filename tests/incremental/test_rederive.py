@@ -18,7 +18,15 @@ from hypothesis import strategies as st
 
 from repro import ProgramBuilder
 from repro.analysis.datalog_model import DatalogPointsToAnalysis
-from repro.analysis.solver import BudgetExceeded, PointsToSolver, _CallIndex
+from repro.analysis.solver import (
+    _FLD,
+    _STATIC,
+    _THROW,
+    _VAR,
+    BudgetExceeded,
+    PointsToSolver,
+    _CallIndex,
+)
 from repro.benchgen.dacapo import build_benchmark
 from repro.contexts.policies import policy_by_name
 from repro.facts.encoder import encode_program
@@ -159,6 +167,101 @@ def test_rederive_takes_most_removal_steps():
                         rederived += out.tier == "rederive"
     assert removals >= 100
     assert rederived > 0.6 * removals, (rederived, removals)
+
+
+# ----------------------------------------------------------------------
+# Property: the owner index names every node, after every tier
+# ----------------------------------------------------------------------
+SKETCHES = {
+    **{
+        name: (lambda build=build: ProgramSketch.from_program(build()))
+        for name, build in PROGRAMS.items()
+    },
+    **{
+        Path(path).stem: (
+            lambda path=path: ProgramSketch.from_json(load_entry(path)["program"])
+        )
+        for path in iter_corpus(CORPUS_DIR)
+    },
+}
+
+
+def assert_owner_index(solver):
+    """One owner entry per node, decoding to the table entry that holds
+    the node."""
+    want = {}
+    for ctx, vmap in solver._var_nodes.items():
+        for var, node in vmap.items():
+            want[node] = (_VAR, ctx, var)
+    for fld, fmap in solver._fld_nodes.items():
+        for pid, node in fmap.items():
+            want[node] = (_FLD, fld, pid)
+    for key, node in solver._throw_nodes.items():
+        want[node] = (_THROW, key >> 32, key & 0xFFFFFFFF)
+    for sfld, node in solver._static_nodes.items():
+        want[node] = (_STATIC, 0, sfld)
+    assert len(solver._owners) == len(solver._pts) == len(want)
+    for node, (kind, hi, lo) in want.items():
+        assert solver._owners[node] == hi << 32 | lo
+        assert solver._owner(node) == (kind, hi, lo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    name=st.sampled_from(sorted(SKETCHES)),
+    analysis=st.sampled_from(FLAVORS),
+)
+def test_owner_index_names_every_node(seed, name, analysis):
+    session = IncrementalSession(SKETCHES[name](), analysis=analysis)
+    assert_owner_index(session._solver)  # after solve
+    rng = random.Random(seed)
+    for _ in range(4):
+        script = random_edit_script(session.sketch, rng, edits=rng.randint(1, 3))
+        session.apply(script)  # extend, retract, or a fresh solve
+        assert_owner_index(session._solver)
+
+
+def build_late_load_program():
+    """Loads registered before their base points anywhere: the base gets
+    its two objects from a call linked after the loads, so the worklist
+    creates all four field nodes (two fields by two objects)."""
+    b = ProgramBuilder()
+    b.klass("Box", fields=["a", "b"])
+    with b.method("Main", "make", [], static=True) as m:
+        m.alloc("o", "Box")
+        m.alloc("o", "Box")
+        m.ret("o")
+    with b.method("Main", "main", [], static=True) as m:
+        m.load("ra", "x", "a")
+        m.load("rb", "x", "b")
+        m.scall("Main", "make", [], target="x")
+        ballast(m)
+    return b.build(entry="Main.main/0")
+
+
+def test_owner_index_survives_extend_and_retract():
+    # The property above, seeded so that both warm tiers and every node
+    # kind are sure to be covered, with field nodes made on every path
+    # that makes one.
+    tiers = set()
+    kinds = set()
+    builds = {
+        **PROGRAMS,
+        "late-load": build_late_load_program,
+        "antlr": lambda: build_benchmark("antlr"),
+    }
+    for name in ("kitchen-sink", "exceptions", "late-load", "antlr"):
+        session = session_of(builds[name], "2objH")
+        rng = random.Random(name)
+        for _ in range(12):
+            out = session.apply(random_edit_script(session.sketch, rng))
+            tiers.add(out.tier)
+            solver = session._solver
+            assert_owner_index(solver)
+            kinds.update(solver._owner(node)[0] for node in range(len(solver._pts)))
+    assert {"monotonic", "rederive"} <= tiers, tiers
+    assert kinds == {_VAR, _FLD, _THROW, _STATIC}
 
 
 # ----------------------------------------------------------------------

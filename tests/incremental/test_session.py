@@ -35,8 +35,10 @@ from repro.ir.instructions import (
 )
 from repro.ir.validate import ValidationError
 from repro.incremental.session import (
+    REFREEZE_SHARE,
     RESULT_RELATIONS,
     IncrementalSession,
+    RelationView,
 )
 from tests.conftest import (
     build_box_program,
@@ -691,3 +693,129 @@ def test_write_path_equals_whole_program_encoding(seed, name, allow_removals):
             session.sketch, rng, edits=2, allow_removals=allow_removals
         )
         apply_and_check(session, script)
+
+
+# ----------------------------------------------------------------------
+# relations(): immutable views over a frozen base and an overlay
+# ----------------------------------------------------------------------
+def frozen_copy(relations):
+    return {name: frozenset(rows) for name, rows in relations.items()}
+
+
+def test_relation_views_never_change_after_later_applies():
+    session = moved_call_session(padding=12)
+    taken = []
+
+    def take():
+        views = session.relations()
+        taken.append((views, frozen_copy(views)))
+
+    take()
+    out = session.apply(EditScript([
+        InsertInstruction("Main.main/0", Alloc("zview", "Main")),
+    ]))
+    assert out.tier == "monotonic"
+    take()
+    last = len(session.sketch.method_by_id("Main.main/0").instructions) - 1
+    out = session.apply(EditScript([DeleteInstruction("Main.main/0", last)]))
+    assert out.tier == "rederive"
+    take()
+    out = session.apply(EditScript([DeleteInstruction("Main.main/0", 25)]))
+    assert out.tier == "full"
+    take()
+    for views, copy in taken:
+        assert views == copy
+        assert all(isinstance(rows, RelationView) for rows in views.values())
+    assert taken[0][0] != taken[1][1]  # the views did see different states
+    assert session.check_against_scratch() == []
+
+
+def test_relation_view_taken_before_a_budget_trip_never_changes():
+    sketch = ProgramSketch.from_program(build_kitchen_sink_program())
+    probe = IncrementalSession(sketch, analysis="2objH")
+    budget = len(probe.relations()["VARPOINTSTO"]) + 40
+    session = IncrementalSession(sketch, analysis="2objH", max_tuples=budget)
+    rng = random.Random(23)
+    for _ in range(20):
+        views = session.relations()
+        copy = frozen_copy(views)
+        script = random_edit_script(
+            session.sketch, rng, edits=2, allow_removals=False
+        )
+        try:
+            session.apply(script)
+        except Exception:
+            break
+        assert views == copy
+    else:
+        pytest.fail("budget never tripped; test needs a smaller margin")
+    assert views == copy
+    assert session.relations() == copy  # rolled back to the same state
+
+
+def test_relation_views_agree_with_frozensets():
+    session = moved_call_session(padding=12)
+    before = frozen_copy(session.relations())
+    out = session.apply(EditScript([
+        InsertInstruction("Main.main/0", Alloc("zview", "Main")),
+    ]))
+    assert out.tier == "monotonic"
+    # the last padding move: q11 = p11 goes
+    out = session.apply(EditScript([DeleteInstruction("Main.main/0", 23)]))
+    assert out.tier == "rederive"
+    views = session.relations()
+    vpt = session._relations["VARPOINTSTO"]
+    assert vpt.added and vpt.removed  # the view reads a base and an overlay
+    for name, view in views.items():
+        rows = frozenset(view)
+        assert len(view) == len(rows) == len(list(view))
+        assert view == rows and rows == view and not view != rows
+        assert all(row in view for row in rows)
+        for other in (before[name], rows, frozenset()):
+            assert view - other == rows - other
+            assert other - view == other - rows
+            assert view | other == rows | other == other | view
+            assert view & other == rows & other
+            assert view ^ other == rows ^ other
+            assert (view <= other) == (rows <= other)
+            assert (view == other) == (rows == other)
+            assert isinstance(view - other, frozenset)
+        assert view == session.relations()[name]  # a view equals a view
+    gone = next(iter(before["VARPOINTSTO"] - views["VARPOINTSTO"]))
+    assert gone not in views["VARPOINTSTO"]
+    assert ("nowhere",) not in views["VARPOINTSTO"]
+
+
+def test_relation_base_is_refrozen_past_its_share():
+    session = moved_call_session(padding=12)
+    store = session._relations["VARPOINTSTO"]
+    base = store.base
+    views = session.relations()
+    copy = frozen_copy(views)
+    one = EditScript([InsertInstruction("Main.main/0", Alloc("z0", "Main"))])
+    session.apply(one)
+    assert store.base is base and store.added  # below the share: overlay
+    grown = int(REFREEZE_SHARE * len(base)) + 1
+    session.apply(EditScript([
+        InsertInstruction("Main.main/0", Alloc(f"z{i}", "Main"))
+        for i in range(1, grown + 1)
+    ]))
+    assert store.base is not base  # past the share: refrozen
+    assert not store.added and not store.removed
+    assert views == copy
+    now = session.relations()["VARPOINTSTO"]
+    assert now == store.base and len(now) == len(base) + grown + 1
+    assert session.check_against_scratch() == []
+
+
+def test_methods_added_to_one_class_keep_sketch_order():
+    # The derived program takes the added methods in sketch order, as a
+    # build does: not in the order of the touched ids.
+    session = make_session()
+    names = ["zb", "za", "zd", "zc"]
+    apply_and_check(session, EditScript([
+        AddMethod("Main", name, instructions=[Return("this")]) for name in names
+    ]))
+    assert list(session.program.classes["Main"].methods)[-4:] == [
+        f"{name}/0" for name in names
+    ]

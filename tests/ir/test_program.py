@@ -203,6 +203,18 @@ class TestDerive:
         assert tiny_program._alloc_sites == old_sites
         assert tiny_program.lookup("B", "id/1").id == "B.id/1"
 
+    def test_replacing_and_removing_patch_the_method_table(self, tiny_program):
+        old_ids = [m.id for m in tiny_program.methods()]
+        replaced = Method("A", "id", ("p",), (Alloc("n", "B"), Return("n")))
+        derived = tiny_program.derive(
+            [replaced], removed=["B.id/1"], entry_points=["Main.main/0"]
+        )
+        assert [m.id for m in derived.methods()] == [
+            mid for mid in old_ids if mid != "B.id/1"
+        ]
+        assert derived.method("A.id/1") is replaced
+        assert [m.id for m in tiny_program.methods()] == old_ids
+
     def test_entry_point_must_exist(self, tiny_program):
         with pytest.raises(ProgramError, match="entry point"):
             tiny_program.derive([], removed=["Main.main/0"],
