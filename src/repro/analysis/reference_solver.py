@@ -208,7 +208,7 @@ class ReferencePointsToSolver:
                 (self.types.intern(typ), self.vars.intern(var))
             )
 
-        args_of: Dict[str, List[str]] = f.args_of_invo
+        args_of: Dict[str, Tuple[str, ...]] = f.args_of_invo
         ret_of: Dict[str, str] = {invo: var for invo, var in f.actualreturn}
 
         def call_parts(invo: str) -> Tuple[int, Tuple[int, ...]]:

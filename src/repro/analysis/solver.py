@@ -85,6 +85,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -202,23 +203,31 @@ class BudgetExceeded(Exception):
 
 @dataclass
 class _MethodBody:
-    """A method compiled to interned instruction vectors."""
+    """A method compiled to interned instruction vectors.
 
-    allocs: List[Tuple[int, int]]  # (var, heap)
-    moves: List[Tuple[int, int]]  # (from, to)
-    casts: List[Tuple[int, int, int]]  # (from, to, type)
-    loads: List[Tuple[int, int, int]]  # (to, base, fld)
-    stores: List[Tuple[int, int, int]]  # (base, fld, from)
-    vcalls: List[Tuple[int, int, int, int, Tuple[int, ...]]]
+    An instruction field with no entries is the shared empty tuple, and
+    one with entries a list of its own: most fields of most bodies are
+    empty, and an empty list per field would be a collector-tracked
+    container each.  A body grows or shrinks by rebinding a field (see
+    :meth:`PointsToSolver.extend` and :meth:`PointsToSolver._tear_down`),
+    never in place.
+    """
+
+    allocs: Sequence[Tuple[int, int]]  # (var, heap)
+    moves: Sequence[Tuple[int, int]]  # (from, to)
+    casts: Sequence[Tuple[int, int, int]]  # (from, to, type)
+    loads: Sequence[Tuple[int, int, int]]  # (to, base, fld)
+    stores: Sequence[Tuple[int, int, int]]  # (base, fld, from)
+    vcalls: Sequence[Tuple[int, int, int, int, Tuple[int, ...]]]
     # (base, sig, invo, lhs, args)
-    specialcalls: List[Tuple[int, int, int, int, Tuple[int, ...]]]
+    specialcalls: Sequence[Tuple[int, int, int, int, Tuple[int, ...]]]
     # (base, meth, invo, lhs, args)
-    scalls: List[Tuple[int, int, int, Tuple[int, ...]]]
+    scalls: Sequence[Tuple[int, int, int, Tuple[int, ...]]]
     # (meth, invo, lhs, args)
-    staticloads: List[Tuple[int, int]]  # (to, sfld)
-    staticstores: List[Tuple[int, int]]  # (sfld, from)
-    throws: List[int]  # thrown vars
-    catches: List[Tuple[int, int]]  # (type, var)
+    staticloads: Sequence[Tuple[int, int]]  # (to, sfld)
+    staticstores: Sequence[Tuple[int, int]]  # (sfld, from)
+    throws: Sequence[int]  # thrown vars
+    catches: Sequence[Tuple[int, int]]  # (type, var)
     formals: Tuple[int, ...]
     returns: Tuple[int, ...]
     this: int  # _NONE for static methods
@@ -229,6 +238,9 @@ _INSTR_FIELDS = (
     "allocs", "moves", "casts", "loads", "stores", "vcalls", "specialcalls",
     "scalls", "staticloads", "staticstores", "throws", "catches",
 )
+
+#: The instruction fields of a body without instructions.
+_NO_INSTRS: Tuple[Tuple[()], ...] = ((),) * len(_INSTR_FIELDS)
 
 #: Call instruction lists of a :class:`_MethodBody`, with the position of
 #: the call-site id in their entries.
@@ -435,6 +447,173 @@ class Retraction:
     nodes: int
 
 
+class _Epoch:
+    """A solver's mutation count, shared with its snapshots' views."""
+
+    __slots__ = ("n",)
+
+    def __init__(self) -> None:
+        self.n = 0
+
+
+class _SnapshotView:
+    """A read-only view over one of a solver's id-keyed tables.
+
+    It copies nothing: it reads the solver's own table, so it is valid
+    until the solver next mutates.  It records the solver's mutation
+    epoch when made and raises ``RuntimeError`` on any read after a later
+    :meth:`~PointsToSolver.extend` or :meth:`~PointsToSolver.retract`,
+    instead of silently showing the new fixpoint.
+    """
+
+    __slots__ = ("_table", "_epoch", "_at")
+
+    def __init__(self, table, epoch: _Epoch) -> None:
+        self._table = table
+        self._epoch = epoch
+        self._at = epoch.n
+
+    def _live(self):
+        if self._epoch.n != self._at:
+            raise RuntimeError(
+                "stale solution view: the solver was extended or "
+                "retracted after this snapshot"
+            )
+        return self._table
+
+
+class _NodeView(_SnapshotView, Mapping):
+    """A tuple-keyed ``key -> node`` mapping over a nested id table;
+    subclasses say how keys nest (``_pairs``, ``__getitem__``)."""
+
+    __slots__ = ()
+
+    def _pairs(self) -> Iterator[Tuple[tuple, int]]:
+        raise NotImplementedError
+
+    def _nodes(self) -> Iterator[int]:
+        for inner in self._live().values():
+            yield from inner.values()
+
+    def __iter__(self) -> Iterator[tuple]:
+        return (key for key, _node in self._pairs())
+
+    def __len__(self) -> int:
+        return sum(map(len, self._live().values()))
+
+    def items(self) -> Iterator[Tuple[tuple, int]]:  # type: ignore[override]
+        return self._pairs()
+
+    def values(self) -> Iterator[int]:  # type: ignore[override]
+        return self._nodes()
+
+
+class _VarNodes(_NodeView):
+    """``(var, ctx) -> node`` over the solver's ``ctx -> var -> node``."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key: Tuple[int, int]) -> int:
+        var, ctx = key
+        return self._live()[ctx][var]
+
+    def _pairs(self) -> Iterator[Tuple[Tuple[int, int], int]]:
+        for ctx, vmap in self._live().items():
+            for var, node in vmap.items():
+                yield (var, ctx), node
+
+
+class _FldNodes(_NodeView):
+    """``(heap, hctx, fld) -> node`` over the solver's ``fld -> pair id
+    -> node`` and its pair table."""
+
+    __slots__ = ("_pair_ids", "_pair_heap", "_pair_hctx")
+
+    def __init__(self, solver: "PointsToSolver") -> None:
+        super().__init__(solver._fld_nodes, solver._epoch)
+        self._pair_ids = solver._pair_ids
+        self._pair_heap = solver._pair_heap
+        self._pair_hctx = solver._pair_hctx
+
+    def __getitem__(self, key: Tuple[int, int, int]) -> int:
+        heap, hctx, fld = key
+        table = self._live()
+        return table[fld][self._pair_ids[heap << _PAIR_KEY_SHIFT | hctx]]
+
+    def _pairs(self) -> Iterator[Tuple[Tuple[int, int, int], int]]:
+        ph, pc = self._pair_heap, self._pair_hctx
+        for fld, fmap in self._live().items():
+            for pid, node in fmap.items():
+                yield (ph[pid], pc[pid], fld), node
+
+
+class _ThrowNodes(_NodeView):
+    """``(meth, ctx) -> node`` over the solver's ``meth << 32 | ctx ->
+    node``."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key: Tuple[int, int]) -> int:
+        meth, ctx = key
+        return self._live()[meth << 32 | ctx]
+
+    def __len__(self) -> int:
+        return len(self._live())
+
+    def _pairs(self) -> Iterator[Tuple[Tuple[int, int], int]]:
+        for key, node in self._live().items():
+            yield (key >> 32, key & _CTX_MASK), node
+
+    def _nodes(self) -> Iterator[int]:
+        return iter(self._live().values())
+
+
+class _Dispatches(_SnapshotView, Mapping):
+    """``invo -> frozenset of callees`` over the solver's flat
+    ``{invo << 32 | callee}``, grouped by site on first read."""
+
+    __slots__ = ("_grouped",)
+
+    def __init__(self, table: Set[int], epoch: _Epoch) -> None:
+        super().__init__(table, epoch)
+        self._grouped: Optional[Dict[int, FrozenSet[int]]] = None
+
+    def _groups(self) -> Dict[int, FrozenSet[int]]:
+        table = self._live()
+        if self._grouped is None:
+            grouped: Dict[int, List[int]] = {}
+            for key in table:
+                grouped.setdefault(key >> 32, []).append(key & _CTX_MASK)
+            self._grouped = {k: frozenset(v) for k, v in grouped.items()}
+        return self._grouped
+
+    def __getitem__(self, invo: int) -> FrozenSet[int]:
+        return self._groups()[invo]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._groups())
+
+    def __len__(self) -> int:
+        return len(self._groups())
+
+
+class _Reachable(_SnapshotView, AbstractSet):
+    """``{(meth, ctx)}`` over the solver's ``{meth << 32 | ctx}``."""
+
+    __slots__ = ()
+
+    def __contains__(self, key: object) -> bool:
+        meth, ctx = key  # type: ignore[misc]
+        return meth << 32 | ctx in self._live()
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        for key in self._live():
+            yield key >> 32, key & _CTX_MASK
+
+    def __len__(self) -> int:
+        return len(self._live())
+
+
 @dataclass
 class RawSolution:
     """Interned analysis output; wrapped by ``results.AnalysisResult``.
@@ -446,6 +625,14 @@ class RawSolution:
     in the node's points-to set; materialize with :meth:`iter_pids` and
     count with :meth:`pts_size`.  ``var_nodes`` recovers the (var, ctx)
     key of each variable node.
+
+    ``var_nodes``, ``fld_nodes``, ``throw_nodes``, ``reachable`` and
+    ``vcall_dispatches`` are read-only views over the solver's own id
+    tables, not copies: they read like the dict and set they stand for
+    (iterating ``items()`` and ``values()``, ``len``, ``in``, ``[key]``)
+    and are valid until the solver next mutates.  Reading one after a later :meth:`PointsToSolver.extend` or
+    :meth:`PointsToSolver.retract` raises ``RuntimeError``; take a new
+    :meth:`PointsToSolver.snapshot` instead.
     """
 
     vars: Interner
@@ -455,19 +642,20 @@ class RawSolution:
     flds: Interner
     ctxs: ContextTable
     hctxs: ContextTable
-    var_nodes: Dict[Tuple[int, int], int]
-    fld_nodes: Dict[Tuple[int, int, int], int]
+    var_nodes: Mapping[Tuple[int, int], int]
+    fld_nodes: Mapping[Tuple[int, int, int], int]
     static_nodes: Dict[int, int]
-    throw_nodes: Dict[Tuple[int, int], int]
+    throw_nodes: Mapping[Tuple[int, int], int]
     static_flds: Interner
     pts: List[int]
     pair_heap: List[int]
     pair_hctx: List[int]
-    reachable: Set[Tuple[int, int]]
+    reachable: AbstractSet[Tuple[int, int]]
     call_graph: Set[Tuple[int, int, int, int]]
-    vcall_dispatches: Dict[int, Set[int]]
+    vcall_dispatches: Mapping[int, FrozenSet[int]]
     #: keyed by bare invocation-site id -> resolved target method ids
-    #: (the context-insensitive projection of virtual-dispatch outcomes).
+    #: (the context-insensitive projection of virtual-dispatch outcomes);
+    #: a view like the node tables.
     tuple_count: int
     seconds: float
 
@@ -580,7 +768,9 @@ class PointsToSolver:
 
         self._reachable: Set[int] = set()  # meth << 32 | ctx
         self._call_graph: Set[Tuple[int, int, int, int]] = set()
-        self._vcall_targets: Dict[int, Set[int]] = {}
+        # Receiver-dispatched call targets, ``invo << 32 | callee``: one
+        # flat set, not a set per call site.
+        self._vcall_targets: Set[int] = set()
 
         # Caches ---------------------------------------------------------
         # The merge cache is keyed per receiver pair id unless the policy
@@ -607,6 +797,8 @@ class PointsToSolver:
 
         self._tuple_count = 0
         self._ops_since_clock = 0
+        # Bumped by every extend and retract: snapshots' views go stale.
+        self._epoch = _Epoch()
         self._stopwatch = Stopwatch()
 
         self._heap_type: Dict[int, int] = {}
@@ -638,21 +830,26 @@ class PointsToSolver:
         var_meth: Callable[[str], str],
         ret_of: Mapping[str, str],
         args_of: Mapping[str, Sequence[str]],
-    ) -> Dict[str, List[list]]:
-        """Intern instruction rows, grouped by method: one list per
-        :data:`_INSTR_FIELDS` entry, later the method's body's own.
+    ) -> Dict[str, List[Sequence[tuple]]]:
+        """Intern instruction rows, grouped by method: one field per
+        :data:`_INSTR_FIELDS` entry, later the method's body's own.  A
+        field is a list once a row lands in it, the shared empty tuple
+        until then.
 
         ``rows_of`` names a relation's rows, ``var_meth`` a variable's
         method, ``ret_of`` a call's result variable and ``args_of`` its
         actual arguments, by position.
         """
-        grouped: Dict[str, List[list]] = {}
+        grouped: Dict[str, List[Sequence[tuple]]] = {}
 
-        def lists(meth: str) -> List[list]:
+        def field(meth: str, i: int) -> list:
             raw = grouped.get(meth)
             if raw is None:
-                raw = grouped[meth] = [[], [], [], [], [], [], [], [], [], [], [], []]
-            return raw
+                raw = grouped[meth] = list(_NO_INSTRS)
+            out = raw[i]
+            if not out:
+                out = raw[i] = []
+            return out  # type: ignore[return-value]
 
         vi = self.vars.intern
         ti = self.types.intern
@@ -668,33 +865,33 @@ class PointsToSolver:
             return lhs_i, tuple(map(vi, args_of.get(invo, ())))
 
         for var, h, meth in rows_of("alloc"):
-            lists(meth)[0].append((vi(var), heap(h)))
+            field(meth, 0).append((vi(var), heap(h)))
         for to, frm in rows_of("move"):
-            lists(var_meth(to))[1].append((vi(frm), vi(to)))
+            field(var_meth(to), 1).append((vi(frm), vi(to)))
         for to, typ, frm, meth in rows_of("cast"):
-            lists(meth)[2].append((vi(frm), vi(to), ti(typ)))
+            field(meth, 2).append((vi(frm), vi(to), ti(typ)))
         for to, base, fld in rows_of("load"):
-            lists(var_meth(to))[3].append((vi(to), vi(base), fi(fld)))
+            field(var_meth(to), 3).append((vi(to), vi(base), fi(fld)))
         for base, fld, frm in rows_of("store"):
-            lists(var_meth(base))[4].append((vi(base), fi(fld), vi(frm)))
+            field(var_meth(base), 4).append((vi(base), fi(fld), vi(frm)))
         for to, cls, fld in rows_of("staticload"):
-            lists(var_meth(to))[8].append((vi(to), si((cls, fld))))
+            field(var_meth(to), 8).append((vi(to), si((cls, fld))))
         for cls, fld, frm in rows_of("staticstore"):
-            lists(var_meth(frm))[9].append((si((cls, fld)), vi(frm)))
+            field(var_meth(frm), 9).append((si((cls, fld)), vi(frm)))
         for var, meth in rows_of("throwinstr"):
-            lists(meth)[10].append(vi(var))
+            field(meth, 10).append(vi(var))
         for meth, typ, var in rows_of("catchclause"):
-            lists(meth)[11].append((ti(typ), vi(var)))
+            field(meth, 11).append((ti(typ), vi(var)))
         for base, sig, invo, meth in rows_of("vcall"):
-            lists(meth)[5].append(
+            field(meth, 5).append(
                 (vi(base), self.sigs.intern(sig), ii(invo), *call_parts(invo))
             )
         for base, callee, invo, meth in rows_of("specialcall"):
-            lists(meth)[6].append(
+            field(meth, 6).append(
                 (vi(base), mi(callee), ii(invo), *call_parts(invo))
             )
         for callee, invo, meth in rows_of("scall"):
-            lists(meth)[7].append((mi(callee), ii(invo), *call_parts(invo)))
+            field(meth, 7).append((mi(callee), ii(invo), *call_parts(invo)))
         return grouped
 
     def _body(self, meth: int) -> _MethodBody:
@@ -713,15 +910,15 @@ class PointsToSolver:
         return mb
 
     def _new_body(
-        self, meth: str, raw: Optional[List[list]], index: FactIndex
+        self, meth: str, raw: Optional[List[Sequence[tuple]]], index: FactIndex
     ) -> _MethodBody:
-        """Wrap compiled instruction lists (empty/``None``: none) in a body,
-        with formals, returns and ``this`` from ``index`` — the shared
-        index, or an edit's delta."""
+        """Wrap compiled instruction fields (empty/``None``: none) in a
+        body, with formals, returns and ``this`` from ``index`` — the
+        shared index, or an edit's delta."""
         vi = self.vars.intern
         this = index.this_of.get(meth)
         return _MethodBody(
-            *(raw or ([], [], [], [], [], [], [], [], [], [], [], [])),
+            *(raw or _NO_INSTRS),
             formals=tuple(map(vi, index.formals.get(meth, ()))),
             returns=tuple(map(vi, index.returns.get(meth, ()))),
             this=vi(this) if this is not None else _NONE,
@@ -1274,11 +1471,7 @@ class PointsToSolver:
         callee_ctx = self._merge_cache.get(mkey)
         if callee_ctx is None:
             callee_ctx = self._merge(pid, invo, callee, caller_ctx)
-        targets = self._vcall_targets.get(invo)
-        if targets is None:
-            self._vcall_targets[invo] = {callee}
-        else:
-            targets.add(callee)
+        self._vcall_targets.add(invo << 32 | callee)
         self._link_call(
             invo, caller_ctx, caller_meth, callee, callee_ctx, lhs, args
         )
@@ -1312,13 +1505,8 @@ class PointsToSolver:
                 reachable=len(self._reachable),
                 compiled_methods=len(self._bodies),
                 call_edges=len(self._call_graph),
+                vcall_targets=len(self._vcall_targets),
             )
-            if tracer.enabled:
-                tracer.annotate(
-                    vcall_targets=sum(
-                        len(v) for v in self._vcall_targets.values()
-                    )
-                )
         with tracer.span("solver.snapshot"):
             return self.snapshot()
 
@@ -1389,6 +1577,7 @@ class PointsToSolver:
                         f"{rel} addition on pre-existing call site {row[0]}"
                     )
         self.program = program
+        self._epoch.n += 1
         self._stopwatch.restart()
 
         # Arm the insertion log and snapshot the (comparatively small)
@@ -1466,7 +1655,9 @@ class PointsToSolver:
                 mb = self._body(meth_i)
                 dmb = self._new_body(meth, raw, delta)
                 for name in _INSTR_FIELDS:
-                    getattr(mb, name).extend(getattr(dmb, name))
+                    more = getattr(dmb, name)
+                    if more:
+                        setattr(mb, name, [*getattr(mb, name), *more])
                 replays.append((meth_i, dmb))
             else:
                 self._bodies[meth_i] = self._new_body(meth, raw, delta)
@@ -1645,6 +1836,7 @@ class PointsToSolver:
             )
 
         self.program = program
+        self._epoch.n += 1
         self._stopwatch.restart()
         pts = self._pts
         old = {node: pts[node] for node in region}
@@ -1655,19 +1847,18 @@ class PointsToSolver:
         self._propagate()
 
         # Dispatch outcomes of the sites whose call edges were cut.
-        targets: Dict[int, Set[int]] = {
-            edge[0]: set() for edge in cut if edge[0] in self._vcall_targets
+        cut_sites = {edge[0] for edge in cut}
+        stale = cut_sites and {
+            key for key in self._vcall_targets if key >> 32 in cut_sites
         }
-        if targets:
-            for invo, _cc, callee, _ec in self._call_graph:
-                found = targets.get(invo)
-                if found is not None:
-                    found.add(callee)
-            for invo, found in targets.items():
-                if found:
-                    self._vcall_targets[invo] = found
-                else:
-                    del self._vcall_targets[invo]
+        if stale:
+            sites = {key >> 32 for key in stale}
+            self._vcall_targets -= stale
+            self._vcall_targets.update(
+                invo << 32 | callee
+                for invo, _cc, callee, _ec in self._call_graph
+                if invo in sites
+            )
 
         lost: Dict[int, int] = {}
         for node, was in old.items():
@@ -1893,9 +2084,8 @@ class PointsToSolver:
                 drop = getattr(g, name)
                 if drop:
                     drop_set = set(drop)
-                    getattr(mb, name)[:] = [
-                        entry for entry in getattr(mb, name) if entry not in drop_set
-                    ]
+                    kept = [e for e in getattr(mb, name) if e not in drop_set]
+                    setattr(mb, name, kept or ())
             if g.returns:
                 mb.returns = tuple(r for r in mb.returns if r not in g.returns)
         return torn
@@ -2002,7 +2192,7 @@ class PointsToSolver:
             meth_i = self.meths.intern(meth)
             mb = self._body(meth_i)
             g = _MethodBody(
-                *(grouped.get(meth) or ([], [], [], [], [], [], [], [], [], [], [], [])),
+                *(grouped.get(meth) or _NO_INSTRS),
                 formals=(),
                 returns=tuple(map(self.vars.intern, returns.get(meth, ()))),
                 this=_NONE,
@@ -2305,8 +2495,9 @@ class PointsToSolver:
                         self._raise_in(meth, ctx, pid)
 
     def snapshot(self) -> RawSolution:
-        """The current fixpoint, materialised (O(result))."""
-        ph, pc = self._pair_heap, self._pair_hctx
+        """The current fixpoint, as views over the solver's tables (see
+        :class:`RawSolution`): O(1), nothing is copied."""
+        epoch = self._epoch
         return RawSolution(
             vars=self.vars,
             heaps=self.heaps,
@@ -2315,30 +2506,17 @@ class PointsToSolver:
             flds=self.flds,
             ctxs=self.ctxs,
             hctxs=self.hctxs,
-            var_nodes={
-                (var, ctx): node
-                for ctx, vmap in self._var_nodes.items()
-                for var, node in vmap.items()
-            },
-            fld_nodes={
-                (ph[pid], pc[pid], fld): node
-                for fld, fmap in self._fld_nodes.items()
-                for pid, node in fmap.items()
-            },
+            var_nodes=_VarNodes(self._var_nodes, epoch),
+            fld_nodes=_FldNodes(self),
             static_nodes=self._static_nodes,
-            throw_nodes={
-                (key >> 32, key & 0xFFFFFFFF): node
-                for key, node in self._throw_nodes.items()
-            },
+            throw_nodes=_ThrowNodes(self._throw_nodes, epoch),
             static_flds=self.static_flds,
             pts=self._pts,
-            pair_heap=ph,
-            pair_hctx=pc,
-            reachable={
-                (key >> 32, key & 0xFFFFFFFF) for key in self._reachable
-            },
+            pair_heap=self._pair_heap,
+            pair_hctx=self._pair_hctx,
+            reachable=_Reachable(self._reachable, epoch),
             call_graph=self._call_graph,
-            vcall_dispatches={k: set(v) for k, v in self._vcall_targets.items()},
+            vcall_dispatches=_Dispatches(self._vcall_targets, epoch),
             tuple_count=self._tuple_count,
             seconds=self._stopwatch.elapsed(),
         )

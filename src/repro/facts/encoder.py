@@ -183,11 +183,13 @@ class FactBase:
     invoinmeth: List[Tuple[str, str]] = field(default_factory=list)
     reachableroot: List[Tuple[str]] = field(default_factory=list)
 
-    # Indexes used by policies, metrics, and the solver.
+    # Indexes used by policies, metrics, and the solver.  Their values
+    # are tuples: a tuple of strings leaves the collector's tracking,
+    # where a list per method or call site would stay in every pass.
     heap_type: Dict[str, str] = field(default_factory=dict)
     alloc_class: Dict[str, str] = field(default_factory=dict)
-    vars_of_method: Dict[str, List[str]] = field(default_factory=dict)
-    args_of_invo: Dict[str, List[str]] = field(default_factory=dict)
+    vars_of_method: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    args_of_invo: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     method_of_invo: Dict[str, str] = field(default_factory=dict)
     vcall_invos: Set[str] = field(default_factory=set)
     all_heaps: Set[str] = field(default_factory=set)
@@ -221,15 +223,15 @@ class FactBase:
             for heap, typ in facts.heap_type.items()
             if typ == JAVA_STRING and facts.alloc_class.get(heap) == JAVA_STRING
         }
-        facts.vars_of_method = {m.id: [] for m in program.methods()}
+        vars_of: Dict[str, List[str]] = {m.id: [] for m in program.methods()}
         for var, meth in facts.varinmeth:
-            facts.vars_of_method.setdefault(meth, []).append(var)
-        for local_vars in facts.vars_of_method.values():
-            local_vars.sort()
+            vars_of.setdefault(meth, []).append(var)
+        facts.vars_of_method = {m: tuple(sorted(vs)) for m, vs in vars_of.items()}
         facts.method_of_invo = dict(facts.invoinmeth)
-        facts.args_of_invo = {invo: [] for invo in facts.method_of_invo}
+        args_of: Dict[str, List[str]] = {invo: [] for invo in facts.method_of_invo}
         for invo, i, arg in sorted(facts.actualarg, key=lambda r: (r[0], r[1])):
-            facts.args_of_invo.setdefault(invo, []).append(arg)
+            args_of.setdefault(invo, []).append(arg)
+        facts.args_of_invo = {invo: tuple(args) for invo, args in args_of.items()}
         facts.vcall_invos = {invo for _b, _s, invo, _m in facts.vcall}
         return facts
 
@@ -352,7 +354,7 @@ def _encode_method(program: Program, method: Method, facts: FactBase) -> None:
     qual = method.qualified_var
 
     local_vars = sorted(method.local_vars())
-    facts.vars_of_method[mid] = [qual(v) for v in local_vars]
+    facts.vars_of_method[mid] = tuple(map(qual, local_vars))
     for v in local_vars:
         facts.varinmeth.append((qual(v), mid))
 
@@ -430,7 +432,7 @@ def _encode_method(program: Program, method: Method, facts: FactBase) -> None:
 
 
 def _encode_call_common(instr, qual, facts: FactBase, in_meth: str) -> None:
-    facts.args_of_invo[instr.invo] = [qual(a) for a in instr.args]
+    facts.args_of_invo[instr.invo] = tuple(map(qual, instr.args))
     facts.method_of_invo[instr.invo] = in_meth
     facts.invoinmeth.append((instr.invo, in_meth))
     for i, a in enumerate(instr.args):

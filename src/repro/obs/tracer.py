@@ -33,6 +33,14 @@ Design rules (they are load-bearing):
   per-operation spans.  The benchmark harness asserts the enabled
   overhead stays under 5% on the medium suite.
 
+* **The collector on the trace.**  While any span is open, an enabled
+  tracer keeps a ``gc.callbacks`` hook installed.  It charges each
+  garbage-collector pass to the innermost open span of the thread that
+  ran it, as the counters ``gc_ms`` (pause, milliseconds) and
+  ``gc_gen0``/``gc_gen1``/``gc_gen2`` (passes of that generation).  The
+  hook goes when the last open span closes; :data:`NULL_TRACER` never
+  installs one.
+
 Exports:
 
 * :meth:`Tracer.chrome_trace` — a Chrome ``trace_event`` JSON object
@@ -43,12 +51,17 @@ Exports:
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from bisect import bisect_left, bisect_right
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["NULL_TRACER", "Span", "Tracer"]
+
+#: The counter a collector pass of each generation adds one to.
+_GC_GEN_COUNTERS = ("gc_gen0", "gc_gen1", "gc_gen2")
 
 
 class Span:
@@ -116,6 +129,10 @@ class Tracer:
         self._spans: List[Span] = []
         self._counters: List[Dict[str, Any]] = []  # chrome "C" samples
         self._local = threading.local()
+        # Threads with an open span, and the collector hook installed
+        # while there are any (both under ``_lock``).
+        self._open_threads = 0
+        self._gc_hook: Optional[Callable[[str, Dict[str, Any]], None]] = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -129,6 +146,8 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> _SpanHandle:
         """Open a nested span; use as ``with tracer.span("solver.init"):``."""
         stack = self._stack()
+        if not stack:
+            self._thread_opened()
         span = Span(
             name,
             time.perf_counter() - self._epoch,
@@ -143,14 +162,51 @@ class Tracer:
         span.end = time.perf_counter() - self._epoch
         stack = self._stack()
         # Exceptions may unwind several handles out of order; pop to ours.
-        while stack and stack.pop() is not span:
-            pass
+        if stack:
+            while stack and stack.pop() is not span:
+                pass
+            if not stack:
+                self._thread_closed()
         with self._lock:
             self._spans.append(span)
 
+    def _thread_opened(self) -> None:
+        """A thread opens its outermost span: install the collector hook
+        if it is the first such thread."""
+        with self._lock:
+            self._open_threads += 1
+            if self._gc_hook is None:
+                self._gc_hook = self._collector_hook()
+                gc.callbacks.append(self._gc_hook)
+
+    def _thread_closed(self) -> None:
+        """A thread's last open span closed: remove the collector hook if
+        no other thread has one open."""
+        with self._lock:
+            self._open_threads -= 1
+            if not self._open_threads and self._gc_hook is not None:
+                gc.callbacks.remove(self._gc_hook)
+                self._gc_hook = None
+
+    def _collector_hook(self) -> Callable[[str, Dict[str, Any]], None]:
+        """A ``gc.callbacks`` entry charging each collector pass to the
+        innermost open span of the collecting thread.  A closure, not a
+        bound method, so removing it leaves no cycle through the tracer."""
+        started: List[float] = []
+
+        def hook(phase: str, info: Dict[str, Any]) -> None:
+            if phase == "start":
+                started.append(time.perf_counter())
+            elif started:
+                ms = 1000 * (time.perf_counter() - started.pop())
+                self.add("gc_ms", ms)
+                self.add(_GC_GEN_COUNTERS[info["generation"]])
+
+        return hook
+
     def current(self) -> Optional[Span]:
         """The innermost open span on this thread, if any."""
-        stack = self._stack()
+        stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
 
     def add(self, counter: str, amount: float = 1) -> None:
@@ -246,25 +302,26 @@ class Tracer:
         its children aggregates to ~0 self time.
         """
         spans = self.spans()
-        # Child time per open parent: attribute each span's duration to
-        # the innermost enclosing span on the same thread.
+        # A span's parent is the first span to finish after it on the same
+        # thread, one level up, that started no later.  Finished spans
+        # wait, sorted by start, on a stack per (thread, depth) until that
+        # parent finishes and claims those that started at or after it.
+        # Out-of-order unwinding can finish a child after its parent, or
+        # leave two overlapping spans at one depth, hence the sort.
+        waiting: Dict[Tuple[int, int], Tuple[List[float], List[float]]] = {}
         child_time: Dict[int, float] = {}
-        by_thread: Dict[int, List[Span]] = {}
         for s in spans:
-            by_thread.setdefault(s.tid, []).append(s)
-        for thread_spans in by_thread.values():
-            # A span's parent is the shallowest-depth+1 span enclosing it.
-            for s in thread_spans:
-                for cand in thread_spans:
-                    if (
-                        cand.depth == s.depth - 1
-                        and cand.start <= s.start
-                        and (cand.end or 0.0) >= (s.end or 0.0)
-                    ):
-                        child_time[id(cand)] = (
-                            child_time.get(id(cand), 0.0) + s.seconds
-                        )
-                        break
+            kids = waiting.get((s.tid, s.depth + 1))
+            if kids:
+                starts, secs = kids
+                cut = bisect_left(starts, s.start)
+                if cut < len(starts):
+                    child_time[id(s)] = sum(secs[cut:])
+                    del starts[cut:], secs[cut:]
+            starts, secs = waiting.setdefault((s.tid, s.depth), ([], []))
+            at = bisect_right(starts, s.start)
+            starts.insert(at, s.start)
+            secs.insert(at, s.seconds)
         table: Dict[str, Dict[str, float]] = {}
         for s in spans:
             row = table.get(s.name)

@@ -1,8 +1,13 @@
 """The span tracer: nesting, thread-safety, export formats, no-op cost."""
 
+import gc
 import json
+import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
 
 from repro.obs import NULL_TRACER, Span, Tracer
 
@@ -196,6 +201,144 @@ class TestSummary:
         assert t.spans() == []
         assert t.summary() == {}
         assert t.chrome_trace()["traceEvents"] == []
+
+
+def _brute_force_summary(spans):
+    """The span summary by its definition: a span's parent is the first
+    span, in completion order, on its thread one level up whose interval
+    holds it."""
+    child_time = {}
+    for s in spans:
+        for cand in spans:
+            if (
+                cand.tid == s.tid
+                and cand.depth == s.depth - 1
+                and cand.start <= s.start
+                and cand.end >= s.end
+            ):
+                child_time[id(cand)] = child_time.get(id(cand), 0.0) + s.seconds
+                break
+    table = {}
+    for s in spans:
+        row = table.setdefault(s.name, {
+            "count": 0, "total_seconds": 0.0, "self_seconds": 0.0,
+            "min_seconds": s.seconds, "max_seconds": s.seconds,
+        })
+        row["count"] += 1
+        row["total_seconds"] += s.seconds
+        row["self_seconds"] += max(0.0, s.seconds - child_time.get(id(s), 0.0))
+        row["min_seconds"] = min(row["min_seconds"], s.seconds)
+        row["max_seconds"] = max(row["max_seconds"], s.seconds)
+    return table
+
+
+class TestSummaryAttribution:
+    def test_matches_brute_force_on_random_trees(self):
+        """Two threads open and close spans in a seeded interleaving; one
+        close in five exits a handle that is not the innermost (as
+        out-of-order unwinding does), so children can finish after their
+        parents and spans of one depth can overlap."""
+        rng = random.Random(2014)
+        t = Tracer()
+        pools = [ThreadPoolExecutor(max_workers=1) for _ in range(2)]
+        open_handles = [[], []]
+        names = ["a", "b", "c", "d"]
+        try:
+            for _step in range(600):
+                w = rng.randrange(2)
+                handles = open_handles[w]
+                if handles and (len(handles) > 6 or rng.random() < 0.45):
+                    if rng.random() < 0.2:
+                        handle = handles.pop(rng.randrange(len(handles)))
+                    else:
+                        handle = handles.pop()
+                    pools[w].submit(handle.__exit__, None, None, None).result()
+                else:
+                    name = rng.choice(names)
+                    handles.append(pools[w].submit(t.span, name).result())
+            for w in (0, 1):
+                while open_handles[w]:
+                    handle = open_handles[w].pop(rng.randrange(len(open_handles[w])))
+                    pools[w].submit(handle.__exit__, None, None, None).result()
+        finally:
+            for pool in pools:
+                pool.shutdown()
+        spans = t.spans()
+        assert len({s.tid for s in spans}) == 2
+        orphans = [
+            s for s in spans
+            if s.depth and not any(
+                p.tid == s.tid and p.depth == s.depth - 1
+                and p.start <= s.start and p.end >= s.end
+                for p in spans
+            )
+        ]
+        assert orphans, "no child outlived its parent"
+        want = _brute_force_summary(spans)
+        got = t.summary()
+        assert got.keys() == want.keys()
+        for name, row in want.items():
+            for key, value in row.items():
+                assert got[name][key] == pytest.approx(value, abs=1e-9), (name, key)
+
+
+class TestCollectorCounters:
+    def test_collection_inside_span_is_charged_to_it(self):
+        t = Tracer()
+        before = list(gc.callbacks)
+        with t.span("outer"):
+            with t.span("inner"):
+                assert len(gc.callbacks) == len(before) + 1
+                gc.collect()
+        by_name = {s.name: s for s in t.spans()}
+        inner = by_name["inner"].attrs
+        assert inner["gc_gen2"] >= 1
+        assert inner["gc_ms"] > 0
+        assert "gc_gen2" not in by_name["outer"].attrs
+        assert gc.callbacks == before
+
+    def test_hook_stays_while_any_thread_has_a_span_open(self):
+        t = Tracer()
+        before = list(gc.callbacks)
+        inside, release = threading.Event(), threading.Event()
+
+        def worker():
+            with t.span("worker"):
+                inside.set()
+                release.wait(10)
+
+        th = threading.Thread(target=worker)
+        th.start()
+        assert inside.wait(10)
+        with t.span("main"):
+            pass
+        assert len(gc.callbacks) == len(before) + 1
+        release.set()
+        th.join(10)
+        assert not th.is_alive()
+        assert gc.callbacks == before
+
+    def test_out_of_order_unwinding_removes_the_hook(self):
+        t = Tracer()
+        before = list(gc.callbacks)
+        outer = t.span("outer")
+        inner = t.span("inner")
+        outer.__exit__(None, None, None)
+        assert gc.callbacks == before
+        inner.__exit__(None, None, None)
+        assert gc.callbacks == before
+        with t.span("again"):
+            gc.collect()
+        assert gc.callbacks == before
+        assert {s.name: s for s in t.spans()}["again"].attrs["gc_gen2"] == 1
+
+    def test_null_tracer_leaves_callbacks_untouched(self):
+        before = list(gc.callbacks)
+        with NULL_TRACER.span("work"):
+            assert gc.callbacks == before
+            gc.collect()
+        assert gc.callbacks == before
+        assert NULL_TRACER.spans() == []
 
 
 def _boxes_source(n):
