@@ -64,6 +64,16 @@ Consumers are stored in per-kind tables (loads, stores, virtual calls,
 special calls, throws) so the inner loop dispatches without string-tag
 comparison or variable-width tuple unpacking.
 
+Exceptional flow materialises on the first escape.  Until an exception
+escapes some activation, no activation has a throw node (THROWPOINTSTO)
+and no call edge a consumer re-raising its callee's escapes in the
+caller: programs without an escaping exception — every DaCapo analog —
+never build them.  The first escape gives every call edge linked so far
+its callee's throw node and that consumer (all of them empty, so nothing
+replays), and from then on :meth:`PointsToSolver._link_call` gives each
+new edge both as it links it.  No tuple is ever charged for a throw node,
+so the output relations and the tuple count are the same either way.
+
 Everything is interned to dense integers; contexts live in two
 :class:`~repro.contexts.abstractions.ContextTable` instances, and the policy
 constructor functions are memoized (they are pure).
@@ -278,13 +288,18 @@ REDERIVE_RELATIONS: FrozenSet[str] = frozenset(
 
 #: The largest share of the solver's nodes a retraction may over-delete
 #: before :meth:`PointsToSolver.retract` refuses it (and the caller
-#: re-solves from scratch instead).  Measured with 2objH edit sessions on
-#: the DaCapo analogs (deleting each instruction of the entry methods one
-#: at a time, GC off, 2-CPU host): a whole rederive edit took 0.3–0.9x
-#: the time of the same edit on the full tier while it over-deleted up to
-#: 41% of the nodes, 0.6–1.5x at 44–57% (break-even near 45%) and 1.3–1.5x
-#: at 100%.  The edit-session benchmark's ``delete`` draws (seeds 2014
-#: and 7) over-delete at most 5.2%.
+#: re-solves from scratch instead).  Each reachable activation counts
+#: as one more node, and each activation the retraction drops as one
+#: more over-deleted node: a rederive tears those down and a re-solve
+#: rebuilds them.  (The measurements below were taken when each called
+#: activation had a throw node, so they counted activations that way.)
+#: Measured with 2objH edit sessions on the DaCapo analogs (deleting
+#: each instruction of the entry methods one at a time, GC off, 2-CPU
+#: host): a whole rederive edit took 0.3–0.9x the time of the same edit
+#: on the full tier while it over-deleted up to 41% of the nodes,
+#: 0.6–1.5x at 44–57% (break-even near 45%) and 1.3–1.5x at 100%.
+#: The edit-session benchmark's ``delete`` draws (seeds 2014 and 7)
+#: over-delete at most 4.6% by this count.
 REDERIVE_MAX_SHARE = 0.4
 
 _CTX_MASK = 0xFFFFFFFF
@@ -442,7 +457,9 @@ class Retraction:
     #: The five output relations mapped to the string-level tuples the
     #: retraction removed (the rederived fixpoint is a subset of the old).
     removed: Dict[str, FrozenSet[tuple]]
-    #: Nodes over-deleted (cleared and rederived), and all nodes.
+    #: The share :data:`REDERIVE_MAX_SHARE` bounds: nodes over-deleted
+    #: (cleared and rederived) plus activations dropped, against all
+    #: nodes plus all reachable activations.
     region: int
     nodes: int
 
@@ -463,7 +480,8 @@ class _SnapshotView:
     until the solver next mutates.  It records the solver's mutation
     epoch when made and raises ``RuntimeError`` on any read after a later
     :meth:`~PointsToSolver.extend` or :meth:`~PointsToSolver.retract`,
-    instead of silently showing the new fixpoint.
+    instead of silently showing the new fixpoint.  A key of the wrong
+    shape or type is absent, as in the dict or set the view stands for.
     """
 
     __slots__ = ("_table", "_epoch", "_at")
@@ -514,8 +532,12 @@ class _VarNodes(_NodeView):
     __slots__ = ()
 
     def __getitem__(self, key: Tuple[int, int]) -> int:
-        var, ctx = key
-        return self._live()[ctx][var]
+        table = self._live()
+        try:
+            var, ctx = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        return table[ctx][var]
 
     def _pairs(self) -> Iterator[Tuple[Tuple[int, int], int]]:
         for ctx, vmap in self._live().items():
@@ -536,9 +558,13 @@ class _FldNodes(_NodeView):
         self._pair_hctx = solver._pair_hctx
 
     def __getitem__(self, key: Tuple[int, int, int]) -> int:
-        heap, hctx, fld = key
         table = self._live()
-        return table[fld][self._pair_ids[heap << _PAIR_KEY_SHIFT | hctx]]
+        try:
+            heap, hctx, fld = key
+            pid = self._pair_ids[heap << _PAIR_KEY_SHIFT | hctx]
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        return table[fld][pid]
 
     def _pairs(self) -> Iterator[Tuple[Tuple[int, int, int], int]]:
         ph, pc = self._pair_heap, self._pair_hctx
@@ -554,8 +580,13 @@ class _ThrowNodes(_NodeView):
     __slots__ = ()
 
     def __getitem__(self, key: Tuple[int, int]) -> int:
-        meth, ctx = key
-        return self._live()[meth << 32 | ctx]
+        table = self._live()
+        try:
+            meth, ctx = key
+            packed = meth << 32 | ctx
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        return table[packed]
 
     def __len__(self) -> int:
         return len(self._live())
@@ -603,8 +634,12 @@ class _Reachable(_SnapshotView, AbstractSet):
     __slots__ = ()
 
     def __contains__(self, key: object) -> bool:
-        meth, ctx = key  # type: ignore[misc]
-        return meth << 32 | ctx in self._live()
+        table = self._live()
+        try:
+            meth, ctx = key  # type: ignore[misc]
+            return meth << 32 | ctx in table
+        except (TypeError, ValueError):
+            return False
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         for key in self._live():
@@ -633,6 +668,9 @@ class RawSolution:
     and are valid until the solver next mutates.  Reading one after a later :meth:`PointsToSolver.extend` or
     :meth:`PointsToSolver.retract` raises ``RuntimeError``; take a new
     :meth:`PointsToSolver.snapshot` instead.
+
+    ``throw_nodes`` is empty until an exception escapes some activation
+    (exceptional flow materialises on the first escape).
     """
 
     vars: Interner
@@ -747,6 +785,10 @@ class PointsToSolver:
         self._fld_nodes: Dict[int, Dict[int, int]] = {}  # fld -> pair -> node
         self._static_nodes: Dict[int, int] = {}
         self._throw_nodes: Dict[int, int] = {}  # meth << 32 | ctx -> node
+        # Set by the first exception to escape an activation: until then
+        # no call edge has a throw node or a throw consumer (see the
+        # module docstring and _first_escape).
+        self._escaped = False
         # node -> packed key of the table entry holding it (see "Node
         # management"): the incremental paths read only the nodes they
         # touched instead of scanning the tables.
@@ -1371,6 +1413,9 @@ class PointsToSolver:
             return
         self._call_graph.add(edge)
         self._charge(1)
+        # A first escape while the callee is reached below finds this
+        # edge in the call graph and gives it its throw consumer then.
+        escaped = self._escaped
         if callee << 32 | callee_ctx not in self._reachable:
             self._make_reachable(callee, callee_ctx)
         mb = self._bodies[callee]  # reachable, hence compiled
@@ -1407,9 +1452,10 @@ class PointsToSolver:
                         owners.append(callee_ctx << 32 | ret)
                     self._add_edge(src, dst)
         # Exceptions escaping the callee are (re-)raised in the caller.
-        self._register_throw(
-            self._tnode(callee, callee_ctx), caller_meth, caller_ctx
-        )
+        if escaped:
+            self._register_throw(
+                self._tnode(callee, callee_ctx), caller_meth, caller_ctx
+            )
 
     def _raise_in(self, meth: int, ctx: int, pid: int) -> None:
         """An exception object is raised in (meth, ctx): bind it to every
@@ -1420,7 +1466,22 @@ class PointsToSolver:
                 self._add_pts1(self._vnode(catch_var, ctx), pid)
                 caught = True
         if not caught:
+            if not self._escaped:
+                self._first_escape()
             self._add_pts1(self._tnode(meth, ctx), pid)
+
+    def _first_escape(self) -> None:
+        """Materialise exceptional flow: give every call edge linked so
+        far its callee's throw node and the consumer re-raising in its
+        caller, as :meth:`_link_call` gives each later edge.  The nodes
+        are all new and empty, so nothing replays."""
+        self._escaped = True
+        callers: Dict[int, int] = {}
+        for meth, mb in self._bodies.items():
+            for invo in _call_invos(mb):
+                callers[invo] = meth
+        for invo, cc, callee, ec in self._call_graph:
+            self._register_throw(self._tnode(callee, ec), callers[invo], cc)
 
     def _dispatch(self, heap_type: int, sig: int) -> int:
         key = heap_type << 32 | sig
@@ -1812,7 +1873,8 @@ class PointsToSolver:
         Raises ``ValueError`` — before changing anything — for rows outside
         :data:`REDERIVE_RELATIONS`, a removed method, call-structure rows of
         a call site that survives, or an over-deleted region larger than
-        :data:`REDERIVE_MAX_SHARE` of the nodes.  ``program`` is the
+        :data:`REDERIVE_MAX_SHARE` of the nodes (activations counted as
+        nodes).  ``program`` is the
         post-edit program; calls are matched by site id, so the removed
         rows are all the facts this needs.
         """
@@ -1828,10 +1890,13 @@ class PointsToSolver:
                 ctxs.append(key & _CTX_MASK)
         calls = _CallIndex.of(self)
         region, cut, dead = self._overdelete(gone, ctxs_of, calls)
-        nodes = len(self._pts)
-        if len(region) > REDERIVE_MAX_SHARE * nodes:
+        # What a rederive tears down against what a re-solve rebuilds:
+        # nodes, plus activations (which need no node of their own).
+        share = len(region) + len(dead)
+        size = len(self._pts) + len(self._reachable)
+        if share > REDERIVE_MAX_SHARE * size:
             raise ValueError(
-                f"over-deleted region {len(region)}/{nodes} nodes exceeds "
+                f"over-deleted region {share}/{size} nodes exceeds "
                 f"{REDERIVE_MAX_SHARE:.0%}"
             )
 
@@ -1871,8 +1936,8 @@ class PointsToSolver:
                 (edge for edge in cut if edge not in self._call_graph),
                 (key for key in dead if key not in self._reachable),
             ),
-            region=len(region),
-            nodes=nodes,
+            region=share,
+            nodes=size,
         )
 
     def _overdelete(
@@ -2027,12 +2092,13 @@ class PointsToSolver:
             for ctx in ctxs_of.get(meth, ()):
                 if meth << 32 | ctx not in dead:
                     self._unplay(g, meth, ctx)
-        for invo, cc, callee, ec in cut:
-            _drop_consumer(
-                self._throw_cons,
-                self._throw_nodes[callee << 32 | ec],
-                (calls.callers[invo], cc),
-            )
+        if self._escaped:
+            for invo, cc, callee, ec in cut:
+                _drop_consumer(
+                    self._throw_cons,
+                    self._throw_nodes[callee << 32 | ec],
+                    (calls.callers[invo], cc),
+                )
 
         torn: List[Tuple[int, int]] = []
         edge_seen = self._edge_seen
@@ -2281,6 +2347,7 @@ class PointsToSolver:
         vnode = self._vnode
         add_edge = self._add_edge
         call_graph = self._call_graph
+        throw_nodes = self._throw_nodes
         for var, heap in mb.allocs:
             self._add_pts1(vnode(var, ctx), self._record(heap, ctx))
         for frm, to in mb.moves:
@@ -2321,8 +2388,10 @@ class PointsToSolver:
                     dst = vnode(lhs, ctx)
                     for ret in self._bodies[callee].returns:
                         add_edge(vnode(ret, ec), dst)
-                for pid in iter_bits(pts[self._tnode(callee, ec)]):
-                    self._raise_in(meth, ctx, pid)
+                escapes = throw_nodes.get(callee << 32 | ec)
+                if escapes is not None:
+                    for pid in iter_bits(pts[escapes]):
+                        self._raise_in(meth, ctx, pid)
         # Incoming call edges: argument bindings and the receiver.
         for edge in calls.into(meth, ctx):
             if edge not in call_graph:

@@ -21,6 +21,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -100,6 +101,41 @@ METHOD_RELATIONS = INSTRUCTION_RELATIONS + (
 _STRING_RELATIONS = ("heaptype", "allocclass")
 _EMPTY: FrozenSet[str] = frozenset()
 
+#: Every relation of a fact base, in :meth:`FactBase.as_relation_dict`
+#: order.
+_RELATIONS = (
+    "alloc",
+    "move",
+    "load",
+    "store",
+    "vcall",
+    "scall",
+    "specialcall",
+    "cast",
+    "staticload",
+    "staticstore",
+    "throwinstr",
+    "catchclause",
+    "formalarg",
+    "actualarg",
+    "formalreturn",
+    "actualreturn",
+    "thisvar",
+    "heaptype",
+    "lookup",
+    "subtype",
+    "allocclass",
+    "varinmeth",
+    "invoinmeth",
+    "reachableroot",
+)
+
+#: The relations :func:`encode_program` builds; SUBTYPE and LOOKUP are
+#: built the first time they are read (:class:`_TypeRows`).
+_ENCODED_RELATIONS = tuple(
+    name for name in _RELATIONS if name not in ("lookup", "subtype")
+)
+
 
 @dataclass(frozen=True)
 class FactIndex:
@@ -149,9 +185,59 @@ class FactIndex:
         )
 
 
+class _TypeRows:
+    """One of a program's whole-program type relations (SUBTYPE or
+    LOOKUP), built by ``build`` the first time it is read.
+
+    No cold run reads them, so a fact base holds one of these per relation
+    instead of the rows.  Derived fact bases share it by reference.  Two
+    unbuilt holders over the same program and builder are equal without
+    building; otherwise equality compares the rows.
+    """
+
+    __slots__ = ("program", "build", "rows")
+
+    def __init__(
+        self,
+        program: Optional[Program],
+        build: Optional[Callable[[Program], List[tuple]]],
+        rows: Optional[List[tuple]] = None,
+    ) -> None:
+        self.program = program
+        self.build = build
+        self.rows = rows
+
+    def get(self) -> List[tuple]:
+        rows = self.rows
+        if rows is None:
+            assert self.program is not None and self.build is not None
+            rows = self.rows = self.build(self.program)
+            self.program = self.build = None
+        return rows
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _TypeRows):
+            return NotImplemented
+        if self is other or (
+            self.rows is None
+            and other.rows is None
+            and self.program is other.program
+            and self.build is other.build
+        ):
+            return True
+        return self.get() == other.get()
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @dataclass
 class FactBase:
-    """All input relations of one program, as tuple lists plus indexes."""
+    """All input relations of one program, as tuple lists plus indexes.
+
+    SUBTYPE and LOOKUP are built from the program the first time they are
+    read (``subtype``, ``lookup`` and everything that reads every
+    relation); until then the fact base holds neither.
+    """
 
     program: Program
 
@@ -176,8 +262,6 @@ class FactBase:
     actualreturn: List[Tuple[str, str]] = field(default_factory=list)
     thisvar: List[Tuple[str, str]] = field(default_factory=list)
     heaptype: List[Tuple[str, str]] = field(default_factory=list)
-    lookup: List[Tuple[str, str, str]] = field(default_factory=list)
-    subtype: List[Tuple[str, str]] = field(default_factory=list)
     allocclass: List[Tuple[str, str]] = field(default_factory=list)
     varinmeth: List[Tuple[str, str]] = field(default_factory=list)
     invoinmeth: List[Tuple[str, str]] = field(default_factory=list)
@@ -198,6 +282,30 @@ class FactBase:
     _index: Optional[FactIndex] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _subtype: _TypeRows = field(init=False, repr=False)
+    _lookup: _TypeRows = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._subtype = _TypeRows(self.program, _subtype_rows)
+        self._lookup = _TypeRows(self.program, _lookup_rows)
+
+    @property
+    def subtype(self) -> List[Tuple[str, str]]:
+        """SUBTYPE rows, built on first read."""
+        return self._subtype.get()
+
+    @subtype.setter
+    def subtype(self, rows: List[Tuple[str, str]]) -> None:
+        self._subtype = _TypeRows(None, None, rows)
+
+    @property
+    def lookup(self) -> List[Tuple[str, str, str]]:
+        """LOOKUP rows, built on first read."""
+        return self._lookup.get()
+
+    @lookup.setter
+    def lookup(self, rows: List[Tuple[str, str, str]]) -> None:
+        self._lookup = _TypeRows(None, None, rows)
 
     @classmethod
     def from_relations(
@@ -210,7 +318,7 @@ class FactBase:
         as given and the encoder's indexes are re-derived from them.
         """
         facts = cls(program)
-        unknown = set(relations) - set(facts.as_relation_dict())
+        unknown = set(relations) - {name.upper() for name in _RELATIONS}
         if unknown:
             raise ValueError(f"not fact-base relations: {sorted(unknown)}")
         for name, rows in relations.items():
@@ -265,43 +373,20 @@ class FactBase:
             raise ValueError(f"not instruction relations: {sorted(unknown)}")
         derived = dataclasses.replace(self, program=program, **rows)
         derived._index = self.index()
+        derived._subtype = self._subtype
+        derived._lookup = self._lookup
         return derived
 
     def as_relation_dict(self) -> Dict[str, List[tuple]]:
         """Tuples keyed by schema relation name (Datalog EDB loading)."""
-        return {
-            "ALLOC": list(self.alloc),
-            "MOVE": list(self.move),
-            "LOAD": list(self.load),
-            "STORE": list(self.store),
-            "VCALL": list(self.vcall),
-            "SCALL": list(self.scall),
-            "SPECIALCALL": list(self.specialcall),
-            "CAST": list(self.cast),
-            "STATICLOAD": list(self.staticload),
-            "STATICSTORE": list(self.staticstore),
-            "THROWINSTR": list(self.throwinstr),
-            "CATCHCLAUSE": list(self.catchclause),
-            "FORMALARG": list(self.formalarg),
-            "ACTUALARG": list(self.actualarg),
-            "FORMALRETURN": list(self.formalreturn),
-            "ACTUALRETURN": list(self.actualreturn),
-            "THISVAR": list(self.thisvar),
-            "HEAPTYPE": list(self.heaptype),
-            "LOOKUP": list(self.lookup),
-            "SUBTYPE": list(self.subtype),
-            "ALLOCCLASS": list(self.allocclass),
-            "VARINMETH": list(self.varinmeth),
-            "INVOINMETH": list(self.invoinmeth),
-            "REACHABLEROOT": list(self.reachableroot),
-        }
+        return {name.upper(): list(getattr(self, name)) for name in _RELATIONS}
 
     def alloc_class_of(self, heap: str) -> str:
         """Type-sensitivity context element: class containing the alloc site."""
         return self.alloc_class[heap]
 
     def count_tuples(self) -> int:
-        return sum(len(v) for v in self.as_relation_dict().values())
+        return sum(len(getattr(self, name)) for name in _RELATIONS)
 
     def digest(self) -> str:
         """Stable SHA-256 over the input relations (hex string).
@@ -328,14 +413,18 @@ class FactBase:
 def encode_program(program: Program, tracer: Tracer = NULL_TRACER) -> FactBase:
     """Encode a frozen program into its input relations.
 
-    The encoding is wrapped in a ``facts.encode`` span on ``tracer``.
+    The encoding is wrapped in a ``facts.encode`` span on ``tracer``,
+    annotated with the number of rows it built: every relation but
+    SUBTYPE and LOOKUP, which the fact base builds when first read.
     """
     if not program.frozen:
         raise ValueError("program must be frozen before encoding")
     with tracer.span("facts.encode"):
         facts = _encode(program)
         if tracer.enabled:
-            tracer.annotate(tuples=facts.count_tuples())
+            tracer.annotate(
+                tuples=sum(len(getattr(facts, n)) for n in _ENCODED_RELATIONS)
+            )
     return facts
 
 
@@ -343,7 +432,6 @@ def _encode(program: Program) -> FactBase:
     facts = FactBase(program)
     for method in program.methods():
         _encode_method(program, method, facts)
-    _encode_types(program, facts)
     for ep in program.entry_points:
         facts.reachableroot.append((ep,))
     return facts
@@ -441,25 +529,44 @@ def _encode_call_common(instr, qual, facts: FactBase, in_meth: str) -> None:
         facts.actualreturn.append((instr.invo, qual(instr.target)))
 
 
-def _encode_types(program: Program, facts: FactBase) -> None:
+def _subtype_rows(program: Program) -> List[Tuple[str, str]]:
+    """SUBTYPE: the reflexive-transitive closure, as the cast rule
+    expects."""
     hierarchy = program.hierarchy
-    # SUBTYPE: reflexive-transitive closure, as the cast rule expects.
-    for ct in hierarchy:
-        for sup in hierarchy.supertypes(ct.name):
-            facts.subtype.append((ct.name, sup))
-    # LOOKUP: dispatch table for every *instantiable* type and every
-    # signature resolvable on it.  Only concrete classes can be receivers.
-    sigs: Set[str] = set()
-    for method in program.methods():
-        if not method.is_static:
-            sigs.add(method.sig)
+    return [
+        (ct.name, sup)
+        for ct in hierarchy
+        for sup in hierarchy.supertypes(ct.name)
+    ]
+
+
+def _lookup_rows(program: Program) -> List[Tuple[str, str, str]]:
+    """LOOKUP: the dispatch table of every *instantiable* type (only
+    concrete classes can be receivers) for every instance signature it
+    resolves.
+
+    One walk up each class's superclass chain, where the first
+    declaration of a signature wins (as in ``Program.lookup``, whose
+    memo this leaves alone); a static first declaration resolves no
+    instance call.
+    """
+    rows: List[Tuple[str, str, str]] = []
+    classes = program.classes
+    hierarchy = program.hierarchy
     for ct in hierarchy:
         if ct.is_interface or ct.is_abstract:
             continue
-        for sig in sigs:
-            target = program.lookup(ct.name, sig)
-            if target is not None and not target.is_static:
-                facts.lookup.append((ct.name, sig, target.id))
+        seen: Set[str] = set()
+        for sup in hierarchy.superclass_chain(ct.name):
+            cd = classes.get(sup.name)
+            if cd is None:
+                continue
+            for sig, method in cd.methods.items():
+                if sig not in seen:
+                    seen.add(sig)
+                    if not method.is_static:
+                        rows.append((ct.name, sig, method.id))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -515,11 +622,9 @@ class MethodRows:
 
 
 def type_rows(program: Program) -> Tuple[List[tuple], List[tuple]]:
-    """``program``'s SUBTYPE and LOOKUP rows, as ``encode_program`` emits
+    """``program``'s SUBTYPE and LOOKUP rows, as a fact base of it reads
     them."""
-    scratch = FactBase(program)
-    _encode_types(program, scratch)
-    return scratch.subtype, scratch.lookup
+    return _subtype_rows(program), _lookup_rows(program)
 
 
 def assemble_facts(

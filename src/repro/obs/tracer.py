@@ -46,7 +46,8 @@ Exports:
 * :meth:`Tracer.chrome_trace` — a Chrome ``trace_event`` JSON object
   (open in ``chrome://tracing`` or https://ui.perfetto.dev);
 * :meth:`Tracer.summary` / :meth:`Tracer.render_summary` — an aggregated
-  per-span-name table (count, total/self seconds, min/max).
+  per-span-name table (count, total/self seconds, min/max, and the
+  collector's milliseconds and full passes).
 """
 
 from __future__ import annotations
@@ -297,9 +298,12 @@ class Tracer:
         """Aggregate finished spans per name.
 
         Returns ``name -> {count, total_seconds, self_seconds,
-        min_seconds, max_seconds}``; ``self_seconds`` subtracts the time
-        spent in same-thread child spans, so a parent that merely wraps
-        its children aggregates to ~0 self time.
+        min_seconds, max_seconds, gc_ms, gc_gen2}``; ``self_seconds``
+        subtracts the time spent in same-thread child spans, so a parent
+        that merely wraps its children aggregates to ~0 self time.
+        ``gc_ms`` and ``gc_gen2`` total the collector counters of the
+        name's spans: each pass is charged to the innermost open span, so
+        like ``self_seconds`` they leave out the children's.
         """
         spans = self.spans()
         # A span's parent is the first span to finish after it on the same
@@ -326,6 +330,8 @@ class Tracer:
         for s in spans:
             row = table.get(s.name)
             self_secs = max(0.0, s.seconds - child_time.get(id(s), 0.0))
+            gc_ms = s.attrs.get("gc_ms", 0.0)
+            gc_gen2 = s.attrs.get("gc_gen2", 0)
             if row is None:
                 table[s.name] = {
                     "count": 1,
@@ -333,6 +339,8 @@ class Tracer:
                     "self_seconds": self_secs,
                     "min_seconds": s.seconds,
                     "max_seconds": s.seconds,
+                    "gc_ms": gc_ms,
+                    "gc_gen2": gc_gen2,
                 }
             else:
                 row["count"] += 1
@@ -340,6 +348,8 @@ class Tracer:
                 row["self_seconds"] += self_secs
                 row["min_seconds"] = min(row["min_seconds"], s.seconds)
                 row["max_seconds"] = max(row["max_seconds"], s.seconds)
+                row["gc_ms"] += gc_ms
+                row["gc_gen2"] += gc_gen2
         return table
 
     def render_summary(self) -> str:
@@ -353,13 +363,14 @@ class Tracer:
         width = max(len("span"), max(len(name) for name, _ in rows))
         lines = [
             f"{'span':<{width}}  {'count':>5}  {'total':>9}  "
-            f"{'self':>9}  {'min':>9}  {'max':>9}"
+            f"{'self':>9}  {'min':>9}  {'max':>9}  {'gc':>10}  {'gc2':>4}"
         ]
         for name, row in rows:
             lines.append(
                 f"{name:<{width}}  {int(row['count']):>5}  "
                 f"{row['total_seconds']:>8.4f}s  {row['self_seconds']:>8.4f}s  "
-                f"{row['min_seconds']:>8.4f}s  {row['max_seconds']:>8.4f}s"
+                f"{row['min_seconds']:>8.4f}s  {row['max_seconds']:>8.4f}s  "
+                f"{row['gc_ms']:>8.1f}ms  {int(row['gc_gen2']):>4}"
             )
         return "\n".join(lines)
 

@@ -28,6 +28,7 @@ from repro.fuzz.sketch import ProgramSketch
 from repro.incremental.differ import diff_facts
 from repro.incremental.edits import random_edit_script
 from tests.conftest import build_box_program, build_kitchen_sink_program
+from tests.incremental.test_rederive import build_exception_program
 
 BENCHMARKS = ("xalan", "jython")
 
@@ -75,7 +76,29 @@ def test_solve_holds_no_container_per_key(bench, box_snapshot_keeps):
 
     raw, keeps = _snapshot_keeps(solver)
     assert keeps == box_snapshot_keeps < 20
+    tables = _assert_views_read_as_copies(solver, raw)
+    assert len(tables["var_nodes"]) > 1000
+    # No analog throws: exceptional flow is never built.
+    assert not tables["throw_nodes"] and not solver._throw_cons
 
+
+def test_throw_view_reads_as_copy_where_exceptions_escape():
+    solver = _solver(build_exception_program(), "2objH")
+    tables = _assert_views_read_as_copies(solver, solver.solve())
+    assert tables["throw_nodes"]
+
+
+#: A key of each view's shape that no solve holds.
+_ABSENT = {
+    "var_nodes": (10**6, 0),
+    "fld_nodes": (10**6, 0, 0),
+    "throw_nodes": (10**6, 0),
+}
+
+
+def _assert_views_read_as_copies(solver, raw):
+    """Every view of ``raw`` reads as the tuple-keyed copy of the
+    solver's table it replaces; returns the node tables' copies."""
     ph, pc = solver._pair_heap, solver._pair_hctx
     tables = {
         "var_nodes": {
@@ -93,7 +116,6 @@ def test_solve_holds_no_container_per_key(bench, box_snapshot_keeps):
             for key, node in solver._throw_nodes.items()
         },
     }
-    assert len(tables["var_nodes"]) > 1000
     for name, want in tables.items():
         view = getattr(raw, name)
         assert view == want and len(view) == len(want), name
@@ -101,7 +123,7 @@ def test_solve_holds_no_container_per_key(bench, box_snapshot_keeps):
         assert sorted(view.values()) == sorted(want.values()), name
         for key, node in list(want.items())[:200]:
             assert key in view and view[key] == node, name
-        assert (10**6,) + key[1:] not in view, name
+        assert _ABSENT[name] not in view, name
     reachable = {(key >> 32, key & 0xFFFFFFFF) for key in solver._reachable}
     assert raw.reachable == reachable and len(raw.reachable) == len(reachable)
     assert all(key in raw.reachable for key in reachable)
@@ -109,6 +131,36 @@ def test_solve_holds_no_container_per_key(bench, box_snapshot_keeps):
     for key in solver._vcall_targets:
         dispatches.setdefault(key >> 32, set()).add(key & 0xFFFFFFFF)
     assert raw.vcall_dispatches == dispatches
+    return tables
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    (
+        ("var_nodes", build_kitchen_sink_program),
+        ("fld_nodes", build_kitchen_sink_program),
+        ("throw_nodes", build_exception_program),
+    ),
+)
+def test_node_views_reject_malformed_keys_as_dicts_do(name, build):
+    """A key of the wrong shape or type is absent, as in the dict the
+    view replaces: ``in`` is false and ``[key]`` raises ``KeyError``."""
+    solver = _solver(build(), "2objH")
+    view = getattr(solver.solve(), name)
+    assert len(view)
+    wrong_type = ("a",) * len(_ABSENT[name])
+    for key in ((1, 2, 3, 4), (1,), (), "key", 7, None, wrong_type):
+        assert key not in view, key
+        with pytest.raises(KeyError):
+            view[key]
+        assert view.get(key) is None, key
+
+
+def test_reachable_view_rejects_malformed_keys_as_a_set_does():
+    solver = _solver(build_exception_program(), "2objH")
+    reachable = solver.solve().reachable
+    for key in ((1, 2, 3), (1,), "key", 7, None, ("a", "b")):
+        assert key not in reachable, key
 
 
 def _index_tracked(facts):

@@ -422,7 +422,7 @@ def test_a_region_past_the_share_re_solves_and_says_so():
     out = session.apply(EditScript([DeleteInstruction("Main.main/0", 4)]))
     assert out.tier == "full"
     assert out.reason == (
-        "rederive refused (over-deleted region 8/10 nodes exceeds 40%); "
+        "rederive refused (over-deleted region 8/11 nodes exceeds 40%); "
         "retractions in STORE"
     )
     assert_exact(session, before, out)

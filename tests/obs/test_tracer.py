@@ -47,10 +47,15 @@ class TestSpans:
 
     def test_attrs_annotate_and_add(self):
         t = Tracer()
-        with t.span("s", kind="demo"):
-            t.annotate(items=3)
-            t.add("ops")
-            t.add("ops", 2)
+        # No collector pass may land in the span and add its counters.
+        gc.disable()
+        try:
+            with t.span("s", kind="demo"):
+                t.annotate(items=3)
+                t.add("ops")
+                t.add("ops", 2)
+        finally:
+            gc.enable()
         (span,) = t.spans()
         assert span.attrs == {"kind": "demo", "items": 3, "ops": 3}
 
@@ -283,6 +288,36 @@ class TestSummaryAttribution:
 
 
 class TestCollectorCounters:
+    def test_summary_totals_collector_counters_per_name(self):
+        """Each name's row totals its spans' own collector passes, not
+        their children's; a name without a pass reads zero."""
+        t = Tracer()
+        gc.disable()
+        try:
+            for _ in range(2):
+                with t.span("outer"):
+                    with t.span("inner"):
+                        gc.collect()
+                    with t.span("quiet"):
+                        pass
+        finally:
+            gc.enable()
+        summary = t.summary()
+        inner_ms = sum(
+            s.attrs["gc_ms"] for s in t.spans() if s.name == "inner"
+        )
+        assert summary["inner"]["gc_gen2"] == 2
+        assert inner_ms > 0
+        assert summary["inner"]["gc_ms"] == pytest.approx(inner_ms)
+        for name in ("outer", "quiet"):
+            assert summary[name]["gc_gen2"] == 0, name
+            assert summary[name]["gc_ms"] == 0, name
+        header, *rows = t.render_summary().splitlines()
+        assert header.split()[-2:] == ["gc", "gc2"]
+        (inner,) = [row for row in rows if row.startswith("inner")]
+        assert inner.split()[-1] == "2"
+        assert inner.split()[-2] == f"{inner_ms:.1f}ms"
+
     def test_collection_inside_span_is_charged_to_it(self):
         t = Tracer()
         before = list(gc.callbacks)
