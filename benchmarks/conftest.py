@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 
 import pytest
 
-from repro import AnalysisResult, FactBase, analyze, encode_program
+from repro import AnalysisResult, FactBase, PackedProgram, analyze, encode_program
 from repro.benchgen import build_benchmark
 from repro.harness import EXPERIMENT_BUDGET
 from repro.ir import Program
@@ -24,6 +24,7 @@ class BenchCache:
 
     def __init__(self) -> None:
         self._programs: Dict[str, Tuple[Program, FactBase]] = {}
+        self._packs: Dict[str, PackedProgram] = {}
         self._insens: Dict[str, AnalysisResult] = {}
 
     def program(self, name: str) -> Tuple[Program, FactBase]:
@@ -32,11 +33,18 @@ class BenchCache:
             self._programs[name] = (program, encode_program(program))
         return self._programs[name]
 
+    def pack(self, name: str) -> PackedProgram:
+        """The benchmark's packed program, shared by its runs as a figure
+        driver shares one across the cells of a benchmark."""
+        if name not in self._packs:
+            self._packs[name] = PackedProgram(self.program(name)[0])
+        return self._packs[name]
+
     def insens(self, name: str) -> AnalysisResult:
         if name not in self._insens:
-            program, facts = self.program(name)
+            program, _facts = self.program(name)
             self._insens[name] = analyze(
-                program, "insens", facts=facts, max_tuples=EXPERIMENT_BUDGET
+                program, "insens", pack=self.pack(name), max_tuples=EXPERIMENT_BUDGET
             )
         return self._insens[name]
 

@@ -40,7 +40,7 @@ def run_sweep(cache):
                 program,
                 "2objH",
                 heuristic,
-                facts=facts,
+                pack=cache.pack("hsqldb"),
                 pass1=pass1,
                 max_tuples=EXPERIMENT_BUDGET,
             )

@@ -74,14 +74,14 @@ CASES = (("hsqldb", "2objH"), ("xalan", "2callH"))
 def run_ablation(cache):
     outcomes = {}
     for bench, flavor in CASES:
-        program, facts = cache.program(bench)
+        program, _facts = cache.program(bench)
         pass1 = cache.insens(bench)
         for name, heuristic in SINGLE_METRIC_HEURISTICS.items():
             outcomes[(name, bench, flavor)] = run_introspective(
                 program,
                 flavor,
                 heuristic,
-                facts=facts,
+                pack=cache.pack(bench),
                 pass1=pass1,
                 max_tuples=EXPERIMENT_BUDGET,
             )

@@ -12,7 +12,11 @@ This module pins how far both sides sit from the budget:
 
 * every tripped cell finishes under the cap, above 1.5 times the budget,
   at exactly the tuple count pinned below;
-* every other cell finishes at the budget, under a third of it.
+* every other cell finishes at the budget, under a third of it;
+* Section 5's pruning comparison: on hsqldb's all-points query (every
+  cast's source) the query planner's instruction-level slice finishes
+  2objH just under the budget, at the tuple count pinned below, while
+  the method-level pruning baseline's 2objH trips it.
 
 So the matrix's trip/finish pattern holds for any budget between the
 largest finishing cell and the smallest tripped one, not just at the one
@@ -26,8 +30,9 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
+from repro import analyze, encode_program
+from repro.baselines import prune_and_analyze
 from repro.benchgen import HARD_BENCHMARKS, build_benchmark
-from repro.facts.encoder import encode_program
 from repro.harness import EXPERIMENT_BUDGET
 from repro.harness.runner import (
     RunOutcome,
@@ -36,6 +41,7 @@ from repro.harness.runner import (
     scaled_heuristic_a,
     scaled_heuristic_b,
 )
+from repro.query import QueryEngine
 
 Cell = Tuple[str, str, Optional[str]]
 
@@ -55,6 +61,10 @@ TRIPPED: Dict[Cell, int] = {
 
 CAP = 20 * EXPERIMENT_BUDGET
 
+#: Tuples of hsqldb's all-points planner slice under 2objH.  The slice
+#: arrives as rows, so this pins the row compiler's count.
+ALL_POINTS_SLICE_TUPLES = 142_667
+
 
 def _cells():
     for bench in HARD_BENCHMARKS:
@@ -72,16 +82,13 @@ def _name(cell: Cell) -> str:
 def _run(cell: Cell, max_tuples: int) -> RunOutcome:
     bench, analysis, variant = cell
     program = build_benchmark(bench)
-    facts = encode_program(program)
     if variant is None:
         return run_analysis(
-            program, analysis, facts=facts, benchmark=bench,
-            max_tuples=max_tuples,
+            program, analysis, benchmark=bench, max_tuples=max_tuples,
         )
     heuristic = scaled_heuristic_a() if variant == "A" else scaled_heuristic_b()
     return run_introspective_analysis(
-        program, analysis, heuristic, facts=facts, benchmark=bench,
-        max_tuples=max_tuples,
+        program, analysis, heuristic, benchmark=bench, max_tuples=max_tuples,
     )
 
 
@@ -116,3 +123,32 @@ def test_finishing_cells_stay_under_a_third_of_the_budget(bench):
         _report("finishes", cell, outcome, time.perf_counter() - start)
         assert not outcome.timed_out, (_name(cell), outcome.reason)
         assert outcome.tuples < EXPERIMENT_BUDGET / 3, _name(cell)
+
+
+def test_all_points_slice_finishes_where_method_pruning_trips():
+    program = build_benchmark("hsqldb")
+    facts = encode_program(program)
+    engine = QueryEngine(program, facts=facts, max_tuples=EXPERIMENT_BUDGET)
+    query = {frm for _to, _type, frm, _meth in facts.cast}
+    plan = engine.planner.plan(query)
+    sliced = analyze(
+        program,
+        "2objH",
+        facts=plan.sliced_facts(program, facts),
+        max_tuples=EXPERIMENT_BUDGET,
+    )
+    tuples = sliced.raw.tuple_count
+    print(f"\nall-points slice: {len(query)} casts, {len(plan.methods)} methods, "
+          f"{tuples} tuples ({tuples / EXPERIMENT_BUDGET:.3f}x budget)")
+    assert tuples == ALL_POINTS_SLICE_TUPLES
+
+    pruned = prune_and_analyze(
+        program,
+        query,
+        analysis="2objH",
+        facts=facts,
+        insens=engine.insens,
+        max_tuples=EXPERIMENT_BUDGET,
+    )
+    print(f"method pruning: {pruned.summary()}")
+    assert pruned.timed_out

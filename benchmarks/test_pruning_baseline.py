@@ -59,7 +59,7 @@ def run_comparison(cache):
         program,
         "2objH",
         scaled_heuristic_b(),
-        facts=facts,
+        pack=cache.pack("hsqldb"),
         pass1=insens,
         max_tuples=EXPERIMENT_BUDGET,
     )

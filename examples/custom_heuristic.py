@@ -11,7 +11,7 @@ heuristics on a pathological program.
 Run:  python examples/custom_heuristic.py
 """
 
-from repro import BudgetExceeded, analyze, encode_program
+from repro import BudgetExceeded, PackedProgram, analyze
 from repro.benchgen import BenchmarkSpec, HubSpec, generate
 from repro.clients import measure_precision
 from repro.harness import scaled_heuristic_a, scaled_heuristic_b
@@ -34,8 +34,8 @@ def build_program():
 
 def main() -> None:
     program = build_program()
-    facts = encode_program(program)
-    insens = analyze(program, "insens", facts=facts, max_tuples=BUDGET)
+    pack = PackedProgram(program)
+    insens = analyze(program, "insens", pack=pack, max_tuples=BUDGET)
 
     my_heuristic = CustomHeuristic(
         # metric #3 x #5 product (Heuristic B's object score) with a much
@@ -50,7 +50,7 @@ def main() -> None:
     print(f"program: {program.summary()}")
     print(f"insens: {insens.stats().tuple_count} tuples")
     try:
-        full = analyze(program, "2objH", facts=facts, max_tuples=BUDGET)
+        full = analyze(program, "2objH", pack=pack, max_tuples=BUDGET)
         print(f"full 2objH: {full.stats().tuple_count} tuples\n")
     except BudgetExceeded as exc:
         print(f"full 2objH: TIMEOUT ({exc})\n")
@@ -59,7 +59,7 @@ def main() -> None:
     print("-" * len(header))
     for heuristic in (scaled_heuristic_a(), scaled_heuristic_b(), my_heuristic):
         outcome = run_introspective(
-            program, "2objH", heuristic, facts=facts, pass1=insens, max_tuples=BUDGET
+            program, "2objH", heuristic, pack=pack, pass1=insens, max_tuples=BUDGET
         )
         stats = outcome.refinement_stats
         tuples = (
@@ -70,7 +70,7 @@ def main() -> None:
         precision = (
             "-"
             if outcome.timed_out
-            else measure_precision(outcome.result, facts).row()
+            else measure_precision(outcome.result, pack).row()
         )
         print(
             f"{heuristic.describe():28s} {tuples:>9s} "

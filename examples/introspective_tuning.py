@@ -17,7 +17,7 @@ precision metrics.
 Run:  python examples/introspective_tuning.py
 """
 
-from repro import BudgetExceeded, analyze, encode_program
+from repro import BudgetExceeded, PackedProgram, analyze
 from repro.benchgen import build_benchmark
 from repro.clients import measure_precision
 from repro.harness import (
@@ -32,16 +32,16 @@ BENCHMARK = "hsqldb"
 
 def main() -> None:
     program = build_benchmark(BENCHMARK)
-    facts = encode_program(program)
+    pack = PackedProgram(program)
     print(f"benchmark {BENCHMARK}: {program.summary()}")
     print(f"tuple budget (the 90-minute-timeout analog): {EXPERIMENT_BUDGET}\n")
 
-    insens = analyze(program, "insens", facts=facts, max_tuples=EXPERIMENT_BUDGET)
+    insens = analyze(program, "insens", pack=pack, max_tuples=EXPERIMENT_BUDGET)
     print(f"insens        : {insens.stats().tuple_count:>8} tuples  "
-          f"{measure_precision(insens, facts).row()}")
+          f"{measure_precision(insens, pack).row()}")
 
     try:
-        full = analyze(program, "2objH", facts=facts, max_tuples=EXPERIMENT_BUDGET)
+        full = analyze(program, "2objH", pack=pack, max_tuples=EXPERIMENT_BUDGET)
         print(f"2objH         : {full.stats().tuple_count:>8} tuples")
     except BudgetExceeded as exc:
         print(f"2objH         : TIMEOUT ({exc})")
@@ -51,7 +51,7 @@ def main() -> None:
             program,
             "2objH",
             heuristic,
-            facts=facts,
+            pack=pack,
             pass1=insens,
             max_tuples=EXPERIMENT_BUDGET,
         )
@@ -68,7 +68,7 @@ def main() -> None:
         else:
             result = outcome.result
             print(f"  second pass: {result.stats().tuple_count:>8} tuples")
-            print(f"  precision  : {measure_precision(result, facts).row()}")
+            print(f"  precision  : {measure_precision(result, pack).row()}")
 
     print(
         "\nHeuristic A buys across-the-board scalability; Heuristic B keeps\n"

@@ -92,7 +92,7 @@ def main() -> None:
 
     outcome = run_introspective(
         program, "2objH", scaled_heuristic_b(),
-        facts=facts, pass1=insens, max_tuples=BUDGET,
+        pass1=insens, max_tuples=BUDGET,
     )
     assert not outcome.timed_out
     report = analyze_taint(outcome.result, facts, sources, sinks)

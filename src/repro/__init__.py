@@ -21,7 +21,13 @@ See ``repro.introspection.run_introspective`` for the paper's contribution
 and ``repro.harness.experiments`` for the figure reproductions.
 """
 
-from .analysis import AnalysisResult, AnalysisStats, BudgetExceeded, analyze
+from .analysis import (
+    AnalysisResult,
+    AnalysisStats,
+    BudgetExceeded,
+    PackedProgram,
+    analyze,
+)
 from .contexts import (
     ANALYSIS_NAMES,
     ContextPolicy,
@@ -42,6 +48,7 @@ __all__ = [
     "ContextPolicy",
     "FactBase",
     "IntrospectivePolicy",
+    "PackedProgram",
     "Program",
     "ProgramBuilder",
     "RefinementDecision",

@@ -16,9 +16,10 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..contexts.policies import ContextPolicy, policy_by_name
-from ..facts.encoder import FactBase, encode_program
+from ..facts.encoder import FactBase
 from ..ir.program import Program
 from ..obs import NULL_TRACER, Tracer
+from .pack import PackedProgram
 from .results import AnalysisResult, AnalysisStats, PackedProjections
 from .stats import CostReport, explain_costs
 from .solver import BudgetExceeded, PointsToSolver, RawSolution, solve
@@ -30,6 +31,7 @@ __all__ = [
     "CostReport",
     "explain_costs",
     "BudgetExceeded",
+    "PackedProgram",
     "PointsToSolver",
     "RawSolution",
     "analyze",
@@ -44,17 +46,21 @@ def analyze(
     max_tuples: Optional[int] = None,
     max_seconds: Optional[float] = None,
     tracer: Tracer = NULL_TRACER,
+    pack: Optional[PackedProgram] = None,
 ) -> AnalysisResult:
     """Run one points-to analysis over ``program`` and wrap the result.
 
-    Raises :class:`BudgetExceeded` when a budget is given and exhausted.
-    Tracing must never change the computed result (the
+    The solver reads ``facts`` when given (a slice's rows, say), else
+    ``pack``, the run's :class:`PackedProgram` (a fresh one when none is
+    given).  Raises :class:`BudgetExceeded` when a budget is given and
+    exhausted.  Tracing must never change the computed result (the
     ``trace-transparency`` fuzz oracle enforces this).
     """
-    if facts is None:
-        facts = encode_program(program, tracer=tracer)
+    if facts is None and pack is None:
+        pack = PackedProgram(program)
     if isinstance(analysis, str):
-        policy = policy_by_name(analysis, alloc_class_of=facts.alloc_class_of)
+        source = facts if facts is not None else pack
+        policy = policy_by_name(analysis, alloc_class_of=source.alloc_class_of)
     else:
         policy = analysis
     with tracer.span("analysis.solve", analysis=policy.name):
@@ -65,6 +71,7 @@ def analyze(
             max_tuples=max_tuples,
             max_seconds=max_seconds,
             tracer=tracer,
+            pack=pack,
         )
         tracer.annotate(tuples=raw.tuple_count)
     return AnalysisResult(raw, policy.name)

@@ -78,6 +78,20 @@ Everything is interned to dense integers; contexts live in two
 :class:`~repro.contexts.abstractions.ContextTable` instances, and the policy
 constructor functions are memoized (they are pure).
 
+Two front ends feed the one body format (``_MethodBody``).  A cold run
+goes IR → :class:`~repro.analysis.pack.PackedProgram` → solves and
+clients: the packed program compiles each method straight from the IR
+the first time any of the run's solvers reaches it, and its interners are
+the solvers' own, so a run's second pass compiles nothing and no string
+fact base is built.  Inputs that arrive as rows — a query's slice
+(:meth:`~repro.query.SlicePlan.sliced_facts`), a warm session's base and
+an edit's delta — go through the row compiler (``_compile_rows``), which
+groups them by method for the same on-first-reach bodies; only a solver
+built from rows takes :meth:`PointsToSolver.extend` and
+:meth:`PointsToSolver.retract`.  Heap types belong to the program, their
+registration in the cast-filter index to one solve: a packed body's heaps
+join the index when this solver first reaches the body.
+
 Resource limits: ``max_tuples`` bounds the total number of derived tuples and
 ``max_seconds`` the wall-clock time; exceeding either raises
 :class:`BudgetExceeded`, the reproduction's analog of the paper's 90-minute /
@@ -114,10 +128,11 @@ from typing import (
 
 from ..contexts.abstractions import ContextTable
 from ..contexts.policies import ContextPolicy
-from ..facts.encoder import FactBase, FactIndex, encode_program
+from ..facts.encoder import FactBase, FactIndex
 from ..ir.program import Program
 from ..obs import NULL_TRACER, Tracer
 from ..utils import Interner, Stopwatch
+from .pack import _INSTR_FIELDS, _NO_INSTRS, _NONE, PackedProgram, _MethodBody
 
 __all__ = [
     "BudgetExceeded",
@@ -131,9 +146,6 @@ __all__ = [
     "popcount",
     "solve",
 ]
-
-#: Sentinel for "no target variable" / "dispatch failed".
-_NONE = -1
 
 try:
     # int.bit_count is a single CPython primitive (3.10+).
@@ -210,47 +222,6 @@ class BudgetExceeded(Exception):
         self.tuples = tuples
         self.seconds = seconds
 
-
-@dataclass
-class _MethodBody:
-    """A method compiled to interned instruction vectors.
-
-    An instruction field with no entries is the shared empty tuple, and
-    one with entries a list of its own: most fields of most bodies are
-    empty, and an empty list per field would be a collector-tracked
-    container each.  A body grows or shrinks by rebinding a field (see
-    :meth:`PointsToSolver.extend` and :meth:`PointsToSolver._tear_down`),
-    never in place.
-    """
-
-    allocs: Sequence[Tuple[int, int]]  # (var, heap)
-    moves: Sequence[Tuple[int, int]]  # (from, to)
-    casts: Sequence[Tuple[int, int, int]]  # (from, to, type)
-    loads: Sequence[Tuple[int, int, int]]  # (to, base, fld)
-    stores: Sequence[Tuple[int, int, int]]  # (base, fld, from)
-    vcalls: Sequence[Tuple[int, int, int, int, Tuple[int, ...]]]
-    # (base, sig, invo, lhs, args)
-    specialcalls: Sequence[Tuple[int, int, int, int, Tuple[int, ...]]]
-    # (base, meth, invo, lhs, args)
-    scalls: Sequence[Tuple[int, int, int, Tuple[int, ...]]]
-    # (meth, invo, lhs, args)
-    staticloads: Sequence[Tuple[int, int]]  # (to, sfld)
-    staticstores: Sequence[Tuple[int, int]]  # (sfld, from)
-    throws: Sequence[int]  # thrown vars
-    catches: Sequence[Tuple[int, int]]  # (type, var)
-    formals: Tuple[int, ...]
-    returns: Tuple[int, ...]
-    this: int  # _NONE for static methods
-
-
-#: The instruction lists of a :class:`_MethodBody`, in field order.
-_INSTR_FIELDS = (
-    "allocs", "moves", "casts", "loads", "stores", "vcalls", "specialcalls",
-    "scalls", "staticloads", "staticstores", "throws", "catches",
-)
-
-#: The instruction fields of a body without instructions.
-_NO_INSTRS: Tuple[Tuple[()], ...] = ((),) * len(_INSTR_FIELDS)
 
 #: Call instruction lists of a :class:`_MethodBody`, with the position of
 #: the call-site id in their entries.
@@ -716,8 +687,19 @@ class RawSolution:
             yield ph[pid], pc[pid]
 
 
+#: The interners a solver shares with its packed program.
+_INTERNERS = (
+    "vars", "heaps", "meths", "invos", "flds", "sigs", "types", "static_flds",
+)
+
+
 class PointsToSolver:
-    """One-shot solver: construct, :meth:`solve`, read the solution."""
+    """One-shot solver: construct, :meth:`solve`, read the solution.
+
+    It reads ``facts`` (rows) when given, else ``pack`` (a fresh
+    :class:`~repro.analysis.pack.PackedProgram` of ``program`` when none
+    is given); passing both is an error.
+    """
 
     def __init__(
         self,
@@ -727,11 +709,17 @@ class PointsToSolver:
         max_tuples: Optional[int] = None,
         max_seconds: Optional[float] = None,
         tracer: Tracer = NULL_TRACER,
+        pack: Optional[PackedProgram] = None,
     ) -> None:
+        if facts is not None and pack is not None:
+            raise ValueError("a solver reads rows or a packed program, not both")
+        if facts is None:
+            if pack is None:
+                pack = PackedProgram(program)
+            elif pack.program is not program:
+                raise ValueError("the packed program is of another program")
         self.program = program
         self.policy = policy
-        if facts is None:
-            facts = encode_program(program)
         self.max_tuples = max_tuples
         self.max_seconds = max_seconds
         # Spans wrap phase boundaries only; the hot loop contributes
@@ -740,15 +728,11 @@ class PointsToSolver:
         # derivation order or results.
         self._tracer = tracer
 
-        # Interners ---------------------------------------------------------
-        self.vars: Interner[str] = Interner()
-        self.heaps: Interner[str] = Interner()
-        self.meths: Interner[str] = Interner()
-        self.invos: Interner[str] = Interner()
-        self.flds: Interner[str] = Interner()
-        self.sigs: Interner[str] = Interner()
-        self.types: Interner[str] = Interner()
-        self.static_flds: Interner[Tuple[str, str]] = Interner()
+        # Interners: a packed program's are shared by its run's solvers;
+        # a solver over rows interns into its own.
+        self._pack = pack
+        for name in _INTERNERS:
+            setattr(self, name, Interner() if pack is None else getattr(pack, name))
         self.ctxs = ContextTable()
         self.hctxs = ContextTable()
 
@@ -758,8 +742,9 @@ class PointsToSolver:
         self._pair_hctx: List[int] = []
         self._pairs_by_heap: Dict[int, int] = {}  # heap -> pair-id bitmask
         # Heap type per pair id (None for typeless heaps), filled at mint
-        # time: all heap types are registered during fact compilation, so
-        # the value is fixed for the pair's lifetime.  Lets the dispatch
+        # time: a heap's type is registered before its allocating body
+        # first plays (at fact compilation or on the body's first reach),
+        # so the value is fixed for the pair's lifetime.  Lets the dispatch
         # loop index a list instead of chasing two dicts per receiver.
         self._pair_heap_type: List[Optional[int]] = []
 
@@ -843,24 +828,30 @@ class PointsToSolver:
         self._epoch = _Epoch()
         self._stopwatch = Stopwatch()
 
+        # Heap types registered with this solve (the cast-filter index);
+        # a packed program's heaps join on their method's first reach.
         self._heap_type: Dict[int, int] = {}
-        # Construction compiles only the rows it is given, grouped by
-        # method; a method's body is built on first reach (_body).  So a
-        # solver over a slice costs O(slice), not O(program).  Whole-
-        # program lookups come from the fact base's shared index, and
-        # the methods of variables added by edits from _edit_var_meth.
-        # The fact base itself is not kept: a warm solver's program moves
-        # on, and its first fact base (with that program) would be pinned.
-        self._index = facts.index()
+        # A method's body is built on first reach (_body): read from the
+        # packed program, or built from the rows given, which
+        # construction groups by method.  So a solver over a slice costs
+        # O(slice), not O(program).  A solver over rows takes whole-
+        # program lookups from the fact base's shared index, and the
+        # methods of variables added by edits from _edit_var_meth.  The
+        # fact base itself is not kept: a warm solver's program moves on,
+        # and its first fact base (with that program) would be pinned.
+        self._index: Optional[FactIndex] = None
+        self._rows: Dict[str, List[Sequence[tuple]]] = {}
         self._edit_var_meth: Dict[str, str] = {}
         self._bodies: Dict[int, _MethodBody] = {}
         with tracer.span("solver.init", analysis=policy.name):
-            self._rows = self._compile_rows(
-                lambda relation: getattr(facts, relation),
-                self._index.var_meth.__getitem__,
-                self._index.ret_of_invo,
-                facts.args_of_invo,
-            )
+            if facts is not None:
+                self._index = facts.index()
+                self._rows = self._compile_rows(
+                    lambda relation: getattr(facts, relation),
+                    self._index.var_meth.__getitem__,
+                    self._index.ret_of_invo,
+                    facts.args_of_invo,
+                )
 
     # ------------------------------------------------------------------
     # Fact compilation: rows -> interned instruction lists -> method bodies
@@ -938,17 +929,26 @@ class PointsToSolver:
 
     def _body(self, meth: int) -> _MethodBody:
         """A method's compiled body, built the first time it is needed (an
-        empty one for a method without instructions).
+        empty one for a method without instructions): read from the
+        packed program, registering the heaps it allocates with this
+        solve, or built from this solver's rows.
 
         Reaching a method goes through here, so the hot call-linking
         paths read ``_bodies`` directly for methods already reachable.
         """
         mb = self._bodies.get(meth)
         if mb is None:
-            name = self.meths.value(meth)
-            mb = self._bodies[meth] = self._new_body(
-                name, self._rows.pop(name, None), self._index
-            )
+            pack = self._pack
+            if pack is None:
+                name = self.meths.value(meth)
+                mb = self._new_body(name, self._rows.pop(name, None), self._index)
+            else:
+                mb = pack.body(meth)
+                registered, types = self._heap_type, pack.heap_types
+                for _var, heap in mb.allocs:
+                    if heap not in registered:
+                        self._register_heap_type(heap, types[heap])
+            self._bodies[meth] = mb
         return mb
 
     def _new_body(
@@ -967,8 +967,9 @@ class PointsToSolver:
         )
 
     def _heap(self, heap: str) -> int:
-        """Intern an allocated heap, registering its type on first sight —
-        before any pair of it can be minted."""
+        """Intern an allocated heap row, registering its type on first
+        sight — before any pair of it can be minted.  (A packed program
+        types its heaps itself; :meth:`_body` registers them.)"""
         heap_i = self.heaps.intern(heap)
         if heap_i not in self._heap_type:
             typ = self._index.heap_type.get(heap)
@@ -1613,10 +1614,10 @@ class PointsToSolver:
         to ``full`` (its unchanged wiring is not in the delta), and the
         guards below refuse wiring rows on any site this solver has seen.
         """
+        base = self._row_index("extend")
         for name in ("CATCHCLAUSE", "SUBTYPE"):
             if added.get(name):
                 raise ValueError(f"cannot extend monotonically: {name} rows")
-        base = self._index
 
         def known(meth: str) -> bool:
             # Pre-edit methods: the indexed program's, plus every body
@@ -1757,6 +1758,13 @@ class PointsToSolver:
         log, self._added_log = self._added_log, None
         return self._extend_delta(log, reach_before, cg_before)
 
+    def _row_index(self, what: str) -> FactIndex:
+        """The fact base index of a solver built from rows; edits arrive
+        as rows, so only such a solver takes them."""
+        if self._index is None:
+            raise ValueError(f"{what} needs a solver built from fact rows")
+        return self._index
+
     def _extend_delta(
         self,
         log: List[Tuple[int, int]],
@@ -1878,6 +1886,7 @@ class PointsToSolver:
         post-edit program; calls are matched by site id, so the removed
         rows are all the facts this needs.
         """
+        self._row_index("retract")
         for name, rows in removed.items():
             if rows and name not in REDERIVE_RELATIONS:
                 raise ValueError(f"cannot rederive {name} retractions")
@@ -2204,7 +2213,7 @@ class PointsToSolver:
     ) -> Callable[[str], str]:
         """A variable's method: the indexed program's, an edit's, or one
         the retraction's own VARINMETH rows name."""
-        base = self._index.var_meth
+        base = self._row_index("retract").var_meth
         edits = self._edit_var_meth
         retracted = dict(removed.get("VARINMETH", ()))
 
@@ -2598,6 +2607,7 @@ def solve(
     max_tuples: Optional[int] = None,
     max_seconds: Optional[float] = None,
     tracer: Tracer = NULL_TRACER,
+    pack: Optional[PackedProgram] = None,
 ) -> RawSolution:
     """Convenience one-call entry point for :class:`PointsToSolver`."""
     return PointsToSolver(
@@ -2607,4 +2617,5 @@ def solve(
         max_tuples=max_tuples,
         max_seconds=max_seconds,
         tracer=tracer,
+        pack=pack,
     ).solve()

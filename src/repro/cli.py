@@ -144,15 +144,17 @@ def _run_and_report(
     args: argparse.Namespace,
     tracer: Tracer = NULL_TRACER,
 ) -> int:
-    facts = encode_program(program, tracer=tracer)
+    # The run itself reads a packed program; the string fact base is
+    # built only for the readers that take one.
+    facts = None
+    if args.save_facts or args.devirt or args.exceptions or args.explain:
+        facts = encode_program(program, tracer=tracer)
     if args.save_facts:
         from .facts.io import save_facts
 
         written = save_facts(facts, args.save_facts)
         print(f"wrote {len(written)} .facts files to {args.save_facts}")
-    budget = dict(
-        facts=facts, max_tuples=args.budget, max_seconds=None, tracer=tracer
-    )
+    budget = dict(max_tuples=args.budget, max_seconds=None, tracer=tracer)
     if args.introspective:
         try:
             heuristic = heuristic_from_spec(

@@ -25,9 +25,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set, Tuple
 
+from ..analysis.pack import ProgramFacts
 from ..analysis.results import AnalysisResult
 from ..analysis.solver import iter_bits
-from ..facts.encoder import FactBase
 
 __all__ = ["PrecisionReport", "measure_precision"]
 
@@ -58,18 +58,23 @@ class PrecisionReport:
         )
 
 
-def polymorphic_vcall_sites(result: AnalysisResult, facts: FactBase) -> FrozenSet[str]:
+def polymorphic_vcall_sites(
+    result: AnalysisResult, facts: ProgramFacts
+) -> FrozenSet[str]:
     """Virtual call sites resolving to two or more target methods."""
     targets = Counter(invo for invo, _meth in result.call_edges)
     invo_name = result.raw.invos.value
+    is_vcall = facts.is_vcall
     return frozenset(
         name
         for invo, n in targets.items()
-        if n >= 2 and (name := invo_name(invo)) in facts.vcall_invos
+        if n >= 2 and is_vcall(name := invo_name(invo))
     )
 
 
-def casts_that_may_fail(result: AnalysisResult, facts: FactBase) -> FrozenSet[str]:
+def casts_that_may_fail(
+    result: AnalysisResult, facts: ProgramFacts
+) -> FrozenSet[str]:
     """Identify reachable casts whose source may hold an incompatible object.
 
     Returns one witness string per failing cast instruction (the cast's
@@ -77,20 +82,21 @@ def casts_that_may_fail(result: AnalysisResult, facts: FactBase) -> FrozenSet[st
     """
     raw = result.raw
     is_subtype = facts.program.hierarchy.is_subtype
-    heap_type, heap_name, pair_heap = facts.heap_type, raw.heaps.value, raw.pair_heap
+    heap_type_of, heap_name, pair_heap = (
+        facts.heap_type_of, raw.heaps.value, raw.pair_heap
+    )
     var_ids, var_masks = raw.vars, result.var_masks
-    reachable = result.reachable_methods
     fails: Dict[Tuple[int, str], bool] = {}
     failing: Set[str] = set()
-    for to, type_name, frm, meth in facts.cast:
-        if meth not in reachable or frm not in var_ids:
+    for to, type_name, frm in facts.casts_in(result.reachable_methods):
+        if frm not in var_ids:
             continue
         for pid in iter_bits(var_masks.get(var_ids.get(frm), 0)):
             key = (pair_heap[pid], type_name)
             verdict = fails.get(key)
             if verdict is None:
                 verdict = fails[key] = not is_subtype(
-                    heap_type[heap_name(key[0])], type_name
+                    heap_type_of(heap_name(key[0])), type_name
                 )
             if verdict:
                 failing.add(to)
@@ -98,7 +104,9 @@ def casts_that_may_fail(result: AnalysisResult, facts: FactBase) -> FrozenSet[st
     return frozenset(failing)
 
 
-def measure_precision(result: AnalysisResult, facts: FactBase) -> PrecisionReport:
+def measure_precision(
+    result: AnalysisResult, facts: ProgramFacts
+) -> PrecisionReport:
     """Compute all three paper metrics for one analysis result."""
     return PrecisionReport(
         analysis=result.analysis_name,

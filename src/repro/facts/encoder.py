@@ -25,6 +25,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -384,6 +385,34 @@ class FactBase:
     def alloc_class_of(self, heap: str) -> str:
         """Type-sensitivity context element: class containing the alloc site."""
         return self.alloc_class[heap]
+
+    # The cold readers' name-keyed reads, as a
+    # :class:`~repro.analysis.pack.PackedProgram` offers them.
+    def vars_of(self, meth: str) -> Tuple[str, ...]:
+        """The local variables of method ``meth``."""
+        return self.vars_of_method.get(meth, ())
+
+    def args_of(self, invo: str) -> Tuple[str, ...]:
+        """Call site ``invo``'s actual arguments, by position."""
+        return self.args_of_invo.get(invo, ())
+
+    def is_vcall(self, invo: str) -> bool:
+        """Whether ``invo`` is a virtual call site."""
+        return invo in self.vcall_invos
+
+    def heap_type_of(self, heap: str) -> str:
+        """The type ``heap`` allocates."""
+        return self.heap_type[heap]
+
+    def allocs_in(self, methods: AbstractSet[str]) -> Iterator[str]:
+        """The heaps allocated in ``methods`` (a heap may repeat)."""
+        return (heap for _var, heap, meth in self.alloc if meth in methods)
+
+    def casts_in(self, methods: AbstractSet[str]) -> Iterator[Tuple[str, str, str]]:
+        """The casts of ``methods``, as ``(to, type, from)``."""
+        return (
+            (to, typ, frm) for to, typ, frm, meth in self.cast if meth in methods
+        )
 
     def count_tuples(self) -> int:
         return sum(len(getattr(self, name)) for name in _RELATIONS)

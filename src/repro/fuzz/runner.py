@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.datalog_model import DatalogPointsToAnalysis
+from ..analysis.pack import PackedProgram
 from ..analysis.reference_solver import reference_solve
 from ..analysis.results import AnalysisResult
 from ..analysis.solver import BudgetExceeded, solve
@@ -198,19 +199,21 @@ class FuzzOutcome:
 def _flavor_relations(
     program: Program,
     facts: FactBase,
+    pack: PackedProgram,
     flavor: str,
     run_datalog: bool,
     stats: FuzzStats,
 ) -> Tuple[Relations, Relations, Optional[Relations], int, AnalysisResult]:
     """Solve one flavor under packed + reference (+ optional Datalog).
 
+    The packed solver reads ``pack``, compiled from the IR as a user's
+    run does; the reference solver and the Datalog model read the encoded
+    ``facts``, so the oracle compares two independent front ends.
     Raises :class:`BudgetExceeded` / :class:`EvaluationBudgetExceeded`
     when the mutant blows the safety caps; the campaign skips it.
     """
-    policy = policy_by_name(flavor, alloc_class_of=facts.alloc_class_of)
-    packed_raw = solve(
-        program, policy, facts=facts, max_tuples=_MUTANT_TUPLE_CAP
-    )
+    policy = policy_by_name(flavor, alloc_class_of=pack.alloc_class_of)
+    packed_raw = solve(program, policy, pack=pack, max_tuples=_MUTANT_TUPLE_CAP)
     stats.engine_runs += 1
     ref_raw = reference_solve(
         program,
@@ -254,6 +257,7 @@ def _check_program(
 ) -> Optional[Violation]:
     """Run every scheduled oracle on one mutant; first violation wins."""
     facts = encode_program(program)
+    pack = PackedProgram(program)
 
     stats.count("digest-invariance")
     v = check_digest_invariance(facts, rng)
@@ -266,7 +270,7 @@ def _check_program(
     packed_rels: Dict[str, Relations] = {}
     for flavor in flavors:
         packed_rel, ref_rel, dl_rel, tuples, result = _flavor_relations(
-            program, facts, flavor, True, stats
+            program, facts, pack, flavor, True, stats
         )
         results[flavor] = result
         tuple_counts[flavor] = tuples
@@ -288,7 +292,7 @@ def _check_program(
         outcome = run_introspective(
             program,
             flavor,
-            facts=facts,
+            pack=pack,
             pass1=insens,
             max_tuples=_MUTANT_TUPLE_CAP,
         )
@@ -379,6 +383,7 @@ def run_single_check(
     """
     program = sketch.build()
     facts = encode_program(program)
+    pack = PackedProgram(program)
     stats = FuzzStats()
 
     if oracle == "digest-invariance":
@@ -387,27 +392,27 @@ def run_single_check(
     if oracle == "engine-equivalence":
         target = flavor or "insens"
         packed_rel, ref_rel, dl_rel, _tuples, _res = _flavor_relations(
-            program, facts, target, True, stats
+            program, facts, pack, target, True, stats
         )
         return check_engine_equivalence(target, packed_rel, ref_rel, dl_rel)
 
     if oracle == "insensitive-containment":
         target = flavor or flavors[0]
         _p, _r, _d, _t, insens = _flavor_relations(
-            program, facts, "insens", False, stats
+            program, facts, pack, "insens", False, stats
         )
         _p, _r, _d, _t, sensitive = _flavor_relations(
-            program, facts, target, False, stats
+            program, facts, pack, target, False, stats
         )
         return check_insensitive_containment(target, sensitive, insens)
 
     if oracle == "introspective-bracketing":
         target = flavor or flavors[0]
         _p, _r, _d, _t, full = _flavor_relations(
-            program, facts, target, False, stats
+            program, facts, pack, target, False, stats
         )
         outcome = run_introspective(
-            program, target, facts=facts, max_tuples=_MUTANT_TUPLE_CAP
+            program, target, pack=pack, max_tuples=_MUTANT_TUPLE_CAP
         )
         return check_introspective_bracketing(target, outcome, full)
 
@@ -429,7 +434,7 @@ def run_single_check(
         results = {}
         for name in dict.fromkeys(("insens", target)):
             _p, _r, _d, _t, results[name] = _flavor_relations(
-                program, facts, name, False, stats
+                program, facts, pack, name, False, stats
             )
         stats.engine_runs += 1
         return check_demand_equivalence(

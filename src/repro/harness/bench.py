@@ -7,8 +7,9 @@ per cell, its variants, a measure function and an equality check:
 
 * ``solver`` — the frozen :mod:`repro.analysis.reference_solver` vs the
   packed :mod:`repro.analysis.solver`, equal tuple counts asserted.  With
-  tracing on, the first cell also times a ``traced`` packed variant; its
-  overhead against the untraced packed solve lands in the ``trace`` block;
+  tracing on, the first cell also times a ``traced`` packed variant
+  (:func:`trace_overhead`); its overhead against the untraced packed
+  solve lands in the ``trace`` block;
 * ``datalog`` — the paper's Figure 3 model
   (:class:`~repro.analysis.datalog_model.DatalogPointsToAnalysis`) under
   the frozen :mod:`repro.datalog.reference_engine` vs the compiled
@@ -44,6 +45,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -313,21 +315,65 @@ def best_of(
     last: Dict[str, Any] = {}
     for _ in range(repeat):
         for variant in variants:
-            run = measure(variant)
-            last.pop(variant, None)
-            gc.collect()
-            gc.disable()
-            try:
-                w0 = time.perf_counter()
-                c0 = time.process_time()
-                last[variant] = run()
-                cpu_seconds = time.process_time() - c0
-                wall_seconds = time.perf_counter() - w0
-            finally:
-                gc.enable()
-            wall[variant] = min(wall[variant], wall_seconds)
-            cpu[variant] = min(cpu[variant], cpu_seconds)
+            timing = _timed(variant, measure, last)
+            wall[variant] = min(wall[variant], timing.seconds)
+            cpu[variant] = min(cpu[variant], timing.cpu_seconds)
     return {v: Timing(wall[v], cpu[v]) for v in variants}, last
+
+
+def _timed(
+    variant: str,
+    measure: Callable[[str], Callable[[], Any]],
+    last: Dict[str, Any],
+) -> Timing:
+    """One timed run of ``variant``, its output stored in ``last``: the
+    previous output dropped and the garbage collected first, the cyclic
+    GC paused while the clock runs."""
+    run = measure(variant)
+    last.pop(variant, None)
+    gc.collect()
+    gc.disable()
+    try:
+        w0 = time.perf_counter()
+        c0 = time.process_time()
+        last[variant] = run()
+        cpu_seconds = time.process_time() - c0
+        wall_seconds = time.perf_counter() - w0
+    finally:
+        gc.enable()
+    return Timing(wall_seconds, cpu_seconds)
+
+
+#: Fewest traced/untraced pairs :func:`trace_overhead` times, however
+#: small ``repeat`` is.  On a shared 2-CPU host, the small suite's first
+#: cell (about 15 ms) timed once a side read anywhere from -25% to +6%
+#: on the same code; medians over five pairs still read up to +10% now
+#: and then, eleven pairs' median ratio up to +5.2%, and 21 pairs' stayed
+#: within 0.1-3.3% in 24 runs (the systematic overhead is about 2%).
+TRACE_OVERHEAD_PAIRS = 21
+
+
+def trace_overhead(
+    measure: Callable[[str], Callable[[], Any]],
+    pairs: int,
+    last: Dict[str, Any],
+) -> Tuple[float, float, float]:
+    """Time the untraced (``packed``) and ``traced`` variants in
+    ``pairs`` back-to-back pairs, which side runs first alternating.
+
+    Returns the median CPU seconds of each side and the median of the
+    pairs' traced/untraced ratios: the two runs of a pair share the
+    host's state, so a slow phase of the machine cancels out of their
+    ratio.  The last outputs land in ``last``.
+    """
+    untraced: List[float] = []
+    traced: List[float] = []
+    order = (("packed", untraced), ("traced", traced))
+    for i in range(pairs):
+        for variant, times in order if i % 2 == 0 else order[::-1]:
+            times.append(_timed(variant, measure, last).cpu_seconds)
+    ratio = statistics.median(t / max(u, 1e-9) for u, t in zip(untraced, traced))
+    return statistics.median(untraced), statistics.median(traced), ratio
 
 
 @dataclass
@@ -659,13 +705,16 @@ def run_bench(
     trace: Optional[Dict[str, Any]] = None
     cells = bench.cells(specs, flavors, say, queries=queries, on_trace=on_trace)
     for cell in cells:
-        timings, outputs = best_of(repeat, cell.variants, cell.measure)
+        variants = [v for v in cell.variants if v != "traced"]
+        timings, outputs = best_of(repeat, variants, cell.measure)
+        if "traced" in cell.variants:
+            untraced, traced, ratio = trace_overhead(
+                cell.measure, max(repeat, TRACE_OVERHEAD_PAIRS), outputs
+            )
         details = cell.check(outputs)
         name = f"{cell.benchmark}/{cell.flavor}"
-        if "traced" in timings:
-            untraced = timings["packed"].cpu_seconds
-            traced = timings.pop("traced").cpu_seconds
-            overhead = (traced / max(untraced, 1e-9) - 1.0) * 100.0
+        if "traced" in cell.variants:
+            overhead = (ratio - 1.0) * 100.0
             trace = {
                 "benchmark": cell.benchmark,
                 "flavor": cell.flavor,

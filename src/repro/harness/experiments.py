@@ -23,14 +23,13 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis import analyze
+from ..analysis import PackedProgram, analyze
 from ..benchgen.dacapo import (
     FIGURE1_BENCHMARKS,
     FIGURE4_BENCHMARKS,
     HARD_BENCHMARKS,
     build_benchmark,
 )
-from ..facts.encoder import encode_program
 from ..introspection.driver import RefinementStats
 from ..introspection.heuristics import Heuristic
 from ..introspection.metrics import compute_metrics
@@ -122,12 +121,12 @@ def figure1(
     runs: Dict[str, Dict[str, RunOutcome]] = {}
     for bench in benchmarks:
         program = build_benchmark(bench)
-        facts = encode_program(program)
+        pack = PackedProgram(program)
         runs[bench] = {
             analysis: run_analysis(
                 program,
                 analysis,
-                facts=facts,
+                pack=pack,
                 benchmark=bench,
                 max_tuples=max_tuples,
                 max_seconds=max_seconds,
@@ -207,13 +206,13 @@ def figure4(
     percentages: Dict[str, Dict[str, Tuple[float, float]]] = {}
     for bench in benchmarks:
         program = build_benchmark(bench)
-        facts = encode_program(program)
-        pass1 = analyze(program, "insens", facts=facts, max_tuples=max_tuples)
-        metrics = compute_metrics(pass1, facts)
+        pack = PackedProgram(program)
+        pass1 = analyze(program, "insens", pack=pack, max_tuples=max_tuples)
+        metrics = compute_metrics(pass1, pack)
         percentages[bench] = {}
         for label, heuristic in (("A", ha), ("B", hb)):
-            decision = heuristic.decide(metrics, facts, pass1)
-            stats = RefinementStats.of(pass1, facts, decision)
+            decision = heuristic.decide(metrics, pack, pass1)
+            stats = RefinementStats.of(pass1, pack, decision)
             percentages[bench][label] = (
                 stats.call_site_percent,
                 stats.object_percent,
@@ -308,11 +307,11 @@ def _flavor_figure(
     runs: Dict[str, Dict[str, RunOutcome]] = {}
     for bench in benchmarks:
         program = build_benchmark(bench)
-        facts = encode_program(program)
+        pack = PackedProgram(program)
         insens = run_analysis(
             program,
             "insens",
-            facts=facts,
+            pack=pack,
             benchmark=bench,
             max_tuples=max_tuples,
             max_seconds=max_seconds,
@@ -326,7 +325,7 @@ def _flavor_figure(
                 program,
                 flavor,
                 heuristic,
-                facts=facts,
+                pack=pack,
                 pass1=insens.result,
                 benchmark=bench,
                 max_tuples=max_tuples,
@@ -335,7 +334,7 @@ def _flavor_figure(
         bench_runs[flavor] = run_analysis(
             program,
             flavor,
-            facts=facts,
+            pack=pack,
             benchmark=bench,
             max_tuples=max_tuples,
             max_seconds=max_seconds,

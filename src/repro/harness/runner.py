@@ -2,8 +2,10 @@
 
 :func:`run_analysis` and :func:`run_introspective_analysis` turn
 (program, analysis, heuristic, budget) into a :class:`RunOutcome`:
-encode, solve (or pass 1, cost metrics, heuristic and pass 2), then the
-precision clients.  Every analysis run goes through them:
+solve (or pass 1, cost metrics, heuristic and pass 2), then the precision
+clients, all reading one :class:`~repro.analysis.PackedProgram` that
+compiles the program straight from the IR, each method once, with no
+string fact base.  Every analysis run goes through them:
 
 * the figure drivers in :mod:`repro.harness.experiments`;
 * the service's :func:`repro.service.workers.execute_job`, which folds the
@@ -30,10 +32,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..analysis import AnalysisResult, AnalysisStats, BudgetExceeded, analyze
+from ..analysis import (
+    AnalysisResult,
+    AnalysisStats,
+    BudgetExceeded,
+    PackedProgram,
+    analyze,
+)
 from ..clients.precision import PrecisionReport, measure_precision
 from ..contexts.policies import ContextPolicy
-from ..facts.encoder import FactBase, encode_program
+
+# Runs here read a packed program; the end-to-end benchmark
+# (bench/workloads.py) times ``runner.encode_program`` as its
+# ``facts.encode`` layer, so the name stays importable from this module.
+from ..facts.encoder import encode_program  # noqa: F401
 from ..introspection.driver import IntrospectiveOutcome, run_introspective
 from ..introspection.heuristics import Heuristic, HeuristicA, HeuristicB
 from ..ir.program import Program
@@ -101,13 +113,13 @@ def _measured(
     analysis: str,
     seconds: float,
     result: AnalysisResult,
-    facts: FactBase,
+    pack: PackedProgram,
     tracer: Tracer,
     introspective: Optional[IntrospectiveOutcome] = None,
 ) -> RunOutcome:
     """The outcome of a finished run, with its precision clients measured."""
     with tracer.span("clients.precision"):
-        precision = measure_precision(result, facts)
+        precision = measure_precision(result, pack)
     return RunOutcome(
         benchmark=benchmark,
         analysis=analysis,
@@ -123,21 +135,22 @@ def _measured(
 def run_analysis(
     program: Program,
     analysis: Union[str, ContextPolicy],
-    facts: Optional[FactBase] = None,
+    pack: Optional[PackedProgram] = None,
     benchmark: str = "?",
     max_tuples: Optional[int] = EXPERIMENT_BUDGET,
     max_seconds: Optional[float] = EXPERIMENT_TIME_LIMIT,
     tracer: Tracer = NULL_TRACER,
 ) -> RunOutcome:
-    """Run one plain analysis under the experiment budget."""
-    if facts is None:
-        facts = encode_program(program, tracer=tracer)
+    """Run one plain analysis under the experiment budget, over ``pack``
+    (a fresh packed program of ``program`` when not given)."""
+    if pack is None:
+        pack = PackedProgram(program)
     watch = Stopwatch()
     try:
         result = analyze(
             program,
             analysis,
-            facts=facts,
+            pack=pack,
             max_tuples=max_tuples,
             max_seconds=max_seconds,
             tracer=tracer,
@@ -151,7 +164,7 @@ def run_analysis(
             reason=str(exc),
         )
     return _measured(
-        benchmark, result.analysis_name, watch.elapsed(), result, facts, tracer
+        benchmark, result.analysis_name, watch.elapsed(), result, pack, tracer
     )
 
 
@@ -159,7 +172,7 @@ def run_introspective_analysis(
     program: Program,
     analysis: str,
     heuristic: Heuristic,
-    facts: Optional[FactBase] = None,
+    pack: Optional[PackedProgram] = None,
     pass1: Optional[AnalysisResult] = None,
     benchmark: str = "?",
     max_tuples: Optional[int] = EXPERIMENT_BUDGET,
@@ -170,16 +183,18 @@ def run_introspective_analysis(
 
     ``seconds`` is pass 2 only (the paper's convention, see
     :mod:`repro.introspection.driver`), or the time to a pass-1 trip.
+    ``pack`` and ``pass1`` are as in
+    :func:`~repro.introspection.driver.run_introspective`.
     """
-    if facts is None:
-        facts = encode_program(program, tracer=tracer)
+    if pack is None:
+        pack = PackedProgram(program)
     watch = Stopwatch()
     try:
         outcome = run_introspective(
             program,
             analysis,
             heuristic,
-            facts=facts,
+            pack=pack,
             pass1=pass1,
             max_tuples=max_tuples,
             max_seconds=max_seconds,
@@ -207,7 +222,7 @@ def run_introspective_analysis(
         outcome.name,
         outcome.seconds,
         outcome.result,
-        facts,
+        pack,
         tracer,
         introspective=outcome,
     )

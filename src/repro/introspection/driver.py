@@ -38,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from ..analysis import AnalysisResult, BudgetExceeded, analyze
+from ..analysis import AnalysisResult, BudgetExceeded, PackedProgram, analyze
+from ..analysis.pack import ProgramFacts
 from ..contexts.introspective import IntrospectivePolicy, RefinementDecision
 from ..contexts.policies import ContextPolicy, InsensitivePolicy, policy_by_name
-from ..facts.encoder import FactBase, encode_program
 from ..ir.program import Program
 from ..obs import NULL_TRACER, Tracer
 from ..utils import Stopwatch
@@ -87,7 +87,7 @@ class RefinementStats:
 
     @classmethod
     def of(
-        cls, pass1: AnalysisResult, facts: FactBase, decision: RefinementDecision
+        cls, pass1: AnalysisResult, facts: ProgramFacts, decision: RefinementDecision
     ) -> "RefinementStats":
         """The statistics of ``decision`` over pass 1's call sites and objects."""
         return cls(
@@ -128,7 +128,7 @@ def run_introspective(
     program: Program,
     analysis: Union[str, ContextPolicy] = "2objH",
     heuristic: Optional[Heuristic] = None,
-    facts: Optional[FactBase] = None,
+    pack: Optional[PackedProgram] = None,
     pass1: Optional[AnalysisResult] = None,
     max_tuples: Optional[int] = None,
     max_seconds: Optional[float] = None,
@@ -137,19 +137,23 @@ def run_introspective(
     """Run the full two-pass introspective analysis.
 
     ``analysis`` names the refined (expensive) analysis; ``heuristic``
-    defaults to the paper's Heuristic A.  A precomputed ``pass1`` result
-    (and ``facts``) may be supplied to amortize the insensitive pass across
+    defaults to the paper's Heuristic A.  ``pack`` is the run's
+    :class:`~repro.analysis.PackedProgram` (a fresh one when not given):
+    both passes, the metrics, the heuristic and the refinement statistics
+    read it, so each method is compiled once.  A precomputed ``pass1``
+    result may be supplied to amortize the insensitive pass across
     several introspective variants, as the paper's timing discussion
-    suggests; it must hold at most ``max_tuples`` tuples.  ``max_seconds``
-    is shared across both passes (see the module docstring).  ``tracer``
-    records pass1/metrics/heuristic/pass2 as child spans.
+    suggests; it may come from another pack, and it must hold at most
+    ``max_tuples`` tuples.  ``max_seconds`` is shared across both passes
+    (see the module docstring).  ``tracer`` records
+    pass1/metrics/heuristic/pass2 as child spans.
     """
     if heuristic is None:
         heuristic = HeuristicA()
-    if facts is None:
-        facts = encode_program(program, tracer=tracer)
+    if pack is None:
+        pack = PackedProgram(program)
     refined = (
-        policy_by_name(analysis, alloc_class_of=facts.alloc_class_of)
+        policy_by_name(analysis, alloc_class_of=pack.alloc_class_of)
         if isinstance(analysis, str)
         else analysis
     )
@@ -161,7 +165,7 @@ def run_introspective(
             pass1 = analyze(
                 program,
                 InsensitivePolicy(),
-                facts=facts,
+                pack=pack,
                 max_tuples=max_tuples,
                 max_seconds=max_seconds,
                 tracer=tracer,
@@ -178,12 +182,12 @@ def run_introspective(
 
     watch.restart()
     with tracer.span("intro.metrics"):
-        metrics = compute_metrics(pass1, facts)
+        metrics = compute_metrics(pass1, pack)
     with tracer.span("intro.heuristic", heuristic=heuristic.name):
-        decision = heuristic.decide(metrics, facts, pass1)
+        decision = heuristic.decide(metrics, pack, pass1)
     overhead_seconds = watch.elapsed()
 
-    stats = RefinementStats.of(pass1, facts, decision)
+    stats = RefinementStats.of(pass1, pack, decision)
 
     policy = IntrospectivePolicy(refined, decision)
     pass2_budget = max_seconds
@@ -199,7 +203,7 @@ def run_introspective(
             result = analyze(
                 program,
                 policy,
-                facts=facts,
+                pack=pack,
                 max_tuples=max_tuples,
                 max_seconds=pass2_budget,
                 tracer=tracer,

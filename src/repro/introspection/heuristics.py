@@ -34,6 +34,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Set, Tuple
 
+from ..analysis.pack import ProgramFacts
 from ..analysis.results import AnalysisResult, PackedProjections
 from ..contexts.introspective import RefinementDecision
 from ..facts.encoder import FactBase
@@ -93,12 +94,9 @@ def call_site_universe(result: AnalysisResult) -> FrozenSet[Tuple[str, str]]:
     return PackedProjections.of(result).call_sites
 
 
-def object_universe(result: AnalysisResult, facts: FactBase) -> FrozenSet[str]:
+def object_universe(result: AnalysisResult, facts: ProgramFacts) -> FrozenSet[str]:
     """All allocation sites in methods reachable in pass 1."""
-    reachable = result.reachable_methods
-    return frozenset(
-        heap for _var, heap, meth in facts.alloc if meth in reachable
-    )
+    return frozenset(facts.allocs_in(result.reachable_methods))
 
 
 def string_exclusion_decision(facts: FactBase) -> RefinementDecision:
@@ -124,7 +122,7 @@ class Heuristic(ABC):
     def decide(
         self,
         metrics: IntrospectionMetrics,
-        facts: FactBase,
+        facts: ProgramFacts,
         pass1: AnalysisResult,
     ) -> RefinementDecision:
         """Return the refinement decision (exclusion sets)."""
@@ -146,7 +144,7 @@ class HeuristicA(Heuristic):
     def decide(
         self,
         metrics: IntrospectionMetrics,
-        facts: FactBase,
+        facts: ProgramFacts,
         pass1: AnalysisResult,
     ) -> RefinementDecision:
         excluded_objects = {
@@ -178,7 +176,7 @@ class HeuristicB(Heuristic):
     def decide(
         self,
         metrics: IntrospectionMetrics,
-        facts: FactBase,
+        facts: ProgramFacts,
         pass1: AnalysisResult,
     ) -> RefinementDecision:
         excluded_sites = {
@@ -216,7 +214,7 @@ class CustomHeuristic(Heuristic):
     def decide(
         self,
         metrics: IntrospectionMetrics,
-        facts: FactBase,
+        facts: ProgramFacts,
         pass1: AnalysisResult,
     ) -> RefinementDecision:
         excluded_objects = {
@@ -244,7 +242,7 @@ class RefineEverything(Heuristic):
     def decide(
         self,
         metrics: IntrospectionMetrics,
-        facts: FactBase,
+        facts: ProgramFacts,
         pass1: AnalysisResult,
     ) -> RefinementDecision:
         return RefinementDecision.refine_everything()

@@ -40,9 +40,9 @@ from functools import reduce
 from operator import or_
 from typing import Dict
 
+from ..analysis.pack import ProgramFacts
 from ..analysis.results import AnalysisResult, PackedProjections
 from ..analysis.solver import bit_counts, popcount
-from ..facts.encoder import FactBase
 
 __all__ = ["IntrospectionMetrics", "compute_metrics"]
 
@@ -66,11 +66,15 @@ class IntrospectionMetrics:
         return self.total_field_pts.get(heap, 0) * self.pointed_by_vars.get(heap, 0)
 
 
-def compute_metrics(result: AnalysisResult, facts: FactBase) -> IntrospectionMetrics:
+def compute_metrics(
+    result: AnalysisResult, facts: ProgramFacts
+) -> IntrospectionMetrics:
     """Compute all six metrics from a result's packed projections.
 
-    ``result`` may also be any view with the string-set projections (see
-    :meth:`PackedProjections.of`), such as a reference solver's pass 1.
+    ``result`` may also be any view with ``reachable_methods`` and the
+    string-set projections (see :meth:`PackedProjections.of`), such as a
+    reference solver's pass 1.  ``facts`` is read by name: the run's
+    packed program or a fact base.
     """
     packed = PackedProjections.of(result)
     heaps = packed.heaps
@@ -85,12 +89,17 @@ def compute_metrics(result: AnalysisResult, facts: FactBase) -> IntrospectionMet
             max_fld[base] = size
         total_fld[base] = total_fld.get(base, 0) + size
 
-    # Metric 2 (both variants), per method over its locals' masks; each
-    # method's OR of those masks feeds metric 4.
+    # Metric 2 (both variants), per reachable method (only their locals
+    # point anywhere) over its locals' masks; each method's OR of those
+    # masks feeds metric 4.
     var_mask = packed.var
     meth_mask: Dict[str, int] = {}
-    for meth, local_vars in facts.vars_of_method.items():
-        masks = list(filter(None, map(var_mask.get, local_vars)))
+    reachable = result.reachable_methods
+    for method in facts.program.methods():
+        meth = method.id
+        if meth not in reachable:
+            continue
+        masks = list(filter(None, map(var_mask.get, facts.vars_of(meth))))
         if masks:
             sizes = list(map(popcount, masks))
             metrics.total_pts_volume[meth] = sum(sizes)
@@ -116,9 +125,9 @@ def compute_metrics(result: AnalysisResult, facts: FactBase) -> IntrospectionMet
     # Metric 1: in-flow, per invocation site in the call graph: the sizes
     # of its distinct arguments, summed.
     size_of = dict(zip(var_mask, map(popcount, var_mask.values()))).get
-    args_of_invo = facts.args_of_invo
+    args_of = facts.args_of
     for invo in {invo for invo, _meth in packed.call_sites}:
-        args = args_of_invo.get(invo, ())
+        args = args_of(invo)
         total = 0
         for arg in set(args) if len(args) > 1 else args:
             total += size_of(arg, 0)

@@ -3,9 +3,10 @@
 :func:`execute_job` is the unit of work: a module-level function taking a
 JSON-able job-spec payload and returning a JSON-able result payload, so it
 can cross a :class:`~concurrent.futures.ProcessPoolExecutor` boundary.  It
-builds and encodes the job's program, runs it through
-:mod:`repro.harness.runner` (the one code path every analysis run takes)
-and folds the :class:`~repro.harness.runner.RunOutcome` into the payload.
+builds the job's program, encodes it for the content digest, runs it
+through :mod:`repro.harness.runner` (the one code path every analysis run
+takes, over a packed program, not the encoded rows) and folds the
+:class:`~repro.harness.runner.RunOutcome` into the payload.
 A budget trip becomes ``state="timeout"`` with the trip's message in
 ``error``, and any other exception ``state="error"``, so a misbehaving
 *job* never takes down its worker process, only a crashed interpreter
@@ -42,7 +43,7 @@ from typing import Any, Dict, Optional
 
 from ..analysis import AnalysisResult
 from ..benchgen.dacapo import DACAPO_SPECS, benchmark_names, build_benchmark
-from ..facts.encoder import FactBase, encode_program
+from ..facts.encoder import encode_program
 from ..frontend import parse_source
 from ..harness.runner import RunOutcome, run_analysis, run_introspective_analysis
 from ..introspection.heuristics import Heuristic, heuristic_from_spec
@@ -76,13 +77,12 @@ def _run(
     spec: JobSpec,
     heuristic: Optional[Heuristic],
     program: Program,
-    facts: FactBase,
     digest: str,
     tracer: Tracer,
 ) -> RunOutcome:
-    """The job's run, handing introspective jobs this process's pass 1."""
+    """The job's run, handing introspective jobs this process's pass 1
+    (solved over an earlier job's packed program)."""
     budget: Dict[str, Any] = dict(
-        facts=facts,
         max_tuples=spec.max_tuples,
         max_seconds=spec.max_seconds,
         tracer=tracer,
@@ -158,7 +158,7 @@ def execute_job(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
                     spec.introspective, spec.heuristic_constants
                 )
             )
-            outcome = _run(spec, heuristic, program, facts, digest, tracer)
+            outcome = _run(spec, heuristic, program, digest, tracer)
             stages.update(
                 _run_stages(
                     outcome, stage_watch.elapsed(), heuristic is not None

@@ -156,9 +156,7 @@ def matrix_result(name: str, flavor: str) -> AnalysisResult:
     program, facts = matrix_program(name)
     if flavor.endswith("-IntroA"):
         analysis = flavor[: -len("-IntroA")]
-        result = run_introspective(
-            program, analysis, scaled_heuristic_a(), facts=facts
-        ).result
+        result = run_introspective(program, analysis, scaled_heuristic_a()).result
         assert result is not None
         return result
     return analyze(program, flavor, facts=facts)

@@ -107,13 +107,13 @@ def test_introspective_bracketing_holds(box, flavor):
     full = AnalysisResult(
         solve(program, policy_for(flavor, facts), facts=facts), flavor
     )
-    outcome = run_introspective(program, flavor, facts=facts)
+    outcome = run_introspective(program, flavor)
     assert check_introspective_bracketing(flavor, outcome, full) is None
 
 
 def test_introspective_bracketing_detects_non_bracketed(box):
     program, facts = box
-    outcome = run_introspective(program, "2objH", facts=facts)
+    outcome = run_introspective(program, "2objH")
     # Claim the "full" run is the pass-1 result: pass1 ⊆ intro fails
     # whenever the introspective run is strictly more precise than pass 1,
     # unless they coincide — construct the opposite direction instead:
@@ -142,7 +142,6 @@ def test_bracketing_is_skipped_when_pass2_timed_out():
         program,
         "2objH",
         RefineEverything(),
-        facts=facts,
         pass1=pass1,
         max_tuples=pass1.raw.tuple_count,
     )

@@ -170,6 +170,32 @@ class TestRunSuite:
         variants = {c["variant"] for c in cells_of(receipt)}
         assert variants == {"packed", "traced"}
 
+    def test_trace_overhead_alternates_pairs_and_takes_the_median_ratio(
+        self, monkeypatch
+    ):
+        """Each pair runs back to back, which side goes first alternates,
+        and the overhead is the median of the pairs' ratios (a slow
+        pair does not move it)."""
+        cpu = iter([1.0, 1.1, 1.1, 1.0, 1.0, 2.0, 9.0, 9.9, 1.0, 1.0])
+        ran = []
+
+        def timed(variant, _measure, last):
+            ran.append(variant)
+            last[variant] = variant
+            return bench.Timing(0.0, next(cpu))
+
+        monkeypatch.setattr(bench, "_timed", timed)
+        last = {}
+        untraced, traced, ratio = bench.trace_overhead(None, 5, last)
+        assert ran == ["packed", "traced", "traced", "packed"] * 2 + [
+            "packed", "traced"
+        ]
+        assert last == {"packed": "packed", "traced": "traced"}
+        # Pairs (untraced, traced): (1, 1.1) (1, 1.1) (1, 2) (9.9, 9) (1, 1).
+        assert ratio == pytest.approx(1.1)
+        assert (untraced, traced) == (1.0, 1.1)
+        assert bench.TRACE_OVERHEAD_PAIRS >= 5
+
     def test_tracing_is_solver_only(self):
         with pytest.raises(ValueError, match="solver"):
             run_bench("datalog", "tiny", on_trace=lambda _t: None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import encode_program
+from repro.analysis import PackedProgram
 from repro.harness import run_analysis, run_introspective_analysis
 from repro.harness.runner import scaled_heuristic_a, scaled_heuristic_b
 from repro.introspection import RefineEverything
@@ -12,13 +12,13 @@ from tests.conftest import build_box_program
 @pytest.fixture(scope="module")
 def setup():
     program = build_box_program()
-    return program, encode_program(program)
+    return program, PackedProgram(program)
 
 
 class TestRunAnalysis:
     def test_successful_run(self, setup):
-        program, facts = setup
-        out = run_analysis(program, "2objH", facts=facts, benchmark="boxes")
+        program, pack = setup
+        out = run_analysis(program, "2objH", pack=pack, benchmark="boxes")
         assert not out.timed_out
         assert out.benchmark == "boxes"
         assert out.analysis == "2objH"
@@ -28,8 +28,8 @@ class TestRunAnalysis:
         assert "t" in out.cell()
 
     def test_timeout_run(self, setup):
-        program, facts = setup
-        out = run_analysis(program, "2objH", facts=facts, max_tuples=5)
+        program, pack = setup
+        out = run_analysis(program, "2objH", pack=pack, max_tuples=5)
         assert out.timed_out
         assert out.stats is None and out.precision is None
         assert out.tuples is None
@@ -37,21 +37,21 @@ class TestRunAnalysis:
         assert "tuple budget exceeded" in out.reason
 
     def test_precision_always_measured(self, setup):
-        program, facts = setup
-        out = run_analysis(program, "insens", facts=facts)
+        program, pack = setup
+        out = run_analysis(program, "insens", pack=pack)
         assert out.precision is not None and out.stats is not None
         assert out.precision.reachable_methods == out.stats.reachable_methods
 
 
 class TestRunIntrospective:
     def test_successful_run(self, setup):
-        program, facts = setup
-        insens = run_analysis(program, "insens", facts=facts)
+        program, pack = setup
+        insens = run_analysis(program, "insens", pack=pack)
         out = run_introspective_analysis(
             program,
             "2objH",
             scaled_heuristic_a(),
-            facts=facts,
+            pack=pack,
             pass1=insens.result,
         )
         assert out.analysis == "2objH-IntroA"
@@ -60,13 +60,13 @@ class TestRunIntrospective:
         assert out.introspective.refinement_stats.total_objects > 0
 
     def test_timeout_reported_not_raised(self, setup):
-        program, facts = setup
-        insens = run_analysis(program, "insens", facts=facts)
+        program, pack = setup
+        insens = run_analysis(program, "insens", pack=pack)
         out = run_introspective_analysis(
             program,
             "2objH",
             RefineEverything(),
-            facts=facts,
+            pack=pack,
             pass1=insens.result,
             max_tuples=5,
         )
@@ -74,9 +74,9 @@ class TestRunIntrospective:
         assert "tuple budget exceeded" in out.reason
 
     def test_pass1_trip_reported_not_raised(self, setup):
-        program, facts = setup
+        program, pack = setup
         out = run_introspective_analysis(
-            program, "2objH", scaled_heuristic_a(), facts=facts, max_tuples=5
+            program, "2objH", scaled_heuristic_a(), pack=pack, max_tuples=5
         )
         assert out.timed_out and out.cell() == "TIMEOUT"
         assert out.analysis == "2objH-IntroA"

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from repro import BudgetExceeded, analyze, encode_program
+from repro import BudgetExceeded, analyze
+from repro.analysis import PackedProgram
 from repro.benchgen.dacapo import build_benchmark
 from repro.benchgen.generator import generate
 from repro.benchgen.spec import BenchmarkSpec, HubSpec
@@ -29,26 +30,26 @@ def vpt(result):
 @pytest.fixture(scope="module")
 def setup():
     program = build_box_program(boxes=4)
-    facts = encode_program(program)
-    insens = analyze(program, "insens", facts=facts)
-    full = analyze(program, "2objH", facts=facts)
-    return program, facts, insens, full
+    pack = PackedProgram(program)
+    insens = analyze(program, "insens", pack=pack)
+    full = analyze(program, "2objH", pack=pack)
+    return program, pack, insens, full
 
 
 class TestDegenerateEquivalences:
     def test_refine_everything_equals_full_analysis(self, setup):
-        program, facts, _insens, full = setup
-        out = run_introspective(program, "2objH", RefineEverything(), facts=facts)
+        program, pack, _insens, full = setup
+        out = run_introspective(program, "2objH", RefineEverything(), pack=pack)
         assert vpt(out.result) == vpt(full)
 
     def test_exclude_everything_equals_insensitive(self, setup):
-        program, facts, insens, _full = setup
+        program, pack, insens, _full = setup
         exclude_all = CustomHeuristic(
             exclude_object=lambda h, m: True,
             exclude_site=lambda i, me, m: True,
             label="all",
         )
-        out = run_introspective(program, "2objH", exclude_all, facts=facts)
+        out = run_introspective(program, "2objH", exclude_all, pack=pack)
         assert vpt(out.result) == vpt(insens)
 
 
@@ -56,8 +57,8 @@ class TestSandwich:
     @pytest.mark.parametrize("flavor", ["2objH", "2callH", "2typeH"])
     def test_projection_sandwich(self, setup, flavor):
         """insens >= intro >= full on var-points-to projections."""
-        program, facts, insens, _ = setup
-        full = analyze(program, flavor, facts=facts)
+        program, pack, insens, _ = setup
+        full = analyze(program, flavor, pack=pack)
         out = run_introspective(
             program,
             flavor,
@@ -66,7 +67,7 @@ class TestSandwich:
                 exclude_site=lambda i, me, m: False,
                 label="one-box",
             ),
-            facts=facts,
+            pack=pack,
         )
         intro_proj = out.result.var_points_to
         insens_proj = insens.var_points_to
@@ -81,7 +82,7 @@ class TestSandwich:
         *calling* contexts of set/get still separate the boxes (only the
         heap context is coarsened, and field-points-to stays keyed by the
         box's distinct allocation site)."""
-        program, facts, _insens, full = setup
+        program, pack, _insens, full = setup
         out = run_introspective(
             program,
             "2objH",
@@ -90,11 +91,11 @@ class TestSandwich:
                 exclude_site=lambda i, me, m: False,
                 label="one-box",
             ),
-            facts=facts,
+            pack=pack,
         )
         assert (
-            measure_precision(out.result, facts).casts_may_fail
-            == measure_precision(full, facts).casts_may_fail
+            measure_precision(out.result, pack).casts_may_fail
+            == measure_precision(full, pack).casts_may_fail
             == 0
         )
 
@@ -103,7 +104,7 @@ class TestSandwich:
         those two boxes at the ★ context: their two casts may fail, the
         other boxes stay precise — the per-element selectivity that makes
         introspective analysis work."""
-        program, facts, insens, full = setup
+        program, pack, insens, full = setup
         # main emits, per box k: scall make (invo 3k), vcall set (3k+1),
         # vcall get (3k+2).  Exclude set/get of boxes 0 and 1.
         excluded_invos = {
@@ -117,11 +118,11 @@ class TestSandwich:
                 exclude_site=lambda i, me, m: i in excluded_invos,
                 label="two-boxes",
             ),
-            facts=facts,
+            pack=pack,
         )
-        p_intro = measure_precision(out.result, facts)
-        p_insens = measure_precision(insens, facts)
-        p_full = measure_precision(full, facts)
+        p_intro = measure_precision(out.result, pack)
+        p_insens = measure_precision(insens, pack)
+        p_full = measure_precision(full, pack)
         assert p_full.casts_may_fail == 0
         assert p_intro.casts_may_fail == 2
         assert p_insens.casts_may_fail == 4
@@ -129,7 +130,7 @@ class TestSandwich:
 
 class TestOutcomeBookkeeping:
     def test_refinement_stats(self, setup):
-        program, facts, _insens, _full = setup
+        program, pack, _insens, _full = setup
         out = run_introspective(
             program,
             "2objH",
@@ -138,7 +139,7 @@ class TestOutcomeBookkeeping:
                 exclude_site=lambda i, me, m: "invo/0" in i,
                 label="bits",
             ),
-            facts=facts,
+            pack=pack,
         )
         stats = out.refinement_stats
         assert stats.excluded_objects == 1
@@ -147,16 +148,16 @@ class TestOutcomeBookkeeping:
         assert 0 < stats.call_site_percent < 100
 
     def test_outcome_name(self, setup):
-        program, facts, _, _ = setup
-        out = run_introspective(program, "2objH", HeuristicA(), facts=facts)
+        program, pack, _, _ = setup
+        out = run_introspective(program, "2objH", HeuristicA(), pack=pack)
         assert out.name == "2objH-IntroA"
-        out_b = run_introspective(program, "2typeH", HeuristicB(), facts=facts)
+        out_b = run_introspective(program, "2typeH", HeuristicB(), pack=pack)
         assert out_b.name == "2typeH-IntroB"
 
     def test_pass1_reuse(self, setup):
-        program, facts, insens, _ = setup
+        program, pack, insens, _ = setup
         out = run_introspective(
-            program, "2objH", HeuristicA(), facts=facts, pass1=insens
+            program, "2objH", HeuristicA(), pack=pack, pass1=insens
         )
         assert out.pass1 is insens
         assert out.pass1_reused is True
@@ -165,19 +166,19 @@ class TestOutcomeBookkeeping:
         assert out.pass1_seconds == 0.0
 
     def test_fresh_pass1_reports_compute_time(self, setup):
-        program, facts, _insens, _full = setup
-        out = run_introspective(program, "2objH", HeuristicA(), facts=facts)
+        program, pack, _insens, _full = setup
+        out = run_introspective(program, "2objH", HeuristicA(), pack=pack)
         assert out.pass1_reused is False
         assert out.pass1_seconds > 0.0
 
     def test_default_heuristic_is_a(self, setup):
-        program, facts, _, _ = setup
-        out = run_introspective(program, "2objH", facts=facts)
+        program, pack, _, _ = setup
+        out = run_introspective(program, "2objH", pack=pack)
         assert out.heuristic_name == "A"
 
     def test_timings_recorded(self, setup):
-        program, facts, _, _ = setup
-        out = run_introspective(program, "2objH", HeuristicB(), facts=facts)
+        program, pack, _, _ = setup
+        out = run_introspective(program, "2objH", HeuristicB(), pack=pack)
         assert out.seconds >= 0
         assert out.overhead_seconds >= 0
         assert not out.timed_out
@@ -188,13 +189,13 @@ class TestBudgets:
         # On pmd, 2objH derives more tuples than the insensitive pass, so
         # a budget pass 1 fits exactly is too small for refining everything.
         program = build_benchmark("pmd")
-        facts = encode_program(program)
-        insens = analyze(program, "insens", facts=facts)
+        pack = PackedProgram(program)
+        insens = analyze(program, "insens", pack=pack)
         out = run_introspective(
             program,
             "2objH",
             RefineEverything(),
-            facts=facts,
+            pack=pack,
             pass1=insens,
             max_tuples=insens.raw.tuple_count,
         )
@@ -203,15 +204,15 @@ class TestBudgets:
         assert "tuple budget exceeded" in out.reason
 
     def test_pass1_budget_trip_reraises(self, setup):
-        program, facts, _, _ = setup
+        program, pack, _, _ = setup
         with pytest.raises(BudgetExceeded):
-            run_introspective(program, "2objH", HeuristicA(), facts=facts, max_tuples=10)
+            run_introspective(program, "2objH", HeuristicA(), pack=pack, max_tuples=10)
 
     def test_supplied_pass1_obeys_the_budget_a_fresh_one_would(self, setup):
         """The budget is exact: a fresh pass 1 trips iff its fixpoint holds
         more tuples than the budget, so a supplied one is refused on the
         same terms and reuse never changes an outcome."""
-        program, facts, insens, _ = setup
+        program, pack, insens, _ = setup
         fits = insens.raw.tuple_count
 
         def run(pass1, budget):
@@ -219,7 +220,7 @@ class TestBudgets:
                 program,
                 "2objH",
                 HeuristicA(),
-                facts=facts,
+                pack=pack,
                 pass1=pass1,
                 max_tuples=budget,
             )
@@ -253,12 +254,12 @@ class TestSharedWallClockBudget:
             ),
         )
         program = generate(spec)
-        facts = encode_program(program)
+        pack = PackedProgram(program)
         # Calibrate: how long does the insensitive pass take here, now?
         t0 = time.perf_counter()
-        analyze(program, "insens", facts=facts)
+        analyze(program, "insens", pack=pack)
         pass1_seconds = time.perf_counter() - t0
-        return program, facts, pass1_seconds
+        return program, pack, pass1_seconds
 
     @staticmethod
     def _record_pass_budgets(monkeypatch):
@@ -274,7 +275,7 @@ class TestSharedWallClockBudget:
         return budgets
 
     def test_pass2_gets_only_the_remaining_budget(self, slow, monkeypatch):
-        program, facts, pass1_seconds = slow
+        program, pack, pass1_seconds = slow
         budgets = self._record_pass_budgets(monkeypatch)
         # Pass 2 is the full 2objH analysis here, several times the cost
         # of pass 1.  A budget of 2x the pass-1 time leaves it about one
@@ -282,7 +283,7 @@ class TestSharedWallClockBudget:
         budget = 2.0 * pass1_seconds
         t0 = time.perf_counter()
         out = run_introspective(
-            program, "2objH", RefineEverything(), facts=facts, max_seconds=budget
+            program, "2objH", RefineEverything(), pack=pack, max_seconds=budget
         )
         elapsed = time.perf_counter() - t0
         # Pass 1 draws on the whole budget; pass 2 gets exactly what pass 1
@@ -305,13 +306,13 @@ class TestSharedWallClockBudget:
         the same contract as a tuple-budget trip.  The epsilon floor
         (MIN_PASS2_SECONDS) means pass 2 always *starts* and trips its
         own budget check cleanly even when pass 1 consumed everything."""
-        program, facts, _pass1_seconds = slow
-        insens = analyze(program, "insens", facts=facts)
+        program, pack, _pass1_seconds = slow
+        insens = analyze(program, "insens", pack=pack)
         out = run_introspective(
             program,
             "2objH",
             RefineEverything(),
-            facts=facts,
+            pack=pack,
             pass1=insens,
             max_seconds=MIN_PASS2_SECONDS,
         )
@@ -319,8 +320,8 @@ class TestSharedWallClockBudget:
         assert out.result is None
 
     def test_precomputed_pass1_leaves_full_budget(self, slow, monkeypatch):
-        program, facts, pass1_seconds = slow
-        insens = analyze(program, "insens", facts=facts)
+        program, pack, pass1_seconds = slow
+        insens = analyze(program, "insens", pack=pack)
         budgets = self._record_pass_budgets(monkeypatch)
         exclude_all = CustomHeuristic(
             exclude_object=lambda h, m: True,
@@ -335,7 +336,7 @@ class TestSharedWallClockBudget:
             program,
             "2objH",
             exclude_all,
-            facts=facts,
+            pack=pack,
             pass1=insens,
             max_seconds=max_seconds,
         )

@@ -398,16 +398,16 @@ class Main {{
 
 
 def _pipeline(**traced):
-    """parse -> encode -> introspective run -> precision, as a user runs it."""
+    """parse -> pack -> introspective run -> precision, as a user runs it."""
+    from repro.analysis import PackedProgram
     from repro.clients.precision import measure_precision
-    from repro.facts.encoder import encode_program
     from repro.frontend import parse_source
     from repro.introspection.driver import run_introspective
 
     program = parse_source(_boxes_source(80), **traced)
-    facts = encode_program(program, **traced)
-    outcome = run_introspective(program, "2objH", facts=facts, **traced)
-    measure_precision(outcome.result, facts)
+    pack = PackedProgram(program)
+    outcome = run_introspective(program, "2objH", pack=pack, **traced)
+    measure_precision(outcome.result, pack)
 
 
 class TestNoOpDiscipline:

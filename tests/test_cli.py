@@ -313,10 +313,12 @@ class TestTrace:
         trace = json.loads(trace_path.read_text())
         assert trace["displayTimeUnit"] == "ms"
         names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
-        # The whole pipeline is covered: frontend, facts, solver, clients.
+        # The whole pipeline is covered: frontend, solver, clients.  The
+        # run reads a packed program, so no fact base is encoded.
         assert len(names) >= 6
-        assert {"frontend.parse", "facts.encode", "solver.propagate",
+        assert {"frontend.parse", "solver.init", "solver.propagate",
                 "clients.precision"} <= names
+        assert "facts.encode" not in names
 
     def test_analyze_trace_default_filename(self, source_file, tmp_path,
                                             capsys, monkeypatch):

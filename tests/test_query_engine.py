@@ -111,7 +111,7 @@ def whole_program_result(program, facts, flavor):
     """The comparator the engine must reproduce, per flavor."""
     if flavor.startswith("introspective-"):
         heuristic = {"A": HeuristicA, "B": HeuristicB}[flavor[-1]]()
-        return run_introspective(program, "2objH", heuristic, facts=facts).result
+        return run_introspective(program, "2objH", heuristic).result
     return analyze(program, flavor, facts=facts)
 
 
