@@ -112,6 +112,7 @@ from collections import deque
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Deque,
     Dict,
@@ -281,10 +282,6 @@ _VAR, _FLD, _THROW, _STATIC = range(4)
 #: The inner table probed for a missing outer key.
 _NO_NODES: Mapping[int, int] = {}
 
-#: A call site as a retraction sees it: (caller, receiver var or
-#: ``_NONE``, sig or callee, lhs, args, dispatched virtually).
-_Site = Tuple[int, int, int, int, Tuple[int, ...], bool]
-
 #: A call-graph edge: (invo, caller ctx, callee, callee ctx).
 _Edge = Tuple[int, int, int, int]
 
@@ -295,6 +292,52 @@ def _drop_consumer(table: Dict[int, list], node: int, entry: tuple) -> None:
     cons.remove(entry)
     if not cons:
         del table[node]
+
+
+class _Bag(dict):
+    """A multimap, ``key -> entries``, that holds no container for a key
+    with one entry: the entry is stored bare (entries are ints or tuples,
+    never lists) and a second one makes the list.  Most keys of the edit
+    indexes have one entry, so most keys cost the collector nothing."""
+
+    __slots__ = ()
+
+    def add(self, key: int, entry: Any) -> None:
+        have = self.get(key)
+        if have is None:
+            self[key] = entry
+        elif type(have) is list:
+            have.append(entry)
+        else:
+            self[key] = [have, entry]
+
+    def drop(self, key: int, entry: Any) -> None:
+        """Remove one ``entry`` from ``key``; raises as ``list.remove``
+        does if it is not there."""
+        have = self[key]
+        if type(have) is list:
+            have.remove(entry)
+            if len(have) == 1:
+                self[key] = have[0]
+        elif have == entry:
+            del self[key]
+        else:
+            raise ValueError(f"{entry!r} not under {key}")
+
+    def of(self, key: int) -> Sequence[Any]:
+        """``key``'s entries (the live list when there are several: do not
+        change the bag while iterating it)."""
+        have = self.get(key)
+        if have is None:
+            return ()
+        return have if type(have) is list else (have,)
+
+    def pop_all(self, key: int) -> Sequence[Any]:
+        """Remove ``key`` and return its entries."""
+        have = self.pop(key, None)
+        if have is None:
+            return ()
+        return have if type(have) is list else (have,)
 
 
 def _call_invos(mb: "_MethodBody") -> Iterator[int]:
@@ -334,91 +377,93 @@ def _body_vars(mb: "_MethodBody") -> Set[int]:
     return out
 
 
-@dataclass
-class _CallIndex:
-    """The call graph and call sites indexed for one retraction — built
-    on demand (:meth:`of`), never maintained by the solve itself.
+class _EditIndexes:
+    """The lookups :meth:`PointsToSolver.extend` and
+    :meth:`PointsToSolver.retract` make, kept current on a warm solver.
 
-    It holds no container per key: a key maps to the position of its
-    first edge in ``edges``, and two flat lists chain each edge to the
-    next one with the same site or callee key; a call site maps to its
-    caller and its result variable.  Building one allocates a fixed
-    handful of collector-tracked objects however large the call graph,
-    so a retraction on a warm solver does not by itself set off the
-    collector's passes over the whole heap.
+    Built once from the solver's tables (:meth:`PointsToSolver.keep_indexes`),
+    then updated on the insert branches of ``_link_call``,
+    ``_make_reachable`` and ``_add_edge`` and by every teardown, so an edit
+    reads only the keys it touches and allocates a container only for a
+    key it adds.  A cold solve never builds one.
     """
 
-    edges: List[_Edge]
-    site_head: Dict[int, int]  # invo << 32 | caller ctx -> first edge
-    site_next: List[int]  # edge -> next edge of its site key, or -1
-    callee_head: Dict[int, int]  # callee << 32 | callee ctx -> first edge
-    callee_next: List[int]  # edge -> next edge of its callee key, or -1
-    callers: Dict[int, int]  # call-site id -> caller method
-    lhs: Dict[int, int]  # call-site id -> result variable or _NONE
-    bodies: Dict[int, "_MethodBody"]
+    __slots__ = (
+        "from_site",
+        "into",
+        "callers",
+        "lhs",
+        "ctxs",
+        "in_plain",
+        "in_filtered",
+        "linked",
+        "reached",
+    )
+
+    def __init__(self) -> None:
+        self.from_site = _Bag()  # invo << 32 | caller ctx -> call edges
+        self.into = _Bag()  # callee << 32 | callee ctx -> call edges
+        # Call-site id -> caller method and result variable (or _NONE): every
+        # call of a compiled body, and every site with a call edge.
+        self.callers: Dict[int, int] = {}
+        self.lhs: Dict[int, int] = {}
+        self.ctxs = _Bag()  # method -> its reachable contexts
+        self.in_plain = _Bag()  # dst -> plain-edge sources
+        self.in_filtered = _Bag()  # dst -> ``src << 32 | filter type``
+        # Armed by extend: the call edges and activations it adds.
+        self.linked: Optional[List[_Edge]] = None
+        self.reached: Optional[List[int]] = None
 
     @classmethod
-    def of(cls, solver: "PointsToSolver") -> "_CallIndex":
-        edges = list(solver._call_graph)
-        site_head: Dict[int, int] = {}
-        callee_head: Dict[int, int] = {}
-        site_next = [-1] * len(edges)
-        callee_next = [-1] * len(edges)
-        # Backwards, so each key's chain runs in call-graph order.
-        for i in range(len(edges) - 1, -1, -1):
-            invo, cc, callee, ec = edges[i]
-            key = invo << 32 | cc
-            site_next[i] = site_head.get(key, -1)
-            site_head[key] = i
-            key = callee << 32 | ec
-            callee_next[i] = callee_head.get(key, -1)
-            callee_head[key] = i
-        callers: Dict[int, int] = {}
-        lhs_of: Dict[int, int] = {}
+    def of(cls, solver: "PointsToSolver") -> "_EditIndexes":
+        ix = cls()
         for meth, mb in solver._bodies.items():
             for name, at in _CALL_FIELDS:
                 for call in getattr(mb, name):
-                    callers[call[at]] = meth
-                    lhs_of[call[at]] = call[-2]
-        return cls(
-            edges, site_head, site_next, callee_head, callee_next,
-            callers, lhs_of, solver._bodies,
-        )
+                    ix.callers[call[at]] = meth
+                    ix.lhs[call[at]] = call[-2]
+        for edge in solver._call_graph:
+            ix.from_site.add(edge[0] << 32 | edge[1], edge)
+            ix.into.add(edge[2] << 32 | edge[3], edge)
+        for key in solver._reachable:
+            ix.ctxs.add(key >> 32, key & _CTX_MASK)
+        for src, dsts in solver._out_plain.items():
+            for dst in dsts:
+                ix.in_plain.add(dst, src)
+        for src, fedges in solver._out_filtered.items():
+            for dst, typ in fedges:
+                ix.in_filtered.add(dst, src << 32 | typ)
+        return ix
 
-    def _chain(
-        self, head: Dict[int, int], nxt: List[int], key: int
-    ) -> List[_Edge]:
-        """The edges of ``key``'s chain, in call-graph order."""
-        edges = self.edges
-        out = []
-        i = head.get(key, -1)
-        while i >= 0:
-            out.append(edges[i])
-            i = nxt[i]
-        return out
+    def link(self, edge: _Edge, caller: int, lhs: int) -> None:
+        invo = edge[0]
+        self.from_site.add(invo << 32 | edge[1], edge)
+        self.into.add(edge[2] << 32 | edge[3], edge)
+        self.callers[invo] = caller
+        self.lhs[invo] = lhs
+        if self.linked is not None:
+            self.linked.append(edge)
 
-    def from_site(self, invo: int, ctx: int) -> List[_Edge]:
-        """The edges out of call site ``invo`` in caller context ``ctx``."""
-        return self._chain(self.site_head, self.site_next, invo << 32 | ctx)
+    def unlink(self, edge: _Edge) -> None:
+        self.from_site.drop(edge[0] << 32 | edge[1], edge)
+        self.into.drop(edge[2] << 32 | edge[3], edge)
 
-    def into(self, meth: int, ctx: int) -> List[_Edge]:
-        """The edges into activation ``(meth, ctx)``."""
-        return self._chain(self.callee_head, self.callee_next, meth << 32 | ctx)
+    def reach(self, meth: int, ctx: int) -> None:
+        self.ctxs.add(meth, ctx)
+        if self.reached is not None:
+            self.reached.append(meth << 32 | ctx)
 
-    def site(self, invo: int) -> _Site:
-        """Call site ``invo``, read from its caller's current body."""
-        meth = self.callers[invo]
-        mb = self.bodies[meth]
-        for base, target, site, lhs, args in mb.vcalls:
-            if site == invo:
-                return meth, base, target, lhs, args, True
-        for base, target, site, lhs, args in mb.specialcalls:
-            if site == invo:
-                return meth, base, target, lhs, args, False
-        for target, site, lhs, args in mb.scalls:
-            if site == invo:
-                return meth, _NONE, target, lhs, args, False
-        raise KeyError(invo)
+    def links(self, invo: int, callee: int) -> bool:
+        """Whether call site ``invo`` has an edge to ``callee`` in some
+        context."""
+        caller = self.callers.get(invo)
+        if caller is None:
+            return False
+        for ctx in self.ctxs.of(caller):
+            for edge in self.from_site.of(invo << 32 | ctx):
+                if edge[2] == callee:
+                    return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -798,6 +843,8 @@ class PointsToSolver:
         # Receiver-dispatched call targets, ``invo << 32 | callee``: one
         # flat set, not a set per call site.
         self._vcall_targets: Set[int] = set()
+        # A warm solver's edit indexes (keep_indexes); a cold one has none.
+        self._indexes: Optional[_EditIndexes] = None
 
         # Caches ---------------------------------------------------------
         # The merge cache is keyed per receiver pair id unless the policy
@@ -1219,6 +1266,8 @@ class PointsToSolver:
                 self._out_plain[src] = [dst]
             else:
                 out.append(dst)
+            if self._indexes is not None:
+                self._indexes.in_plain.add(dst, src)
             current = self._pts[src]
             if current:
                 self._add_pts(dst, current)
@@ -1232,6 +1281,8 @@ class PointsToSolver:
                 self._out_filtered[src] = [(dst, filter_type)]
             else:
                 out.append((dst, filter_type))
+            if self._indexes is not None:
+                self._indexes.in_filtered.add(dst, src << 32 | filter_type)
             current = self._pts[src]
             if current:
                 filtered = current & self._allowed_pairs(filter_type)
@@ -1343,6 +1394,8 @@ class PointsToSolver:
         if key in self._reachable:
             return
         self._reachable.add(key)
+        if self._indexes is not None:
+            self._indexes.reach(meth, ctx)
         self._charge(1)
         self._play_body(self._body(meth), meth, ctx)
 
@@ -1413,6 +1466,8 @@ class PointsToSolver:
         if edge in self._call_graph:
             return
         self._call_graph.add(edge)
+        if self._indexes is not None:
+            self._indexes.link(edge, caller_meth, lhs)
         self._charge(1)
         # A first escape while the callee is reached below finds this
         # edge in the call graph and gives it its throw consumer then.
@@ -1638,18 +1693,18 @@ class PointsToSolver:
                     raise ValueError(
                         f"{rel} addition on pre-existing call site {row[0]}"
                     )
+        indexes = self.keep_indexes()
         self.program = program
         self._epoch.n += 1
         self._stopwatch.restart()
 
-        # Arm the insertion log and snapshot the (comparatively small)
-        # reachable/call-graph sets; everything derived below reports
-        # into the result delta without an O(result) rescan.  On an
-        # exception the solver is inconsistent and the session replaces
-        # it wholesale, dangling log included.
+        # Arm the insertion logs: everything derived below reports into
+        # the result delta without an O(result) rescan.  On an exception
+        # the solver is inconsistent and the session replaces it
+        # wholesale, dangling logs included.
         self._added_log = []
-        reach_before = set(self._reachable)
-        cg_before = set(self._call_graph)
+        indexes.linked = []
+        indexes.reached = []
 
         # Heap types first: pairs minted during replay must see them, and
         # cached cast filters must admit the new heaps.
@@ -1724,15 +1779,13 @@ class PointsToSolver:
             else:
                 self._bodies[meth_i] = self._new_body(meth, raw, delta)
 
-        if replays:
-            ctxs_of_meth: Dict[int, List[int]] = {}
-            for key in self._reachable:
-                ctxs_of_meth.setdefault(key >> 32, []).append(
-                    key & 0xFFFFFFFF
-                )
-            for meth_i, dmb in replays:
-                for ctx in ctxs_of_meth.get(meth_i, ()):
-                    self._play_body(dmb, meth_i, ctx)
+        # The contexts reaching each grown method now: one reached during
+        # the replays plays the whole grown body instead.
+        ctxs = indexes.ctxs
+        reaching = [tuple(ctxs.of(meth_i)) for meth_i, _dmb in replays]
+        for (meth_i, dmb), meth_ctxs in zip(replays, reaching):
+            for ctx in meth_ctxs:
+                self._play_body(dmb, meth_i, ctx)
 
         # Receivers observed *before* a LOOKUP key existed concluded
         # "no target" through the (now evicted) cache — re-dispatch them.
@@ -1756,7 +1809,9 @@ class PointsToSolver:
 
         self._propagate()
         log, self._added_log = self._added_log, None
-        return self._extend_delta(log, reach_before, cg_before)
+        linked, reached = indexes.linked, indexes.reached
+        indexes.linked = indexes.reached = None
+        return self._extend_delta(log, linked, reached)
 
     def _row_index(self, what: str) -> FactIndex:
         """The fact base index of a solver built from rows; edits arrive
@@ -1765,21 +1820,26 @@ class PointsToSolver:
             raise ValueError(f"{what} needs a solver built from fact rows")
         return self._index
 
+    def keep_indexes(self) -> "_EditIndexes":
+        """Build the indexes :meth:`extend` and :meth:`retract` read, once:
+        from then on this solver keeps them current.  A session calls this
+        right after its solve; an edit on a solver without them builds
+        them first."""
+        if self._indexes is None:
+            self._indexes = _EditIndexes.of(self)
+        return self._indexes
+
     def _extend_delta(
         self,
         log: List[Tuple[int, int]],
-        reach_before: Set[int],
-        cg_before: Set[Tuple[int, int, int, int]],
+        linked: List[_Edge],
+        reached: List[int],
     ) -> Dict[str, FrozenSet[tuple]]:
-        """Translate an insertion log into string-level added tuples."""
+        """Translate the insertion logs into string-level added tuples."""
         per_node: Dict[int, int] = {}
         for node, payload in log:
             per_node[node] = per_node.get(node, 0) | payload
-        return self._delta_rows(
-            per_node,
-            self._call_graph - cg_before,
-            self._reachable - reach_before,
-        )
+        return self._delta_rows(per_node, linked, reached)
 
     def _delta_rows(
         self,
@@ -1871,9 +1931,11 @@ class PointsToSolver:
            re-linking the call edges and re-reaching the activations
            that are still derivable.
 
-        Reverse adjacency and call-site maps are built on demand here,
-        so cold solves pay nothing for them; each node's owner is
-        recorded when the node is created (:meth:`_owner`).  The tuple count
+        Each step reads the solver's edit indexes (:meth:`keep_indexes`:
+        call edges by site and by callee, activations by method, in-edges
+        by destination), which it keeps current, so a retraction costs
+        its region, not the program; each node's owner is recorded when
+        the node is created (:meth:`_owner`).  The tuple count
         drops by exactly what is cleared and rises by what is rederived:
         afterwards it equals a fresh solve's, so a following
         :meth:`extend` trips the budget exactly when a fresh solve would.
@@ -1891,14 +1953,10 @@ class PointsToSolver:
             if rows and name not in REDERIVE_RELATIONS:
                 raise ValueError(f"cannot rederive {name} retractions")
         gone = self._gone_bodies(program, removed)
-        # The contexts of the methods losing rows (no list per method).
-        ctxs_of: Dict[int, List[int]] = {meth: [] for meth in gone}
-        for key in self._reachable:
-            ctxs = ctxs_of.get(key >> 32)
-            if ctxs is not None:
-                ctxs.append(key & _CTX_MASK)
-        calls = _CallIndex.of(self)
-        region, cut, dead = self._overdelete(gone, ctxs_of, calls)
+        indexes = self.keep_indexes()
+        # The contexts of the methods losing rows, as they are now.
+        ctxs_of = {meth: tuple(indexes.ctxs.of(meth)) for meth in gone}
+        region, cut, dead = self._overdelete(gone, ctxs_of)
         # What a rederive tears down against what a re-solve rebuilds:
         # nodes, plus activations (which need no node of their own).
         share = len(region) + len(dead)
@@ -1914,25 +1972,19 @@ class PointsToSolver:
         self._stopwatch.restart()
         pts = self._pts
         old = {node: pts[node] for node in region}
-        torn = self._tear_down(gone, ctxs_of, calls, region, cut, dead)
+        torn = self._tear_down(gone, ctxs_of, region, cut, dead)
         for heap, _typ in removed.get("HEAPTYPE", ()):
             self._unregister_heap_type(self.heaps.get(heap))
-        self._rederive(region, torn, calls, self._var_meth_lookup(removed))
+        self._rederive(region, torn, self._var_meth_lookup(removed))
         self._propagate()
 
-        # Dispatch outcomes of the sites whose call edges were cut.
-        cut_sites = {edge[0] for edge in cut}
-        stale = cut_sites and {
-            key for key in self._vcall_targets if key >> 32 in cut_sites
-        }
-        if stale:
-            sites = {key >> 32 for key in stale}
-            self._vcall_targets -= stale
-            self._vcall_targets.update(
-                invo << 32 | callee
-                for invo, _cc, callee, _ec in self._call_graph
-                if invo in sites
-            )
+        # A cut edge's dispatch outcome stays while its site still calls
+        # the callee in some context.
+        targets = self._vcall_targets
+        for invo, _cc, callee, _ec in cut:
+            key = invo << 32 | callee
+            if key in targets and not indexes.links(invo, callee):
+                targets.discard(key)
 
         lost: Dict[int, int] = {}
         for node, was in old.items():
@@ -1952,8 +2004,7 @@ class PointsToSolver:
     def _overdelete(
         self,
         gone: Mapping[int, _MethodBody],
-        ctxs_of: Mapping[int, List[int]],
-        calls: "_CallIndex",
+        ctxs_of: Mapping[int, Sequence[int]],
     ) -> Tuple[Set[int], Set[_Edge], Set[int]]:
         """Step 1 of :meth:`retract`, read-only: the nodes whose points-to
         sets could shrink, the call edges that could lose their support,
@@ -1964,7 +2015,10 @@ class PointsToSolver:
         var_nodes = self._var_nodes
         fld_nodes = self._fld_nodes
         throw_nodes = self._throw_nodes
-        from_site, lhs_of = calls.from_site, calls.lhs
+        indexes = self._indexes
+        assert indexes is not None
+        sites, into = indexes.from_site, indexes.into
+        callers, lhs_of = indexes.callers, indexes.lhs
         region: Set[int] = set()
         todo: List[int] = []
         cut: Set[_Edge] = set()
@@ -1977,7 +2031,7 @@ class PointsToSolver:
                 todo.append(node)
 
         def cut_site(invo: int, ctx: int) -> None:
-            for edge in from_site(invo, ctx):
+            for edge in sites.of(invo << 32 | ctx):
                 if edge not in cut:
                     cut.add(edge)
                     cut_todo.append(edge)
@@ -2014,7 +2068,7 @@ class PointsToSolver:
                 for invo in _call_invos(g):
                     cut_site(invo, ctx)
                 if g.returns:
-                    for invo, cc, _callee, _ec in calls.into(meth, ctx):
+                    for invo, cc, _callee, _ec in into.of(meth << 32 | ctx):
                         lhs = lhs_of[invo]
                         if lhs != _NONE:
                             mark(var_nodes[cc].get(lhs))
@@ -2024,9 +2078,9 @@ class PointsToSolver:
         out_plain = self._out_plain
         out_filtered = self._out_filtered
         ctx0 = self.ctxs.empty_id
-        roots = [
+        roots = {
             self.meths.intern(ep) << 32 | ctx0 for ep in self.program.entry_points
-        ]
+        }
         checked = 0  # cut size at the last reachability pass
         while True:
             while todo or cut_todo:
@@ -2058,16 +2112,15 @@ class PointsToSolver:
                         mark(emap.get(formal))
                     if mb.this != _NONE:
                         mark(emap.get(mb.this))
-                    caller, lhs = calls.callers[invo], lhs_of[invo]
+                    caller, lhs = callers[invo], lhs_of[invo]
                     if lhs != _NONE:
                         mark(var_nodes[cc].get(lhs))
                     mark_raise(caller, cc)
             if len(cut) == checked:
                 return region, cut, dead
             checked = len(cut)
-            alive = self._live_activations(roots, calls, cut)
-            for key in self._reachable:
-                if key in alive or key in dead:
+            for key in self._unsupported(roots, cut):
+                if key in dead:
                     continue
                 dead.add(key)
                 ctx = key & _CTX_MASK
@@ -2082,8 +2135,7 @@ class PointsToSolver:
     def _tear_down(
         self,
         gone: Mapping[int, _MethodBody],
-        ctxs_of: Mapping[int, List[int]],
-        calls: "_CallIndex",
+        ctxs_of: Mapping[int, Sequence[int]],
         region: Set[int],
         cut: Set[_Edge],
         dead: Set[int],
@@ -2094,49 +2146,52 @@ class PointsToSolver:
         activations with their tuple charges, and take the retracted
         instructions and returns out of the bodies."""
         bodies = self._bodies
+        indexes = self._indexes
+        assert indexes is not None
         for key in dead:
-            meth = key >> 32
-            self._unplay(bodies[meth], meth, key & _CTX_MASK)
+            meth, ctx = key >> 32, key & _CTX_MASK
+            self._unplay(bodies[meth], meth, ctx)
+            indexes.ctxs.drop(meth, ctx)
         for meth, g in gone.items():
             for ctx in ctxs_of.get(meth, ()):
                 if meth << 32 | ctx not in dead:
                     self._unplay(g, meth, ctx)
-        if self._escaped:
-            for invo, cc, callee, ec in cut:
+        for edge in cut:
+            indexes.unlink(edge)
+            if self._escaped:
+                invo, cc, callee, ec = edge
                 _drop_consumer(
                     self._throw_cons,
                     self._throw_nodes[callee << 32 | ec],
-                    (calls.callers[invo], cc),
+                    (indexes.callers[invo], cc),
                 )
 
+        # The edges into the region, found from their destinations; each
+        # source's out-list is filtered once.
         torn: List[Tuple[int, int]] = []
         edge_seen = self._edge_seen
+        filtered_seen = self._filtered_edge_seen
+        plain_srcs: Set[int] = set()
+        filtered_srcs: Set[int] = set()
+        for dst in region:
+            for src in indexes.in_plain.pop_all(dst):
+                edge_seen.discard(src << 32 | dst)
+                torn.append((src, dst))
+                plain_srcs.add(src)
+            for packed in indexes.in_filtered.pop_all(dst):
+                src = packed >> 32
+                filtered_seen.discard((src, dst, packed & _CTX_MASK))
+                filtered_srcs.add(src)
         out_plain = self._out_plain
-        for src, dsts in list(out_plain.items()):
-            if region.isdisjoint(dsts):
-                continue
-            keep = []
-            for dst in dsts:
-                if dst in region:
-                    edge_seen.discard(src << 32 | dst)
-                    torn.append((src, dst))
-                else:
-                    keep.append(dst)
+        for src in plain_srcs:
+            keep = [dst for dst in out_plain[src] if dst not in region]
             if keep:
                 out_plain[src] = keep
             else:
                 del out_plain[src]
-        filtered_seen = self._filtered_edge_seen
         out_filtered = self._out_filtered
-        for src, fedges in list(out_filtered.items()):
-            if all(dst not in region for dst, _typ in fedges):
-                continue
-            fkeep = []
-            for dst, typ in fedges:
-                if dst in region:
-                    filtered_seen.discard((src, dst, typ))
-                else:
-                    fkeep.append((dst, typ))
+        for src in filtered_srcs:
+            fkeep = [fedge for fedge in out_filtered[src] if fedge[0] not in region]
             if fkeep:
                 out_filtered[src] = fkeep
             else:
@@ -2163,13 +2218,15 @@ class PointsToSolver:
                     setattr(mb, name, kept or ())
             if g.returns:
                 mb.returns = tuple(r for r in mb.returns if r not in g.returns)
+            for invo in _call_invos(g):
+                indexes.callers.pop(invo, None)
+                indexes.lhs.pop(invo, None)
         return torn
 
     def _rederive(
         self,
         region: Set[int],
         torn: List[Tuple[int, int]],
-        calls: "_CallIndex",
         var_meth: Callable[[str], str],
     ) -> None:
         """Step 3 of :meth:`retract`, before the worklist runs: every live
@@ -2206,7 +2263,7 @@ class PointsToSolver:
                 replay.add(act_of(src))
         for key in replay:
             if key in self._reachable:
-                self._replay(key >> 32, key & _CTX_MASK, calls)
+                self._replay(key >> 32, key & _CTX_MASK)
 
     def _var_meth_lookup(
         self, removed: Mapping[str, Iterable[tuple]]
@@ -2287,28 +2344,52 @@ class PointsToSolver:
             gone[meth_i] = g
         return gone
 
-    def _live_activations(
-        self,
-        roots: List[int],
-        calls: "_CallIndex",
-        cut: Set[_Edge],
-    ) -> Set[int]:
-        """Activations reachable from ``roots`` over the call edges not in
-        ``cut``."""
+    def _unsupported(self, roots: Set[int], cut: Set[_Edge]) -> Set[int]:
+        """The activations no longer reachable from ``roots`` over the call
+        edges not in ``cut``, decided locally.
+
+        Only the forward closure S of the cut edges' callees, over the
+        edges not cut, can lose its support: any other activation kept a
+        path from the roots free of cut edges.  An activation in S stays
+        alive if it is a root, or is reached over edges not cut from an
+        activation outside S; the rest of S is returned.  A dead cycle
+        cannot keep itself alive, since its support from outside S is
+        what is checked.
+        """
+        indexes = self._indexes
+        assert indexes is not None
         bodies = self._bodies
-        seen = set(roots)
-        stack = list(roots)
-        while stack:
-            key = stack.pop()
-            ctx = key & _CTX_MASK
-            for invo in _call_invos(bodies[key >> 32]):
-                for edge in calls.from_site(invo, ctx):
-                    if edge not in cut:
+        sites, callers = indexes.from_site, indexes.callers
+
+        def closure(keys: Set[int], within: Optional[Set[int]]) -> None:
+            # Grow ``keys`` over the edges not cut (inside ``within``).
+            stack = list(keys)
+            while stack:
+                key = stack.pop()
+                ctx = key & _CTX_MASK
+                for invo in _call_invos(bodies[key >> 32]):
+                    for edge in sites.of(invo << 32 | ctx):
+                        if edge in cut:
+                            continue
                         callee = edge[2] << 32 | edge[3]
-                        if callee not in seen:
-                            seen.add(callee)
+                        if callee not in keys and (
+                            within is None or callee in within
+                        ):
+                            keys.add(callee)
                             stack.append(callee)
-        return seen
+
+        affected = {edge[2] << 32 | edge[3] for edge in cut}
+        closure(affected, None)
+        alive = set()
+        into = indexes.into
+        for key in affected:
+            if key in roots or any(
+                edge not in cut and callers[edge[0]] << 32 | edge[1] not in affected
+                for edge in into.of(key)
+            ):
+                alive.add(key)
+        closure(alive, affected)
+        return affected - alive
 
     def _unplay(self, mb: _MethodBody, meth: int, ctx: int) -> None:
         """Unregister the consumers :meth:`_play_body` registered for
@@ -2345,7 +2426,7 @@ class PointsToSolver:
             self._filter_heaps[t_i].discard(heap)
             self._filter_pairs[t_i] &= ~of_heap
 
-    def _replay(self, meth: int, ctx: int, calls: "_CallIndex") -> None:
+    def _replay(self, meth: int, ctx: int) -> None:
         """Re-emit everything a live activation derives, from its current
         state: instruction edges and seeds, its consumers fired over their
         bases' current points-to sets (not re-registered), and the
@@ -2355,8 +2436,9 @@ class PointsToSolver:
         pts = self._pts
         vnode = self._vnode
         add_edge = self._add_edge
-        call_graph = self._call_graph
         throw_nodes = self._throw_nodes
+        indexes = self._indexes
+        assert indexes is not None
         for var, heap in mb.allocs:
             self._add_pts1(vnode(var, ctx), self._record(heap, ctx))
         for frm, to in mb.moves:
@@ -2388,10 +2470,8 @@ class PointsToSolver:
                 )
         # Outgoing call edges: return bindings and escaping exceptions.
         for invo in _call_invos(mb):
-            lhs = calls.lhs[invo]
-            for edge in calls.from_site(invo, ctx):
-                if edge not in call_graph:
-                    continue
+            for edge in indexes.from_site.of(invo << 32 | ctx):
+                lhs = indexes.lhs[invo]
                 callee, ec = edge[2], edge[3]
                 if lhs != _NONE:
                     dst = vnode(lhs, ctx)
@@ -2402,11 +2482,9 @@ class PointsToSolver:
                     for pid in iter_bits(pts[escapes]):
                         self._raise_in(meth, ctx, pid)
         # Incoming call edges: argument bindings and the receiver.
-        for edge in calls.into(meth, ctx):
-            if edge not in call_graph:
-                continue
+        for edge in indexes.into.of(meth << 32 | ctx):
             invo, cc = edge[0], edge[1]
-            _caller, base, target, _lhs, args, virtual = calls.site(invo)
+            base, target, args, virtual = self._call_site(invo)
             for actual, formal in zip(args, mb.formals):
                 add_edge(vnode(actual, cc), vnode(formal, ctx))
             if base == _NONE or mb.this == _NONE:
@@ -2419,6 +2497,23 @@ class PointsToSolver:
                         continue
                 if self._merge(pid, invo, meth, cc) == ctx:
                     self._add_pts1(this_node, pid)
+
+    def _call_site(self, invo: int) -> Tuple[int, int, Tuple[int, ...], bool]:
+        """Call site ``invo`` of a warm solver, read from its caller's
+        current body: receiver var (``_NONE`` for a static call), sig or
+        callee, args, and whether it dispatches virtually."""
+        assert self._indexes is not None
+        mb = self._bodies[self._indexes.callers[invo]]
+        for base, target, site, _lhs, args in mb.vcalls:
+            if site == invo:
+                return base, target, args, True
+        for base, target, site, _lhs, args in mb.specialcalls:
+            if site == invo:
+                return base, target, args, False
+        for target, site, _lhs, args in mb.scalls:
+            if site == invo:
+                return _NONE, target, args, False
+        raise KeyError(invo)
 
     def _propagate(self) -> None:
         worklist = self._worklist

@@ -20,7 +20,7 @@ counterexamples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..ir.builder import ProgramBuilder
 from ..ir.instructions import (
@@ -135,13 +135,79 @@ class MethodSketch:
         )
 
 
+def _key(m: MethodSketch) -> Tuple[str, str, int]:
+    return m.class_name, m.name, len(m.params)
+
+
+class _Methods(list):
+    """A sketch's methods, in order, indexed by ``(class name, name,
+    arity)``: an append or insert keeps the index; any other change to
+    the list drops it, and the next lookup builds it again."""
+
+    __slots__ = ("_by_key",)
+
+    def __init__(self, methods: Iterable[MethodSketch] = ()) -> None:
+        super().__init__(methods)
+        self._by_key: Optional[Dict[Tuple[str, str, int], MethodSketch]] = None
+
+    def find(self, key: Tuple[str, str, int]) -> Optional[MethodSketch]:
+        """The first method with ``key``, or ``None``."""
+        by_key = self._by_key
+        if by_key is None:
+            by_key = self._by_key = {}
+            for m in self:
+                by_key.setdefault(_key(m), m)
+        return by_key.get(key)
+
+    def append(self, m: MethodSketch) -> None:
+        super().append(m)
+        if self._by_key is not None:
+            self._by_key.setdefault(_key(m), m)
+
+    def insert(self, at: Any, m: MethodSketch) -> None:
+        super().insert(at, m)
+        by_key = self._by_key
+        if by_key is not None:
+            # A key already taken may now be first at ``at``: rebuild.
+            if _key(m) in by_key:
+                self._by_key = None
+            else:
+                by_key[_key(m)] = m
+
+
+def _dropping_index(name: str) -> Any:
+    change = getattr(list, name)
+
+    def method(self: _Methods, *args: Any, **kwargs: Any) -> Any:
+        self._by_key = None
+        return change(self, *args, **kwargs)
+
+    method.__name__ = name
+    return method
+
+
+for _name in (
+    "__setitem__", "__delitem__", "__iadd__", "__imul__",
+    "extend", "remove", "pop", "clear", "sort", "reverse",
+):
+    setattr(_Methods, _name, _dropping_index(_name))
+
+
 class ProgramSketch:
     """A whole program in editable form; see the module docstring."""
 
     def __init__(self) -> None:
         self.classes: Dict[str, ClassSketch] = {}
-        self.methods: List[MethodSketch] = []
+        self.methods = []
         self.entry_points: List[str] = []
+
+    @property
+    def methods(self) -> List[MethodSketch]:
+        return self._methods
+
+    @methods.setter
+    def methods(self, methods: Iterable[MethodSketch]) -> None:
+        self._methods = _Methods(methods)
 
     # ------------------------------------------------------------------
     # Conversion
@@ -219,20 +285,11 @@ class ProgramSketch:
 
     def method_by_id(self, method_id: str) -> Optional[MethodSketch]:
         """The method whose :attr:`MethodSketch.id` is ``method_id``, or
-        ``None`` (also for a malformed id).  Compares the id's parts, so
-        no method's id is formatted."""
+        ``None`` (also for a malformed id).  Looks the id's parts up in
+        the methods' index, so no method's id is formatted and no list is
+        scanned."""
         key = parse_method_id(method_id)
-        if key is None:
-            return None
-        class_name, name, arity = key
-        for m in self.methods:
-            if (
-                m.name == name
-                and m.class_name == class_name
-                and len(m.params) == arity
-            ):
-                return m
-        return None
+        return None if key is None else self._methods.find(key)
 
     # ------------------------------------------------------------------
     # JSON round-trip

@@ -117,7 +117,7 @@ from ..facts.encoder import (
     type_rows,
 )
 from ..fuzz.oracles import solver_relations
-from ..fuzz.sketch import ProgramSketch, parse_method_id
+from ..fuzz.sketch import ProgramSketch
 from ..ir.program import Method, Program
 from ..ir.validate import validate_program
 from ..utils import Stopwatch
@@ -490,11 +490,16 @@ class IncrementalSession:
         # number of methods using each shared string constant.
         self._methods: Dict[str, MethodRows] = {}
         self._string_uses: Dict[str, int] = {}
+        # Signature -> ids of the cached methods whose static or special
+        # calls resolve to a method of that signature.
+        self._sig_callers: Dict[str, Set[str]] = {}
         uses = self._string_uses
         for m in program.methods():
             entry = self._methods[m.id] = MethodRows(program, m)
             for heap in entry.strings:
                 uses[heap] = uses.get(heap, 0) + 1
+            for sig in entry.call_sigs:
+                self._sig_callers.setdefault(sig, set()).add(m.id)
         self._instance_sigs = _instance_sigs(program)
         self._types = type_rows(program)
         facts = assemble_facts(program, self._methods.values(), *self._types)
@@ -540,12 +545,9 @@ class IncrementalSession:
             dirty.update(
                 mid for mid, cached in self._methods.items() if cached.call_sigs
             )
-        elif sigs:
-            dirty.update(
-                mid
-                for mid, cached in self._methods.items()
-                if not cached.call_sigs.isdisjoint(sigs)
-            )
+        else:
+            for sig in sigs:
+                dirty.update(self._sig_callers.get(sig, ()))
         return dirty
 
     def _build(self, footprint: Footprint, dirty: Set[str]) -> Program:
@@ -559,14 +561,18 @@ class IncrementalSession:
         """
         if footprint.classes or footprint.fields:
             return self.sketch.build()
-        # Match the touched ids' parts, in sketch order, so no sketch
-        # method's id is formatted.
-        touched = {
-            parse_method_id(mid) for mid in footprint.bodies | footprint.methods.keys()
-        }
-        names = {key[1] for key in touched if key is not None}
-        old = self.program
-        program = old.derive(
+        sketch = self.sketch
+        found = [
+            ms
+            for ms in map(sketch.method_by_id, footprint.bodies | footprint.methods.keys())
+            if ms is not None
+        ]
+        if len(found) > 1:
+            # Methods new to their class go to its end in the order given:
+            # the sketch's, as in a build from it.
+            at = {id(ms): i for i, ms in enumerate(sketch.methods)}
+            found.sort(key=lambda ms: at[id(ms)])
+        program = self.program.derive(
             [
                 Method(
                     ms.class_name,
@@ -575,9 +581,7 @@ class IncrementalSession:
                     tuple(ms.instructions),
                     ms.is_static,
                 )
-                for ms in self.sketch.methods
-                if ms.name in names
-                and (ms.class_name, ms.name, len(ms.params)) in touched
+                for ms in found
             ],
             # Each removed method; one re-added in the script moves to
             # the end of its class, as in a build from the sketch.
@@ -671,13 +675,22 @@ class IncrementalSession:
         """
         cache = self._methods
         replaced = self._epoch.replaced
+        sig_callers = self._sig_callers
         for mid, entry in fresh.items():
-            if mid in cache:
-                replaced[mid] = cache[mid]
+            was = cache.get(mid)
+            if was is not None:
+                replaced[mid] = was
+                for sig in was.call_sigs:
+                    callers = sig_callers[sig]
+                    callers.discard(mid)
+                    if not callers:
+                        del sig_callers[sig]
             if entry is None:
                 del cache[mid]
             else:
                 cache[mid] = entry
+                for sig in entry.call_sigs:
+                    sig_callers.setdefault(sig, set()).add(mid)
         epoch = _Epoch()
         self._epoch.newer = epoch
         self._epoch = epoch
@@ -698,16 +711,18 @@ class IncrementalSession:
     # Solver plumbing
     # ------------------------------------------------------------------
     def _solve_fresh(self, program: Program, facts: FactBase) -> Relations:
-        self._solver = PointsToSolver(
+        solver = self._solver = PointsToSolver(
             program, self._policy, facts=facts, max_tuples=self.max_tuples
         )
+        raw = solver.solve()
+        # Here, not inside the next edit: set-up and a ``full`` re-solve
+        # pay for the indexes the warm tiers read.
+        solver.keep_indexes()
         # A frozenset built from a generator may hold a table up to four
         # times its rows; the one copy made by union() is sized to fit.
         return {
             name: _Relation(frozenset().union(rows))
-            for name, rows in zip(
-                RESULT_RELATIONS, solver_relations(self._solver.solve())
-            )
+            for name, rows in zip(RESULT_RELATIONS, solver_relations(raw))
         }
 
     def _warm(

@@ -65,6 +65,8 @@ class Method:
 
     # Filled in when attached to a Program.
     id: str = field(default="", compare=False)
+    #: The allocation-site id of each Alloc, in instruction order.
+    alloc_sites: Tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -133,9 +135,11 @@ class Program:
         }
         self.entry_points: List[str] = []  # method ids
         self._frozen = False
-        # site identity maps, filled at freeze time
-        self._alloc_sites: Dict[Tuple[str, int], str] = {}
+        # Method id -> method, filled at freeze time.  In class order
+        # unless a derived program has added methods since (methods()
+        # restores it).
         self._methods_by_id: Dict[str, Method] = {}
+        self._class_ordered = True
         self._lookup_cache: Dict[Tuple[str, str], Optional[Method]] = {}
 
     # ------------------------------------------------------------------
@@ -212,7 +216,6 @@ class Program:
         derived = Program.__new__(Program)
         derived.hierarchy = self.hierarchy
         derived.classes = dict(self.classes)
-        derived._alloc_sites = dict(self._alloc_sites)
         derived._lookup_cache = {}
         derived._frozen = True
         changed: Dict[str, Dict[str, Method]] = {}
@@ -224,27 +227,19 @@ class Program:
                 changed[class_name] = table
             return table
 
-        def drop_sites(old: Method) -> None:
-            allocs = sum(isinstance(i, Alloc) for i in old.instructions)
-            for alloc_idx in range(allocs):
-                del derived._alloc_sites[(old.id, alloc_idx)]
-
         # The method table is patched: replacing or removing a method
         # keeps every other in place.  An added one goes to the end of its
-        # class, so then the table is rebuilt in class order.
+        # class, and the table is put back in class order only when
+        # methods() is first called.
         by_id = derived._methods_by_id = dict(self._methods_by_id)
-        added = False
+        derived._class_ordered = self._class_ordered
         for method_id in removed:
             old = by_id.pop(method_id)
             del class_methods(old.class_name)[old.sig]
-            drop_sites(old)
         for method in methods:
             table = class_methods(method.class_name)
-            old = table.get(method.sig)
-            if old is not None:
-                drop_sites(old)
-            else:
-                added = True
+            if method.sig not in table:
+                derived._class_ordered = False
             table[method.sig] = method  # an existing key keeps its place
             by_id[method.id] = method
             derived._assign_site_ids(method)
@@ -252,12 +247,6 @@ class Program:
             derived.classes[class_name] = replace(
                 self.classes[class_name], methods=table
             )
-        if added:
-            derived._methods_by_id = {
-                m.id: m
-                for cd in derived.classes.values()
-                for m in cd.methods.values()
-            }
         derived.entry_points = list(entry_points)
         for ep in derived.entry_points:
             if ep not in derived._methods_by_id:
@@ -269,13 +258,13 @@ class Program:
         and record allocation-site identities.  An invocation that already
         carries its id (a body lifted from a frozen program) is kept."""
         new_instructions: List[Instruction] = []
-        alloc_idx = 0
+        alloc_sites: List[str] = []
         invo_idx = 0
         for instr in method.instructions:
             if isinstance(instr, Alloc):
-                site = f"{method.id}/new {instr.class_name}/{alloc_idx}"
-                self._alloc_sites[(method.id, alloc_idx)] = site
-                alloc_idx += 1
+                alloc_sites.append(
+                    f"{method.id}/new {instr.class_name}/{len(alloc_sites)}"
+                )
             elif isinstance(instr, Invocation):
                 invo = f"{method.id}/invo/{invo_idx}"
                 invo_idx += 1
@@ -284,6 +273,7 @@ class Program:
                     instr = replace(instr, invo=invo)
             new_instructions.append(instr)
         method.instructions = tuple(new_instructions)
+        method.alloc_sites = tuple(alloc_sites)
 
     # ------------------------------------------------------------------
     # Queries (require frozen)
@@ -296,10 +286,26 @@ class Program:
         return self._methods_by_id[method_id]
 
     def methods(self) -> Iterator[Method]:
+        """Every method, in class order: a fresh build's order."""
+        if not self._class_ordered:
+            self._methods_by_id = {
+                m.id: m for cd in self.classes.values() for m in cd.methods.values()
+            }
+            self._class_ordered = True
         return iter(self._methods_by_id.values())
 
     def alloc_site(self, method: Method, alloc_index: int) -> str:
-        return self._alloc_sites[(method.id, alloc_index)]
+        return self._methods_by_id[method.id].alloc_sites[alloc_index]
+
+    @property
+    def _alloc_sites(self) -> Dict[Tuple[str, int], str]:
+        """Every allocation site, keyed ``(method id, alloc index)``:
+        built when read, from the methods' own sites."""
+        return {
+            (m.id, i): site
+            for m in self.methods()
+            for i, site in enumerate(m.alloc_sites)
+        }
 
     def lookup(self, type_name: str, sig: str) -> Optional[Method]:
         """LOOKUP(type, sig): resolve virtual dispatch.
@@ -351,7 +357,7 @@ class Program:
         )
 
     def count_alloc_sites(self) -> int:
-        return len(self._alloc_sites)
+        return sum(len(m.alloc_sites) for m in self.methods())
 
     def summary(self) -> str:
         return (

@@ -25,7 +25,7 @@ from repro.analysis.solver import (
     _VAR,
     BudgetExceeded,
     PointsToSolver,
-    _CallIndex,
+    _EditIndexes,
 )
 from repro.benchgen.dacapo import build_benchmark
 from repro.contexts.policies import policy_by_name
@@ -33,6 +33,7 @@ from repro.facts.encoder import encode_program
 from repro.fuzz.corpus import iter_corpus, load_entry
 from repro.fuzz.oracles import solver_relations
 from repro.fuzz.sketch import ProgramSketch
+from repro.harness.runner import EXPERIMENT_BUDGET, run_introspective_analysis
 from repro.incremental.edits import (
     AddClass,
     AddMethod,
@@ -44,7 +45,9 @@ from repro.incremental.edits import (
     random_edit_script,
 )
 from repro.incremental.session import RESULT_RELATIONS, IncrementalSession
-from repro.ir.instructions import Alloc, Store
+from repro.introspection.heuristics import heuristic_from_spec
+from repro.ir.instructions import Alloc, StaticCall, Store, Throw
+from repro.query.engine import QueryEngine
 from tests.conftest import (
     build_box_program,
     build_kitchen_sink_program,
@@ -206,6 +209,27 @@ def assert_owner_index(solver):
         assert solver._owner(node) == (kind, hi, lo)
 
 
+def assert_edit_indexes(solver):
+    """A warm solver's edit indexes equal ones rebuilt from its tables,
+    entry for entry, and no insertion log is left armed."""
+    ix = solver._indexes
+    assert ix is not None and ix.linked is None and ix.reached is None
+    want = _EditIndexes.of(solver)
+    for name in ("from_site", "into", "ctxs", "in_plain", "in_filtered"):
+        have, rebuilt = getattr(ix, name), getattr(want, name)
+        assert have.keys() == rebuilt.keys(), name
+        for key, entries in have.items():
+            # A lone entry is stored bare, never as a one-entry list.
+            assert not isinstance(entries, list) or len(entries) > 1, (name, key)
+            assert sorted(have.of(key)) == sorted(rebuilt.of(key)), (name, key)
+    # Every site with a call edge is indexed, and every indexed site is a
+    # call of its caller's current body, with that result variable.
+    assert {edge[0] for edge in solver._call_graph} <= ix.callers.keys()
+    assert ix.callers.keys() == ix.lhs.keys()
+    for invo, caller in ix.callers.items():
+        assert want.callers[invo] == caller and want.lhs[invo] == ix.lhs[invo]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -262,6 +286,161 @@ def test_owner_index_survives_extend_and_retract():
             kinds.update(solver._owner(node)[0] for node in range(len(solver._pts)))
     assert {"monotonic", "rederive"} <= tiers, tiers
     assert kinds == {_VAR, _FLD, _THROW, _STATIC}
+
+
+def first_escape_script(session):
+    """Throw an allocated object from a method the entry point calls: the
+    first exception to escape, over a call edge linked before it."""
+    sketch = session.sketch
+    main = sketch.method_by_id(session.program.entry_points[0])
+    for call in main.instructions:
+        if not isinstance(call, StaticCall):
+            continue
+        target = sketch.method_by_id(f"{call.class_name}.{call.sig}")
+        allocs = [i for i in target.instructions if isinstance(i, Alloc)]
+        if allocs:
+            return EditScript([InsertInstruction(target.id, Throw(allocs[0].target))])
+    raise AssertionError("no allocating callee of the entry point")
+
+
+def test_warm_indexes_survive_extend_and_retract():
+    # After every step -- both warm tiers, a ``full`` fallback, a budget
+    # trip's rollback and a first escape inside ``extend`` -- the indexes
+    # the warm solver keeps equal ones rebuilt from its tables.
+    tiers = set()
+    builds = {
+        **PROGRAMS,
+        "late-load": build_late_load_program,
+        "antlr": lambda: build_benchmark("antlr"),
+    }
+    for name in ("kitchen-sink", "exceptions", "late-load", "antlr"):
+        session = session_of(builds[name], "2objH")
+        assert_edit_indexes(session._solver)
+        rng = random.Random(name)
+        for _ in range(12):
+            out = session.apply(random_edit_script(session.sketch, rng))
+            tiers.add(out.tier)
+            assert_edit_indexes(session._solver)
+    assert {"monotonic", "rederive"} <= tiers, tiers
+
+    # A retraction the rederive tier refuses re-solves.
+    session = session_of(build_exception_program, "2objH")
+    out = session.apply(EditScript([DeleteInstruction("Mid.relay/2", 1)]))
+    assert out.tier == "full"
+    assert_edit_indexes(session._solver)
+
+    # An extension past the budget rolls back to a fresh solve.
+    probe = session_of(build_kitchen_sink_program, "2objH")
+    budget = probe._solver._tuple_count + 5
+    session = session_of(build_kitchen_sink_program, "2objH", max_tuples=budget)
+    more = EditScript([
+        InsertInstruction("Main.main/0", Alloc(f"zb{i}", "Dog")) for i in range(10)
+    ])
+    with pytest.raises(BudgetExceeded):
+        session.apply(more)
+    assert_edit_indexes(session._solver)
+
+    # The first escape inside extend, then its retraction.
+    session = session_of(lambda: build_benchmark("antlr"), "2objH")
+    assert not session._solver._escaped
+    out = session.apply(first_escape_script(session))
+    assert out.tier == "monotonic" and session._solver._escaped
+    assert_edit_indexes(session._solver)
+    thrower = out.delta.added["THROWINSTR"]
+    (_var, meth), = thrower
+    last = len(session.sketch.method_by_id(meth).instructions) - 1
+    out = session.apply(EditScript([DeleteInstruction(meth, last)]))
+    assert out.tier == "rederive", out.reason
+    assert_edit_indexes(session._solver)
+    assert session.check_against_scratch() == []
+
+
+def test_cold_runs_and_queries_build_no_index(monkeypatch):
+    # Only a warm session pays for the edit indexes.
+    built = []
+    of = _EditIndexes.of.__func__
+    monkeypatch.setattr(
+        _EditIndexes, "of",
+        classmethod(lambda cls, solver: built.append(solver) or of(cls, solver)),
+    )
+    program = build_benchmark("antlr")
+    run_introspective_analysis(
+        program, "2objH", heuristic_from_spec("A", None), max_tuples=EXPERIMENT_BUDGET
+    )
+    facts = encode_program(program)
+    engine = QueryEngine(program, facts=facts)
+    var = sorted({var for var, _meth in facts.varinmeth})[0]
+    assert engine.query(var, "2objH").points_to
+    assert built == []
+    session = session_of(build_box_program, "2objH")
+    assert built == [session._solver]
+
+
+class _NoScan:
+    """A solver table that answers lookups and takes updates, but raises
+    on anything that walks it: iteration, a copy, set algebra."""
+
+    _KEYED = frozenset({"get", "pop", "setdefault", "add", "discard", "remove"})
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getattr__(self, name):
+        if name not in self._KEYED:
+            raise AssertionError(f"an edit called {name} on a whole-program table")
+        return getattr(self._table, name)
+
+    def __iter__(self):
+        raise AssertionError("an edit iterated a whole-program table")
+
+    def __contains__(self, key):
+        return key in self._table
+
+    def __len__(self):
+        return len(self._table)
+
+    def __getitem__(self, key):
+        return self._table[key]
+
+    def __setitem__(self, key, value):
+        self._table[key] = value
+
+    def __delitem__(self, key):
+        del self._table[key]
+
+    def __isub__(self, other):
+        self._table -= other
+        return self
+
+
+def test_small_edits_scan_no_whole_program_table():
+    # An empty-region retraction and a one-instruction extension read the
+    # warm indexes; swapped-in tables that raise on any walk prove they
+    # read no table of the whole program end to end.
+    session = session_of(lambda: build_benchmark("antlr"), "2objH")
+    main = session.program.entry_points[0]
+    owner = session.program.method(main).class_name
+    session.apply(EditScript([
+        AddMethod(owner, "zidle", (), is_static=True, instructions=[
+            Alloc("a", "java.lang.Object"), Alloc("b", "java.lang.Object"),
+        ]),
+    ]))
+    solver = session._solver
+    names = ("_reachable", "_call_graph", "_out_plain", "_out_filtered", "_bodies")
+    for name in names:
+        setattr(solver, name, _NoScan(getattr(solver, name)))
+    try:
+        gone = session.apply(EditScript([DeleteInstruction(f"{owner}.zidle/0", 1)]))
+        grown = session.apply(
+            EditScript([InsertInstruction(main, Alloc("zq", "java.lang.Object"))])
+        )
+    finally:
+        for name in names:
+            setattr(solver, name, getattr(solver, name)._table)
+    assert gone.tier == "rederive" and " 0/" in gone.reason, gone.reason
+    assert grown.tier == "monotonic" and grown.result_added, grown.reason
+    assert_edit_indexes(solver)
+    assert session.check_against_scratch() == []
 
 
 # ----------------------------------------------------------------------
@@ -485,44 +664,67 @@ def _solved(program, analysis="2objH"):
     return solver
 
 
-def _index_keeps(solver):
-    """The collector-tracked objects ``_CallIndex.of`` leaves alive."""
-    gc.collect()
-    gc.disable()
-    try:
-        before = gc.get_count()[0]
-        calls = _CallIndex.of(solver)
-        return calls, gc.get_count()[0] - before
-    finally:
-        gc.enable()
+def _retract_keeps(build):
+    """The collector-tracked objects one empty-region retraction leaves
+    alive: it deletes the last instruction of a method nothing calls."""
+    session = session_of(build, "2objH")
+    owner = session.program.method(session.program.entry_points[0]).class_name
+    session.apply(EditScript([
+        AddMethod(owner, "zidle", (), is_static=True, instructions=[
+            Alloc("a", "java.lang.Object"), Alloc("b", "java.lang.Object"),
+        ]),
+    ]))
+    solver = session._solver
+    retract = solver.retract
+    keeps = []
+
+    def measured(program, removed):
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            out = retract(program, removed)
+            keeps.append(gc.get_count()[0] - before)
+            return out
+        finally:
+            gc.enable()
+
+    solver.retract = measured
+    out = session.apply(EditScript([DeleteInstruction(f"{owner}.zidle/0", 1)]))
+    assert out.tier == "rederive" and out.reason.endswith(
+        f"; 0/{len(solver._pts) + len(solver._reachable)} nodes"
+    ), out.reason
+    return solver, keeps[0]
 
 
 def test_call_index_holds_no_container_per_key():
-    """A retraction's call index keeps the same handful of tracked objects
-    on the box program and on xalan's 2objH call graph: an allocation per
-    edge or per site would start collector passes inside every edit.  Its
-    lookups answer as a per-key table of the call graph does."""
-    _small, small_keeps = _index_keeps(_solved(build_box_program()))
-    solver = _solved(build_benchmark("xalan"))
-    calls, keeps = _index_keeps(solver)
+    """An empty-region retraction keeps about the same handful of tracked
+    objects on the box program and on xalan's 2objH call graph: an
+    allocation per edge, site or activation would start collector passes
+    inside every edit.  The warm solver's call index answers as a per-key
+    table of the call graph does."""
+    _small, small_keeps = _retract_keeps(build_box_program)
+    solver, keeps = _retract_keeps(lambda: build_benchmark("xalan"))
     assert len(solver._call_graph) > 1000
-    assert keeps == small_keeps < 20
+    assert abs(keeps - small_keeps) <= 2 and keeps < 40, (keeps, small_keeps)
 
+    calls = solver._indexes
     by_site, into = {}, {}
     for edge in solver._call_graph:
         by_site.setdefault(edge[:2], set()).add(edge)
         into.setdefault(edge[2:], set()).add(edge)
     for (invo, ctx), edges in by_site.items():
-        assert set(calls.from_site(invo, ctx)) == edges
+        assert set(calls.from_site.of(invo << 32 | ctx)) == edges
     for (meth, ctx), edges in into.items():
-        assert set(calls.into(meth, ctx)) == edges
-    assert calls.from_site(len(solver.invos) + 1, 0) == []
+        assert set(calls.into.of(meth << 32 | ctx)) == edges
+    assert calls.from_site.of((len(solver.invos) + 1) << 32) == ()
     for meth, mb in solver._bodies.items():
         for base, target, invo, lhs, args in mb.vcalls:
-            assert calls.site(invo) == (meth, base, target, lhs, args, True)
+            assert solver._call_site(invo) == (base, target, args, True)
             assert calls.lhs[invo] == lhs
         for base, target, invo, lhs, args in mb.specialcalls:
-            assert calls.site(invo) == (meth, base, target, lhs, args, False)
+            assert solver._call_site(invo) == (base, target, args, False)
         for target, invo, lhs, args in mb.scalls:
-            assert calls.site(invo) == (meth, -1, target, lhs, args, False)
+            assert solver._call_site(invo) == (-1, target, args, False)
             assert calls.callers[invo] == meth
+    assert_edit_indexes(solver)
