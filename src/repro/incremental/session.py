@@ -562,16 +562,14 @@ class IncrementalSession:
         if footprint.classes or footprint.fields:
             return self.sketch.build()
         sketch = self.sketch
-        found = [
-            ms
-            for ms in map(sketch.method_by_id, footprint.bodies | footprint.methods.keys())
-            if ms is not None
-        ]
-        if len(found) > 1:
-            # Methods new to their class go to its end in the order given:
-            # the sketch's, as in a build from it.
+        # A method with only its body edited keeps its place, whatever the
+        # order; an added one goes to the end of its class in the order
+        # given, which must be the sketch's, as in a build from it.
+        kept = map(sketch.method_by_id, footprint.bodies - footprint.methods.keys())
+        added = [ms for ms in map(sketch.method_by_id, footprint.methods) if ms is not None]
+        if len(added) > 1:
             at = {id(ms): i for i, ms in enumerate(sketch.methods)}
-            found.sort(key=lambda ms: at[id(ms)])
+            added.sort(key=lambda ms: at[id(ms)])
         program = self.program.derive(
             [
                 Method(
@@ -581,7 +579,8 @@ class IncrementalSession:
                     tuple(ms.instructions),
                     ms.is_static,
                 )
-                for ms in found
+                for ms in [*kept, *added]
+                if ms is not None
             ],
             # Each removed method; one re-added in the script moves to
             # the end of its class, as in a build from the sketch.

@@ -654,16 +654,6 @@ def test_rederived_relations_equal_the_datalog_model(path):
     assert rederived
 
 
-def _solved(program, analysis="2objH"):
-    facts = encode_program(program)
-    solver = PointsToSolver(
-        program, policy_by_name(analysis, alloc_class_of=facts.alloc_class_of),
-        facts=facts,
-    )
-    solver.solve()
-    return solver
-
-
 def _retract_keeps(build):
     """The collector-tracked objects one empty-region retraction leaves
     alive: it deletes the last instruction of a method nothing calls."""
