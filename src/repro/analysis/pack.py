@@ -23,9 +23,10 @@ solved over another pack, say) gets its method compiled on demand, or,
 for a call site or heap, the rest of the program compiled once.
 
 A pack is state of one run (or of the cells of one figure benchmark) and
-is passed as an argument; nothing memoizes it on the program.  The row
-compiler of :class:`~repro.analysis.solver.PointsToSolver` stays for
-inputs that arrive as rows: sliced query solves and warm sessions.
+is passed as an argument; nothing memoizes it on the program.  A warm
+session's pack moves with its program (:meth:`PackedProgram.recompile`).
+The row compiler of :class:`~repro.analysis.solver.PointsToSolver` stays
+for inputs that arrive as rows: sliced query solves.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    List,
     Sequence,
     Set,
     Tuple,
@@ -111,6 +111,17 @@ _INSTR_FIELDS = (
 #: The instruction fields of a body without instructions.
 _NO_INSTRS: Tuple[Tuple[()], ...] = ((),) * len(_INSTR_FIELDS)
 
+#: Call instruction lists of a :class:`_MethodBody`, with the position of
+#: the call-site id in their entries.
+_CALL_FIELDS = (("vcalls", 2), ("specialcalls", 2), ("scalls", 1))
+
+
+def _call_invos(mb: _MethodBody) -> Iterator[int]:
+    """The call-site ids of a body's call instructions."""
+    for name, at in _CALL_FIELDS:
+        for call in getattr(mb, name):
+            yield call[at]
+
 
 class _Locals(dict):
     """One method's variables: local name -> interned id, interning the
@@ -165,6 +176,46 @@ class PackedProgram:
         return mb
 
     def _compile(self, meth: int) -> _MethodBody:
+        mb = self._bodies[meth] = self._build(meth, self._heap)
+        return mb
+
+    def recompile(
+        self, program: Program, methods: Iterable[str]
+    ) -> Dict[int, _MethodBody]:
+        """Move the pack to ``program``, an edit of its program in which
+        only ``methods`` (dirty methods ``program`` has) may have changed,
+        and compile again, into the same interners, those it has compiled.
+
+        The new bodies are returned by method id, *detached*: the pack
+        keeps each old body, which its solver shares and turns into the
+        new one (:meth:`~repro.analysis.solver.PointsToSolver.retract`,
+        :meth:`~repro.analysis.solver.PointsToSolver.extend`).  Their heap
+        types and classes are written as they are now, not kept from first
+        sight (site ids are positional).  Any other method is compiled
+        from ``program`` when first reached.
+        """
+        if not program.frozen:
+            raise ValueError("program must be frozen before packing")
+        self.program = program
+        self._whole = False
+        bodies: Dict[int, _MethodBody] = {}
+        invo_name = self.invos.value
+        for mid in methods:
+            meth = self.meths.intern(mid)
+            old = self._bodies.get(meth)
+            if old is None:
+                continue
+            for invo in map(invo_name, _call_invos(old)):
+                del self._invo_args[invo]
+                self._vcalls.discard(invo)
+            bodies[meth] = self._build(meth, self._retype)
+        return bodies
+
+    def _build(
+        self, meth: int, heap_of: Callable[[str, str, str], int]
+    ) -> _MethodBody:
+        """Compile method ``meth`` from the IR (not stored: see
+        :meth:`_compile`), interning its allocated heaps with ``heap_of``."""
         program = self.program
         method = program.method(self.meths.value(meth))
         fi = self.flds.intern
@@ -224,7 +275,7 @@ class PackedProgram:
                             (var[instr.base], mi(callee.id), invo, lhs, args)
                         )
             elif kind is Alloc:
-                heap = self._heap(
+                heap = heap_of(
                     program.alloc_site(method, alloc_idx),
                     instr.class_name,
                     method.class_name,
@@ -234,7 +285,7 @@ class PackedProgram:
             elif kind is ConstString:
                 # Shared constants have no single allocating class; the
                 # type-sensitivity element coarsens to the string class.
-                heap = self._heap(instr.heap_id, JAVA_STRING, JAVA_STRING)
+                heap = heap_of(instr.heap_id, JAVA_STRING, JAVA_STRING)
                 allocs.append((var[instr.target], heap))
             elif kind is Cast:
                 casts.append(
@@ -263,7 +314,7 @@ class PackedProgram:
                 catches.append((ti(instr.type_name), var[instr.target]))
             else:
                 raise TypeError(f"unpackable instruction: {instr!r}")
-        mb = self._bodies[meth] = _MethodBody(
+        mb = _MethodBody(
             allocs or (),
             moves or (),
             casts or (),
@@ -289,6 +340,13 @@ class PackedProgram:
         if heap not in self.heap_types:
             self.heap_types[heap] = self.types.intern(type_name)
             self._alloc_class[name] = alloc_class
+        return heap
+
+    def _retype(self, name: str, type_name: str, alloc_class: str) -> int:
+        """:meth:`_heap`, writing the type and class however often seen."""
+        heap = self.heaps.intern(name)
+        self.heap_types[heap] = self.types.intern(type_name)
+        self._alloc_class[name] = alloc_class
         return heap
 
     def _body_of(self, meth: str) -> _MethodBody:

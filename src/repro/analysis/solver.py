@@ -78,19 +78,23 @@ Everything is interned to dense integers; contexts live in two
 :class:`~repro.contexts.abstractions.ContextTable` instances, and the policy
 constructor functions are memoized (they are pure).
 
-Two front ends feed the one body format (``_MethodBody``).  A cold run
-goes IR → :class:`~repro.analysis.pack.PackedProgram` → solves and
-clients: the packed program compiles each method straight from the IR
-the first time any of the run's solvers reaches it, and its interners are
+Two front ends feed the one body format (``_MethodBody``).  A whole
+program goes IR → :class:`~repro.analysis.pack.PackedProgram` → solves
+and clients: the packed program compiles each method straight from the
+IR the first time any of its solvers reaches it, and its interners are
 the solvers' own, so a run's second pass compiles nothing and no string
-fact base is built.  Inputs that arrive as rows — a query's slice
-(:meth:`~repro.query.SlicePlan.sliced_facts`), a warm session's base and
-an edit's delta — go through the row compiler (``_compile_rows``), which
-groups them by method for the same on-first-reach bodies; only a solver
-built from rows takes :meth:`PointsToSolver.extend` and
-:meth:`PointsToSolver.retract`.  Heap types belong to the program, their
-registration in the cast-filter index to one solve: a packed body's heaps
-join the index when this solver first reaches the body.
+fact base is built.  A warm session's solver reads a packed program too,
+one that moves with the session's program: an edit reaches the solver
+as the new bodies of the methods it changed
+(:meth:`~repro.analysis.pack.PackedProgram.recompile`), and only a
+solver over a packed program takes :meth:`PointsToSolver.extend` and
+:meth:`PointsToSolver.retract`.  A query's slice
+(:meth:`~repro.query.SlicePlan.sliced_facts`) arrives as rows and goes
+through the row compiler (``_compile_rows``), which groups them by
+method for the same on-first-reach bodies.  Heap types belong to the
+program, their registration in the cast-filter index to one solve: a
+packed body's heaps join the index when this solver first reaches the
+body.
 
 Resource limits: ``max_tuples`` bounds the total number of derived tuples and
 ``max_seconds`` the wall-clock time; exceeding either raises
@@ -98,10 +102,11 @@ Resource limits: ``max_tuples`` bounds the total number of derived tuples and
 24 GB timeouts.
 
 A solved instance also moves with its program, for the incremental
-subsystem: :meth:`PointsToSolver.extend` adds EDB rows by replaying only
-them into the live worklist, and :meth:`PointsToSolver.retract` takes rows
-out by delete-and-rederive over the derived graph.  Both report their
-result delta natively and keep the tuple count equal to a fresh solve's.
+subsystem: :meth:`PointsToSolver.extend` adds the instructions an edit's
+new bodies gain by replaying only them into the live worklist, and
+:meth:`PointsToSolver.retract` takes out those they lose by
+delete-and-rederive over the derived graph.  Both report their result
+delta natively and keep the tuple count equal to a fresh solve's.
 """
 
 from __future__ import annotations
@@ -113,7 +118,6 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Deque,
     Dict,
     FrozenSet,
@@ -133,7 +137,15 @@ from ..facts.encoder import FactBase, FactIndex
 from ..ir.program import Program
 from ..obs import NULL_TRACER, Tracer
 from ..utils import Interner, Stopwatch
-from .pack import _INSTR_FIELDS, _NO_INSTRS, _NONE, PackedProgram, _MethodBody
+from .pack import (
+    _CALL_FIELDS,
+    _INSTR_FIELDS,
+    _NO_INSTRS,
+    _NONE,
+    PackedProgram,
+    _call_invos,
+    _MethodBody,
+)
 
 __all__ = [
     "BudgetExceeded",
@@ -223,10 +235,6 @@ class BudgetExceeded(Exception):
         self.tuples = tuples
         self.seconds = seconds
 
-
-#: Call instruction lists of a :class:`_MethodBody`, with the position of
-#: the call-site id in their entries.
-_CALL_FIELDS = (("vcalls", 2), ("specialcalls", 2), ("scalls", 1))
 
 #: EDB relations whose retractions :meth:`PointsToSolver.retract` takes:
 #: the instruction rows of a method that stays, the call-site rows that go
@@ -340,13 +348,6 @@ class _Bag(dict):
         return have if type(have) is list else (have,)
 
 
-def _call_invos(mb: "_MethodBody") -> Iterator[int]:
-    """The call-site ids of a body's call instructions."""
-    for name, at in _CALL_FIELDS:
-        for call in getattr(mb, name):
-            yield call[at]
-
-
 def _body_vars(mb: "_MethodBody") -> Set[int]:
     """Every variable a body's instructions, formals, returns and
     ``this`` mention — the variable nodes one activation can own."""
@@ -377,6 +378,33 @@ def _body_vars(mb: "_MethodBody") -> Set[int]:
     return out
 
 
+def _split(
+    mb: "_MethodBody", new: "_MethodBody"
+) -> Tuple[Optional["_MethodBody"], Optional["_MethodBody"]]:
+    """A compiled body's edit, field by field as sets of entries: the
+    partial bodies of what ``mb`` has and ``new`` lacks (every copy, so
+    the entries are exactly those ``mb`` played) and of what ``new`` has
+    and ``mb`` lacks, ``None`` for a side with nothing."""
+    gone: List[Sequence[Any]] = list(_NO_INSTRS)
+    more: List[Sequence[Any]] = list(_NO_INSTRS)
+    for i, name in enumerate(_INSTR_FIELDS):
+        have, want = getattr(mb, name), getattr(new, name)
+        if have != want:
+            keep, had = set(want), set(have)
+            gone[i] = [entry for entry in have if entry not in keep] or ()
+            more[i] = [entry for entry in want if entry not in had] or ()
+    lost = tuple(ret for ret in mb.returns if ret not in new.returns)
+    won = tuple(ret for ret in new.returns if ret not in mb.returns)
+    return (
+        _MethodBody(*gone, formals=(), returns=lost, this=_NONE)
+        if lost or any(gone)
+        else None,
+        _MethodBody(*more, formals=(), returns=won, this=_NONE)
+        if won or any(more)
+        else None,
+    )
+
+
 class _EditIndexes:
     """The lookups :meth:`PointsToSolver.extend` and
     :meth:`PointsToSolver.retract` make, kept current on a warm solver.
@@ -398,6 +426,7 @@ class _EditIndexes:
         "in_filtered",
         "linked",
         "reached",
+        "var_meth",
     )
 
     def __init__(self) -> None:
@@ -413,11 +442,15 @@ class _EditIndexes:
         # Armed by extend: the call edges and activations it adds.
         self.linked: Optional[List[_Edge]] = None
         self.reached: Optional[List[int]] = None
+        # Variable -> its method, for every variable a compiled body has
+        # mentioned (a variable's node outlives the instructions using it).
+        self.var_meth: Dict[int, int] = {}
 
     @classmethod
     def of(cls, solver: "PointsToSolver") -> "_EditIndexes":
         ix = cls()
         for meth, mb in solver._bodies.items():
+            ix.own(meth, solver._var_ids(meth))
             for name, at in _CALL_FIELDS:
                 for call in getattr(mb, name):
                     ix.callers[call[at]] = meth
@@ -434,6 +467,10 @@ class _EditIndexes:
             for dst, typ in fedges:
                 ix.in_filtered.add(dst, src << 32 | typ)
         return ix
+
+    def own(self, meth: int, var_ids: Iterable[int]) -> None:
+        """Record ``var_ids`` as variables of ``meth``."""
+        self.var_meth.update(dict.fromkeys(var_ids, meth))
 
     def link(self, edge: _Edge, caller: int, lhs: int) -> None:
         invo = edge[0]
@@ -882,44 +919,30 @@ class PointsToSolver:
         # packed program, or built from the rows given, which
         # construction groups by method.  So a solver over a slice costs
         # O(slice), not O(program).  A solver over rows takes whole-
-        # program lookups from the fact base's shared index, and the
-        # methods of variables added by edits from _edit_var_meth.  The
-        # fact base itself is not kept: a warm solver's program moves on,
-        # and its first fact base (with that program) would be pinned.
+        # program lookups from the fact base's shared index; the fact
+        # base itself is not kept.
         self._index: Optional[FactIndex] = None
         self._rows: Dict[str, List[Sequence[tuple]]] = {}
-        self._edit_var_meth: Dict[str, str] = {}
         self._bodies: Dict[int, _MethodBody] = {}
         with tracer.span("solver.init", analysis=policy.name):
             if facts is not None:
                 self._index = facts.index()
-                self._rows = self._compile_rows(
-                    lambda relation: getattr(facts, relation),
-                    self._index.var_meth.__getitem__,
-                    self._index.ret_of_invo,
-                    facts.args_of_invo,
-                )
+                self._rows = self._compile_rows(facts)
 
     # ------------------------------------------------------------------
     # Fact compilation: rows -> interned instruction lists -> method bodies
     # ------------------------------------------------------------------
 
-    def _compile_rows(
-        self,
-        rows_of: Callable[[str], Iterable[tuple]],
-        var_meth: Callable[[str], str],
-        ret_of: Mapping[str, str],
-        args_of: Mapping[str, Sequence[str]],
-    ) -> Dict[str, List[Sequence[tuple]]]:
-        """Intern instruction rows, grouped by method: one field per
-        :data:`_INSTR_FIELDS` entry, later the method's body's own.  A
-        field is a list once a row lands in it, the shared empty tuple
-        until then.
-
-        ``rows_of`` names a relation's rows, ``var_meth`` a variable's
-        method, ``ret_of`` a call's result variable and ``args_of`` its
-        actual arguments, by position.
-        """
+    def _compile_rows(self, facts: FactBase) -> Dict[str, List[Sequence[tuple]]]:
+        """Intern a fact base's instruction rows, grouped by method: one
+        field per :data:`_INSTR_FIELDS` entry, later the method's body's
+        own.  A field is a list once a row lands in it, the shared empty
+        tuple until then.  A variable's method and a call's result
+        variable come from the fact base's index."""
+        assert self._index is not None
+        var_meth = self._index.var_meth.__getitem__
+        ret_of = self._index.ret_of_invo
+        args_of = facts.args_of_invo
         grouped: Dict[str, List[Sequence[tuple]]] = {}
 
         def field(meth: str, i: int) -> list:
@@ -944,33 +967,33 @@ class PointsToSolver:
             lhs_i = vi(lhs) if lhs is not None else _NONE
             return lhs_i, tuple(map(vi, args_of.get(invo, ())))
 
-        for var, h, meth in rows_of("alloc"):
+        for var, h, meth in facts.alloc:
             field(meth, 0).append((vi(var), heap(h)))
-        for to, frm in rows_of("move"):
+        for to, frm in facts.move:
             field(var_meth(to), 1).append((vi(frm), vi(to)))
-        for to, typ, frm, meth in rows_of("cast"):
+        for to, typ, frm, meth in facts.cast:
             field(meth, 2).append((vi(frm), vi(to), ti(typ)))
-        for to, base, fld in rows_of("load"):
+        for to, base, fld in facts.load:
             field(var_meth(to), 3).append((vi(to), vi(base), fi(fld)))
-        for base, fld, frm in rows_of("store"):
+        for base, fld, frm in facts.store:
             field(var_meth(base), 4).append((vi(base), fi(fld), vi(frm)))
-        for to, cls, fld in rows_of("staticload"):
+        for to, cls, fld in facts.staticload:
             field(var_meth(to), 8).append((vi(to), si((cls, fld))))
-        for cls, fld, frm in rows_of("staticstore"):
+        for cls, fld, frm in facts.staticstore:
             field(var_meth(frm), 9).append((si((cls, fld)), vi(frm)))
-        for var, meth in rows_of("throwinstr"):
+        for var, meth in facts.throwinstr:
             field(meth, 10).append(vi(var))
-        for meth, typ, var in rows_of("catchclause"):
+        for meth, typ, var in facts.catchclause:
             field(meth, 11).append((ti(typ), vi(var)))
-        for base, sig, invo, meth in rows_of("vcall"):
+        for base, sig, invo, meth in facts.vcall:
             field(meth, 5).append(
                 (vi(base), self.sigs.intern(sig), ii(invo), *call_parts(invo))
             )
-        for base, callee, invo, meth in rows_of("specialcall"):
+        for base, callee, invo, meth in facts.specialcall:
             field(meth, 6).append(
                 (vi(base), mi(callee), ii(invo), *call_parts(invo))
             )
-        for callee, invo, meth in rows_of("scall"):
+        for callee, invo, meth in facts.scall:
             field(meth, 7).append((mi(callee), ii(invo), *call_parts(invo)))
         return grouped
 
@@ -988,22 +1011,38 @@ class PointsToSolver:
             pack = self._pack
             if pack is None:
                 name = self.meths.value(meth)
-                mb = self._new_body(name, self._rows.pop(name, None), self._index)
+                mb = self._new_body(name, self._rows.pop(name, None))
             else:
                 mb = pack.body(meth)
-                registered, types = self._heap_type, pack.heap_types
-                for _var, heap in mb.allocs:
-                    if heap not in registered:
-                        self._register_heap_type(heap, types[heap])
+                self._register_heaps(mb)
             self._bodies[meth] = mb
+            if self._indexes is not None:
+                self._indexes.own(meth, self._var_ids(meth))
         return mb
 
+    def _var_ids(self, meth: int) -> Iterator[int]:
+        """The variables of method ``meth``'s compiled body, as its
+        packed program lists them (cheaper than walking the body)."""
+        assert self._pack is not None, "edit indexes need a packed program"
+        return map(self.vars.get, self._pack.vars_of(self.meths.value(meth)))
+
+    def _register_heaps(self, mb: _MethodBody) -> None:
+        """Register the types of the heaps a packed body allocates that
+        this solve has not registered yet."""
+        assert self._pack is not None
+        registered, types = self._heap_type, self._pack.heap_types
+        for _var, heap in mb.allocs:
+            if heap not in registered:
+                self._register_heap_type(heap, types[heap])
+
     def _new_body(
-        self, meth: str, raw: Optional[List[Sequence[tuple]]], index: FactIndex
+        self, meth: str, raw: Optional[List[Sequence[tuple]]]
     ) -> _MethodBody:
         """Wrap compiled instruction fields (empty/``None``: none) in a
-        body, with formals, returns and ``this`` from ``index`` — the
-        shared index, or an edit's delta."""
+        body, with formals, returns and ``this`` from the fact base's
+        index."""
+        index = self._index
+        assert index is not None
         vi = self.vars.intern
         this = index.this_of.get(meth)
         return _MethodBody(
@@ -1633,9 +1672,17 @@ class PointsToSolver:
     def extend(
         self,
         program: Program,
+        bodies: Mapping[int, _MethodBody],
         added: Mapping[str, Iterable[tuple]],
     ) -> Dict[str, FrozenSet[tuple]]:
-        """Extend a solved fixpoint with *added* EDB rows, in place.
+        """Extend a solved fixpoint with an edit's additions, in place.
+
+        ``program`` is the post-edit program, to which this solver's
+        packed program has moved, and ``bodies`` the new bodies it
+        compiled there (:meth:`PackedProgram.recompile
+        <repro.analysis.pack.PackedProgram.recompile>`), by method.  Of
+        ``added`` (the edit's added rows) only the program-level rows
+        are read: ``LOOKUP`` and ``REACHABLEROOT``.
 
         Returns only the result delta: each of the five output relations
         mapped to the string-level tuples this extension derived —
@@ -1645,55 +1692,48 @@ class PointsToSolver:
 
         The resumable-worklist path of the incremental subsystem: the
         interned pair table, node tables, cast-filter index and all
-        memoization caches survive from the previous solve; only the new
-        rows are compiled (into per-method *delta* bodies) and replayed
-        into every already-reachable context, then the ordinary worklist
-        runs to the new fixpoint.  Sound because every solver operation
-        is idempotent and the guarded hazards below are exactly the
-        non-monotonic inputs:
+        memoization caches survive from the previous solve.  Each body
+        this solver has compiled grows by the entries its new body adds
+        (compared field by field, as sets), and exactly those are
+        replayed into every context already reaching it; then the
+        ordinary worklist runs to the new fixpoint.  Any other method is
+        compiled from the moved packed program when first reached.  Sound
+        because every solver operation is idempotent and the guarded
+        hazards below are exactly the non-monotonic inputs:
 
-        * ``CATCHCLAUSE``/``SUBTYPE`` would stale the escaped-exception
+        * ``CATCHCLAUSE``/``SUBTYPE`` rows would stale the escaped-exception
           state and the incrementally-maintained cast-filter closures;
-        * structure rows (formals/returns/this) or actual-argument rows
-          on *pre-existing* methods/invocations would have to re-bind
-          call edges that ``_link_call`` already linked and memoized.
+        * a new body that loses entries (they need :meth:`retract`
+          first), or that changes the formals, ``this`` or returns of a
+          compiled method or adds a call on a call site this solver has
+          seen, would have to re-bind call edges that ``_link_call``
+          already linked and memoized.
 
         The caller (:mod:`repro.incremental`) classifies deltas before
         ever getting here; the ``ValueError`` guards are belt and
-        braces.  ``program`` is the *post-edit* program, which virtual
-        dispatch over new LOOKUP entries and cast filters read.  Rows
-        come from ``added`` alone, so no whole fact base is needed.  A
-        new call's result and arguments are its site's ``ACTUALRETURN``
-        and ``ACTUALARG`` rows, and these are all in the delta: the
-        classifier sends a call row on a site the previous program had
-        to ``full`` (its unchanged wiring is not in the delta), and the
-        guards below refuse wiring rows on any site this solver has seen.
+        braces.  Virtual dispatch over new LOOKUP entries and cast
+        filters read ``program``.
         """
-        base = self._row_index("extend")
+        edited = self._edited(program, bodies)
         for name in ("CATCHCLAUSE", "SUBTYPE"):
             if added.get(name):
                 raise ValueError(f"cannot extend monotonically: {name} rows")
-
-        def known(meth: str) -> bool:
-            # Pre-edit methods: the indexed program's, plus every body
-            # compiled since (edits compile their new methods below).
-            return meth in base.method_ids or (
-                meth in self.meths and self.meths.get(meth) in self._bodies
-            )
-
-        for rel in ("FORMALARG", "FORMALRETURN", "THISVAR"):
-            for row in added.get(rel, ()):
-                if known(row[0]):
-                    raise ValueError(
-                        f"{rel} addition on pre-existing method {row[0]}"
-                    )
-        for rel in ("ACTUALARG", "ACTUALRETURN"):
-            for row in added.get(rel, ()):
-                if row[0] in self.invos:
-                    raise ValueError(
-                        f"{rel} addition on pre-existing call site {row[0]}"
-                    )
         indexes = self.keep_indexes()
+        grown: List[Tuple[int, _MethodBody, _MethodBody]] = []
+        for meth, mb, gone, more in edited:
+            if more is None:
+                continue
+            name = self.meths.value(meth)
+            if gone is not None:
+                raise ValueError(f"retractions in {name} need retract first")
+            if more.returns:
+                raise ValueError(f"FORMALRETURN addition on pre-existing method {name}")
+            for invo in _call_invos(more):
+                if invo in indexes.callers:
+                    raise ValueError(
+                        f"call added on pre-existing call site {self.invos.value(invo)}"
+                    )
+            grown.append((meth, mb, more))
         self.program = program
         self._epoch.n += 1
         self._stopwatch.restart()
@@ -1705,13 +1745,6 @@ class PointsToSolver:
         self._added_log = []
         indexes.linked = []
         indexes.reached = []
-
-        # Heap types first: pairs minted during replay must see them, and
-        # cached cast filters must admit the new heaps.
-        for heap, typ in added.get("HEAPTYPE", ()):
-            self._register_heap_type(
-                self.heaps.intern(heap), self.types.intern(typ)
-            )
 
         # Evict negative dispatch-cache entries the new LOOKUP rows turn
         # positive.  An *absent* key needs nothing: no consumer/receiver
@@ -1732,60 +1765,24 @@ class PointsToSolver:
                     del self._dispatch_cache[key]
                     retry.add(key)
 
-        # Group the added rows with the same row compiler; lookups are the
-        # delta's own, then the base index, then earlier edits' variables
-        # — all O(delta), never a rebuild of a whole-program index.  Call
-        # wiring is the delta's own only (see above).
-        delta = FactIndex.from_rows(
-            added.get("VARINMETH", ()),
-            added.get("ACTUALRETURN", ()),
-            added.get("FORMALARG", ()),
-            added.get("FORMALRETURN", ()),
-            added.get("THISVAR", ()),
-        )
-        edit_var_meth = self._edit_var_meth
-        edit_var_meth.update(delta.var_meth)
-
-        def var_meth(var: str) -> str:
-            meth = base.var_meth.get(var)
-            return meth if meth is not None else edit_var_meth[var]
-
-        args_of: Dict[str, List[str]] = {}
-        for invo, _i, arg in sorted(added.get("ACTUALARG", ())):
-            args_of.setdefault(invo, []).append(arg)
-        grouped = self._compile_rows(
-            lambda relation: added.get(relation.upper(), ()),
-            var_meth,
-            delta.ret_of_invo,
-            args_of,
-        )
-        for meth in (*delta.formals, *delta.returns, *delta.this_of):
-            grouped.setdefault(meth, [])  # structure, no instructions
-
-        # New methods install whole.  Known ones grow their body (built
-        # now if they were never reached) and queue a replay of exactly
-        # the delta into every context already reaching them.
-        replays: List[Tuple[int, _MethodBody]] = []
-        for meth, raw in grouped.items():
-            meth_i = self.meths.intern(meth)
-            if known(meth):
-                mb = self._body(meth_i)
-                dmb = self._new_body(meth, raw, delta)
-                for name in _INSTR_FIELDS:
-                    more = getattr(dmb, name)
-                    if more:
-                        setattr(mb, name, [*getattr(mb, name), *more])
-                replays.append((meth_i, dmb))
-            else:
-                self._bodies[meth_i] = self._new_body(meth, raw, delta)
+        # Grow the bodies, with their new heaps' types registered first:
+        # pairs minted during replay must see them, and cached cast
+        # filters must admit the new heaps.
+        for meth, mb, more in grown:
+            self._register_heaps(more)
+            indexes.own(meth, _body_vars(more))
+            for name in _INSTR_FIELDS:
+                extra = getattr(more, name)
+                if extra:
+                    setattr(mb, name, [*getattr(mb, name), *extra])
 
         # The contexts reaching each grown method now: one reached during
         # the replays plays the whole grown body instead.
         ctxs = indexes.ctxs
-        reaching = [tuple(ctxs.of(meth_i)) for meth_i, _dmb in replays]
-        for (meth_i, dmb), meth_ctxs in zip(replays, reaching):
+        reaching = [tuple(ctxs.of(meth)) for meth, _mb, _more in grown]
+        for (meth, _mb, more), meth_ctxs in zip(grown, reaching):
             for ctx in meth_ctxs:
-                self._play_body(dmb, meth_i, ctx)
+                self._play_body(more, meth, ctx)
 
         # Receivers observed *before* a LOOKUP key existed concluded
         # "no target" through the (now evicted) cache — re-dispatch them.
@@ -1813,12 +1810,30 @@ class PointsToSolver:
         indexes.linked = indexes.reached = None
         return self._extend_delta(log, linked, reached)
 
-    def _row_index(self, what: str) -> FactIndex:
-        """The fact base index of a solver built from rows; edits arrive
-        as rows, so only such a solver takes them."""
-        if self._index is None:
-            raise ValueError(f"{what} needs a solver built from fact rows")
-        return self._index
+    def _edited(
+        self, program: Program, bodies: Mapping[int, _MethodBody]
+    ) -> List[Tuple[int, _MethodBody, Optional[_MethodBody], Optional[_MethodBody]]]:
+        """The edit :meth:`extend` and :meth:`retract` take: each method
+        of ``bodies`` with its compiled body and what the new body takes
+        out and puts in (:func:`_split`).  Raises ``ValueError`` unless
+        this solver reads a packed program that has moved to ``program``
+        and compiled each body's method, keeping its formals and
+        ``this``."""
+        pack = self._pack
+        if pack is None:
+            raise ValueError("edits need a solver built over a packed program")
+        if pack.program is not program:
+            raise ValueError("the packed program has not moved to this program")
+        edited = []
+        for meth, new in bodies.items():
+            mb = self._bodies.get(meth)
+            if mb is None or new.formals != mb.formals or new.this != mb.this:
+                raise ValueError(
+                    f"{self.meths.value(meth)}: not compiled here, or its "
+                    "formals or this changed"
+                )
+            edited.append((meth, mb, *_split(mb, new)))
+        return edited
 
     def keep_indexes(self) -> "_EditIndexes":
         """Build the indexes :meth:`extend` and :meth:`retract` read, once:
@@ -1902,9 +1917,19 @@ class PointsToSolver:
     def retract(
         self,
         program: Program,
+        bodies: Mapping[int, _MethodBody],
         removed: Mapping[str, Iterable[tuple]],
     ) -> Retraction:
-        """Take *removed* EDB rows out of a solved fixpoint, in place.
+        """Take an edit's retractions out of a solved fixpoint, in place.
+
+        ``program`` is the post-edit program, to which this solver's
+        packed program has moved, and ``bodies`` the new bodies it
+        compiled there (:meth:`PackedProgram.recompile
+        <repro.analysis.pack.PackedProgram.recompile>`), by method: the
+        entries a compiled body has and its new body lacks (compared
+        field by field, as sets) are retracted.  Of ``removed`` (the
+        edit's removed rows) only ``HEAPTYPE`` is read: the heaps no
+        longer allocated leave the cast-filter index.
 
         Delete-and-rederive (DRed; Gupta, Mumick & Subrahmanian, SIGMOD
         1993) over the warm solver's derived graph:
@@ -1921,9 +1946,9 @@ class PointsToSolver:
            cycle alive.
         2. **Tear down.**  Clear the region's masks, its in-edges, the
            consumers of the retracted instructions and of the dropped
-           activations and call edges, and the retracted rows' compiled
-           instructions.  Heaps whose type row goes leave the cast-filter
-           index.
+           activations and call edges, and the retracted entries of the
+           compiled bodies.  Heaps whose type row goes leave the
+           cast-filter index.
         3. **Re-derive.**  Every surviving activation owning a cleared
            node (or the source of a torn edge into a field or static
            node) re-emits its products into the region from its current
@@ -1941,18 +1966,31 @@ class PointsToSolver:
         :meth:`extend` trips the budget exactly when a fresh solve would.
 
         Raises ``ValueError`` — before changing anything — for rows outside
-        :data:`REDERIVE_RELATIONS`, a removed method, call-structure rows of
-        a call site that survives, or an over-deleted region larger than
+        :data:`REDERIVE_RELATIONS`, a catch clause that goes, a call that
+        goes from a call site that stays (its arguments or result
+        changed), or an over-deleted region larger than
         :data:`REDERIVE_MAX_SHARE` of the nodes (activations counted as
-        nodes).  ``program`` is the
-        post-edit program; calls are matched by site id, so the removed
-        rows are all the facts this needs.
+        nodes).
         """
-        self._row_index("retract")
+        edited = self._edited(program, bodies)
         for name, rows in removed.items():
             if rows and name not in REDERIVE_RELATIONS:
                 raise ValueError(f"cannot rederive {name} retractions")
-        gone = self._gone_bodies(program, removed)
+        gone: Dict[int, _MethodBody] = {}
+        refused: List[str] = []
+        for meth, _mb, g, _more in edited:
+            if g is None:
+                continue
+            if g.catches:
+                raise ValueError("cannot rederive CATCHCLAUSE retractions")
+            stays = set(_call_invos(bodies[meth]))
+            refused += [self.invos.value(i) for i in _call_invos(g) if i in stays]
+            gone[meth] = g
+        if refused:
+            raise ValueError(
+                f"call-structure retractions on surviving call sites: "
+                f"{', '.join(sorted(refused))}"
+            )
         indexes = self.keep_indexes()
         # The contexts of the methods losing rows, as they are now.
         ctxs_of = {meth: tuple(indexes.ctxs.of(meth)) for meth in gone}
@@ -1972,10 +2010,14 @@ class PointsToSolver:
         self._stopwatch.restart()
         pts = self._pts
         old = {node: pts[node] for node in region}
+        for meth, g in gone.items():
+            # The pack lists the new bodies' variables; these may own nodes.
+            indexes.own(meth, _body_vars(g))
         torn = self._tear_down(gone, ctxs_of, region, cut, dead)
         for heap, _typ in removed.get("HEAPTYPE", ()):
-            self._unregister_heap_type(self.heaps.get(heap))
-        self._rederive(region, torn, self._var_meth_lookup(removed))
+            if heap in self.heaps:
+                self._unregister_heap_type(self.heaps.get(heap))
+        self._rederive(region, torn)
         self._propagate()
 
         # A cut edge's dispatch outcome stays while its site still calls
@@ -2223,12 +2265,7 @@ class PointsToSolver:
                 indexes.lhs.pop(invo, None)
         return torn
 
-    def _rederive(
-        self,
-        region: Set[int],
-        torn: List[Tuple[int, int]],
-        var_meth: Callable[[str], str],
-    ) -> None:
+    def _rederive(self, region: Set[int], torn: List[Tuple[int, int]]) -> None:
         """Step 3 of :meth:`retract`, before the worklist runs: every live
         activation owning a cleared variable or throw node, or the source
         of a torn edge into a field or static node (those in-edges come
@@ -2244,16 +2281,12 @@ class PointsToSolver:
                 owner[node] = (lo, hi)
             elif kind == _THROW and node in region:
                 replay.add(hi << 32 | lo)
-        meth_of: Dict[int, int] = {}
+        assert self._indexes is not None
+        var_meth = self._indexes.var_meth
 
         def act_of(node: int) -> int:
             var, ctx = owner[node]
-            meth = meth_of.get(var)
-            if meth is None:
-                meth = meth_of[var] = self.meths.intern(
-                    var_meth(self.vars.value(var))
-                )
-            return meth << 32 | ctx
+            return var_meth[var] << 32 | ctx
 
         for node in region:
             if node in owner:
@@ -2264,85 +2297,6 @@ class PointsToSolver:
         for key in replay:
             if key in self._reachable:
                 self._replay(key >> 32, key & _CTX_MASK)
-
-    def _var_meth_lookup(
-        self, removed: Mapping[str, Iterable[tuple]]
-    ) -> Callable[[str], str]:
-        """A variable's method: the indexed program's, an edit's, or one
-        the retraction's own VARINMETH rows name."""
-        base = self._row_index("retract").var_meth
-        edits = self._edit_var_meth
-        retracted = dict(removed.get("VARINMETH", ()))
-
-        def var_meth(var: str) -> str:
-            meth = base.get(var) or edits.get(var) or retracted.get(var)
-            if meth is None:
-                raise ValueError(f"variable {var} has no method")
-            return meth
-
-        return var_meth
-
-    def _gone_bodies(
-        self, program: Program, removed: Mapping[str, Iterable[tuple]]
-    ) -> Dict[int, _MethodBody]:
-        """The compiled instructions and returns the *removed* rows take
-        out of each method, as partial bodies keyed by method id.
-
-        Call instructions are matched by call-site id, so the entries are
-        the body's own (with the arguments they were compiled with).
-        """
-        refused = {
-            row[0]
-            for rel in ("ACTUALARG", "ACTUALRETURN", "INVOINMETH")
-            for row in removed.get(rel, ())
-        }
-        refused -= {row[2] for row in removed.get("VCALL", ())}
-        refused -= {row[2] for row in removed.get("SPECIALCALL", ())}
-        refused -= {row[1] for row in removed.get("SCALL", ())}
-        if refused:
-            raise ValueError(
-                f"call-structure retractions on surviving call sites: "
-                f"{', '.join(sorted(refused))}"
-            )
-        # Calls are matched by site id below: their lhs and args here
-        # do not matter.
-        grouped = self._compile_rows(
-            lambda relation: removed.get(relation.upper(), ()),
-            self._var_meth_lookup(removed),
-            {},
-            {},
-        )
-        returns: Dict[str, List[str]] = {}
-        for meth, ret in removed.get("FORMALRETURN", ()):
-            returns.setdefault(meth, []).append(ret)
-        gone: Dict[int, _MethodBody] = {}
-        for meth in grouped.keys() | returns.keys():
-            try:
-                program.method(meth)
-            except KeyError:
-                raise ValueError(f"method {meth} removed") from None
-            meth_i = self.meths.intern(meth)
-            mb = self._body(meth_i)
-            g = _MethodBody(
-                *(grouped.get(meth) or _NO_INSTRS),
-                formals=(),
-                returns=tuple(map(self.vars.intern, returns.get(meth, ()))),
-                this=_NONE,
-            )
-            for name, at in _CALL_FIELDS:
-                invos = {call[at] for call in getattr(g, name)}
-                if invos:
-                    own = [c for c in getattr(mb, name) if c[at] in invos]
-                    if len(own) != len(invos):
-                        raise ValueError(f"{meth}: retracted {name} not compiled")
-                    setattr(g, name, own)
-            for name in _INSTR_FIELDS:
-                if not set(getattr(g, name)) <= set(getattr(mb, name)):
-                    raise ValueError(f"{meth}: retracted {name} not compiled")
-            if not set(g.returns) <= set(mb.returns):
-                raise ValueError(f"{meth}: retracted return not compiled")
-            gone[meth_i] = g
-        return gone
 
     def _unsupported(self, roots: Set[int], cut: Set[_Edge]) -> Set[int]:
         """The activations no longer reachable from ``roots`` over the call

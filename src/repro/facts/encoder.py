@@ -155,35 +155,6 @@ class FactIndex:
     returns: Dict[str, Tuple[str, ...]]  # method -> returned variables
     this_of: Dict[str, str]  # instance method -> its ``this``
     heap_type: Dict[str, str]  # heap -> allocated type
-    method_ids: FrozenSet[str]
-
-    @classmethod
-    def from_rows(
-        cls,
-        varinmeth: Iterable[Tuple[str, str]],
-        actualreturn: Iterable[Tuple[str, str]],
-        formalarg: Iterable[Tuple[str, int, str]],
-        formalreturn: Iterable[Tuple[str, str]],
-        thisvar: Iterable[Tuple[str, str]],
-        heap_type: Optional[Dict[str, str]] = None,
-        method_ids: FrozenSet[str] = frozenset(),
-    ) -> "FactIndex":
-        """Index raw relation rows (a whole fact base or an edit's delta)."""
-        by_pos: Dict[str, Dict[int, str]] = {}
-        for meth, i, arg in formalarg:
-            by_pos.setdefault(meth, {})[i] = arg
-        returns: Dict[str, List[str]] = {}
-        for meth, ret in formalreturn:
-            returns.setdefault(meth, []).append(ret)
-        return cls(
-            var_meth=dict(varinmeth),
-            ret_of_invo=dict(actualreturn),
-            formals={m: tuple(p[i] for i in sorted(p)) for m, p in by_pos.items()},
-            returns={m: tuple(rs) for m, rs in returns.items()},
-            this_of=dict(thisvar),
-            heap_type=heap_type if heap_type is not None else {},
-            method_ids=method_ids,
-        )
 
 
 class _TypeRows:
@@ -351,14 +322,19 @@ class FactBase:
         analysis does: a changed program is re-encoded).
         """
         if self._index is None:
-            self._index = FactIndex.from_rows(
-                self.varinmeth,
-                self.actualreturn,
-                self.formalarg,
-                self.formalreturn,
-                self.thisvar,
+            by_pos: Dict[str, Dict[int, str]] = {}
+            for meth, i, arg in self.formalarg:
+                by_pos.setdefault(meth, {})[i] = arg
+            returns: Dict[str, List[str]] = {}
+            for meth, ret in self.formalreturn:
+                returns.setdefault(meth, []).append(ret)
+            self._index = FactIndex(
+                var_meth=dict(self.varinmeth),
+                ret_of_invo=dict(self.actualreturn),
+                formals={m: tuple(p[i] for i in sorted(p)) for m, p in by_pos.items()},
+                returns={m: tuple(rs) for m, rs in returns.items()},
+                this_of=dict(self.thisvar),
                 heap_type=self.heap_type,
-                method_ids=frozenset(m.id for m in self.program.methods()),
             )
         return self._index
 

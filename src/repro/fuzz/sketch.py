@@ -20,7 +20,7 @@ counterexamples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..ir.builder import ProgramBuilder
 from ..ir.instructions import (
@@ -141,28 +141,45 @@ def _key(m: MethodSketch) -> Tuple[str, str, int]:
 
 class _Methods(list):
     """A sketch's methods, in order, indexed by ``(class name, name,
-    arity)``: an append or insert keeps the index; any other change to
-    the list drops it, and the next lookup builds it again."""
+    arity)``: an append or insert keeps the index, and so does deleting
+    the one method of a key; any other change to the list drops it, and
+    the next lookup builds it again."""
 
-    __slots__ = ("_by_key",)
+    __slots__ = ("_by_key", "_shared")
 
     def __init__(self, methods: Iterable[MethodSketch] = ()) -> None:
         super().__init__(methods)
         self._by_key: Optional[Dict[Tuple[str, str, int], MethodSketch]] = None
+        self._shared: Set[Tuple[str, str, int]] = set()  # keys of 2+ methods
 
     def find(self, key: Tuple[str, str, int]) -> Optional[MethodSketch]:
         """The first method with ``key``, or ``None``."""
         by_key = self._by_key
         if by_key is None:
             by_key = self._by_key = {}
+            shared = self._shared = set()
             for m in self:
-                by_key.setdefault(_key(m), m)
+                if by_key.setdefault(_key(m), m) is not m:
+                    shared.add(_key(m))
         return by_key.get(key)
 
     def append(self, m: MethodSketch) -> None:
         super().append(m)
-        if self._by_key is not None:
-            self._by_key.setdefault(_key(m), m)
+        by_key = self._by_key
+        if by_key is not None and by_key.setdefault(_key(m), m) is not m:
+            self._shared.add(_key(m))
+
+    def __delitem__(self, at: Any) -> None:
+        by_key = self._by_key
+        if by_key is not None and type(at) is int:
+            m = self[at]
+            key = _key(m)
+            if by_key.get(key) is m and key not in self._shared:
+                del by_key[key]
+                super().__delitem__(at)
+                return
+        self._by_key = None
+        super().__delitem__(at)
 
     def insert(self, at: Any, m: MethodSketch) -> None:
         super().insert(at, m)
@@ -187,7 +204,7 @@ def _dropping_index(name: str) -> Any:
 
 
 for _name in (
-    "__setitem__", "__delitem__", "__iadd__", "__imul__",
+    "__setitem__", "__iadd__", "__imul__",
     "extend", "remove", "pop", "clear", "sort", "reverse",
 ):
     setattr(_Methods, _name, _dropping_index(_name))

@@ -292,7 +292,9 @@ class RemoveMethod(Edit):
             method.is_static,
             method.instructions,
         )
-        inverse.at = sketch.methods.index(method)
+        # By identity: ``index`` would compare every earlier method field
+        # by field.
+        inverse.at = next(at for at, m in enumerate(sketch.methods) if m is method)
         del sketch.methods[inverse.at]
         if self.method_id not in sketch.entry_points:
             return inverse

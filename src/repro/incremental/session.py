@@ -39,8 +39,15 @@ cache's keys, and its pre-existing call sites those of the dirty
 methods' old rows (a site id names its method), so a warm apply does
 work in the size of the edit, not of the program.
 
-No apply assembles a :class:`~repro.facts.encoder.FactBase` unless a
-``full`` re-solve needs one.  :attr:`IncrementalSession.facts` and
+The solver reads no method's rows.  It reads a
+:class:`~repro.analysis.pack.PackedProgram`, built at set-up and by each
+``full`` re-solve, that moves with the program on the warm tiers
+(:meth:`~repro.analysis.pack.PackedProgram.recompile`): it takes the
+dirty methods' new bodies, and of the delta only ``HEAPTYPE`` removals
+and ``LOOKUP`` and ``REACHABLEROOT`` additions.
+
+No apply assembles a :class:`~repro.facts.encoder.FactBase`.
+:attr:`IncrementalSession.facts` and
 :attr:`EditOutcome.facts` (with its ``digest``) are built on first read
 with :func:`~repro.facts.encoder.assemble_facts` from that edit's rows,
 list-equal to ``encode_program`` of that edit's program, however many
@@ -79,7 +86,7 @@ fact delta, *result* deltas (added/removed tuples per output relation;
 the warm tiers take them from the solver, ``full`` from two relation
 differences), and timing split into delta-apply (edit + build or derive
 + encoding the dirty methods + delta + classify) and solve (which
-includes a ``full`` tier's assembly); the fact base and its digest are
+includes the packed program's move); the fact base and its digest are
 built when first read.  Equality with a
 from-scratch solve is enforced by the ``incremental-equivalence`` fuzz
 oracle and the bench harness; if a warm tier's belt-and-braces guards
@@ -106,6 +113,7 @@ from typing import (
     Union,
 )
 
+from ..analysis.pack import PackedProgram
 from ..analysis.solver import PointsToSolver
 from ..contexts.policies import policy_by_name
 from ..facts.encoder import (
@@ -324,21 +332,6 @@ def _jsonify(value: object) -> object:
     return value
 
 
-def _assemble(
-    program: Program,
-    rows: Mapping[str, Optional[MethodRows]],
-    cache: Mapping[str, MethodRows],
-    types: Tuple[List[tuple], List[tuple]],
-) -> FactBase:
-    """``program``'s whole fact base: the cached rows, ``rows`` overriding
-    them, in ``program.methods()`` order."""
-    return assemble_facts(
-        program,
-        [rows.get(m.id) or cache[m.id] for m in program.methods()],
-        *types,
-    )
-
-
 class _Epoch:
     """One state of a session's row cache, as a link in a chain.
 
@@ -373,13 +366,12 @@ class _Snapshot:
         types: Tuple[List[tuple], List[tuple]],
         epoch: _Epoch,
         cache: Mapping[str, MethodRows],
-        facts: Optional[FactBase],
     ) -> None:
         self.program = program
         self.types = types
         self.epoch = epoch
         self.cache = cache
-        self._facts = facts
+        self._facts: Optional[FactBase] = None
 
     def facts(self) -> FactBase:
         if self._facts is None:
@@ -391,7 +383,11 @@ class _Snapshot:
                 for mid, entry in epoch.replaced.items():
                     rows.setdefault(mid, entry)
                 epoch = epoch.newer
-            self._facts = _assemble(self.program, rows, self.cache, self.types)
+            self._facts = assemble_facts(
+                self.program,
+                [rows.get(m.id) or self.cache[m.id] for m in self.program.methods()],
+                *self.types,
+            )
         return self._facts
 
 
@@ -502,27 +498,14 @@ class IncrementalSession:
                 self._sig_callers.setdefault(sig, set()).add(m.id)
         self._instance_sigs = _instance_sigs(program)
         self._types = type_rows(program)
-        facts = assemble_facts(program, self._methods.values(), *self._types)
         self._epoch = _Epoch()
-        # The snapshot does not keep ``facts``: it is assembled again if
-        # read, so a session does not pin a whole fact base beside its
-        # row cache and solver.
-        self._snapshot = _Snapshot(
-            program, self._types, self._epoch, self._methods, None
-        )
-        # The policy binds alloc_class_of at construction; a session-owned
-        # dict (grown from each delta, before each solve) keeps it fresh.
-        # An alloc site's declaring class never changes while the site id
-        # exists, so stale entries are never *wrong*.
-        self._alloc_class: Dict[str, str] = dict(facts.alloc_class)
-        self._policy = policy_by_name(
-            analysis, alloc_class_of=self._alloc_class.__getitem__
-        )
+        self._snapshot = _Snapshot(program, self._types, self._epoch, self._methods)
+        self._pack: Optional[PackedProgram] = None
         self._solver: Optional[PointsToSolver] = None
         self.edits_applied = 0
         self.tier_counts: Dict[str, int] = {}
         sw = Stopwatch()
-        self._relations: Relations = self._solve_fresh(program, facts)
+        self._relations: Relations = self._solve_fresh(program)
         self.initial_solve_seconds = sw.elapsed()
 
     @property
@@ -665,7 +648,6 @@ class IncrementalSession:
         fresh: Mapping[str, Optional[MethodRows]],
         types: Tuple[List[tuple], List[tuple]],
         counts: Mapping[str, int],
-        facts: Optional[FactBase],
     ) -> _Snapshot:
         """Move the caches to the post-edit program; returns its snapshot.
 
@@ -703,15 +685,19 @@ class IncrementalSession:
             self._instance_sigs = _instance_sigs(program)
             self._types = types
         self.program = program
-        self._snapshot = _Snapshot(program, types, epoch, cache, facts)
+        self._snapshot = _Snapshot(program, types, epoch, cache)
         return self._snapshot
 
     # ------------------------------------------------------------------
     # Solver plumbing
     # ------------------------------------------------------------------
-    def _solve_fresh(self, program: Program, facts: FactBase) -> Relations:
+    def _solve_fresh(self, program: Program) -> Relations:
+        """Solve ``program`` from scratch, over a new packed program that
+        then moves with the session's program."""
+        pack = self._pack = PackedProgram(program)
+        policy = policy_by_name(self.analysis, alloc_class_of=pack.alloc_class_of)
         solver = self._solver = PointsToSolver(
-            program, self._policy, facts=facts, max_tuples=self.max_tuples
+            program, policy, max_tuples=self.max_tuples, pack=pack
         )
         raw = solver.solve()
         # Here, not inside the next edit: set-up and a ``full`` re-solve
@@ -728,29 +714,36 @@ class IncrementalSession:
         self,
         tier: str,
         program: Program,
+        fresh: Mapping[str, Optional[MethodRows]],
         delta: FactDelta,
         reason: str,
     ) -> Tuple[ResultDelta, str]:
         """The ``monotonic`` or ``rederive`` tier on the warm solver.
 
-        A rederive takes the retractions out first
+        The packed program moves to ``program`` first, compiling again
+        the dirty methods it has compiled
+        (:meth:`~repro.analysis.pack.PackedProgram.recompile`).  A
+        rederive takes what their new bodies lose out first
         (:meth:`~repro.analysis.solver.PointsToSolver.retract`), then
-        replays the additions (:meth:`~repro.analysis.solver.PointsToSolver.extend`).
+        replays what they gain (:meth:`~repro.analysis.solver.PointsToSolver.extend`).
         Both report their result delta natively, so the relations' overlays
         are updated from it and the returned ``(added, removed)`` are exact
         without any full-relation comparison.  Returns them with the
         outcome's reason.
         """
-        solver = self._solver
-        assert solver is not None
+        solver, pack = self._solver, self._pack
+        assert solver is not None and pack is not None
+        bodies = pack.recompile(
+            program, [mid for mid, entry in fresh.items() if entry is not None]
+        )
         lost: Dict[str, FrozenSet[tuple]] = {}
         if tier == "rederive":
-            retraction = solver.retract(program, delta.removed)
+            retraction = solver.retract(program, bodies, delta.removed)
             lost = retraction.removed
             reason = (
                 f"rederive: {reason}; {retraction.region}/{retraction.nodes} nodes"
             )
-        gained = solver.extend(program, delta.added) if delta.added else {}
+        gained = solver.extend(program, bodies, delta.added) if delta.added else {}
         added: Dict[str, FrozenSet[tuple]] = {}
         removed: Dict[str, FrozenSet[tuple]] = {}
         for name in RESULT_RELATIONS:
@@ -815,22 +808,18 @@ class IncrementalSession:
             },
             removed_methods={mid for mid, entry in fresh.items() if entry is None},
         )
-        # Policies read alloc_class_of during the solve below.
-        self._alloc_class.update(delta.added.get("ALLOCCLASS", ()))
         apply_seconds = sw.elapsed()
 
         sw.restart()
         old_relations = self._relations
         # The solver-reported result delta; None means a fresh solve.
         changes: Optional[ResultDelta] = None
-        # Assembled only for a fresh solve.
-        facts: Optional[FactBase] = None
         try:
             if tier == "noop":
                 changes = ({}, {})
             elif tier in ("monotonic", "rederive"):
                 try:
-                    changes, reason = self._warm(tier, program, delta, reason)
+                    changes, reason = self._warm(tier, program, fresh, delta, reason)
                 except ValueError as exc:
                     # A warm path's guard refused the delta the classifier
                     # accepted: fall back to the escape hatch and say so.
@@ -840,20 +829,19 @@ class IncrementalSession:
                         reason = f"fast path refused ({exc}); {reason}"
                     tier = "full"
             if changes is None:
-                facts = _assemble(program, fresh, self._methods, types)
-                self._relations = self._solve_fresh(program, facts)
+                self._relations = self._solve_fresh(program)
         except Exception:
             # The solve itself failed (e.g. a tuple-budget trip mid
-            # extension), possibly leaving the warm solver inconsistent.
-            # Revert the sketch and rebuild the warm state at the old
-            # program so the session survives; then let the error out.
-            # The caches and ``facts`` were not yet touched.
+            # extension), possibly leaving the warm solver and its packed
+            # program inconsistent.  Revert the sketch and rebuild the
+            # warm state at the old program so the session survives; then
+            # let the error out.  The caches were not yet touched.
             inverse.apply(self.sketch)
-            self._relations = self._solve_fresh(self.program, self.facts)
+            self._relations = self._solve_fresh(self.program)
             raise
         solve_seconds = sw.elapsed()
 
-        snapshot = self._commit(program, fresh, types, counts, facts)
+        snapshot = self._commit(program, fresh, types, counts)
         self.edits_applied += len(script)
         self.tier_counts[tier] = self.tier_counts.get(tier, 0) + 1
 

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.analysis.pack import PackedProgram
 from repro.analysis.solver import _INSTR_FIELDS, PointsToSolver
 from repro.benchgen.dacapo import build_benchmark
 from repro.contexts.policies import policy_by_name
@@ -40,6 +41,21 @@ def _solver(program, analysis="insens"):
         policy_by_name(analysis, alloc_class_of=facts.alloc_class_of),
         facts=facts,
     )
+
+
+def _warm_solver(program, analysis):
+    """A solver over a packed program, as a warm session builds one."""
+    pack = PackedProgram(program)
+    return PointsToSolver(
+        program,
+        policy_by_name(analysis, alloc_class_of=pack.alloc_class_of),
+        pack=pack,
+    )
+
+
+def _moved(solver, program):
+    """Move the solver's packed program to ``program``; the new bodies."""
+    return solver._pack.recompile(program, [m.id for m in program.methods()])
 
 
 def _snapshot_keeps(solver):
@@ -235,19 +251,19 @@ def _all_stale(raw):
 
 def test_views_raise_after_extend():
     before, after, added = _edited_kitchen_sink()
-    solver = _solver(before, "2objH")
+    solver = _warm_solver(before, "2objH")
     raw = solver.solve()
     _reads(raw)
-    solver.extend(after, added)
+    solver.extend(after, _moved(solver, after), added)
     _all_stale(raw)
     _reads(solver.snapshot())
 
 
 def test_views_raise_after_retract():
     before, after, added = _edited_kitchen_sink()
-    solver = _solver(after, "2objH")
+    solver = _warm_solver(after, "2objH")
     raw = solver.solve()
-    solver.retract(before, added)
+    solver.retract(before, _moved(solver, before), added)
     _all_stale(raw)
     _reads(solver.snapshot())
 
@@ -256,9 +272,11 @@ def test_refused_retract_leaves_views_valid():
     """A retraction refused before it changes anything does not make the
     views stale."""
     before, after, added = _edited_kitchen_sink()
-    solver = _solver(after, "2objH")
+    solver = _warm_solver(after, "2objH")
     raw = solver.solve()
     want = _reads(raw)
     with pytest.raises(ValueError):
-        solver.retract(before, {"CATCHCLAUSE": [("m", "T", "v")]})
+        solver.retract(
+            before, _moved(solver, before), {"CATCHCLAUSE": [("m", "T", "v")]}
+        )
     assert _reads(raw) == want

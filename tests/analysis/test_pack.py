@@ -251,11 +251,13 @@ def test_a_pack_is_of_one_program():
         )
 
 
-def test_edits_need_a_solver_built_from_rows():
+def test_edits_need_a_solver_over_a_packed_program():
     program = build_box_program()
-    solver = PointsToSolver(program, InsensitivePolicy())
+    solver = PointsToSolver(
+        program, InsensitivePolicy(), facts=encode_program(program)
+    )
     solver.solve()
-    with pytest.raises(ValueError, match="fact rows"):
-        solver.extend(program, {})
-    with pytest.raises(ValueError, match="fact rows"):
-        solver.retract(program, {})
+    with pytest.raises(ValueError, match="packed program"):
+        solver.extend(program, {}, {})
+    with pytest.raises(ValueError, match="packed program"):
+        solver.retract(program, {}, {})

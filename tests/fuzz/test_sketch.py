@@ -99,3 +99,43 @@ def test_method_by_id_is_none_for_unknown_or_malformed_ids(method_id):
     sketch = ProgramSketch.from_program(build_kitchen_sink_program())
     assert sketch.method_by_id("Main.main/0") is not None
     assert sketch.method_by_id(method_id) is None
+
+
+
+def test_removing_and_re_adding_a_method_keeps_the_key_index():
+    """A remove and its inverse re-add, on xalan, leave the method index
+    built when the removed method is the one of its key; a method whose
+    key another shares drops the index, and lookups stay right."""
+    from repro.benchgen.dacapo import build_benchmark
+    from repro.incremental.edits import RemoveMethod
+
+    sketch = ProgramSketch.from_program(build_benchmark("xalan"))
+    methods = sketch.methods
+    at = len(methods) // 2
+    victim = methods[at]
+    order = [m.id for m in methods]
+    assert sketch.method_by_id(victim.id) is victim  # builds the index
+    inverse = RemoveMethod(victim.id).apply(sketch)
+    assert methods._by_key is not None
+    assert sketch.method_by_id(victim.id) is None
+    inverse.apply(sketch)
+    assert methods._by_key is not None
+    assert [m.id for m in methods] == order
+    for m in methods:
+        assert sketch.method_by_id(m.id) is m
+
+    # A twin shares the victim's key: the first of the two is found.
+    victim = methods[at]
+    twin = victim.clone()
+    methods.append(twin)
+    assert sketch.method_by_id(victim.id) is victim
+    del methods[at]  # the indexed method, its key shared: index dropped
+    assert methods._by_key is None
+    assert sketch.method_by_id(victim.id) is twin
+    methods.insert(at, victim)
+    assert sketch.method_by_id(victim.id) is victim
+    del methods[len(methods) - 1]  # the twin, not the indexed method
+    assert sketch.method_by_id(victim.id) is victim
+    assert [m.id for m in methods] == order
+    for m in methods:
+        assert sketch.method_by_id(m.id) is m

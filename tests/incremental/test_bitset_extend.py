@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+from repro.analysis.pack import PackedProgram
 from repro.analysis.solver import PointsToSolver, solve
 from repro.contexts.policies import policy_by_name
 from repro.facts.encoder import encode_program
@@ -57,7 +58,8 @@ def test_extend_delta_equals_scratch_diff():
     sketch, script = edited_sketch(seed=31, kinds=("alloc",))
     program = sketch.build()
     facts = encode_program(program)
-    solver = PointsToSolver(program, policy_for("2objH", facts), facts=facts)
+    pack = PackedProgram(program)
+    solver = PointsToSolver(program, policy_for("2objH", pack), pack=pack)
     before = solver_relations(solver.solve())
 
     edited = sketch.clone()
@@ -67,7 +69,9 @@ def test_extend_delta_equals_scratch_diff():
     delta = diff_facts(facts, facts2)
     assert delta.added and not delta.removed
 
-    added = solver.extend(program2, delta.added)
+    # The edit reaches the solver as the pack's recompiled bodies.
+    bodies = pack.recompile(program2, [m.id for m in program2.methods()])
+    added = solver.extend(program2, bodies, delta.added)
     warm_raw = solver.snapshot()
     after = solver_relations(warm_raw)
 

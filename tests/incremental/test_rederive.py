@@ -668,12 +668,12 @@ def _retract_keeps(build):
     retract = solver.retract
     keeps = []
 
-    def measured(program, removed):
+    def measured(program, bodies, removed):
         gc.collect()
         gc.disable()
         try:
             before = gc.get_count()[0]
-            out = retract(program, removed)
+            out = retract(program, bodies, removed)
             keeps.append(gc.get_count()[0] - before)
             return out
         finally:
