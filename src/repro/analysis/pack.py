@@ -176,7 +176,7 @@ class PackedProgram:
         return mb
 
     def _compile(self, meth: int) -> _MethodBody:
-        mb = self._bodies[meth] = self._build(meth, self._heap)
+        mb = self._bodies[meth] = self._build(meth)
         return mb
 
     def recompile(
@@ -189,9 +189,10 @@ class PackedProgram:
         The new bodies are returned by method id, *detached*: the pack
         keeps each old body, which its solver shares and turns into the
         new one (:meth:`~repro.analysis.solver.PointsToSolver.retract`,
-        :meth:`~repro.analysis.solver.PointsToSolver.extend`).  Their heap
-        types and classes are written as they are now, not kept from first
-        sight (site ids are positional).  Any other method is compiled
+        :meth:`~repro.analysis.solver.PointsToSolver.extend`).  A heap's
+        type and class stay as first seen: an allocation site id names
+        both (``<method id>/new <type>/<k>``), so a renumbered site is a
+        new heap, never an old one retyped.  Any other method is compiled
         from ``program`` when first reached.
         """
         if not program.frozen:
@@ -208,14 +209,12 @@ class PackedProgram:
             for invo in map(invo_name, _call_invos(old)):
                 del self._invo_args[invo]
                 self._vcalls.discard(invo)
-            bodies[meth] = self._build(meth, self._retype)
+            bodies[meth] = self._build(meth)
         return bodies
 
-    def _build(
-        self, meth: int, heap_of: Callable[[str, str, str], int]
-    ) -> _MethodBody:
+    def _build(self, meth: int) -> _MethodBody:
         """Compile method ``meth`` from the IR (not stored: see
-        :meth:`_compile`), interning its allocated heaps with ``heap_of``."""
+        :meth:`_compile`)."""
         program = self.program
         method = program.method(self.meths.value(meth))
         fi = self.flds.intern
@@ -275,7 +274,7 @@ class PackedProgram:
                             (var[instr.base], mi(callee.id), invo, lhs, args)
                         )
             elif kind is Alloc:
-                heap = heap_of(
+                heap = self._heap(
                     program.alloc_site(method, alloc_idx),
                     instr.class_name,
                     method.class_name,
@@ -285,7 +284,7 @@ class PackedProgram:
             elif kind is ConstString:
                 # Shared constants have no single allocating class; the
                 # type-sensitivity element coarsens to the string class.
-                heap = heap_of(instr.heap_id, JAVA_STRING, JAVA_STRING)
+                heap = self._heap(instr.heap_id, JAVA_STRING, JAVA_STRING)
                 allocs.append((var[instr.target], heap))
             elif kind is Cast:
                 casts.append(
@@ -340,13 +339,6 @@ class PackedProgram:
         if heap not in self.heap_types:
             self.heap_types[heap] = self.types.intern(type_name)
             self._alloc_class[name] = alloc_class
-        return heap
-
-    def _retype(self, name: str, type_name: str, alloc_class: str) -> int:
-        """:meth:`_heap`, writing the type and class however often seen."""
-        heap = self.heaps.intern(name)
-        self.heap_types[heap] = self.types.intern(type_name)
-        self._alloc_class[name] = alloc_class
         return heap
 
     def _body_of(self, meth: str) -> _MethodBody:

@@ -3,9 +3,10 @@
 A session's solver reads a packed program that moves with the session's
 program: the dirty methods it has compiled are compiled again, and the
 solver turns the bodies it played into the new ones.  These tests pin
-the traps of that intake: positional allocation site ids, methods the
-solver never reached, a budget trip after the pack moved, and fresh
-packs for ``full`` re-solves.
+the traps of that intake: allocation sites renumbered by an edit (new
+heaps, since a site id names its type), methods the solver never
+reached, a budget trip after the pack moved, and fresh packs for
+``full`` re-solves.
 """
 
 from __future__ import annotations

@@ -228,6 +228,14 @@ def assert_edit_indexes(solver):
     assert ix.callers.keys() == ix.lhs.keys()
     for invo, caller in ix.callers.items():
         assert want.callers[invo] == caller and want.lhs[invo] == ix.lhs[invo]
+    # Every variable of a compiled body, and every variable owning a node,
+    # maps to the method its name is qualified with (rederive reads it).
+    assert want.var_meth.items() <= ix.var_meth.items()
+    var_name, meth_name = solver.vars.value, solver.meths.value
+    for vmap in solver._var_nodes.values():
+        for var in vmap:
+            prefix = meth_name(ix.var_meth[var]) + "/"
+            assert var_name(var).startswith(prefix), var_name(var)
 
 
 @settings(max_examples=40, deadline=None)
